@@ -15,15 +15,14 @@ from .modes import (
 )
 from .coupling import (
     CouplingTensors, GridField, vk_operator, vk_bilinear, compute_H, compute_C,
-    derive_C_from_H, simply_supported_tensors, sparsify, tension_nl_force,
-    vk_nl_force, save_tensors, load_tensors, tensors_to_csv,
+    derive_C_from_H, simply_supported_tensors, sparsify, TensionModulation,
+    VkContraction, save_tensors, load_tensors, tensors_to_csv,
 )
 from .integrators import (
-    OscillatorBank, FtmCoeffs, SvCoeffs, SimState, Trajectory,
+    OscillatorBank, FtmCoeffs, SvCoeffs, Trajectory,
     InitialCondition, PointForce, raised_cosine_pulse, triangular_pluck,
     OverdampedError, InstabilityError, SchemeError,
-    oscillator_bank, bank_from_spec, ftm_coeffs, sv_coeffs, step, simulate,
-    scan_linear, scan_sequential, rk_reference,
+    oscillator_bank, bank_from_spec, ftm_coeffs, sv_coeffs, simulate, rk_reference,
 )
 from .losses import (
     LossWeights, loss_log, loss_sc, loss_sot, loss_total,
@@ -37,6 +36,5 @@ from .audio_io import WavFormatError, wav_read, wav_write
 from .fitting import (
     FitConfig, FitResult, FitDivergedError, GradientReport,
     TimeDomainProblem, FrequencyDomainProblem,
-    fit, fit_time_domain, fit_frequency_domain,
-    gradient, gradient_report, adam_step, one_cycle_lr, AdamState,
+    fit, gradient_report, adam_step, one_cycle_lr, AdamState,
 )

@@ -1,24 +1,38 @@
-"""Hand-written reverse-mode derivatives for the fixed computation graph used
-by the fitting routines.
+"""The differentiable core that simulation, analysis and fitting share.
 
-The graph is small and static: coefficient maps (oscillator parameters to
-scheme update vectors), the two-step time recurrence with an optional
-nonlinear force hook, a point readout, the magnitude STFT, the spectral
-losses, and the frequency-domain transfer-function magnitude. Each block gets
-an explicit adjoint, verified term-by-term against central finite differences
-in the test suite; no general-purpose autodiff is involved.
+Each block exists once, with the hand-written reverse-mode derivative the
+fits need (no general-purpose autodiff; the tests check every gradient
+against central finite differences):
 
-Conventions. The stepping recurrence is
+* the scheme coefficient maps with their partials in omega^2 and gamma
+  (``integrators.ftm_coeffs``/``sv_coeffs`` wrap them for a bank);
+* :func:`forward_cached`, the two-step modal recurrence that ``simulate`` and
+  the time-domain fit run, and :func:`bptt`, its reverse sweep;
+* :func:`stft_cached` / :func:`stft_backward`, the magnitude STFT that
+  ``analysis.stft`` wraps, and its adjoint;
+* :func:`tf_magnitude_cached` / :func:`tf_magnitude_backward`, the modal
+  transfer-function magnitude that ``analysis.tf_magnitude`` wraps, and its
+  adjoint.
 
-    q^{n+1} = A q^n + B q^{n-1} + R u^n,     u^n = f_ext^n - nl(q^n),
+The nonlinear forces live with their Jacobians in :mod:`modalsim.coupling`.
 
-with per-mode vectors A, B, R. Trajectories are stored as Q[t] = q^{t-1}
-(rows q^{-1} .. q^N), output samples are y_n = w . q^{n+1}. The reverse sweep
-propagates qbar^n = dL/dq^n backwards:
+Conventions. The recurrence is
+
+    q^{n+1} = A q^n + B q^{n-1} + R u^n + R2 u^{n-1},   u^n = f_ext^n - nl(q^n),
+
+with per-mode vectors A, B, R, R2 (R2, the resonator numerator's b2 term, is
+forward-only). Trajectories are stored as Q[t] = q^{t-1} (rows q^{-1} .. q^N),
+output samples are y_n = w . q^{n+1}. The reverse sweep propagates
+qbar^n = dL/dq^n backwards:
 
     qbar^n = w ybar_n + A qbar^{n+1} + B qbar^{n+2} - J_nl(q^n)^T (R qbar^{n+1})
 
 and parameter gradients reduce to sums of stored products afterwards.
+
+A nonlinear force ``hook`` is an object with ``begin(n_steps)`` (fresh
+per-run caches), ``hook(q, n)`` (the force at step n, caching what the sweep
+needs), ``jt_vec(n, v, q)`` (J_nl(q^n)^T v) and ``finalize(V, Qmid, want)``
+(gradients of the force's own parameters).
 """
 
 from __future__ import annotations
@@ -26,19 +40,43 @@ from __future__ import annotations
 import numpy as np
 from scipy.signal import get_window
 
-from .integrators import InstabilityError, OverdampedError
+# steps between the finiteness checks of the forward recurrence
+CHECK_EVERY = 64
+
+
+class OverdampedError(ValueError):
+    """A mode with gamma >= omega cannot be realised as a resonator pair."""
+
+
+class InstabilityError(RuntimeError):
+    def __init__(self, step: int, mode: int):
+        self.step = step
+        self.mode = mode
+        super().__init__(f"non-finite state at step {step} (largest-magnitude mode index {mode})")
+
+
+def _check_finite(q, step):
+    if not np.all(np.isfinite(q)):
+        bad = np.where(np.isfinite(q), np.abs(q), np.inf)
+        raise InstabilityError(step=step, mode=int(np.argmax(bad)))
 
 
 # --- coefficient maps with partials -------------------------------------------
 
 def ftm_coeff_partials(omega2, gamma, T):
-    """Impulse-invariant coefficients a1, a2, b1 and their partial derivatives
-    with respect to omega^2 and gamma."""
+    """Impulse-invariant coefficients a1 = -2 e^{-gT} cos(wt T), a2 = e^{-2gT},
+    b1 = e^{-gT} sin(wt T) / wt and their partial derivatives with respect to
+    omega^2 and gamma."""
+    if T <= 0:
+        raise ValueError("sample period must be positive")
     w2 = np.asarray(omega2, dtype=float)
     g = np.asarray(gamma, dtype=float)
-    if np.any(w2 <= g**2):
-        bad = np.flatnonzero(w2 <= g**2)
-        raise OverdampedError(f"modes {bad.tolist()} are not underdamped")
+    bad = np.flatnonzero(w2 <= g**2)
+    if bad.size:
+        raise OverdampedError(
+            f"modes {bad.tolist()} are not underdamped (gamma >= omega); "
+            "the resonator scheme requires omega > gamma"
+        )
     wt = np.sqrt(w2 - g**2)
     e1 = np.exp(-g * T)
     c = np.cos(wt * T)
@@ -77,7 +115,13 @@ def ftm_update_partials(omega2, gamma, T):
 
 
 def sv_update_partials(omega2, gamma, T):
-    """Stoermer-Verlet update vectors A = g, B = p, R = r and their partials."""
+    """Stoermer-Verlet update vectors A = g, B = p, R = r,
+
+        r = T^2 / (1 + gamma T), g = r (2/T^2 - omega^2), p = r (gamma/T - 1/T^2),
+
+    and their partials."""
+    if T <= 0:
+        raise ValueError("sample period must be positive")
     w2 = np.asarray(omega2, dtype=float)
     g = np.asarray(gamma, dtype=float)
     r = T**2 / (1.0 + g * T)
@@ -92,85 +136,10 @@ def sv_update_partials(omega2, gamma, T):
     }
 
 
-# --- differentiable nonlinear hooks --------------------------------------------
-
-class KcHookDiff:
-    """Tension-modulation force with cached per-step sums for the adjoint."""
-
-    def __init__(self, lam, tau_hat):
-        self.lam = np.asarray(lam, dtype=float)
-        self.tau_hat = float(tau_hat)
-        self.S = None
-
-    def begin(self, n_steps):
-        self.S = np.empty(n_steps)
-
-    def force(self, n, q):
-        s = float(self.lam @ (q * q))
-        self.S[n] = s
-        return self.tau_hat * self.lam * q * s
-
-    def jt_vec(self, n, v, q):
-        lamq = self.lam * q
-        return self.tau_hat * (self.lam * v * self.S[n] + 2.0 * lamq * (lamq @ v))
-
-    def finalize(self, V, Qmid, want):
-        out = {}
-        if "tau" in want:
-            out["tau"] = -float(np.einsum("tm,m,tm,t->", V, self.lam, Qmid, self.S))
-        return out
-
-
-class VkHookDiff:
-    """Plate coupling force with cached eta and eta-adjoints for the sweep."""
-
-    def __init__(self, H, C, zeta4, gain, tied_C):
-        self.H = np.asarray(H, dtype=float)
-        self.C = np.asarray(C, dtype=float)
-        self.zeta4 = np.asarray(zeta4, dtype=float)
-        self.inv_z4 = 1.0 / self.zeta4
-        self.gain = float(gain)
-        self.tied_C = bool(tied_C)
-        n_psi, n_phi, _ = self.H.shape
-        self.n_psi, self.n_phi = n_psi, n_phi
-        self.H2 = self.H.reshape(n_psi, -1)
-        self.C2 = self.C.reshape(n_phi, -1)
-        self.Hsym = self.H + np.transpose(self.H, (0, 2, 1))
-        self.eta = None
-        self.G = None
-
-    def begin(self, n_steps):
-        self.eta = np.empty((n_steps, self.n_psi))
-        self.G = np.empty((n_steps, self.n_psi))
-
-    def force(self, n, q):
-        eta = (self.H2 @ np.outer(q, q).ravel()) * self.inv_z4
-        self.eta[n] = eta
-        return self.gain * (self.C2 @ np.outer(q, eta).ravel())
-
-    def jt_vec(self, n, v, q):
-        CV = np.einsum("spn,s->pn", self.C, v)
-        g_eta = self.gain * (q @ CV)
-        self.G[n] = g_eta
-        term1 = self.gain * (CV @ self.eta[n])
-        Hq = self.Hsym @ q  # [n_psi, n_phi]
-        term2 = (g_eta * self.inv_z4) @ Hq
-        return term1 + term2
-
-    def finalize(self, V, Qmid, want):
-        out = {}
-        if "H" in want:
-            dH = -np.einsum("tn,ta,tb->nab", self.G * self.inv_z4[None, :], Qmid, Qmid)
-            if self.tied_C:
-                dH -= self.gain * np.einsum("ts,tp,tn->nps", V, Qmid, self.eta)
-            out["H"] = dH
-        return out
-
-
-# --- cached forward + reverse sweep ---------------------------------------------
+# --- forward recurrence + reverse sweep ------------------------------------------
 
 def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=None,
-                   hook=None, check_every=256):
+                   hook=None, R2=None):
     """Forward stepping that stores everything the reverse sweep needs.
 
     Returns (Q, U): Q[t] = q^{t-1} with shape [n_steps+2, modes]; U holds the
@@ -180,29 +149,34 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
     Q = np.empty((n_steps + 2, m))
     Q[0] = q_prev
     Q[1] = q0
+    q, qp = Q[1], Q[0]
     has_input = force_signal is not None or hook is not None
     U = np.empty((n_steps, m)) if has_input else None
+    use_b2 = R2 is not None and np.any(R2)
+    u_prev = np.zeros(m)
+    every = CHECK_EVERY
     if hook is not None:
         hook.begin(n_steps)
     for n in range(n_steps):
-        q = Q[n + 1]
         if has_input:
             if hook is not None:
-                u = -hook.force(n, q)
+                u = -hook(q, n)
                 if force_signal is not None:
                     u += force_gains * force_signal[n]
             else:
                 u = force_gains * force_signal[n]
             U[n] = u
-            Q[n + 2] = A * q + B * Q[n] + R * u
+            q_next = A * q + B * qp + R * u
+            if use_b2:
+                q_next += R2 * u_prev
+                u_prev = u
         else:
-            Q[n + 2] = A * q + B * Q[n]
-        if n % check_every == check_every - 1 and not np.all(np.isfinite(Q[n + 2])):
-            bad = np.where(np.isfinite(Q[n + 2]), np.abs(Q[n + 2]), np.inf)
-            raise InstabilityError(step=n + 1, mode=int(np.argmax(bad)))
-    if not np.all(np.isfinite(Q[-1])):
-        bad = np.where(np.isfinite(Q[-1]), np.abs(Q[-1]), np.inf)
-        raise InstabilityError(step=n_steps, mode=int(np.argmax(bad)))
+            q_next = A * q + B * qp
+        qp, q = q, q_next
+        Q[n + 2] = q
+        if n % every == every - 1:
+            _check_finite(q, n + 1)
+    _check_finite(q, n_steps)
     return Q, U
 
 
@@ -211,43 +185,50 @@ def bptt(A, B, R, Q, U, qbar_direct, hook=None, hook_param_names=()):
 
     qbar_direct[n] is the direct dL/dq^{n+1} coming from the readout. Returns
     per-mode gradients for A, B, R plus whatever the hook finalises (the input
-    adjoints V[n] = R qbar^{n+1+1} are kept internal).
+    adjoints V[n] = dL/du^n are kept internal).
     """
     n_steps, m = qbar_direct.shape
-    qbar = np.zeros((n_steps + 2, m))
-    for t in range(n_steps + 1, 1, -1):
-        acc = qbar_direct[t - 2].copy()
-        if t + 1 <= n_steps + 1:
-            nxt = qbar[t + 1]
-            acc += A * nxt
-            if hook is not None:
-                acc -= hook.jt_vec(t - 1, R * nxt, Q[t])
-        if t + 2 <= n_steps + 1:
-            acc += B * qbar[t + 2]
+    # qbar[t] = dL/dq^{t-1}; the last row stays zero. The sweep also visits
+    # step 0, whose qbar^0 is unused but whose force adjoint the hook keeps.
+    qbar = np.zeros((n_steps + 3, m))
+    qbar[2:-1] = qbar_direct
+    for t in range(n_steps, 0, -1):
+        nxt = qbar[t + 1]
+        acc = qbar[t] + A * nxt
+        if hook is not None:
+            acc -= hook.jt_vec(t - 1, R * nxt, Q[t])
+        acc += B * qbar[t + 2]
         qbar[t] = acc
+    qbar = qbar[2:-1]
 
     out = {
-        "dA": np.einsum("tm,tm->m", qbar[2:], Q[1:-1]),
-        "dB": np.einsum("tm,tm->m", qbar[2:], Q[: -2]),
-        "dR": (np.einsum("tm,tm->m", qbar[2:], U) if U is not None else np.zeros(m)),
+        "dA": np.einsum("tm,tm->m", qbar, Q[1:-1]),
+        "dB": np.einsum("tm,tm->m", qbar, Q[: -2]),
+        "dR": (np.einsum("tm,tm->m", qbar, U) if U is not None else np.zeros(m)),
     }
     if hook is not None:
-        V = R[None, :] * qbar[2:]  # V[n] = dL/du^n
-        if isinstance(hook, VkHookDiff):
-            # the sweep visits steps 1..N-1 only (step 0 acts on the fixed
-            # initial state), so its eta-adjoint slot is filled here
-            hook.G[0] = hook.gain * (Q[1] @ np.einsum("spn,s->pn", hook.C, V[0]))
+        V = R[None, :] * qbar  # V[n] = dL/du^n
         out.update(hook.finalize(V, Q[1:-1], hook_param_names))
     return out
 
 
 # --- STFT with adjoint -----------------------------------------------------------
 
+def check_stft(n_samples: int, window_length: int, hop: int) -> None:
+    """Reject STFT settings that leave samples out or yield no frame."""
+    if window_length < hop:
+        raise ValueError("window length must be >= hop")
+    if n_samples < window_length:
+        raise ValueError(
+            f"signal too short: {n_samples} samples < window length {window_length}"
+        )
+
+
 def stft_cached(y, window_length, hop, window="hann"):
-    """Magnitude STFT identical to analysis.stft, returning an adjoint cache."""
+    """Magnitude STFT with a periodic window, centered frames and reflect
+    padding; returns the magnitude [frame, bin] and the adjoint cache."""
     n = len(y)
-    if n < window_length:
-        raise ValueError("signal shorter than the analysis window")
+    check_stft(n, window_length, hop)
     pad = window_length // 2
     idx_map = np.pad(np.arange(n), pad, mode="reflect")
     xp = np.asarray(y, dtype=float)[idx_map]
@@ -279,16 +260,29 @@ def stft_backward(cache, mag_bar):
 
 # --- frequency-domain transfer function with partials ------------------------------
 
-def tf_magnitude_cached(a1, a2, b1, b2, weights, freqs, rate):
-    """|H| on a frequency grid plus the complex per-mode pieces the adjoint needs."""
+def check_tf_frequencies(freqs, rate: float) -> np.ndarray:
+    """The frequency grid as floats; every entry strictly inside (0, Nyquist)."""
     f = np.asarray(freqs, dtype=float)
-    z = np.exp(2j * np.pi * f / rate)[:, None]
+    if np.any(f <= 0) or np.any(f >= rate / 2):
+        raise ValueError("frequencies must lie strictly inside (0, Nyquist)")
+    return f
+
+
+def tf_magnitude_cached(a1, a2, b1, b2, weights, freqs, rate):
+    """|sum_mu w_mu (b1 z + b2) / (z^2 + a1 z + a2)| at z = e^{i 2 pi f / rate},
+    plus the complex per-mode pieces the adjoint needs.
+
+    The modal responses are summed as complex quantities before taking the
+    magnitude, matching the parallel-resonator structure. `freqs` must have
+    passed :func:`check_tf_frequencies`.
+    """
+    z = np.exp(2j * np.pi * freqs / rate)[:, None]
     num = b1[None, :] * z + b2[None, :]
     den = z * z + a1[None, :] * z + a2[None, :]
     Gm = num / den
     H = np.sum(weights[None, :] * Gm, axis=1)
     mag = np.abs(H)
-    return mag, (z, num, den, Gm, H, mag, np.asarray(weights, dtype=float))
+    return mag, (z, num, den, Gm, H, mag, weights)
 
 
 def tf_magnitude_backward(cache, mag_bar):

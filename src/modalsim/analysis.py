@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import get_window
 
+from . import adjoint
 from .integrators import FtmCoeffs
 
 
@@ -37,39 +37,13 @@ class Spectrogram:
         np.savetxt(path, self.magnitude, delimiter=",", header=header, fmt="%.17g")
 
 
-def frame_signal(x: np.ndarray, window_length: int, hop: int):
-    """Centered frames with reflect padding; returns (frames, pad_index_map).
-
-    The index map sends each padded sample back to its source sample, which is
-    what the adjoint of the padding needs.
-    """
-    n = len(x)
-    pad = window_length // 2
-    idx_map = np.pad(np.arange(n), pad, mode="reflect")
-    xp = x[idx_map]
-    n_frames = (len(xp) - window_length) // hop + 1
-    starts = np.arange(n_frames) * hop
-    frames = xp[starts[:, None] + np.arange(window_length)[None, :]]
-    return frames, idx_map, starts
-
-
 def stft(signal: np.ndarray, rate: float, window_length: int = 1024, hop: int = 256,
          window: str = "hann") -> Spectrogram:
     """Magnitude STFT with a periodic window, centered frames, reflect padding."""
-    x = np.asarray(signal, dtype=float)
-    if window_length < hop:
-        raise ValueError("window length must be >= hop")
-    if len(x) < window_length:
-        raise ValueError(
-            f"signal too short: {len(x)} samples < window length {window_length}"
-        )
-    win = get_window(window, window_length, fftbins=True)
-    frames, _, _ = frame_signal(x, window_length, hop)
-    Z = np.fft.rfft(frames * win[None, :], axis=1)
-    freqs = np.fft.rfftfreq(window_length, d=1.0 / rate)
+    mag, _ = adjoint.stft_cached(np.asarray(signal, dtype=float), window_length, hop, window)
     return Spectrogram(
-        magnitude=np.abs(Z), frequencies=freqs, hop=hop, window=window,
-        window_length=window_length, rate=rate,
+        magnitude=mag, frequencies=np.fft.rfftfreq(window_length, d=1.0 / rate), hop=hop,
+        window=window, window_length=window_length, rate=rate,
     )
 
 
@@ -168,16 +142,9 @@ def bark_grid(n_points: int, f_max: float, rate: float, f_min: float = 20.0) -> 
 
 def tf_magnitude(coeffs: FtmCoeffs, weights: np.ndarray, freqs: Sequence[float],
                  rate: float) -> np.ndarray:
-    """|sum_mu w_mu (b1 z + b2) / (z^2 + a1 z + a2)| at z = e^{i 2 pi f / rate}.
-
-    The modal responses are summed as complex quantities before taking the
-    magnitude, matching the parallel-resonator structure.
-    """
-    f = np.asarray(freqs, dtype=float)
-    if np.any(f <= 0) or np.any(f >= rate / 2):
-        raise ValueError("frequencies must lie strictly inside (0, Nyquist)")
-    z = np.exp(2j * np.pi * f / rate)[:, None]
-    w = np.asarray(weights, dtype=float)[None, :]
-    num = coeffs.b1[None, :] * z + coeffs.b2[None, :]
-    den = z * z + coeffs.a1[None, :] * z + coeffs.a2[None, :]
-    return np.abs(np.sum(w * num / den, axis=1))
+    """|sum_mu w_mu (b1 z + b2) / (z^2 + a1 z + a2)| at z = e^{i 2 pi f / rate}."""
+    mag, _ = adjoint.tf_magnitude_cached(
+        coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, np.asarray(weights, dtype=float),
+        adjoint.check_tf_frequencies(freqs, rate), rate,
+    )
+    return mag

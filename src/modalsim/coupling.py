@@ -241,62 +241,96 @@ def sparsify(ct: CouplingTensors, rel_tol: float = 1e-12) -> CouplingTensors:
 
 
 # --- modal nonlinear forces -------------------------------------------------
+#
+# One object per force law, shared by simulate, rk_reference and the fits (the
+# hook protocol is described in modalsim.adjoint). force(q) is pure; force(q, n)
+# also stores what the reverse sweep reads, so make one object per run.
 
-def tension_nl_force(q: np.ndarray, basis: ModeBasis, tau: float) -> np.ndarray:
-    """Tension-modulation force tau * lambda_mu * q_mu * sum_nu lambda_nu q_nu^2.
+class TensionModulation:
+    """Tension-modulation force tau_hat * lam_mu * q_mu * sum_nu lam_nu q_nu^2.
 
-    The closed form assumes unit-normalised modes.
+    The closed form assumes unit-normalised modes; lam holds their
+    eigenvalues.
     """
-    if not basis.unit_normalized:
-        raise ValueError("tension_nl_force expects a unit-normalised basis")
-    lam = basis.eigenvalues
-    q = np.asarray(q, dtype=float)
-    return tau * lam * q * float(lam @ (q * q))
+
+    def __init__(self, lam, tau_hat):
+        self.lam = np.asarray(lam, dtype=float)
+        self.tau_hat = float(tau_hat)
+        self.S = None
+
+    def begin(self, n_steps):
+        self.S = np.empty(n_steps)
+
+    def __call__(self, q, n=None):
+        s = float(self.lam @ (q * q))
+        if n is not None:
+            self.S[n] = s
+        return self.tau_hat * self.lam * q * s
+
+    def jt_vec(self, n, v, q):
+        lamq = self.lam * q
+        return self.tau_hat * (self.lam * v * self.S[n] + 2.0 * lamq * (lamq @ v))
+
+    def finalize(self, V, Qmid, want):
+        out = {}
+        if "tau" in want:
+            out["tau"] = -float(np.einsum("tm,m,tm,t->", V, self.lam, Qmid, self.S))
+        return out
 
 
-def vk_nl_force(q: np.ndarray, ct: CouplingTensors, gain: float) -> np.ndarray:
+class VkContraction:
     """Two-stage contraction of the plate coupling:
 
         eta_n = sum_{a,b} H[n,a,b] q_a q_b / zeta4_n
         out_s = gain * sum_{p,n} C[s,p,n] q_p eta_n
 
     gain is E / (2 rho) with rho the volumetric density. Cost O(n_psi n_phi^2)
-    per call instead of the naive quadruple loop.
+    per call instead of the naive quadruple loop. The H gradient of
+    finalize assumes C is tied to H by C[s,p,n] = H[n,p,s] (the simply
+    supported plate), so that optimising H drags C along.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (ct.n_phi,):
-        raise ValueError(f"q must have length {ct.n_phi}")
-    eta = (ct.H.reshape(ct.n_psi, -1) @ np.outer(q, q).ravel()) / ct.zeta4
-    return gain * (ct.C.reshape(ct.n_phi, -1) @ np.outer(q, eta).ravel())
 
-
-class VkContraction:
-    """Preshaped buffers for the per-step plate force in the hot loop."""
-
-    def __init__(self, ct: CouplingTensors, gain: float):
-        self.H2 = np.ascontiguousarray(ct.H.reshape(ct.n_psi, -1))
-        self.C2 = np.ascontiguousarray(ct.C.reshape(ct.n_phi, -1))
+    def __init__(self, H, C, zeta4, gain):
+        n_psi, n_phi, _ = H.shape
+        self.n_phi, self.n_psi = n_phi, n_psi
+        self.H2 = np.ascontiguousarray(H.reshape(n_psi, -1))
+        self.C = C
+        self.C2 = np.ascontiguousarray(C.reshape(n_phi, -1))
         # eta_n depends on q through the (possibly asymmetric) quadratic form
-        self.H_sym = ct.H + np.transpose(ct.H, (0, 2, 1))
-        self.C = ct.C
-        self.H = ct.H
-        self.inv_zeta4 = 1.0 / ct.zeta4
-        self.gain = gain
-        self.n_phi = ct.n_phi
-        self.n_psi = ct.n_psi
-        self._qq = np.empty(ct.n_phi * ct.n_phi)
-        self._qe = np.empty(ct.n_phi * ct.n_psi)
+        self.H_sym = H + np.transpose(H, (0, 2, 1))
+        self.inv_zeta4 = 1.0 / zeta4
+        self.gain = float(gain)
+        self._qq = np.empty(n_phi * n_phi)
+        self._qe = np.empty(n_phi * n_psi)
+        self.eta = self.G = None
 
-    def eta(self, q: np.ndarray) -> np.ndarray:
+    def begin(self, n_steps):
+        self.eta = np.empty((n_steps, self.n_psi))
+        self.G = np.empty((n_steps, self.n_psi))
+
+    def __call__(self, q, n=None):
         np.outer(q, q, out=self._qq.reshape(self.n_phi, self.n_phi))
-        return (self.H2 @ self._qq) * self.inv_zeta4
-
-    def force_from_eta(self, q: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        eta = (self.H2 @ self._qq) * self.inv_zeta4
+        if n is not None:
+            self.eta[n] = eta
         np.outer(q, eta, out=self._qe.reshape(self.n_phi, self.n_psi))
         return self.gain * (self.C2 @ self._qe)
 
-    def __call__(self, q: np.ndarray) -> np.ndarray:
-        return self.force_from_eta(q, self.eta(q))
+    def jt_vec(self, n, v, q):
+        CV = np.einsum("spn,s->pn", self.C, v)
+        g_eta = self.gain * (q @ CV)
+        self.G[n] = g_eta
+        term1 = self.gain * (CV @ self.eta[n])
+        term2 = (g_eta * self.inv_zeta4) @ (self.H_sym @ q)
+        return term1 + term2
+
+    def finalize(self, V, Qmid, want):
+        out = {}
+        if "H" in want:
+            dH = -np.einsum("tn,ta,tb->nab", self.G * self.inv_zeta4[None, :], Qmid, Qmid)
+            dH -= self.gain * np.einsum("ts,tp,tn->nps", V, Qmid, self.eta)
+            out["H"] = dH
+        return out
 
 
 # --- serialisation ----------------------------------------------------------

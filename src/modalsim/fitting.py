@@ -14,7 +14,8 @@ Two objective kinds cover the fitting paths:
 * :class:`TimeDomainProblem` simulates the forced response from rest, reads it
   out at a point, takes the magnitude STFT, and compares against a target
   spectrogram. Gradients flow through the full time recurrence (BPTT) using
-  the hand-written adjoints in :mod:`modalsim.adjoint`.
+  the differentiable core in :mod:`modalsim.adjoint`, the same recurrence
+  ``simulate`` runs.
 
 * :class:`FrequencyDomainProblem` evaluates the modal transfer-function
   magnitude on a Bark-spaced grid and compares against a target envelope
@@ -30,12 +31,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from . import adjoint
-from .integrators import InstabilityError
+from . import adjoint, coupling
+from .integrators import InstabilityError, OverdampedError
 from .losses import LossWeights, loss_total_grad
 
 
@@ -81,23 +82,62 @@ def transform_invert(value, kind: str):
     raise ValueError(f"unknown transform {kind!r}")
 
 
-@dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    shape: Tuple[int, ...]
-    transform: str
+# Every fittable parameter and its transform; each problem accepts a subset.
+TRANSFORMS = {
+    "d_hat": "log", "t0_hat": "log", "tau": "log", "gamma": "softplus",
+    "weights": "linear", "b2": "linear", "H": "linear",
+}
+
+
+class _Parameters:
+    """Parameter plumbing shared by the problems. A problem lists the names it
+    accepts in FREE and returns their current physical values from _fixed();
+    shapes and starting coordinates follow from those values."""
+
+    FREE: frozenset = frozenset()
+
+    def _check_free(self):
+        unknown = set(self.free) - self.FREE
+        if unknown:
+            raise ValueError(f"unknown free parameters {sorted(unknown)}")
+
+    def initial_raw(self) -> Dict[str, np.ndarray]:
+        """Raw coordinates matching the problem's current fixed values."""
+        fixed = self._fixed()
+        return {
+            n: np.asarray(transform_invert(fixed[n], TRANSFORMS[n]), dtype=float)
+            for n in self.free
+        }
+
+    def physical(self, raw: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        return {n: transform_apply(raw[n], TRANSFORMS[n]) for n in raw}
+
+    def _values(self, raw):
+        """Physical values of every parameter: the free ones from raw, the
+        rest fixed."""
+        values = self._fixed()
+        values.update(self.physical(raw))
+        return values
+
+    def _raw_grads(self, raw, grads):
+        """Chain gradients in physical values through the transforms."""
+        return {
+            n: np.asarray(grads[n], dtype=float) * transform_jacobian(raw[n], TRANSFORMS[n])
+            for n in raw
+        }
 
 
 # --- objective: time domain (BPTT) --------------------------------------------
 
 @dataclass
-class TimeDomainProblem:
+class TimeDomainProblem(_Parameters):
     """Forced-from-rest simulation matched to a target magnitude spectrogram.
 
     Whatever appears in `free` is optimised; everything else is read from the
-    fixed values. `nonlinearity` is None, ("kc", tau_hat) or
-    ("vk", H, zeta4, gain) — the plate's C tensor is tied to H through the
-    simply supported permutation identity, so optimising H drags C along.
+    fixed values. `nonlinearity` is None, "kc" (tension modulation with
+    tau_hat) or "vk" (plate coupling with H, zeta4 and vk_gain) — the plate's
+    C tensor is tied to H through the simply supported permutation identity,
+    so optimising H drags C along.
     """
 
     lam: np.ndarray
@@ -121,10 +161,7 @@ class TimeDomainProblem:
     nonlinearity: Optional[str] = None  # None | "kc" | "vk"
     free: Tuple[str, ...] = ()
 
-    _TRANSFORMS = {
-        "d_hat": "log", "t0_hat": "log", "tau": "log",
-        "gamma": "softplus", "weights": "linear", "H": "linear",
-    }
+    FREE = frozenset({"d_hat", "t0_hat", "tau", "gamma", "weights", "H"})
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
@@ -133,119 +170,74 @@ class TimeDomainProblem:
         if self.readout_weights is None:
             self.readout_weights = np.ones(m)
         self.freqs = np.fft.rfftfreq(self.stft_window_length, d=1.0 / self.rate)
-        unknown = set(self.free) - set(self._TRANSFORMS)
-        if unknown:
-            raise ValueError(f"unknown free parameters {sorted(unknown)}")
+        self._check_free()
         if "tau" in self.free and self.nonlinearity != "kc":
             raise ValueError("tau is free only for the tension-modulated model")
         if "H" in self.free and self.nonlinearity != "vk":
             raise ValueError("H is free only for the plate model")
+        if self.scheme not in ("ftm", "sv"):
+            raise ValueError("time-domain fitting uses the 'ftm' or 'sv' scheme")
+        adjoint.check_stft(self.n_steps, self.stft_window_length, self.stft_hop)
 
-    @property
-    def param_specs(self) -> Dict[str, ParamSpec]:
-        m = len(self.lam)
-        shapes = {
-            "d_hat": (), "t0_hat": (), "tau": (), "gamma": (m,),
-            "weights": (m,),
-            "H": self.H.shape if self.H is not None else (),
-        }
+    def _fixed(self):
         return {
-            n: ParamSpec(n, shapes[n], self._TRANSFORMS[n]) for n in self.free
-        }
-
-    def initial_raw(self) -> Dict[str, np.ndarray]:
-        """Raw coordinates matching the problem's current fixed values."""
-        phys = {
             "d_hat": self.d_hat, "t0_hat": self.t0_hat, "tau": self.tau_hat,
             "gamma": self.gamma, "weights": self.readout_weights, "H": self.H,
         }
-        return {
-            n: np.asarray(transform_invert(phys[n], self._TRANSFORMS[n]), dtype=float)
-            for n in self.free
-        }
-
-    def physical(self, raw: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        return {n: transform_apply(raw[n], self._TRANSFORMS[n]) for n in raw}
 
     def _assemble(self, raw):
-        p = self.physical(raw)
-        d_hat = float(p.get("d_hat", self.d_hat))
-        t0_hat = float(p.get("t0_hat", self.t0_hat))
-        gamma = np.asarray(p.get("gamma", self.gamma), dtype=float)
-        tau_hat = float(p.get("tau", self.tau_hat))
-        H = np.asarray(p["H"], dtype=float) if "H" in p else self.H
-        w = np.asarray(p.get("weights", self.readout_weights), dtype=float)
-        w2 = d_hat * self.lam**2 + t0_hat * self.lam
-
-        if self.scheme == "ftm":
-            parts = adjoint.ftm_update_partials(w2, gamma, 1.0 / self.rate)
-        elif self.scheme == "sv":
-            parts = adjoint.sv_update_partials(w2, gamma, 1.0 / self.rate)
-        else:
-            raise ValueError("time-domain fitting uses the 'ftm' or 'sv' scheme")
-
+        p = self._values(raw)
+        w2 = float(p["d_hat"]) * self.lam**2 + float(p["t0_hat"]) * self.lam
+        partials = (adjoint.ftm_update_partials if self.scheme == "ftm"
+                    else adjoint.sv_update_partials)
+        parts = partials(w2, p["gamma"], 1.0 / self.rate)
         hook = None
         if self.nonlinearity == "kc":
-            hook = adjoint.KcHookDiff(self.lam, tau_hat)
+            hook = coupling.TensionModulation(self.lam, p["tau"])
         elif self.nonlinearity == "vk":
+            H = np.asarray(p["H"], dtype=float)
             C = np.ascontiguousarray(np.transpose(H, (2, 1, 0)))
-            hook = adjoint.VkHookDiff(H, C, self.zeta4, self.vk_gain, tied_C=True)
-        return p, parts, hook, w
+            hook = coupling.VkContraction(H, C, self.zeta4, self.vk_gain)
+        return parts, hook, np.asarray(p["weights"], dtype=float)
+
+    def _forward(self, parts, hook):
+        m = len(self.lam)
+        return adjoint.forward_cached(parts["A"], parts["B"], parts["R"], np.zeros(m),
+                                      np.zeros(m), self.n_steps, self.force_signal,
+                                      self.force_gains, hook)
 
     def predict(self, raw) -> np.ndarray:
         """Readout signal under the given raw parameters."""
-        _, parts, hook, w = self._assemble(raw)
-        m = len(self.lam)
-        Q, _ = adjoint.forward_cached(
-            parts["A"], parts["B"], parts["R"], np.zeros(m), np.zeros(m),
-            self.n_steps, self.force_signal, self.force_gains, hook,
-        )
+        parts, hook, w = self._assemble(raw)
+        Q, _ = self._forward(parts, hook)
         return Q[2:] @ w
 
     def value_and_grad(self, raw):
-        p, parts, hook, w = self._assemble(raw)
-        m = len(self.lam)
-        Q, U = adjoint.forward_cached(
-            parts["A"], parts["B"], parts["R"], np.zeros(m), np.zeros(m),
-            self.n_steps, self.force_signal, self.force_gains, hook,
-        )
+        parts, hook, w = self._assemble(raw)
+        Q, U = self._forward(parts, hook)
         y = Q[2:] @ w
         mag, cache = adjoint.stft_cached(y, self.stft_window_length, self.stft_hop)
         loss, dmag = loss_total_grad(self.target_mag, mag, self.loss_weights, self.freqs)
         ybar = adjoint.stft_backward(cache, dmag)
 
-        qbar_direct = np.outer(ybar, w)
-        hook_names = {"tau", "H"} & set(raw)
-        g = adjoint.bptt(parts["A"], parts["B"], parts["R"], Q, U, qbar_direct,
-                         hook=hook, hook_param_names=hook_names)
-
+        g = adjoint.bptt(parts["A"], parts["B"], parts["R"], Q, U, np.outer(ybar, w),
+                         hook=hook, hook_param_names={"tau", "H"} & set(raw))
         dw2 = g["dA"] * parts["dA_dw2"] + g["dB"] * parts["dB_dw2"] + g["dR"] * parts["dR_dw2"]
-        dgamma = g["dA"] * parts["dA_dg"] + g["dB"] * parts["dB_dg"] + g["dR"] * parts["dR_dg"]
-
-        grads = {}
-        for name in raw:
-            if name == "d_hat":
-                grads[name] = np.asarray(float(dw2 @ self.lam**2))
-            elif name == "t0_hat":
-                grads[name] = np.asarray(float(dw2 @ self.lam))
-            elif name == "gamma":
-                grads[name] = dgamma
-            elif name == "tau":
-                grads[name] = np.asarray(g["tau"])
-            elif name == "H":
-                grads[name] = g["H"]
-            elif name == "weights":
-                grads[name] = Q[2:].T @ ybar
-        for name in grads:
-            jac = transform_jacobian(raw[name], self._TRANSFORMS[name])
-            grads[name] = np.asarray(grads[name], dtype=float) * jac
-        return loss, grads
+        grads = {
+            "d_hat": float(dw2 @ self.lam**2),
+            "t0_hat": float(dw2 @ self.lam),
+            "gamma": (g["dA"] * parts["dA_dg"] + g["dB"] * parts["dB_dg"]
+                      + g["dR"] * parts["dR_dg"]),
+            "weights": Q[2:].T @ ybar,
+        }
+        grads.update((n, g[n]) for n in ("tau", "H") if n in g)
+        return loss, self._raw_grads(raw, grads)
 
 
 # --- objective: frequency domain ------------------------------------------------
 
 @dataclass
-class FrequencyDomainProblem:
+class FrequencyDomainProblem(_Parameters):
     """Transfer-function magnitude on a frequency grid matched to a target
     envelope (single-frame spectral losses; no time stepping)."""
 
@@ -261,10 +253,7 @@ class FrequencyDomainProblem:
     weights: Optional[np.ndarray] = None
     free: Tuple[str, ...] = ()
 
-    _TRANSFORMS = {
-        "d_hat": "log", "t0_hat": "log", "gamma": "softplus",
-        "b2": "linear", "weights": "linear",
-    }
+    FREE = frozenset({"d_hat", "t0_hat", "gamma", "b2", "weights"})
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
@@ -274,86 +263,54 @@ class FrequencyDomainProblem:
             self.b2 = np.zeros(m)
         if self.weights is None:
             self.weights = np.ones(m)
-        self.freqs = np.asarray(self.freqs, dtype=float)
+        self.freqs = adjoint.check_tf_frequencies(self.freqs, self.rate)
         self.target_env = np.asarray(self.target_env, dtype=float)
-        unknown = set(self.free) - set(self._TRANSFORMS)
-        if unknown:
-            raise ValueError(f"unknown free parameters {sorted(unknown)}")
+        if self.target_env.shape != self.freqs.shape:
+            raise ValueError(
+                f"target_env has shape {self.target_env.shape}, "
+                f"the frequency grid {self.freqs.shape}"
+            )
+        self._check_free()
 
-    @property
-    def param_specs(self) -> Dict[str, ParamSpec]:
-        m = len(self.lam)
-        shapes = {"d_hat": (), "t0_hat": (), "gamma": (m,), "b2": (m,), "weights": (m,)}
-        return {n: ParamSpec(n, shapes[n], self._TRANSFORMS[n]) for n in self.free}
-
-    def initial_raw(self) -> Dict[str, np.ndarray]:
-        phys = {
+    def _fixed(self):
+        return {
             "d_hat": self.d_hat, "t0_hat": self.t0_hat, "gamma": self.gamma,
             "b2": self.b2, "weights": self.weights,
         }
-        return {
-            n: np.asarray(transform_invert(phys[n], self._TRANSFORMS[n]), dtype=float)
-            for n in self.free
-        }
-
-    def physical(self, raw):
-        return {n: transform_apply(raw[n], self._TRANSFORMS[n]) for n in raw}
 
     def _assemble(self, raw):
-        p = self.physical(raw)
-        d_hat = float(p.get("d_hat", self.d_hat))
-        t0_hat = float(p.get("t0_hat", self.t0_hat))
-        gamma = np.asarray(p.get("gamma", self.gamma), dtype=float)
-        b2 = np.asarray(p.get("b2", self.b2), dtype=float)
-        w = np.asarray(p.get("weights", self.weights), dtype=float)
-        w2 = d_hat * self.lam**2 + t0_hat * self.lam
-        cp = adjoint.ftm_coeff_partials(w2, gamma, 1.0 / self.rate)
-        return p, cp, b2, w
+        p = self._values(raw)
+        w2 = float(p["d_hat"]) * self.lam**2 + float(p["t0_hat"]) * self.lam
+        cp = adjoint.ftm_coeff_partials(w2, p["gamma"], 1.0 / self.rate)
+        return cp, np.asarray(p["b2"], dtype=float), np.asarray(p["weights"], dtype=float)
 
     def predict(self, raw) -> np.ndarray:
-        _, cp, b2, w = self._assemble(raw)
-        mag, _ = adjoint.tf_magnitude_cached(
-            cp["a1"], cp["a2"], cp["b1"], b2, w, self.freqs, self.rate
-        )
+        cp, b2, w = self._assemble(raw)
+        mag, _ = adjoint.tf_magnitude_cached(cp["a1"], cp["a2"], cp["b1"], b2, w, self.freqs,
+                                             self.rate)
         return mag
 
     def value_and_grad(self, raw):
-        p, cp, b2, w = self._assemble(raw)
-        mag, cache = adjoint.tf_magnitude_cached(
-            cp["a1"], cp["a2"], cp["b1"], b2, w, self.freqs, self.rate
-        )
+        cp, b2, w = self._assemble(raw)
+        mag, cache = adjoint.tf_magnitude_cached(cp["a1"], cp["a2"], cp["b1"], b2, w,
+                                                 self.freqs, self.rate)
         loss, dmag = loss_total_grad(
             self.target_env[None, :], mag[None, :], self.loss_weights, self.freqs
         )
         tb = adjoint.tf_magnitude_backward(cache, dmag[0])
         dw2 = tb["da1"] * cp["da1_dw2"] + tb["db1"] * cp["db1_dw2"]
-        dgamma = tb["da1"] * cp["da1_dg"] + tb["da2"] * cp["da2_dg"] + tb["db1"] * cp["db1_dg"]
-
-        grads = {}
-        for name in raw:
-            if name == "d_hat":
-                grads[name] = np.asarray(float(dw2 @ self.lam**2))
-            elif name == "t0_hat":
-                grads[name] = np.asarray(float(dw2 @ self.lam))
-            elif name == "gamma":
-                grads[name] = dgamma
-            elif name == "b2":
-                grads[name] = tb["db2"]
-            elif name == "weights":
-                grads[name] = tb["dw"]
-        for name in grads:
-            jac = transform_jacobian(raw[name], self._TRANSFORMS[name])
-            grads[name] = np.asarray(grads[name], dtype=float) * jac
-        return loss, grads
+        grads = {
+            "d_hat": float(dw2 @ self.lam**2),
+            "t0_hat": float(dw2 @ self.lam),
+            "gamma": (tb["da1"] * cp["da1_dg"] + tb["da2"] * cp["da2_dg"]
+                      + tb["db1"] * cp["db1_dg"]),
+            "b2": tb["db2"],
+            "weights": tb["dw"],
+        }
+        return loss, self._raw_grads(raw, grads)
 
 
 # --- gradient verification -------------------------------------------------------
-
-def gradient(problem, raw: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Reverse-mode gradient of the problem objective at the raw coordinates."""
-    _, grads = problem.value_and_grad(raw)
-    return grads
-
 
 @dataclass
 class GradientReport:
@@ -483,25 +440,26 @@ class FitResult:
 def _init_raw(problem, cfg: FitConfig, rng: np.random.Generator):
     raw = problem.initial_raw()
     init = cfg.init or {}
-    for name, spec in problem.param_specs.items():
+    for name in problem.free:
+        kind, shape = TRANSFORMS[name], raw[name].shape
         rule = init.get(name)
         if rule is None:
             continue
         if "value" in rule:
             raw[name] = np.asarray(
-                transform_invert(np.asarray(rule["value"], dtype=float), spec.transform),
+                transform_invert(np.asarray(rule["value"], dtype=float), kind),
                 dtype=float,
             )
         elif "low" in rule:
             # positive parameters draw log-uniformly; unconstrained ones uniformly
-            if spec.transform in ("log", "softplus"):
+            if kind in ("log", "softplus"):
                 val = np.exp(rng.uniform(np.log(rule["low"]), np.log(rule["high"]),
-                                         size=spec.shape))
+                                         size=shape))
             else:
-                val = rng.uniform(rule["low"], rule["high"], size=spec.shape)
-            raw[name] = np.asarray(transform_invert(val, spec.transform), dtype=float)
+                val = rng.uniform(rule["low"], rule["high"], size=shape)
+            raw[name] = np.asarray(transform_invert(val, kind), dtype=float)
         elif "std" in rule:
-            raw[name] = rng.normal(0.0, rule["std"], size=spec.shape)
+            raw[name] = rng.normal(0.0, rule["std"], size=shape)
         else:
             raise ValueError(f"init rule for {name} needs 'value', 'low'/'high', or 'std'")
     return raw
@@ -527,7 +485,7 @@ def _run_start(problem, cfg: FitConfig, start_idx: int) -> StartResult:
             adam_step(state, raw, grads, lr)
             if "gamma" in raw and not np.all(np.isfinite(raw["gamma"])):
                 raise FloatingPointError("gamma coordinates left the finite range")
-    except (InstabilityError, FloatingPointError, ValueError) as exc:
+    except (InstabilityError, OverdampedError, FloatingPointError) as exc:
         if best_raw is None:
             return StartResult(start_idx, True, np.inf, np.inf, None, trace, str(exc))
         return StartResult(start_idx, False, float(trace[np.isfinite(trace)][-1]),
@@ -560,15 +518,3 @@ def fit(problem, cfg: FitConfig) -> FitResult:
         ranking=ranking,
         seed=cfg.seed,
     )
-
-
-def fit_time_domain(problem: TimeDomainProblem, cfg: FitConfig) -> FitResult:
-    if not isinstance(problem, TimeDomainProblem):
-        raise TypeError("fit_time_domain expects a TimeDomainProblem")
-    return fit(problem, cfg)
-
-
-def fit_frequency_domain(problem: FrequencyDomainProblem, cfg: FitConfig) -> FitResult:
-    if not isinstance(problem, FrequencyDomainProblem):
-        raise TypeError("fit_frequency_domain expects a FrequencyDomainProblem")
-    return fit(problem, cfg)

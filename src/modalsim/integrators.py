@@ -6,20 +6,22 @@ with omega_mu^2 = d_hat lambda_mu^2 + t0_hat lambda_mu and the density-normalise
 modal force u on the right-hand side.
 
 Two explicit two-step schemes share the update shape
-q^{n+1} = A q^n + B q^{n-1} + R u^n:
+q^{n+1} = A q^n + B q^{n-1} + R u^n (+ R2 u^{n-1}):
 
 * impulse-invariant resonator (per-mode discrete transfer function
-  (b1 z + b2) / (z^2 + a1 z + a2)): A = -a1, B = -a2, R = b1. The recurrence
-  signs are fixed by matching the impulse response to the transfer function.
-  Input samples act as per-step impulse weights.
+  (b1 z + b2) / (z^2 + a1 z + a2)): A = -a1, B = -a2, R = b1, R2 = b2. The
+  recurrence signs are fixed by matching the impulse response to the transfer
+  function. Input samples act as per-step impulse weights.
 
 * Stoermer-Verlet (centered differences): A = g, B = p, R = r. Input samples
   are the sampled continuous force.
 
-For linear systems a parallel prefix scan over per-mode complex one-pole
-recurrences x^{n+1} = e^{sT} x^n + beta u^n (s = -gamma + i omega_tilde)
-reproduces the impulse-invariant stepping exactly, and an oversampled RK4
-integrator provides the reference solution for scheme-error measurements.
+Each scheme's coefficient map is written once, in :mod:`modalsim.adjoint`,
+together with its partial derivatives in omega^2 and gamma, which the fits
+chain through. :func:`simulate` runs both schemes through the recurrence in
+:func:`modalsim.adjoint.forward_cached`, the same loop the time-domain fit
+differentiates; an oversampled RK4 integrator provides the reference solution
+for scheme-error measurements.
 """
 
 from __future__ import annotations
@@ -30,20 +32,11 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .coupling import CouplingTensors, VkContraction, sparsify
+from . import adjoint
+from .adjoint import InstabilityError, OverdampedError  # noqa: F401  (re-exported)
+from .coupling import CouplingTensors, TensionModulation, VkContraction, sparsify
 from .model import ModelSpec, derive_normalized, derive_tau, validate
 from .modes import ModeBasis, point_readout, project_point_excitation
-
-
-class OverdampedError(ValueError):
-    """A mode with gamma >= omega cannot be realised as a resonator pair."""
-
-
-class InstabilityError(RuntimeError):
-    def __init__(self, step: int, mode: int):
-        self.step = step
-        self.mode = mode
-        super().__init__(f"non-finite state at step {step} (largest-magnitude mode index {mode})")
 
 
 class SchemeError(ValueError):
@@ -68,10 +61,6 @@ class OscillatorBank:
     @property
     def count(self) -> int:
         return self.omega2.shape[0]
-
-    @property
-    def underdamped(self) -> np.ndarray:
-        return self.omega2 > self.gamma**2
 
     @property
     def omega_tilde(self) -> np.ndarray:
@@ -108,10 +97,6 @@ class FtmCoeffs:
     b2: np.ndarray
     T: float
 
-    @property
-    def count(self) -> int:
-        return self.a1.shape[0]
-
     def pole_magnitudes(self) -> np.ndarray:
         return np.sqrt(self.a2)
 
@@ -129,49 +114,28 @@ class SvCoeffs:
     r: np.ndarray
     T: float
 
-    @property
-    def count(self) -> int:
-        return self.g.shape[0]
-
     def update_vectors(self):
         return self.g, self.p, self.r, np.zeros_like(self.r)
 
 
-SchemeCoeffs = Union[FtmCoeffs, SvCoeffs]
-
-
 def ftm_coeffs(bank: OscillatorBank, T: float, b2: Optional[np.ndarray] = None) -> FtmCoeffs:
-    """a1 = -2 e^{-gT} cos(wt T), a2 = e^{-2gT}, b1 = e^{-gT} sin(wt T) / wt.
+    """The bank's resonator coefficients (formula: adjoint.ftm_coeff_partials).
 
     b2 defaults to zero; it is a free fitting parameter for matching unknown
     initial conditions, not a physical quantity.
     """
-    if T <= 0:
-        raise ValueError("sample period must be positive")
-    bad = np.flatnonzero(~bank.underdamped)
-    if bad.size:
-        raise OverdampedError(
-            f"modes {bad.tolist()} are not underdamped (gamma >= omega); "
-            "the resonator scheme requires omega > gamma"
-        )
-    g, wt = bank.gamma, bank.omega_tilde
-    e1 = np.exp(-g * T)
-    a1 = -2.0 * e1 * np.cos(wt * T)
-    a2 = e1**2
-    b1 = e1 * np.sin(wt * T) / wt
+    c = adjoint.ftm_coeff_partials(bank.omega2, bank.gamma, T)
     if b2 is None:
-        b2 = np.zeros_like(b1)
+        b2 = np.zeros_like(c["b1"])
     else:
         b2 = np.asarray(b2, dtype=float)
-        if b2.shape != b1.shape:
+        if b2.shape != c["b1"].shape:
             raise ValueError("b2 must have one entry per mode")
-    return FtmCoeffs(a1=a1, a2=a2, b1=b1, b2=b2, T=T)
+    return FtmCoeffs(a1=c["a1"], a2=c["a2"], b1=c["b1"], b2=b2, T=T)
 
 
 def sv_coeffs(bank: OscillatorBank, T: float) -> SvCoeffs:
-    """r = 2T^2/(2 + 2 gamma T), g = r (2/T^2 - omega^2), p = r (-1/T^2 + gamma/T)."""
-    if T <= 0:
-        raise ValueError("sample period must be positive")
+    """The bank's Stoermer-Verlet coefficients (formula: adjoint.sv_update_partials)."""
     n_unstable = int(np.sum(np.sqrt(bank.omega2) * T >= 2.0))
     if n_unstable:
         warnings.warn(
@@ -179,38 +143,8 @@ def sv_coeffs(bank: OscillatorBank, T: float) -> SvCoeffs:
             "expect the explicit scheme to blow up",
             stacklevel=2,
         )
-    r = 2.0 * T**2 / (2.0 + 2.0 * bank.gamma * T)
-    g = r * (2.0 / T**2 - bank.omega2)
-    p = r * (-1.0 / T**2 + bank.gamma / T)
-    return SvCoeffs(g=g, p=p, r=r, T=T)
-
-
-@dataclass(frozen=True)
-class SimState:
-    """Two-step scheme state: q^n, q^{n-1}, step index, and the previous input
-    (only consumed when the resonator numerator has a b2 term)."""
-
-    q: np.ndarray
-    q_prev: np.ndarray
-    n: int = 0
-    u_prev: Optional[np.ndarray] = None
-
-
-def step(state: SimState, coeffs: SchemeCoeffs, f_ext: Optional[np.ndarray] = None,
-         nl_hook: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> SimState:
-    """One explicit update q^{n+1} = A q^n + B q^{n-1} + R (f_ext - f_nl)."""
-    A, B, R, R2 = coeffs.update_vectors()
-    u = -nl_hook(state.q) if nl_hook is not None else np.zeros_like(state.q)
-    if f_ext is not None:
-        u = u + f_ext
-    q_next = A * state.q + B * state.q_prev + R * u
-    if np.any(R2):
-        if state.u_prev is not None:
-            q_next = q_next + R2 * state.u_prev
-    if not np.all(np.isfinite(q_next)):
-        bad = np.where(np.isfinite(q_next), np.abs(q_next), np.inf)
-        raise InstabilityError(step=state.n + 1, mode=int(np.argmax(bad)))
-    return SimState(q=q_next, q_prev=state.q, n=state.n + 1, u_prev=u)
+    u = adjoint.sv_update_partials(bank.omega2, bank.gamma, T)
+    return SvCoeffs(g=u["A"], p=u["B"], r=u["R"], T=T)
 
 
 # --- excitations -------------------------------------------------------------
@@ -297,45 +231,7 @@ class Trajectory:
         wav_write(path, self.readout, int(round(self.rate)), normalize=normalize)
 
 
-# --- core stepping loop -------------------------------------------------------
-
-def _run_steps(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=None,
-               force_modal=None, nl_hook=None, R2=None, check_every=64):
-    """Inner loop shared by simulate(); returns Q[n] = q^{n+1}, n = 0..N-1."""
-    m = q0.shape[0]
-    Q = np.empty((n_steps, m))
-    q, qp = q0.astype(float).copy(), q_prev.astype(float).copy()
-    u_prev = np.zeros(m)
-    use_b2 = R2 is not None and np.any(R2)
-    for n in range(n_steps):
-        if nl_hook is not None:
-            u = -nl_hook(q)
-            if force_signal is not None:
-                u += force_gains * force_signal[n]
-            elif force_modal is not None:
-                u += force_modal[n]
-        elif force_signal is not None:
-            u = force_gains * force_signal[n]
-        elif force_modal is not None:
-            u = force_modal[n]
-        else:
-            u = None
-        if u is None:
-            q_next = A * q + B * qp
-        else:
-            q_next = A * q + B * qp + R * u
-            if use_b2:
-                q_next += R2 * u_prev
-                u_prev = u
-        qp, q = q, q_next
-        Q[n] = q
-        if (n % check_every == check_every - 1 or n == n_steps - 1) and not np.all(
-            np.isfinite(q)
-        ):
-            bad = np.where(np.isfinite(q), np.abs(q), np.inf)
-            raise InstabilityError(step=n + 1, mode=int(np.argmax(bad)))
-    return Q
-
+# --- simulation ---------------------------------------------------------------
 
 def _ftm_backstep(bank: OscillatorBank, T: float, q0, v0):
     """Exact homogeneous back-step q^{-1} = Re(x0 e^{(gamma - i wt) T})."""
@@ -355,20 +251,19 @@ def _nl_hook_for(spec: ModelSpec, basis: ModeBasis,
     if spec.nonlinearity == "linear":
         return None
     if spec.nonlinearity == "tension-modulated":
-        tau_hat = derive_tau(spec) / spec.effective_density
-        lam = basis.eigenvalues
         if not basis.unit_normalized:
             raise ValueError("tension modulation requires a unit-normalised basis")
-
-        def kc(q, lam=lam, tau_hat=tau_hat):
-            return tau_hat * lam * q * float(lam @ (q * q))
-
-        return kc
+        return TensionModulation(basis.eigenvalues, derive_tau(spec) / spec.effective_density)
     if spec.nonlinearity == "von-karman":
         if tensors is None:
             raise ValueError("von Karman simulation needs coupling tensors")
-        gain = spec.material.E / (2.0 * spec.material.rho)
-        return VkContraction(sparsify(tensors), gain)
+        if tensors.n_phi != basis.count:
+            raise ValueError(
+                f"coupling tensors act on modal states of length {tensors.n_phi}, "
+                f"the basis has {basis.count} modes"
+            )
+        ct = sparsify(tensors)
+        return VkContraction(ct.H, ct.C, ct.zeta4, spec.material.E / (2.0 * spec.material.rho))
     raise ValueError(f"unknown nonlinearity {spec.nonlinearity!r}")
 
 
@@ -405,29 +300,25 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
     modal excitation, and nonlinear hook from a validated model spec.
 
     scheme is one of 'ftm' (impulse-invariant resonators), 'sv'
-    (Stoermer-Verlet), 'scan' (parallel-scan linear fast path), or
-    'rk-reference' (oversampled RK4 oracle).
+    (Stoermer-Verlet) or 'rk-reference' (oversampled RK4 oracle). b2, the
+    resonator numerator's second coefficient, exists only for 'ftm'.
     """
     spec = validate(spec)
+    if scheme not in ("ftm", "sv", "rk-reference"):
+        raise SchemeError(f"unknown scheme {scheme!r}")
+    if b2 is not None and scheme != "ftm":
+        raise SchemeError(f"b2 is a resonator coefficient; scheme {scheme!r} has none")
     bank = bank_from_spec(spec, basis)
     n_steps = int(round(duration * rate))
     T = 1.0 / rate
     q0, v0, force_signal, force_gains = _modal_excitation(basis, excitation, n_steps)
     nl_hook = _nl_hook_for(spec, basis, tensors)
 
-    if scheme == "scan":
-        if nl_hook is not None:
-            raise SchemeError(
-                "nonlinear model requires a stepping scheme; "
-                "use simulate with scheme 'ftm' or 'sv'"
-            )
-        Q = scan_linear(bank, T, n_steps, q0, v0,
-                        force_signal=force_signal, force_gains=force_gains)
-    elif scheme == "rk-reference":
+    if scheme == "rk-reference":
         Q = rk_reference(bank, n_steps, rate, q0, v0,
                          force_signal=force_signal, force_gains=force_gains,
                          nl_hook=nl_hook, oversample=rk_oversample)
-    elif scheme in ("ftm", "sv"):
+    else:
         if scheme == "ftm":
             coeffs = ftm_coeffs(bank, T, b2=b2)
             q_prev = _ftm_backstep(bank, T, q0, v0)
@@ -440,11 +331,9 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
                 u0 = u0 + force_gains * force_signal[0]
             q_prev = _sv_backstep(bank, T, q0, v0, u0)
         A, B, R, R2 = coeffs.update_vectors()
-        Q = _run_steps(A, B, R, q0, q_prev, n_steps,
-                       force_signal=force_signal, force_gains=force_gains,
-                       nl_hook=nl_hook, R2=R2)
-    else:
-        raise SchemeError(f"unknown scheme {scheme!r}")
+        Q, _ = adjoint.forward_cached(A, B, R, q0, q_prev, n_steps, force_signal,
+                                      force_gains, hook=nl_hook, R2=R2)
+        Q = Q[2:]
 
     readout = None
     if readout_weights is not None:
@@ -452,77 +341,6 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
     elif readout_point is not None:
         readout = Q @ point_readout(basis, readout_point).weights
     return Trajectory(rate=rate, q=Q, readout=readout, labels=basis.labels)
-
-
-# --- parallel-scan linear fast path -------------------------------------------
-
-def scan_linear(bank: OscillatorBank, T: float, n_steps: int, q0: np.ndarray,
-                v0: Optional[np.ndarray] = None,
-                force_signal: Optional[np.ndarray] = None,
-                force_gains: Optional[np.ndarray] = None,
-                force_modal: Optional[np.ndarray] = None,
-                block: int = 8192) -> np.ndarray:
-    """Linear trajectory via an associative scan over affine maps.
-
-    Each mode evolves the complex one-pole recurrence x^{n+1} = a x^n + b_n with
-    a = e^{sT}, s = -gamma + i omega_tilde, and the forced term b_n = beta u_n
-    with beta = -i a / omega_tilde, which reproduces the impulse-invariant
-    stepping exactly (q = Re x). Maps compose as
-    (a2, b2) o (a1, b1) = (a2 a1, a2 b1 + b2); the scan runs log-depth within
-    fixed-size time blocks, carrying the state across blocks.
-    """
-    if np.any(~bank.underdamped):
-        raise OverdampedError("scan_linear requires all modes underdamped")
-    m = bank.count
-    q0 = np.asarray(q0, dtype=float)
-    v0 = np.zeros(m) if v0 is None else np.asarray(v0, dtype=float)
-    g, wt = bank.gamma, bank.omega_tilde
-    a = np.exp((-g + 1j * wt) * T)
-    beta = -1j * a / wt
-
-    x = q0 - 1j * (v0 + g * q0) / wt
-    out = np.empty((n_steps, m))
-    for s0 in range(0, n_steps, block):
-        s1 = min(s0 + block, n_steps)
-        L = s1 - s0
-        A = np.broadcast_to(a, (L, m)).copy()
-        if force_modal is not None:
-            Bv = beta[None, :] * force_modal[s0:s1]
-        elif force_signal is not None:
-            Bv = np.outer(force_signal[s0:s1], beta * force_gains)
-        else:
-            Bv = np.zeros((L, m), dtype=complex)
-        stride = 1
-        while stride < L:
-            # combine map i-stride (earlier) into map i; B first, it needs old A
-            Bv[stride:] = A[stride:] * Bv[:-stride] + Bv[stride:]
-            A[stride:] = A[stride:] * A[:-stride]
-            stride *= 2
-        xb = A * x + Bv
-        out[s0:s1] = xb.real
-        x = xb[-1]
-    return out
-
-
-def scan_sequential(bank: OscillatorBank, T: float, n_steps: int, q0, v0=None,
-                    force_signal=None, force_gains=None) -> np.ndarray:
-    """Sequential evaluation of the same one-pole recurrence (scan oracle)."""
-    if np.any(~bank.underdamped):
-        raise OverdampedError("requires all modes underdamped")
-    m = bank.count
-    v0 = np.zeros(m) if v0 is None else np.asarray(v0, dtype=float)
-    g, wt = bank.gamma, bank.omega_tilde
-    a = np.exp((-g + 1j * wt) * T)
-    beta = -1j * a / wt
-    x = np.asarray(q0, dtype=float) - 1j * (v0 + g * np.asarray(q0, dtype=float)) / wt
-    out = np.empty((n_steps, m))
-    for n in range(n_steps):
-        b = 0.0
-        if force_signal is not None:
-            b = beta * (force_gains * force_signal[n])
-        x = a * x + b
-        out[n] = x.real
-    return out
 
 
 # --- oversampled RK4 reference -------------------------------------------------

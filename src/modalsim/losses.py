@@ -49,8 +49,7 @@ def _check_shapes(Y, Yh):
 
 
 def loss_log(Y, Yh, epsilon: float = 1e-8) -> float:
-    Y, Yh = _check_shapes(Y, Yh)
-    return float(np.sum(np.abs(np.log(Y + epsilon) - np.log(Yh + epsilon))))
+    return loss_log_grad(Y, Yh, epsilon)[0]
 
 
 def loss_log_grad(Y, Yh, epsilon: float = 1e-8):
@@ -62,11 +61,7 @@ def loss_log_grad(Y, Yh, epsilon: float = 1e-8):
 
 
 def loss_sc(Y, Yh) -> float:
-    Y, Yh = _check_shapes(Y, Yh)
-    ny = np.linalg.norm(Y)
-    if ny == 0.0:
-        raise ValueError("spectral convergence undefined for an all-zero target")
-    return float(np.linalg.norm(Y - Yh) / ny)
+    return loss_sc_grad(Y, Yh)[0]
 
 
 def loss_sc_grad(Y, Yh):
@@ -104,8 +99,7 @@ def loss_sot(Y, Yh, freqs) -> float:
     """Mean per-frame Wasserstein-1 distance; frames are normalised to unit
     mass internally, zero-mass frames are skipped but still counted in the
     mean."""
-    per_frame, _, _, _, _, _ = _sot_parts(Y, Yh, freqs)
-    return float(per_frame.sum() / len(per_frame))
+    return loss_sot_grad(Y, Yh, freqs)[0]
 
 
 def loss_sot_grad(Y, Yh, freqs):
@@ -123,16 +117,7 @@ def loss_sot_grad(Y, Yh, freqs):
 
 
 def loss_total(Y, Yh, weights: LossWeights, freqs=None) -> float:
-    total = 0.0
-    if weights.alpha:
-        total += weights.alpha * loss_log(Y, Yh, weights.epsilon)
-    if weights.beta:
-        total += weights.beta * loss_sc(Y, Yh)
-    if weights.eta:
-        if freqs is None:
-            raise ValueError("transport loss needs the bin frequencies")
-        total += weights.eta * loss_sot(Y, Yh, freqs)
-    return total
+    return loss_total_grad(Y, Yh, weights, freqs)[0]
 
 
 def loss_total_grad(Y, Yh, weights: LossWeights, freqs=None):

@@ -9,7 +9,8 @@ from modalsim.analysis import (
     tf_magnitude,
 )
 from modalsim.audio_io import WavFormatError, wav_read, wav_write
-from modalsim.integrators import ftm_coeffs, oscillator_bank, _run_steps
+from modalsim.adjoint import forward_cached
+from modalsim.integrators import ftm_coeffs, oscillator_bank
 
 
 # --- STFT ------------------------------------------------------------------------
@@ -228,9 +229,9 @@ def test_tf_matches_dft_of_impulse_response():
     imp = np.zeros(2**18)
     imp[0] = 1.0
     n_sim = 2**18
-    Q = _run_steps(A, B, R, np.zeros(3), np.zeros(3), n_sim,
-                   force_signal=imp, force_gains=np.ones(3))
-    h = Q @ w
+    Q, _ = forward_cached(A, B, R, np.zeros(3), np.zeros(3), n_sim,
+                          force_signal=imp, force_gains=np.ones(3))
+    h = Q[2:] @ w
     dft = np.abs(np.fft.rfft(h, n=2**18))
     k = np.arange(64) * 50 + 400  # 64 probe bins away from DC
     probe_freqs = k * rate / 2**18

@@ -4,12 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalsim.coupling import (
-    CouplingTensors, GridField, compute_C, compute_H, derive_C_from_H,
-    load_tensors, save_tensors, simply_supported_tensors, sparsify,
-    tension_nl_force, tensors_to_csv, vk_bilinear, vk_nl_force, vk_operator,
-    VkContraction,
+    CouplingTensors, GridField, TensionModulation, VkContraction, compute_C, compute_H,
+    derive_C_from_H, load_tensors, save_tensors, simply_supported_tensors, sparsify,
+    tensors_to_csv, vk_bilinear, vk_operator,
 )
+from modalsim.integrators import InitialCondition, simulate
+from modalsim.model import MaterialParams, ModelSpec, RectPlate, String
 from modalsim.modes import mode_second_derivatives, rect_basis, reconstruct, string_basis
+
+
+def tension_force(q, basis, tau):
+    return TensionModulation(basis.eigenvalues, tau)(np.asarray(q, dtype=float))
+
+
+def vk_force(q, ct, gain):
+    return VkContraction(ct.H, ct.C, ct.zeta4, gain)(np.asarray(q, dtype=float))
 
 
 @pytest.fixture(scope="module")
@@ -133,22 +142,24 @@ def test_mixed_basis_sizes_use_direct_C():
 
 def test_tension_force_zero_amplitude():
     b = string_basis(1.0, 4)
-    assert np.all(tension_nl_force(np.zeros(4), b, 2.0) == 0.0)
+    assert np.all(tension_force(np.zeros(4), b, 2.0) == 0.0)
 
 
 def test_tension_force_single_mode_closed_form():
     b = string_basis(1.0, 3)
     q = np.array([0.0, 0.3, 0.0])
     lam = b.eigenvalues[1]
-    f = tension_nl_force(q, b, tau=2.0)
+    f = tension_force(q, b, tau=2.0)
     assert f[1] == pytest.approx(2.0 * lam**2 * 0.3**3)
     assert f[0] == f[2] == 0.0
 
 
 def test_tension_force_requires_unit_norm():
+    spec = ModelSpec(MaterialParams(rho=1.0, E=1e9), String(L=1.0, A=1e-6), T0=800.0,
+                     nonlinearity="tension-modulated")
     b = string_basis(1.0, 3, unit_norm=False)
     with pytest.raises(ValueError, match="unit-normalised"):
-        tension_nl_force(np.zeros(3), b, 1.0)
+        simulate(spec, b, "sv", InitialCondition(np.zeros(3)), 0.001, 8000.0)
 
 
 def test_tension_force_matches_gradient_energy_quadrature(rng):
@@ -162,7 +173,7 @@ def test_tension_force_matches_gradient_energy_quadrature(rng):
     grad = np.gradient(w, x)
     energy = np.trapezoid(grad**2, x)
     expect = tau * energy * b.eigenvalues * q
-    got = tension_nl_force(q, b, tau)
+    got = tension_force(q, b, tau)
     assert np.max(np.abs(got - expect)) <= 1e-4 * np.max(np.abs(expect))
 
 
@@ -171,7 +182,7 @@ def test_tension_force_is_pure_hardening(seed):
     rng = np.random.default_rng(seed)
     b = string_basis(1.0, 6)
     q = rng.normal(size=6)
-    f = tension_nl_force(q, b, tau=0.8)
+    f = tension_force(q, b, tau=0.8)
     assert f @ q >= 0.0
 
 
@@ -179,10 +190,10 @@ def test_tension_force_is_pure_hardening(seed):
 
 def test_vk_force_zero_cases(square_tensors, rng):
     _, ct = square_tensors
-    assert np.all(vk_nl_force(np.zeros(5), ct, 1.0) == 0.0)
+    assert np.all(vk_force(np.zeros(5), ct, 1.0) == 0.0)
     zero_h = CouplingTensors(H=np.zeros_like(ct.H), C=ct.C, zeta4=ct.zeta4)
     q = rng.normal(size=5)
-    assert np.all(vk_nl_force(q, zero_h, 1.0) == 0.0)
+    assert np.all(vk_force(q, zero_h, 1.0) == 0.0)
 
 
 def naive_contraction(q, ct, gain):
@@ -207,22 +218,25 @@ def test_vk_force_matches_naive_quadruple_loop(seed, n_modes):
     C = rng.normal(size=(n_modes, n_modes, n_modes))
     ct = CouplingTensors(H=H, C=C, zeta4=rng.uniform(0.5, 3.0, size=n_modes))
     q = rng.normal(size=n_modes)
-    fast = vk_nl_force(q, ct, gain=1.7)
+    fast = vk_force(q, ct, gain=1.7)
     slow = naive_contraction(q, ct, 1.7)
     assert np.max(np.abs(fast - slow)) <= 1e-12 * max(1.0, np.max(np.abs(slow)))
 
 
 def test_vk_contraction_class_matches_function(square_tensors, rng):
     _, ct = square_tensors
-    hook = VkContraction(ct, gain=2.2)
+    hook = VkContraction(ct.H, ct.C, ct.zeta4, gain=2.2)
     q = rng.normal(size=5)
-    assert hook(q) == pytest.approx(vk_nl_force(q, ct, 2.2))
+    assert hook(q) == pytest.approx(naive_contraction(q, ct, 2.2))
 
 
 def test_vk_dimension_mismatch():
     ct = CouplingTensors(H=np.zeros((2, 3, 3)), C=np.zeros((3, 3, 2)), zeta4=np.ones(2))
+    spec = ModelSpec(MaterialParams(rho=1000.0, E=7e6, nu=0.3), RectPlate(0.3, 0.3, 0.002),
+                     nonlinearity="von-karman")
     with pytest.raises(ValueError, match="length"):
-        vk_nl_force(np.zeros(4), ct, 1.0)
+        simulate(spec, rect_basis(0.3, 0.3, 4), "sv", InitialCondition(np.zeros(4)),
+                 0.001, 8000.0, tensors=ct)
 
 
 # --- storage ---------------------------------------------------------------------------

@@ -2,15 +2,36 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from modalsim.adjoint import forward_cached
 from modalsim.coupling import simply_supported_tensors
 from modalsim.integrators import (
     InitialCondition, InstabilityError, OverdampedError, PointForce, SchemeError,
-    SimState, bank_from_spec, ftm_coeffs, oscillator_bank, raised_cosine_pulse,
-    rk_reference, scan_linear, scan_sequential, simulate, step, sv_coeffs,
-    triangular_pluck, _ftm_backstep, _run_steps,
+    bank_from_spec, ftm_coeffs, oscillator_bank, raised_cosine_pulse,
+    rk_reference, simulate, sv_coeffs, triangular_pluck, _ftm_backstep,
 )
 from modalsim.model import MaterialParams, ModelSpec, RectPlate, String
 from modalsim.modes import rect_basis, string_basis
+
+
+def run(A, B, R, q0, q_prev, n_steps, **kw):
+    """Trajectory rows q^1 .. q^N of the forward recurrence."""
+    return forward_cached(A, B, R, q0, q_prev, n_steps, **kw)[0][2:]
+
+
+def scan_sequential(bank, T, n_steps, q0, v0, force_signal, force_gains):
+    """Reference oracle: each mode as the complex one-pole recurrence
+    x^{n+1} = a x^n + beta u^n, a = e^{sT}, s = -gamma + i omega_tilde,
+    beta = -i a / omega_tilde, which the impulse-invariant scheme reproduces
+    exactly (q = Re x)."""
+    g, wt = bank.gamma, bank.omega_tilde
+    a = np.exp((-g + 1j * wt) * T)
+    beta = -1j * a / wt
+    x = q0 - 1j * (v0 + g * q0) / wt
+    out = np.empty((n_steps, bank.count))
+    for n in range(n_steps):
+        x = a * x + beta * (force_gains * force_signal[n])
+        out[n] = x.real
+    return out
 
 
 def string_spec(T0=1.0, d1=0.0, d3=0.0, nonlinearity="linear", E=0.0, A=1e-6, rho=1.0):
@@ -131,9 +152,9 @@ def test_sv_stability_warning():
 def test_step_zero_state_zero_force():
     bank = oscillator_bank(np.array([1.0, 4.0]), 0.0, 100.0, gamma=0.5)
     co = ftm_coeffs(bank, 1e-3)
-    s = SimState(q=np.zeros(2), q_prev=np.zeros(2))
-    s2 = step(s, co)
-    assert np.all(s2.q == 0.0) and s2.n == 1
+    A, B, R, _ = co.update_vectors()
+    Q = run(A, B, R, np.zeros(2), np.zeros(2), 1)
+    assert Q.shape == (1, 2) and np.all(Q == 0.0)
 
 
 def test_ftm_impulse_response_closed_form():
@@ -144,8 +165,8 @@ def test_ftm_impulse_response_closed_form():
     A, B, R, _ = co.update_vectors()
     imp = np.zeros(1000)
     imp[0] = 1.0
-    Q = _run_steps(A, B, R, np.zeros(1), np.zeros(1), 1000,
-                   force_signal=imp, force_gains=np.ones(1))
+    Q = run(A, B, R, np.zeros(1), np.zeros(1), 1000,
+            force_signal=imp, force_gains=np.ones(1))
     n = np.arange(1, 1001)
     expect = co.b1[0] * np.sin(w * n * T) / np.sin(w * T)
     assert np.max(np.abs(Q[:, 0] - expect)) < 1e-9
@@ -161,7 +182,7 @@ def test_sv_second_order_against_analytic_cosine():
         A, B, R, _ = co.update_vectors()
         q0 = np.array([1.0])
         q_prev = np.array([np.cos(-w / rate)])
-        Q = _run_steps(A, B, R, q0, q_prev, n)
+        Q = run(A, B, R, q0, q_prev, n)
         t = np.arange(1, n + 1) / rate
         errs.append(np.max(np.abs(Q[:, 0] - np.cos(w * t))))
     order = np.log2(errs[0] / errs[1])
@@ -176,7 +197,7 @@ def test_instability_error_reports_step_and_mode():
     A, B, R, _ = co.update_vectors()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InstabilityError) as ei:
-            _run_steps(A, B, R, np.array([0.0, 1e-3]), np.zeros(2), 2000)
+            run(A, B, R, np.array([0.0, 1e-3]), np.zeros(2), 2000)
     assert ei.value.mode == 1
     assert ei.value.step >= 1
 
@@ -230,11 +251,20 @@ def test_simulate_deterministic_bit_identical():
     assert np.array_equal(t1.readout, t2.readout)
 
 
-def test_scan_scheme_rejects_nonlinear_model():
-    spec = string_spec(T0=800.0, nonlinearity="tension-modulated", E=1e9, A=1e-6)
+def test_scan_scheme_is_unknown():
+    spec = string_spec(T0=800.0)
     basis = string_basis(1.0, 4)
-    with pytest.raises(SchemeError, match="stepping scheme"):
+    with pytest.raises(SchemeError, match="unknown scheme"):
         simulate(spec, basis, "scan", triangular_pluck(basis, 0.3, 0.01), 0.01, 8000.0)
+
+
+@pytest.mark.parametrize("scheme", ["sv", "rk-reference"])
+def test_b2_rejected_by_schemes_without_it(scheme):
+    spec = string_spec(T0=800.0)
+    basis = string_basis(1.0, 4)
+    with pytest.raises(SchemeError, match=scheme):
+        simulate(spec, basis, scheme, triangular_pluck(basis, 0.3, 0.01), 0.01, 8000.0,
+                 b2=np.full(4, 1e-3))
 
 
 def test_trajectory_exports(tmp_path):
@@ -254,7 +284,7 @@ def test_trajectory_exports(tmp_path):
     assert rate == 8000 and len(sig) == 80
 
 
-# --- parallel scan -----------------------------------------------------------------
+# --- one-pole oracle ---------------------------------------------------------------
 
 @pytest.fixture
 def damped_bank():
@@ -262,68 +292,19 @@ def damped_bank():
     return oscillator_bank(lam, 0.001, 900.0, gamma=1.5 + 0.2 * np.arange(5))
 
 
-def test_scan_matches_sequential_recurrence(damped_bank, rng):
-    T = 1 / 44100
-    f = rng.normal(size=10_000)
-    g = rng.normal(size=5)
-    q0 = rng.normal(size=5)
-    v0 = rng.normal(size=5)
-    fast = scan_linear(damped_bank, T, 10_000, q0, v0, force_signal=f, force_gains=g,
-                       block=4096)
-    slow = scan_sequential(damped_bank, T, 10_000, q0, v0, force_signal=f, force_gains=g)
-    assert np.max(np.abs(fast - slow)) <= 1e-10 * np.max(np.abs(slow))
-
-
 def test_scan_matches_stepping_loop(damped_bank):
+    # forced ftm forward from an initial condition against the one-pole oracle
     T = 1 / 44100
     q0 = np.array([0.01, -0.02, 0.005, 0.0, 0.003])
     v0 = np.zeros(5)
     sig = raised_cosine_pulse(2.0, 0.02, 0.005, 44100.0, 10_000)
     gains = np.linspace(1.0, 0.2, 5)
-    fast = scan_linear(damped_bank, T, 10_000, q0, v0, force_signal=sig, force_gains=gains)
+    oracle = scan_sequential(damped_bank, T, 10_000, q0, v0, sig, gains)
     co = ftm_coeffs(damped_bank, T)
     A, B, R, _ = co.update_vectors()
-    loop = _run_steps(A, B, R, q0, _ftm_backstep(damped_bank, T, q0, v0), 10_000,
-                      force_signal=sig, force_gains=gains)
-    assert np.max(np.abs(fast - loop)) <= 1e-10 * np.max(np.abs(loop))
-
-
-def test_scan_single_step_is_direct_multiplication():
-    bank = oscillator_bank(np.array([np.pi**2]), 0.0, 500.0, gamma=2.0)
-    T = 1e-3
-    q0, v0 = np.array([0.7]), np.array([-0.1])
-    out = scan_linear(bank, T, 1, q0, v0)
-    g, wt = bank.gamma, bank.omega_tilde
-    x0 = q0 - 1j * (v0 + g * q0) / wt
-    expect = np.real(np.exp((-g + 1j * wt) * T) * x0)
-    assert out[0] == pytest.approx(expect)
-
-
-def test_scan_lossless_magnitude_constant():
-    bank = oscillator_bank(np.array([np.pi**2]), 0.0, (2 * np.pi * 100.0) ** 2 / np.pi**2)
-    T = 1 / 44100
-    n = 100_000
-    q0, v0 = np.array([1.0]), np.array([0.0])
-    out = scan_linear(bank, T, n, q0, v0)
-    wt = bank.omega_tilde[0]
-    # reconstruct |x|^2 from the quadrature pair (q, qdot/wt)
-    qdot = np.gradient(out[:, 0]) * 44100
-    env = out[:, 0] ** 2 + (qdot / wt) ** 2
-    # sampled-derivative estimate is crude; check the exact complex scan instead
-    a = np.exp(1j * wt * T)
-    A = np.broadcast_to(a, (n, 1)).copy()
-    stride = 1
-    while stride < n:
-        A[stride:] = A[stride:] * A[:-stride]
-        stride *= 2
-    mags = np.abs(A[:, 0])
-    assert np.max(np.abs(mags - 1.0)) < 1e-12
-
-
-def test_scan_rejects_overdamped():
-    bank = oscillator_bank(np.array([1.0]), 0.0, 1.0, gamma=5.0)
-    with pytest.raises(OverdampedError):
-        scan_linear(bank, 1e-3, 10, np.zeros(1))
+    loop = run(A, B, R, q0, _ftm_backstep(damped_bank, T, q0, v0), 10_000,
+               force_signal=sig, force_gains=gains)
+    assert np.max(np.abs(oracle - loop)) <= 1e-10 * np.max(np.abs(loop))
 
 
 # --- RK reference -------------------------------------------------------------------
@@ -358,7 +339,7 @@ def test_sv_stft_error_vs_reference_decreases_with_rate():
         A, B, R, _ = co.update_vectors()
         a0 = -w**2 * 1.0 - 2.0 * 1.0 * 0.0
         q_prev = np.array([1.0 - 0.5 * (1 / rate) ** 2 * w**2])
-        sv = _run_steps(A, B, R, np.array([1.0]), q_prev, n)
+        sv = run(A, B, R, np.array([1.0]), q_prev, n)
         Ys = stft(sv[:, 0], rate, 256, 64).magnitude
         Yr = stft(ref[:, 0], rate, 256, 64).magnitude
         errs.append(np.linalg.norm(Ys - Yr) / np.linalg.norm(Yr))
