@@ -157,25 +157,28 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
     every = CHECK_EVERY
     if hook is not None:
         hook.begin(n_steps)
-    for n in range(n_steps):
-        if has_input:
-            if hook is not None:
-                u = -hook(q, n)
-                if force_signal is not None:
-                    u += force_gains * force_signal[n]
+    # a blow-up overflows before it turns non-finite; the periodic check
+    # reports it as InstabilityError, also where warnings are errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            if has_input:
+                if hook is not None:
+                    u = -hook(q, n)
+                    if force_signal is not None:
+                        u += force_gains * force_signal[n]
+                else:
+                    u = force_gains * force_signal[n]
+                U[n] = u
+                q_next = A * q + B * qp + R * u
+                if use_b2:
+                    q_next += R2 * u_prev
+                    u_prev = u
             else:
-                u = force_gains * force_signal[n]
-            U[n] = u
-            q_next = A * q + B * qp + R * u
-            if use_b2:
-                q_next += R2 * u_prev
-                u_prev = u
-        else:
-            q_next = A * q + B * qp
-        qp, q = q, q_next
-        Q[n + 2] = q
-        if n % every == every - 1:
-            _check_finite(q, n + 1)
+                q_next = A * q + B * qp
+            qp, q = q, q_next
+            Q[n + 2] = q
+            if n % every == every - 1:
+                _check_finite(q, n + 1)
     _check_finite(q, n_steps)
     return Q, U
 

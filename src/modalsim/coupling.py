@@ -12,8 +12,18 @@ Two mechanisms:
   supported plate Psi is the same sine-product family with biharmonic
   eigenvalues zeta^4 = lambda^2, and C follows from H by an index permutation.
 
+The plate force is the two-stage contraction eta = H : q q / zeta4,
+f = gain C : q eta (VkContraction). Each stage keeps only the nonzero blocks
+of its tensor: rows with the same exact zero pattern form one zero-padded
+block holding just their nonzero columns, and the first stage runs over the
+pairs i <= j with the (i, j) and (j, i) coefficients summed, since q q is
+symmetric. For the simply supported plate the parity rules zero about three
+quarters of H and C in four row patterns per stage, so the blocks hold 15-30%
+of the dense entries. Quadrature leaves those zeros as dust of order 1e-16;
+sparsify makes them exact, which is why simulate passes tensors through it.
+
 Tensor integrals use analytic second derivatives of the sine modes and
-trapezoidal quadrature (16 points per shortest half-wavelength by default,
+Gauss-Legendre quadrature (16 points per shortest half-wavelength by default,
 8 minimum); for products of sines this is accurate to near machine precision.
 """
 
@@ -227,9 +237,9 @@ def simply_supported_tensors(phi: ModeBasis, n_psi: int | None = None,
 
 
 def sparsify(ct: CouplingTensors, rel_tol: float = 1e-12) -> CouplingTensors:
-    """Zero entries below rel_tol times the largest magnitude (parity-rule zeros
-    carry quadrature dust; exact zeros help nothing in dense storage but keep
-    serialised files clean)."""
+    """Zero entries below rel_tol times the largest magnitude. Parity-rule zeros
+    come out of quadrature as dust; made exact, they let VkContraction store
+    only the nonzero blocks, and they keep serialised files clean."""
 
     def clean(t):
         cut = rel_tol * np.max(np.abs(t))
@@ -278,30 +288,91 @@ class TensionModulation:
         return out
 
 
+class _Blocks:
+    """A matrix M[n_out, n_in] whose column c multiplies a[ia[c]] * b[ib[c]],
+    stored as the nonzero blocks of its rows.
+
+    Rows with the same exact zero pattern form a group; a group keeps only
+    its nonzero columns. The groups are zero-padded to one stack B[G, R, K]
+    with gather indices IA, IB[G, K] into a and b, and slot[g, r], the output
+    row of stacked row r of group g. Padding carries zero coefficients, so it
+    adds nothing whatever index it gathers (slot and the indices pad with 0).
+    A matrix without exact zeros is a single dense group.
+    """
+
+    def __init__(self, M, ia, ib):
+        groups = {}
+        for r, pattern in enumerate(M != 0.0):
+            groups.setdefault(pattern.tobytes(), []).append(r)
+        rows = [np.array(r) for r in groups.values()]
+        cols = [np.flatnonzero(M[r[0]]) for r in rows]
+        G, R, K = len(rows), max(map(len, rows)), max(map(len, cols))
+        self.B = np.zeros((G, R, K))
+        self.IA = np.zeros((G, K), dtype=np.intp)
+        self.IB = np.zeros((G, K), dtype=np.intp)
+        self.slot = np.zeros((G, R), dtype=np.intp)
+        self.pos = np.empty(M.shape[0], dtype=np.intp)  # stacked index of each output row
+        for g, (r, c) in enumerate(zip(rows, cols)):
+            self.B[g, : len(r), : len(c)] = M[np.ix_(r, c)]
+            self.IA[g, : len(c)] = ia[c]
+            self.IB[g, : len(c)] = ib[c]
+            self.slot[g, : len(r)] = r
+            self.pos[r] = g * R + np.arange(len(r))
+
+    def __call__(self, a, b):
+        """M @ (a[ia] * b[ib]) in output-row order."""
+        x = a[self.IA] * b[self.IB]
+        return np.matmul(self.B, x[:, :, None]).reshape(-1)[self.pos]
+
+    def transpose(self, v):
+        """w[g, k] = sum_r B[g, r, k] v[slot[g, r]]: the adjoint of M applied to
+        v, per stored column."""
+        return np.matmul(v[self.slot][:, None, :], self.B)[:, 0, :]
+
+
 class VkContraction:
     """Two-stage contraction of the plate coupling:
 
         eta_n = sum_{a,b} H[n,a,b] q_a q_b / zeta4_n
         out_s = gain * sum_{p,n} C[s,p,n] q_p eta_n
 
-    gain is E / (2 rho) with rho the volumetric density. Cost O(n_psi n_phi^2)
-    per call instead of the naive quadruple loop. The H gradient of
-    finalize assumes C is tied to H by C[s,p,n] = H[n,p,s] (the simply
-    supported plate), so that optimising H drags C along.
+    gain is E / (2 rho) with rho the volumetric density.
+
+    Each stage is stored as the nonzero blocks of its rows (see _Blocks).
+    Stage 1 folds the (i, j) symmetry of the quadratic form: it runs over the
+    pairs i <= j with coefficient H[n,i,j] + H[n,j,i] (the diagonal once),
+    which is exact for any H, including the asymmetric ones of a fit. Stage 2
+    runs over C reshaped to [n_phi, n_phi n_psi]. A call is then one gather
+    multiply and one batched matrix product per stage, and jt_vec the
+    transposed products with their scatter-adds.
+
+    The block structure comes from exact zeros. The simply supported plate's
+    parity rules make about three quarters of H and C zero, in four row
+    patterns per stage, but quadrature leaves those entries as dust of order
+    1e-16: pass tensors through sparsify to expose them. A tensor without
+    exact zeros forms one group, which is the dense product.
+
+    The H gradient of finalize assumes C is tied to H by C[s,p,n] = H[n,p,s]
+    (the simply supported plate), so that optimising H drags C along.
     """
 
     def __init__(self, H, C, zeta4, gain):
         n_psi, n_phi, _ = H.shape
         self.n_phi, self.n_psi = n_phi, n_psi
-        self.H2 = np.ascontiguousarray(H.reshape(n_psi, -1))
-        self.C = C
-        self.C2 = np.ascontiguousarray(C.reshape(n_phi, -1))
-        # eta_n depends on q through the (possibly asymmetric) quadratic form
-        self.H_sym = H + np.transpose(H, (0, 2, 1))
         self.inv_zeta4 = 1.0 / zeta4
         self.gain = float(gain)
-        self._qq = np.empty(n_phi * n_phi)
-        self._qe = np.empty(n_phi * n_psi)
+        # the scales ride in the blocks: stage 1 yields eta, stage 2 the force
+        i, j = np.triu_indices(n_phi)
+        folded = H[:, i, j] + np.where(i < j, H[:, j, i], 0.0)
+        self.h_blocks = _Blocks(folded * self.inv_zeta4[:, None], i, j)
+        p, n = np.divmod(np.arange(n_phi * n_psi), n_psi)
+        self.c_blocks = _Blocks(self.gain * C.reshape(n_phi, -1), p, n)
+        # every term jt_vec scatters onto q: the q index it lands on, and the
+        # index of its partner factor in [q, eta]
+        hb, cb = self.h_blocks, self.c_blocks
+        self._jt_index = np.concatenate([hb.IA.ravel(), hb.IB.ravel(), cb.IA.ravel()])
+        self._jt_partner = np.concatenate([hb.IB.ravel(), hb.IA.ravel(),
+                                           n_phi + cb.IB.ravel()])
         self.eta = self.G = None
 
     def begin(self, n_steps):
@@ -309,20 +380,21 @@ class VkContraction:
         self.G = np.empty((n_steps, self.n_psi))
 
     def __call__(self, q, n=None):
-        np.outer(q, q, out=self._qq.reshape(self.n_phi, self.n_phi))
-        eta = (self.H2 @ self._qq) * self.inv_zeta4
+        eta = self.h_blocks(q, q)
         if n is not None:
             self.eta[n] = eta
-        np.outer(q, eta, out=self._qe.reshape(self.n_phi, self.n_psi))
-        return self.gain * (self.C2 @ self._qe)
+        return self.c_blocks(q, eta)
 
     def jt_vec(self, n, v, q):
-        CV = np.einsum("spn,s->pn", self.C, v)
-        g_eta = self.gain * (q @ CV)
+        hb, cb = self.h_blocks, self.c_blocks
+        wc = cb.transpose(v)
+        g_eta = np.bincount(cb.IB.ravel(), weights=(wc * q[cb.IA]).ravel(),
+                            minlength=self.n_psi)
         self.G[n] = g_eta
-        term1 = self.gain * (CV @ self.eta[n])
-        term2 = (g_eta * self.inv_zeta4) @ (self.H_sym @ q)
-        return term1 + term2
+        wh = hb.transpose(g_eta).ravel()
+        w = np.concatenate([wh, wh, wc.ravel()])
+        partners = np.concatenate([q, self.eta[n]])[self._jt_partner]
+        return np.bincount(self._jt_index, weights=w * partners, minlength=self.n_phi)
 
     def finalize(self, V, Qmid, want):
         out = {}

@@ -103,6 +103,8 @@ class _Parameters:
 
     def initial_raw(self) -> Dict[str, np.ndarray]:
         """Raw coordinates matching the problem's current fixed values."""
+        # free may have been reassigned since construction
+        self._check_free()
         fixed = self._fixed()
         return {
             n: np.asarray(transform_invert(fixed[n], TRANSFORMS[n]), dtype=float)
@@ -171,13 +173,16 @@ class TimeDomainProblem(_Parameters):
             self.readout_weights = np.ones(m)
         self.freqs = np.fft.rfftfreq(self.stft_window_length, d=1.0 / self.rate)
         self._check_free()
+        if self.scheme not in ("ftm", "sv"):
+            raise ValueError("time-domain fitting uses the 'ftm' or 'sv' scheme")
+        adjoint.check_stft(self.n_steps, self.stft_window_length, self.stft_hop)
+
+    def _check_free(self):
+        super()._check_free()
         if "tau" in self.free and self.nonlinearity != "kc":
             raise ValueError("tau is free only for the tension-modulated model")
         if "H" in self.free and self.nonlinearity != "vk":
             raise ValueError("H is free only for the plate model")
-        if self.scheme not in ("ftm", "sv"):
-            raise ValueError("time-domain fitting uses the 'ftm' or 'sv' scheme")
-        adjoint.check_stft(self.n_steps, self.stft_window_length, self.stft_hop)
 
     def _fixed(self):
         return {

@@ -262,6 +262,7 @@ def _nl_hook_for(spec: ModelSpec, basis: ModeBasis,
                 f"coupling tensors act on modal states of length {tensors.n_phi}, "
                 f"the basis has {basis.count} modes"
             )
+        # exact parity zeros let the contraction skip three quarters of H and C
         ct = sparsify(tensors)
         return VkContraction(ct.H, ct.C, ct.zeta4, spec.material.E / (2.0 * spec.material.rho))
     raise ValueError(f"unknown nonlinearity {spec.nonlinearity!r}")

@@ -230,6 +230,62 @@ def test_vk_contraction_class_matches_function(square_tensors, rng):
     assert hook(q) == pytest.approx(naive_contraction(q, ct, 2.2))
 
 
+def physical_tensors():
+    return sparsify(simply_supported_tensors(rect_basis(0.4, 0.3, 12)))
+
+
+def dense_tensors():
+    rng = np.random.default_rng(3)
+    return CouplingTensors(H=rng.normal(size=(5, 7, 7)), C=rng.normal(size=(7, 7, 5)),
+                           zeta4=rng.uniform(0.5, 3.0, size=5))
+
+
+def row_pattern_tensors():
+    # every row of either stage gets a zero pattern of its own
+    rng = np.random.default_rng(4)
+    H = rng.normal(size=(5, 7, 7)) * (rng.uniform(size=(5, 7, 7)) < 0.4)
+    C = rng.normal(size=(7, 7, 5)) * (rng.uniform(size=(7, 7, 5)) < 0.4)
+    return CouplingTensors(H=H, C=C, zeta4=rng.uniform(0.5, 3.0, size=5))
+
+
+def jacobian_fd(f, q, h=0.5):
+    """Jacobian of a cubic map by central differences; Richardson
+    extrapolation over h and h/2 removes the h^2 term, the only one a cubic
+    leaves, so the columns are exact up to rounding."""
+    cols = []
+    for e in np.eye(len(q)):
+        d = [(f(q + s * e) - f(q - s * e)) / (2.0 * s) for s in (h, h / 2)]
+        cols.append((4.0 * d[1] - d[0]) / 3.0)
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("tensors, groups", [
+    (physical_tensors, (4, 4)), (dense_tensors, (1, 1)), (row_pattern_tensors, (5, 7)),
+])
+def test_blocked_contraction_matches_naive_and_jacobian(tensors, groups):
+    ct = tensors()
+    hook = VkContraction(ct.H, ct.C, ct.zeta4, gain=1.3)
+    assert (hook.h_blocks.B.shape[0], hook.c_blocks.B.shape[0]) == groups
+    rng = np.random.default_rng(5)
+    q, v = rng.normal(size=(2, ct.n_phi))
+    hook.begin(3)
+    f = hook(q, 2)
+    slow = naive_contraction(q, ct, 1.3)
+    assert np.max(np.abs(f - slow)) <= 1e-12 * np.max(np.abs(slow))
+    jt = hook.jt_vec(2, v, q)
+    fd = jacobian_fd(hook, q).T @ v
+    assert np.max(np.abs(jt - fd)) <= 1e-12 * np.max(np.abs(fd))
+
+
+def test_blocked_contraction_keeps_parity_blocks_only():
+    ct = sparsify(simply_supported_tensors(rect_basis(0.4, 0.3, 60)))
+    hook = VkContraction(ct.H, ct.C, ct.zeta4, gain=1.0)
+    dense = ct.n_phi**2 * ct.n_psi
+    for blocks in (hook.h_blocks, hook.c_blocks):
+        assert blocks.B.shape[0] == 4
+        assert blocks.B.size < dense / 3
+
+
 def test_vk_dimension_mismatch():
     ct = CouplingTensors(H=np.zeros((2, 3, 3)), C=np.zeros((3, 3, 2)), zeta4=np.ones(2))
     spec = ModelSpec(MaterialParams(rho=1000.0, E=7e6, nu=0.3), RectPlate(0.3, 0.3, 0.002),

@@ -12,6 +12,16 @@ def test_fit_reports_misshaped_target_instead_of_divergence():
         fit(problem, FitConfig(steps=2, peak_lr=0.01, starts=2))
 
 
+@pytest.mark.parametrize("free, message", [(("bogus",), "unknown free parameters"),
+                                           (("tau",), "tau is free only"),
+                                           (("H",), "H is free only")])
+def test_fit_checks_free_assigned_after_construction(free, message):
+    problem = string_time_problem()
+    problem.free = free
+    with pytest.raises(ValueError, match=message):
+        fit(problem, FitConfig(steps=1, peak_lr=0.01))
+
+
 def frequency_kw(**changes):
     kw = dict(lam=(np.arange(1, 4) * np.pi) ** 2, rate=8000.0,
               freqs=np.linspace(100.0, 3000.0, 16), target_env=np.ones(16),

@@ -45,6 +45,11 @@ def test_plate_time_vk_gradients(name):
     check(plate_time_problem(), name)
 
 
+@pytest.mark.parametrize("name", ["d_hat", "gamma"])
+def test_plate_time_vk_gradients_physical_tensors(name):
+    check(plate_time_problem(random_H=False), name)
+
+
 @pytest.mark.parametrize("name", ["t0_hat", "gamma", "b2", "weights"])
 def test_string_frequency_gradients(name):
     check(string_frequency_problem(), name)

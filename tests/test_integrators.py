@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -200,6 +202,23 @@ def test_instability_error_reports_step_and_mode():
             run(A, B, R, np.array([0.0, 1e-3]), np.zeros(2), 2000)
     assert ei.value.mode == 1
     assert ei.value.step >= 1
+
+
+def test_blow_up_is_instability_error_when_warnings_are_errors():
+    # ftm takes the strike's force samples as per-step impulses, so this plate
+    # overflows within a few dozen steps
+    Lx, Ly = 0.4, 0.3
+    spec = ModelSpec(MaterialParams(rho=7850.0, E=2.0e11, nu=0.3, d1=30.0, d3=0.02),
+                     RectPlate(Lx, Ly, 0.001), nonlinearity="von-karman")
+    basis = rect_basis(Lx, Ly, 12)
+    tensors = simply_supported_tensors(basis)
+    rate, n = 44100.0, 400
+    strike = PointForce((0.3 * Lx, 0.3 * Ly), raised_cosine_pulse(50.0, 2e-4, 1e-3, rate, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError):
+            simulate(spec, basis, "ftm", strike, n / rate, rate,
+                     readout_point=(0.7 * Lx, 0.7 * Ly), tensors=tensors)
 
 
 # --- simulate ---------------------------------------------------------------------
