@@ -14,8 +14,7 @@ from .modes import (
     project_function, reconstruct, sample_modes,
 )
 from .coupling import (
-    CouplingTensors, GridField, vk_operator, vk_bilinear, compute_H, compute_C,
-    derive_C_from_H, simply_supported_tensors, sparsify, TensionModulation,
+    CouplingTensors, simply_supported_tensors, sparsify, TensionModulation,
     VkContraction, save_tensors, load_tensors, tensors_to_csv,
 )
 from .integrators import (

@@ -10,7 +10,8 @@ Two mechanisms:
   the bilinear operator L(f, g) = f_xx g_yy + f_yy g_xx - 2 f_xy g_xy between
   the transverse basis Phi and the in-plane (Airy) basis Psi. For the simply
   supported plate Psi is the same sine-product family with biharmonic
-  eigenvalues zeta^4 = lambda^2, and C follows from H by an index permutation.
+  eigenvalues zeta^4 = lambda^2, and with Psi = Phi, C is H with its first
+  and last indices swapped.
 
 The plate force is the two-stage contraction eta = H : q q / zeta4,
 f = gain C : q eta (VkContraction). Each stage keeps only the nonzero blocks
@@ -19,12 +20,16 @@ block holding just their nonzero columns, and the first stage runs over the
 pairs i <= j with the (i, j) and (j, i) coefficients summed, since q q is
 symmetric. For the simply supported plate the parity rules zero about three
 quarters of H and C in four row patterns per stage, so the blocks hold 15-30%
-of the dense entries. Quadrature leaves those zeros as dust of order 1e-16;
-sparsify makes them exact, which is why simulate passes tensors through it.
+of the dense entries.
 
-Tensor integrals use analytic second derivatives of the sine modes and
-Gauss-Legendre quadrature (16 points per shortest half-wavelength by default,
-8 minimum); for products of sines this is accurate to near machine precision.
+The tensor entries are closed forms. A sine mode's second derivatives are
+sines and cosines again, so each entry splits into x-integrals times
+y-integrals of three sines or cosines, and those reduce by products to sums
+to integer-indexed integrals of a single sine (Bilbao, Numerical Sound
+Synthesis, 2009). The parity zeros therefore come out exact, and simulate
+hands the tensors to VkContraction as they are. Tensors from elsewhere (a
+file, a quadrature) may carry those zeros as rounding dust; sparsify makes
+them exact.
 """
 
 from __future__ import annotations
@@ -34,9 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import ModeBasis, mode_second_derivatives, required_grid_points
-
-DEFAULT_PPW = 16
+from .modes import ModeBasis
 
 
 @dataclass(frozen=True)
@@ -70,176 +73,71 @@ class CouplingTensors:
         return self.H.shape[0]
 
 
-@dataclass(frozen=True)
-class GridField:
-    """Scalar field sampled on a uniform 2-D grid, values indexed [y, x]."""
+def _sine_integrals(k, L):
+    """S[p, q, r] = int_0^L sin sin sin and C[p, q, r] = int_0^L sin cos cos of
+    (p, q, r) pi x / L for all p, q, r in k: products to sums over
+    int_0^L sin(k pi x / L) dx = 2 L / (k pi) for odd k and 0 for even k."""
+    p, q, r = k[:, None, None], k[None, :, None], k[None, None, :]
 
-    values: np.ndarray
-    dx: float
-    dy: float
+    def I(n):
+        odd = n % 2 == 1
+        return np.where(odd, 2.0 * L / (np.pi * np.where(odd, n, 1)), 0.0)
 
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] < 3:
-            raise ValueError("grid must be 2-D with at least 3 points per axis")
-
-
-def vk_bilinear(fxx, fyy, fxy, gxx, gyy, gxy):
-    """Pointwise f_xx*g_yy + f_yy*g_xx - 2*f_xy*g_xy."""
-    return fxx * gyy + fyy * gxx - 2.0 * fxy * gxy
+    # grouped so that swapping q and r only reorders exact operations, which
+    # keeps the (i, j) symmetry of H bit for bit
+    S = ((I(p + r - q) - I(r - p - q)) + (I(q + r - p) - I(p + q + r))) / 4.0
+    C = ((I(p + q - r) + I(p - q + r)) + (I(p + q + r) + I(p - q - r))) / 4.0
+    return S, C
 
 
-def vk_operator(f: GridField, g: GridField) -> GridField:
-    """Bilinear operator of two grid fields via finite-difference Hessians."""
-    if f.values.shape != g.values.shape or f.dx != g.dx or f.dy != g.dy:
-        raise ValueError("mismatched grids")
+def _projection(o: ModeBasis, l: ModeBasis, r: ModeBasis) -> np.ndarray:
+    """T[k, i, j] = integral o_k L(l_i, r_j) / (||o_k|| ||l_i|| ||r_j||) in closed form.
 
-    def hessian(v, dx, dy):
-        vy, vx = np.gradient(v, dy, dx)
-        vyy, _ = np.gradient(vy, dy, dx)
-        vxy, vxx = np.gradient(vx, dy, dx)
-        return vxx, vyy, vxy
-
-    fh = hessian(np.asarray(f.values, dtype=float), f.dx, f.dy)
-    gh = hessian(np.asarray(g.values, dtype=float), g.dx, g.dy)
-    return GridField(vk_bilinear(*fh, *gh), f.dx, f.dy)
-
-
-def _quadrature_grid(phi: ModeBasis, psi: ModeBasis, ppw: int):
-    """Tensor-product Gauss-Legendre nodes and weights dense enough for both
-    bases. The coupling integrands are products of three sines/cosines whose
-    half-period frequencies break the periodicity that makes the trapezoidal
-    rule spectrally accurate, so Gauss-Legendre is used instead; at the default
-    density the entries are converged to near machine precision."""
-    if phi.kind != "rect":
-        raise ValueError("coupling tensors are defined on rectangular domains")
-    if ppw < 8:
-        raise ValueError("resolution below 8 points per shortest half-wavelength rejected")
-    nx, ny = (max(a, b) for a, b in zip(required_grid_points(phi, ppw),
-                                        required_grid_points(psi, ppw)))
-    Lx, Ly = phi.lengths
-    xn, xw = np.polynomial.legendre.leggauss(nx)
-    yn, yw = np.polynomial.legendre.leggauss(ny)
-    x = 0.5 * Lx * (xn + 1.0)
-    y = 0.5 * Ly * (yn + 1.0)
-    wx = 0.5 * Lx * xw
-    wy = 0.5 * Ly * yw
-    X, Y = np.meshgrid(x, y)
-    return X, Y, np.outer(wy, wx)
-
-
-def _hessian_stack(basis: ModeBasis, X, Y):
-    n = basis.count
-    fxx = np.empty((n,) + X.shape)
-    fyy = np.empty_like(fxx)
-    fxy = np.empty_like(fxx)
-    for i in range(n):
-        fxx[i], fyy[i], fxy[i] = mode_second_derivatives(basis, i, X, Y)
-    return fxx, fyy, fxy
-
-
-def _mode_values(basis: ModeBasis, X, Y):
-    from .modes import _sinpi
-
-    labs = np.asarray(basis.labels, dtype=float)
-    Lx, Ly = basis.lengths
-    vals = np.empty((basis.count,) + X.shape)
-    for i in range(basis.count):
-        vals[i] = _sinpi(labs[i, 0] * (X / Lx)) * _sinpi(labs[i, 1] * (Y / Ly))
-    return vals * basis.shape_scale
-
-
-def compute_H(phi: ModeBasis, psi: ModeBasis, ppw: int = DEFAULT_PPW) -> np.ndarray:
-    """H[k, i, j] = integral Psi_k L(Phi_i, Phi_j) / (||Psi_k|| ||Phi_i|| ||Phi_j||).
-
-    Symmetry in (i, j) holds bit-exactly: each unordered pair is integrated once
-    and mirrored.
+    A mode f = sin(a x) sin(b y) has f_xx = -a^2 f, f_yy = -b^2 f and
+    f_xy = a b cos(a x) cos(b y), so each entry is a sum of products of 1-D
+    integrals:
+    T = (a_i^2 b_j^2 + b_i^2 a_j^2) Sx Sy - 2 (a_i b_i)(a_j b_j) Cx Cy.
+    The integrals vanish exactly unless both index sums are odd.
     """
-    if not phi.same_domain(psi):
-        raise ValueError("phi and psi must share the domain")
-    # the quadrature grid must resolve whichever basis carries the highest index
-    X, Y, W = _quadrature_grid(phi, psi, ppw)
-    fxx, fyy, fxy = _hessian_stack(phi, X, Y)
-    psi_w = (_mode_values(psi, X, Y) * W).reshape(psi.count, -1)
-
-    n = phi.count
-    H = np.empty((psi.count, n, n))
-    for i in range(n):
-        batch = vk_bilinear(
-            fxx[i][None], fyy[i][None], fxy[i][None], fxx[i:], fyy[i:], fxy[i:]
-        ).reshape(n - i, -1)
-        block = psi_w @ batch.T  # [n_psi, n - i]
-        H[:, i, i:] = block
-        H[:, i:, i] = block
-    denom = (
-        np.sqrt(psi.norms_sq)[:, None, None]
-        * np.sqrt(phi.norms_sq)[None, :, None]
-        * np.sqrt(phi.norms_sq)[None, None, :]
-    )
-    return H / denom
+    labels = [np.asarray(b.labels) for b in (o, l, r)]
+    factors = []
+    for axis, L in enumerate(o.lengths):
+        io, il, ir = (lab[:, axis] - 1 for lab in labels)
+        tables = _sine_integrals(np.arange(1, max(io.max(), il.max(), ir.max()) + 2), L)
+        factors.append([t[io][:, il][:, :, ir] for t in tables])
+    (Sx, Cx), (Sy, Cy) = factors
+    (al, bl), (ar, br) = ((lab * np.pi / np.asarray(o.lengths)).T for lab in labels[1:])
+    cross = np.outer(al**2, br**2) + np.outer(bl**2, ar**2)
+    twist = 2.0 * np.outer(al * bl, ar * br)
+    so, sl, sr = (b.shape_scale / np.sqrt(b.norms_sq) for b in (o, l, r))
+    return (cross * (Sx * Sy) - twist * (Cx * Cy)) * (so[:, None, None] * np.outer(sl, sr))
 
 
-
-
-def compute_C(phi: ModeBasis, psi: ModeBasis, ppw: int = DEFAULT_PPW) -> np.ndarray:
-    """C[s, p, n] = integral Phi_s L(Phi_p, Psi_n) / (||Phi_s|| ||Phi_p|| ||Psi_n||)."""
-    if not phi.same_domain(psi):
-        raise ValueError("phi and psi must share the domain")
-    X, Y, W = _quadrature_grid(phi, psi, ppw)
-    pxx, pyy, pxy = _hessian_stack(phi, X, Y)
-    sxx, syy, sxy = _hessian_stack(psi, X, Y)
-    phi_w = (_mode_values(phi, X, Y) * W).reshape(phi.count, -1)
-
-    C = np.empty((phi.count, phi.count, psi.count))
-    for p in range(phi.count):
-        batch = vk_bilinear(pxx[p][None], pyy[p][None], pxy[p][None], sxx, syy, sxy)
-        C[:, p, :] = phi_w @ batch.reshape(psi.count, -1).T
-    denom = (
-        np.sqrt(phi.norms_sq)[:, None, None]
-        * np.sqrt(phi.norms_sq)[None, :, None]
-        * np.sqrt(psi.norms_sq)[None, None, :]
-    )
-    return C / denom
-
-
-def derive_C_from_H(H: np.ndarray, phi: ModeBasis, psi: ModeBasis) -> np.ndarray:
-    """C[s, p, n] = H[n, p, s] — valid only when Phi and Psi are the same basis
-    (simply supported rectangle)."""
-    same = (
-        phi.same_domain(psi)
-        and phi.labels == psi.labels
-        and phi.unit_normalized == psi.unit_normalized
-    )
-    if not same:
-        raise ValueError("index-permutation shortcut requires identical Phi and Psi bases")
-    return np.ascontiguousarray(np.transpose(H, (2, 1, 0)))
-
-
-def simply_supported_tensors(phi: ModeBasis, n_psi: int | None = None,
-                             ppw: int = DEFAULT_PPW) -> CouplingTensors:
-    """Coupling tensors of a simply supported plate: Psi = Phi sine family,
-    zeta^4 = lambda^2, C from the permutation identity."""
+def simply_supported_tensors(phi: ModeBasis, n_psi: int | None = None) -> CouplingTensors:
+    """Coupling tensors of a simply supported plate: Psi is the sine family of
+    phi's rectangle (its first n_psi modes, default phi itself), zeta^4 =
+    lambda^2, H = T(Psi; Phi, Phi) and C = T(Phi; Phi, Psi) with T the closed
+    form of _projection."""
     from .modes import airy_eigenvalues, rect_basis
 
     if phi.kind != "rect":
         raise ValueError("plate coupling requires a rectangle basis")
-    n_psi = phi.count if n_psi is None else n_psi
-    if n_psi == phi.count:
+    if n_psi is None or n_psi == phi.count:
         psi = phi
     else:
         psi = rect_basis(phi.lengths[0], phi.lengths[1], n_psi, phi.unit_normalized)
-    H = compute_H(phi, psi, ppw)
-    if n_psi == phi.count:
-        C = derive_C_from_H(H, phi, psi)
-    else:
-        C = compute_C(phi, psi, ppw)
-    return CouplingTensors(H=H, C=C, zeta4=airy_eigenvalues(psi))
+    return CouplingTensors(H=_projection(psi, phi, phi), C=_projection(phi, phi, psi),
+                           zeta4=airy_eigenvalues(psi))
 
 
 def sparsify(ct: CouplingTensors, rel_tol: float = 1e-12) -> CouplingTensors:
-    """Zero entries below rel_tol times the largest magnitude. Parity-rule zeros
-    come out of quadrature as dust; made exact, they let VkContraction store
-    only the nonzero blocks, and they keep serialised files clean."""
+    """Zero entries below rel_tol times the largest magnitude.
+
+    For tensors that were not computed by simply_supported_tensors, such as
+    ones read from a file or integrated numerically, whose parity zeros may be
+    rounding dust: made exact, they let VkContraction store only the nonzero
+    blocks. simply_supported_tensors already returns exact zeros, which this
+    leaves as they are."""
 
     def clean(t):
         cut = rel_tol * np.max(np.abs(t))
@@ -348,9 +246,9 @@ class VkContraction:
 
     The block structure comes from exact zeros. The simply supported plate's
     parity rules make about three quarters of H and C zero, in four row
-    patterns per stage, but quadrature leaves those entries as dust of order
-    1e-16: pass tensors through sparsify to expose them. A tensor without
-    exact zeros forms one group, which is the dense product.
+    patterns per stage, and simply_supported_tensors returns those zeros
+    exactly. A tensor whose zeros are rounding dust, or that has none, forms
+    one group, which is the dense product; sparsify exposes the dust.
 
     The H gradient of finalize assumes C is tied to H by C[s,p,n] = H[n,p,s]
     (the simply supported plate), so that optimising H drags C along.

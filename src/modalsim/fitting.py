@@ -29,7 +29,6 @@ ranked by their best loss.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -414,7 +413,6 @@ class FitConfig:
     starts: int = 1
     init: Optional[Dict[str, dict]] = None  # name -> {"low","high"} | {"std"} | {"value"}
     seed: int = 0
-    threads: Optional[int] = None
 
     def __post_init__(self):
         if self.steps < 1:
@@ -501,15 +499,11 @@ def _run_start(problem, cfg: FitConfig, start_idx: int) -> StartResult:
 def fit(problem, cfg: FitConfig) -> FitResult:
     """Run cfg.starts independent Adam runs and rank them by best loss.
 
-    Start k draws its initialisation from default_rng([seed, k]), so the full
-    ranking is reproducible regardless of execution order or thread count.
+    The starts run one after another. Start k draws its initialisation from
+    default_rng([seed, k]), so each start, and the ranking, is reproducible
+    on its own, whatever the other starts do.
     """
-    indices = list(range(cfg.starts))
-    if cfg.threads and cfg.threads > 1 and cfg.starts > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(lambda i: _run_start(problem, cfg, i), indices))
-    else:
-        results = [_run_start(problem, cfg, i) for i in indices]
+    results = [_run_start(problem, cfg, i) for i in range(cfg.starts)]
     ok = [r for r in results if not r.diverged]
     if not ok:
         raise FitDivergedError(

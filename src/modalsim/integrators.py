@@ -34,7 +34,7 @@ import numpy as np
 
 from . import adjoint
 from .adjoint import InstabilityError, OverdampedError  # noqa: F401  (re-exported)
-from .coupling import CouplingTensors, TensionModulation, VkContraction, sparsify
+from .coupling import CouplingTensors, TensionModulation, VkContraction
 from .model import ModelSpec, derive_normalized, derive_tau, validate
 from .modes import ModeBasis, point_readout, project_point_excitation
 
@@ -248,6 +248,8 @@ def _sv_backstep(bank: OscillatorBank, T: float, q0, v0, u0):
 
 def _nl_hook_for(spec: ModelSpec, basis: ModeBasis,
                  tensors: Optional[CouplingTensors]) -> Optional[Callable]:
+    if tensors is not None and spec.nonlinearity != "von-karman":
+        raise ValueError(f"tensors apply to von-karman models only, not {spec.nonlinearity!r}")
     if spec.nonlinearity == "linear":
         return None
     if spec.nonlinearity == "tension-modulated":
@@ -262,9 +264,8 @@ def _nl_hook_for(spec: ModelSpec, basis: ModeBasis,
                 f"coupling tensors act on modal states of length {tensors.n_phi}, "
                 f"the basis has {basis.count} modes"
             )
-        # exact parity zeros let the contraction skip three quarters of H and C
-        ct = sparsify(tensors)
-        return VkContraction(ct.H, ct.C, ct.zeta4, spec.material.E / (2.0 * spec.material.rho))
+        return VkContraction(tensors.H, tensors.C, tensors.zeta4,
+                             spec.material.E / (2.0 * spec.material.rho))
     raise ValueError(f"unknown nonlinearity {spec.nonlinearity!r}")
 
 
@@ -296,19 +297,32 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
              readout_point=None, readout_weights: Optional[np.ndarray] = None,
              tensors: Optional[CouplingTensors] = None,
              b2: Optional[np.ndarray] = None,
-             rk_oversample: int = 16) -> Trajectory:
+             rk_oversample: Optional[int] = None) -> Trajectory:
     """Full simulation: assembles the oscillator bank, scheme coefficients,
     modal excitation, and nonlinear hook from a validated model spec.
 
     scheme is one of 'ftm' (impulse-invariant resonators), 'sv'
     (Stoermer-Verlet) or 'rk-reference' (oversampled RK4 oracle). b2, the
-    resonator numerator's second coefficient, exists only for 'ftm'.
+    resonator numerator's second coefficient, exists only for 'ftm';
+    rk_oversample (default 16) only for 'rk-reference'. tensors are the von
+    Karman coupling; tensors read from a file may need sparsify first for the
+    contraction to find its blocks. The readout is taken either at
+    readout_point or with readout_weights, one per mode.
     """
     spec = validate(spec)
     if scheme not in ("ftm", "sv", "rk-reference"):
         raise SchemeError(f"unknown scheme {scheme!r}")
     if b2 is not None and scheme != "ftm":
         raise SchemeError(f"b2 is a resonator coefficient; scheme {scheme!r} has none")
+    if rk_oversample is not None and scheme != "rk-reference":
+        raise SchemeError(f"rk_oversample applies to 'rk-reference' only, not {scheme!r}")
+    if readout_point is not None and readout_weights is not None:
+        raise ValueError("pass readout_point or readout_weights, not both")
+    if readout_weights is not None:
+        readout_weights = np.asarray(readout_weights, dtype=float)
+        if readout_weights.shape != (basis.count,):
+            raise ValueError(f"readout_weights has shape {readout_weights.shape}, "
+                             f"the basis has {basis.count} modes")
     bank = bank_from_spec(spec, basis)
     n_steps = int(round(duration * rate))
     T = 1.0 / rate
@@ -318,7 +332,8 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
     if scheme == "rk-reference":
         Q = rk_reference(bank, n_steps, rate, q0, v0,
                          force_signal=force_signal, force_gains=force_gains,
-                         nl_hook=nl_hook, oversample=rk_oversample)
+                         nl_hook=nl_hook,
+                         oversample=16 if rk_oversample is None else rk_oversample)
     else:
         if scheme == "ftm":
             coeffs = ftm_coeffs(bank, T, b2=b2)
@@ -338,7 +353,7 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
 
     readout = None
     if readout_weights is not None:
-        readout = Q @ np.asarray(readout_weights, dtype=float)
+        readout = Q @ readout_weights
     elif readout_point is not None:
         readout = Q @ point_readout(basis, readout_point).weights
     return Trajectory(rate=rate, q=Q, readout=readout, labels=basis.labels)

@@ -30,15 +30,6 @@ def _sinpi(t):
     return np.where(np.mod(n, 2) == 0, s, -s)
 
 
-def _cospi(t):
-    """cos(pi*t) with exact zeros at half-integer t."""
-    t = np.asarray(t, dtype=float)
-    n = np.floor(t)
-    f = t - n
-    c = np.where(f == 0.5, 0.0, np.cos(np.pi * f))
-    return np.where(np.mod(n, 2) == 0, c, -c)
-
-
 @dataclass(frozen=True)
 class ModeBasis:
     """Ordered eigenpairs of one domain.
@@ -287,18 +278,3 @@ def reconstruct(basis: ModeBasis, q: np.ndarray, axes: Sequence[np.ndarray]) -> 
     shapes = sample_modes(basis, [np.asarray(a, dtype=float) for a in axes])
     return np.tensordot(np.asarray(q), shapes, axes=(0, 0))
 
-
-def mode_second_derivatives(basis: ModeBasis, idx: int, X: np.ndarray, Y: np.ndarray):
-    """Closed-form Hessian entries (f_xx, f_yy, f_xy) of a rectangle mode on a grid."""
-    if basis.kind != "rect":
-        raise ValueError("second derivatives are provided for rectangle modes")
-    m, n = basis.labels[idx]
-    Lx, Ly = basis.lengths
-    kx, ky = m * np.pi / Lx, n * np.pi / Ly
-    sx, sy = _sinpi(m * (X / Lx)), _sinpi(n * (Y / Ly))
-    cx, cy = _cospi(m * (X / Lx)), _cospi(n * (Y / Ly))
-    s = basis.shape_scale
-    fxx = -(kx**2) * sx * sy * s
-    fyy = -(ky**2) * sx * sy * s
-    fxy = kx * ky * cx * cy * s
-    return fxx, fyy, fxy

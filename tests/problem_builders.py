@@ -9,7 +9,7 @@ tensors contain parity zeros whose gradients vanish identically).
 import numpy as np
 
 from modalsim import adjoint
-from modalsim.coupling import simply_supported_tensors, sparsify
+from modalsim.coupling import simply_supported_tensors
 from modalsim.fitting import FrequencyDomainProblem, TimeDomainProblem
 from modalsim.integrators import raised_cosine_pulse
 from modalsim.losses import LossWeights
@@ -47,8 +47,7 @@ def plate_time_problem(free=(), n_steps=500, rate=8000.0, random_H=True, seed=7,
     basis = rect_basis(0.3, 0.3, n_modes)
     ct = simply_supported_tensors(basis)
     rng = np.random.default_rng(seed)
-    # sparsify exposes the parity zeros that VkContraction packs into blocks
-    H = rng.normal(size=ct.H.shape) * np.std(ct.H) if random_H else sparsify(ct).H
+    H = rng.normal(size=ct.H.shape) * np.std(ct.H) if random_H else ct.H
     sig = raised_cosine_pulse(force_amp, 0.005, 0.004, rate, n_steps)
     gains = project_point_excitation(basis, (0.09, 0.12))
     w = point_readout(basis, (0.21, 0.08)).weights

@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalsim.coupling import (
-    CouplingTensors, GridField, TensionModulation, VkContraction, compute_C, compute_H,
-    derive_C_from_H, load_tensors, save_tensors, simply_supported_tensors, sparsify,
-    tensors_to_csv, vk_bilinear, vk_operator,
+    CouplingTensors, TensionModulation, VkContraction, load_tensors, save_tensors,
+    simply_supported_tensors, sparsify, tensors_to_csv,
 )
 from modalsim.integrators import InitialCondition, simulate
 from modalsim.model import MaterialParams, ModelSpec, RectPlate, String
-from modalsim.modes import mode_second_derivatives, rect_basis, reconstruct, string_basis
+from modalsim.modes import _sinpi, rect_basis, reconstruct, required_grid_points, string_basis
 
 
 def tension_force(q, basis, tau):
@@ -27,15 +26,98 @@ def square_tensors():
     return basis, simply_supported_tensors(basis)
 
 
-# --- bilinear operator ---------------------------------------------------------
+# --- quadrature oracle -----------------------------------------------------------
+#
+# The coupling integrals evaluated numerically: analytic second derivatives of
+# the sine modes on a tensor-product Gauss-Legendre grid with ppw points per
+# shortest half-wavelength. The integrands are products of three sines or
+# cosines whose half-period frequencies break the periodicity that makes the
+# trapezoidal rule spectrally accurate, so Gauss-Legendre is used; at 16
+# points the entries converge to near machine precision.
 
-def test_vk_operator_vanishes_on_linear_fields(rng):
-    x = np.linspace(0.0, 1.0, 33)
-    X, Y = np.meshgrid(x, x)
-    lin = GridField(0.8 * X - 0.3 * Y + 0.2, x[1] - x[0], x[1] - x[0])
-    g = GridField(np.sin(np.pi * X) * np.sin(2 * np.pi * Y), x[1] - x[0], x[1] - x[0])
-    out = vk_operator(lin, g)
-    assert np.max(np.abs(out.values)) < 1e-8 * np.max(np.abs(g.values))
+DEFAULT_PPW = 16
+
+
+def _cospi(t):
+    """cos(pi*t) with exact zeros at half-integer t."""
+    t = np.asarray(t, dtype=float)
+    n = np.floor(t)
+    f = t - n
+    c = np.where(f == 0.5, 0.0, np.cos(np.pi * f))
+    return np.where(np.mod(n, 2) == 0, c, -c)
+
+
+def mode_second_derivatives(basis, idx, X, Y):
+    """Closed-form Hessian entries (f_xx, f_yy, f_xy) of a rectangle mode on a grid."""
+    m, n = basis.labels[idx]
+    Lx, Ly = basis.lengths
+    kx, ky = m * np.pi / Lx, n * np.pi / Ly
+    sx, sy = _sinpi(m * (X / Lx)), _sinpi(n * (Y / Ly))
+    cx, cy = _cospi(m * (X / Lx)), _cospi(n * (Y / Ly))
+    s = basis.shape_scale
+    fxx = -(kx**2) * sx * sy * s
+    fyy = -(ky**2) * sx * sy * s
+    fxy = kx * ky * cx * cy * s
+    return fxx, fyy, fxy
+
+
+def vk_bilinear(fxx, fyy, fxy, gxx, gyy, gxy):
+    """Pointwise f_xx*g_yy + f_yy*g_xx - 2*f_xy*g_xy."""
+    return fxx * gyy + fyy * gxx - 2.0 * fxy * gxy
+
+
+def _quadrature_grid(phi, psi, ppw):
+    """Nodes and weights dense enough for both bases."""
+    nx, ny = (max(a, b) for a, b in zip(required_grid_points(phi, ppw),
+                                        required_grid_points(psi, ppw)))
+    Lx, Ly = phi.lengths
+    xn, xw = np.polynomial.legendre.leggauss(nx)
+    yn, yw = np.polynomial.legendre.leggauss(ny)
+    X, Y = np.meshgrid(0.5 * Lx * (xn + 1.0), 0.5 * Ly * (yn + 1.0))
+    return X, Y, np.outer(0.5 * Ly * yw, 0.5 * Lx * xw)
+
+
+def _hessian_stack(basis, X, Y):
+    return [np.stack(h) for h in zip(*(mode_second_derivatives(basis, i, X, Y)
+                                       for i in range(basis.count)))]
+
+
+def _mode_values(basis, X, Y):
+    labs = np.asarray(basis.labels, dtype=float)
+    Lx, Ly = basis.lengths
+    vals = np.stack([_sinpi(m * (X / Lx)) * _sinpi(n * (Y / Ly)) for m, n in labs])
+    return vals * basis.shape_scale
+
+
+def _norms(*bases):
+    a, b, c = (np.sqrt(x.norms_sq) for x in bases)
+    return a[:, None, None] * b[None, :, None] * c[None, None, :]
+
+
+def compute_H(phi, psi, ppw=DEFAULT_PPW):
+    """H[k, i, j] = integral Psi_k L(Phi_i, Phi_j) / (||Psi_k|| ||Phi_i|| ||Phi_j||)."""
+    X, Y, W = _quadrature_grid(phi, psi, ppw)
+    fxx, fyy, fxy = _hessian_stack(phi, X, Y)
+    psi_w = (_mode_values(psi, X, Y) * W).reshape(psi.count, -1)
+    n = phi.count
+    H = np.empty((psi.count, n, n))
+    for i in range(n):
+        batch = vk_bilinear(fxx[i][None], fyy[i][None], fxy[i][None], fxx, fyy, fxy)
+        H[:, i, :] = psi_w @ batch.reshape(n, -1).T
+    return H / _norms(psi, phi, phi)
+
+
+def compute_C(phi, psi, ppw=DEFAULT_PPW):
+    """C[s, p, n] = integral Phi_s L(Phi_p, Psi_n) / (||Phi_s|| ||Phi_p|| ||Psi_n||)."""
+    X, Y, W = _quadrature_grid(phi, psi, ppw)
+    pxx, pyy, pxy = _hessian_stack(phi, X, Y)
+    sxx, syy, sxy = _hessian_stack(psi, X, Y)
+    phi_w = (_mode_values(phi, X, Y) * W).reshape(phi.count, -1)
+    C = np.empty((phi.count, phi.count, psi.count))
+    for p in range(phi.count):
+        batch = vk_bilinear(pxx[p][None], pyy[p][None], pxy[p][None], sxx, syy, sxy)
+        C[:, p, :] = phi_w @ batch.reshape(psi.count, -1).T
+    return C / _norms(phi, phi, psi)
 
 
 def test_vk_operator_value_at_plate_center():
@@ -48,58 +130,11 @@ def test_vk_operator_value_at_plate_center():
     assert val == pytest.approx(2 * np.pi**4, rel=1e-12)
 
 
-@given(st.integers(min_value=0, max_value=10**6))
-def test_vk_operator_symmetric_on_sine_sums(seed):
-    rng = np.random.default_rng(seed)
-    x = np.linspace(0.0, 1.0, 49)
-    X, Y = np.meshgrid(x, x)
-    h = x[1] - x[0]
-
-    def rand_field():
-        v = np.zeros_like(X)
-        for _ in range(3):
-            m, n = rng.integers(1, 4, size=2)
-            v += rng.normal() * np.sin(m * np.pi * X) * np.sin(n * np.pi * Y)
-        return GridField(v, h, h)
-
-    f, g = rand_field(), rand_field()
-    fg = vk_operator(f, g).values
-    gf = vk_operator(g, f).values
-    assert np.max(np.abs(fg - gf)) <= 1e-9 * max(np.max(np.abs(fg)), 1.0)
-
-
-def test_vk_operator_rejects_mismatched_grids():
-    a = GridField(np.zeros((8, 8)), 0.1, 0.1)
-    b = GridField(np.zeros((8, 9)), 0.1, 0.1)
-    with pytest.raises(ValueError, match="mismatch"):
-        vk_operator(a, b)
-
-
-# --- coupling tensors ------------------------------------------------------------
-
-def test_H_swap_symmetry_is_exact(square_tensors):
-    _, ct = square_tensors
-    assert np.array_equal(ct.H, np.transpose(ct.H, (0, 2, 1)))
-
-
-def test_H_parity_selection_rules(square_tensors):
-    basis, ct = square_tensors
-    labs = np.asarray(basis.labels)
-    scale = np.max(np.abs(ct.H))
-    for k in range(5):
-        for i in range(5):
-            for j in range(5):
-                msum = labs[k, 0] + labs[i, 0] + labs[j, 0]
-                nsum = labs[k, 1] + labs[i, 1] + labs[j, 1]
-                if msum % 2 == 0 or nsum % 2 == 0:
-                    assert abs(ct.H[k, i, j]) < 1e-10 * scale
-
-
-def test_H_stable_under_grid_refinement(square_tensors):
-    basis, ct = square_tensors
-    fine = compute_H(basis, basis, ppw=32)
+def test_H_stable_under_grid_refinement():
+    basis = rect_basis(1.0, 1.0, 5)
+    coarse, fine = compute_H(basis, basis, ppw=16), compute_H(basis, basis, ppw=32)
     nz = np.abs(fine) > 1e-9 * np.max(np.abs(fine))
-    rel = np.abs(ct.H[nz] - fine[nz]) / np.abs(fine[nz])
+    rel = np.abs(coarse[nz] - fine[nz]) / np.abs(fine[nz])
     assert np.max(rel) < 1e-6
 
 
@@ -110,25 +145,50 @@ def test_H_first_entry_against_finer_quadrature():
     assert h16 == pytest.approx(h64, rel=1e-6)
 
 
+# --- coupling tensors ------------------------------------------------------------
+
+@pytest.mark.parametrize("n_phi, n_psi, unit_norm", [
+    (12, None, True), (30, None, True), (60, None, True),
+    (8, 14, True), (14, 8, True), (12, None, False), (8, 14, False),
+])
+def test_closed_form_matches_quadrature_oracle(n_phi, n_psi, unit_norm):
+    phi = rect_basis(0.4, 0.3, n_phi, unit_norm)
+    psi = rect_basis(0.4, 0.3, n_psi, unit_norm) if n_psi else phi
+    ct = simply_supported_tensors(phi, n_psi)
+    for got, oracle in ((ct.H, compute_H(phi, psi)), (ct.C, compute_C(phi, psi))):
+        assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+def test_H_swap_symmetry_is_exact(square_tensors):
+    _, ct = square_tensors
+    assert np.array_equal(ct.H, np.transpose(ct.H, (0, 2, 1)))
+
+
+def test_H_parity_selection_rules(square_tensors):
+    basis, ct = square_tensors
+    labs = np.asarray(basis.labels)
+    for k in range(5):
+        for i in range(5):
+            for j in range(5):
+                msum = labs[k, 0] + labs[i, 0] + labs[j, 0]
+                nsum = labs[k, 1] + labs[i, 1] + labs[j, 1]
+                if msum % 2 == 0 or nsum % 2 == 0:
+                    assert ct.H[k, i, j] == 0.0
+                    assert ct.C[k, i, j] == 0.0
+
+
+def test_C_is_H_transposed_when_psi_is_phi():
+    ct = simply_supported_tensors(rect_basis(0.4, 0.3, 30))
+    HT = np.transpose(ct.H, (2, 1, 0))
+    assert np.array_equal(ct.C == 0.0, HT == 0.0)
+    assert np.max(np.abs(ct.C - HT)) <= 1e-14 * np.max(np.abs(ct.H))
+
+
 def test_C_direct_quadrature_matches_permutation_identity(square_tensors):
     basis, ct = square_tensors
     direct = compute_C(basis, basis)
     scale = np.max(np.abs(ct.H))
-    assert np.max(np.abs(direct - ct.C)) < 1e-8 * scale
-
-
-def test_derive_C_rejects_different_bases():
-    phi = rect_basis(1.0, 1.0, 4)
-    psi = rect_basis(1.0, 1.0, 6)
-    H = compute_H(phi, psi)
-    with pytest.raises(ValueError, match="identical"):
-        derive_C_from_H(H, phi, psi)
-
-
-def test_resolution_floor_rejected():
-    basis = rect_basis(1.0, 1.0, 3)
-    with pytest.raises(ValueError, match="below 8"):
-        compute_H(basis, basis, ppw=4)
+    assert np.max(np.abs(direct - np.transpose(ct.H, (2, 1, 0)))) < 1e-8 * scale
 
 
 def test_mixed_basis_sizes_use_direct_C():
@@ -231,7 +291,7 @@ def test_vk_contraction_class_matches_function(square_tensors, rng):
 
 
 def physical_tensors():
-    return sparsify(simply_supported_tensors(rect_basis(0.4, 0.3, 12)))
+    return simply_supported_tensors(rect_basis(0.4, 0.3, 12))
 
 
 def dense_tensors():
@@ -278,7 +338,7 @@ def test_blocked_contraction_matches_naive_and_jacobian(tensors, groups):
 
 
 def test_blocked_contraction_keeps_parity_blocks_only():
-    ct = sparsify(simply_supported_tensors(rect_basis(0.4, 0.3, 60)))
+    ct = simply_supported_tensors(rect_basis(0.4, 0.3, 60))
     hook = VkContraction(ct.H, ct.C, ct.zeta4, gain=1.0)
     dense = ct.n_phi**2 * ct.n_psi
     for blocks in (hook.h_blocks, hook.c_blocks):
@@ -298,11 +358,22 @@ def test_vk_dimension_mismatch():
 # --- storage ---------------------------------------------------------------------------
 
 def test_sparsify_drops_parity_dust(square_tensors):
-    _, ct = square_tensors
+    basis, ct = square_tensors
+    quad = CouplingTensors(H=compute_H(basis, basis), C=compute_C(basis, basis),
+                           zeta4=ct.zeta4)
+    assert np.count_nonzero(quad.H == 0.0) == 0
+    cleaned = sparsify(quad)
+    assert np.array_equal(cleaned.H == 0.0, ct.H == 0.0)
+    assert np.array_equal(cleaned.C == 0.0, ct.C == 0.0)
+    nz = np.abs(quad.H) > 1e-10 * np.max(np.abs(quad.H))
+    assert np.array_equal(cleaned.H[nz], quad.H[nz])
+
+
+def test_sparsify_leaves_closed_form_unchanged():
+    ct = simply_supported_tensors(rect_basis(0.4, 0.3, 30))
     cleaned = sparsify(ct)
-    assert np.count_nonzero(cleaned.H == 0.0) > 0
-    nz = np.abs(ct.H) > 1e-10 * np.max(np.abs(ct.H))
-    assert np.array_equal(cleaned.H[nz], ct.H[nz])
+    assert np.array_equal(cleaned.H, ct.H)
+    assert np.array_equal(cleaned.C, ct.C)
 
 
 def test_binary_round_trip(tmp_path, square_tensors):

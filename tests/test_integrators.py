@@ -286,6 +286,41 @@ def test_b2_rejected_by_schemes_without_it(scheme):
                  b2=np.full(4, 1e-3))
 
 
+@pytest.mark.parametrize("nonlinearity", ["linear", "tension-modulated"])
+def test_tensors_rejected_without_plate_coupling(nonlinearity):
+    spec = string_spec(T0=800.0, nonlinearity=nonlinearity, E=1e9)
+    basis = string_basis(1.0, 4)
+    ct = simply_supported_tensors(rect_basis(0.3, 0.3, 4))
+    with pytest.raises(ValueError, match=f"tensors .*{nonlinearity}"):
+        simulate(spec, basis, "sv", triangular_pluck(basis, 0.3, 0.01), 0.01, 8000.0,
+                 tensors=ct)
+
+
+@pytest.mark.parametrize("scheme, oversample", [("ftm", 4), ("sv", 4), ("ftm", 0), ("sv", 0)])
+def test_rk_oversample_rejected_by_explicit_schemes(scheme, oversample):
+    spec = string_spec(T0=800.0)
+    basis = string_basis(1.0, 4)
+    with pytest.raises(SchemeError, match=f"rk_oversample.*{scheme}"):
+        simulate(spec, basis, scheme, triangular_pluck(basis, 0.3, 0.01), 0.01, 8000.0,
+                 rk_oversample=oversample)
+
+
+def test_readout_point_and_weights_together_rejected():
+    spec = string_spec(T0=800.0)
+    basis = string_basis(1.0, 4)
+    with pytest.raises(ValueError, match="readout_point or readout_weights"):
+        simulate(spec, basis, "ftm", triangular_pluck(basis, 0.3, 0.01), 0.01, 8000.0,
+                 readout_point=0.6, readout_weights=np.ones(4))
+
+
+def test_readout_weights_of_wrong_length_rejected():
+    spec = string_spec(T0=800.0)
+    basis = string_basis(1.0, 4)
+    with pytest.raises(ValueError, match=r"readout_weights has shape \(3,\), the basis has 4"):
+        simulate(spec, basis, "ftm", triangular_pluck(basis, 0.3, 0.01), 0.01, 8000.0,
+                 readout_weights=np.ones(3))
+
+
 def test_trajectory_exports(tmp_path):
     spec = string_spec(T0=500.0, d1=1.0)
     basis = string_basis(1.0, 3)
