@@ -27,7 +27,11 @@ qbar^n = dL/dq^n backwards:
 
     qbar^n = w ybar_n + A qbar^{n+1} + B qbar^{n+2} - J_nl(q^n)^T (R qbar^{n+1})
 
-and parameter gradients reduce to sums of stored products afterwards.
+and parameter gradients reduce to sums of stored products afterwards. With
+nl = 0, mode k is the two-pole IIR filter (R_k + R2_k z^-1) / (1 - A_k z^-1 -
+B_k z^-2) of its force, run by ``scipy.signal.lfilter`` from the state
+[A q^0 + B q^{-1}, B q^0], and the sweep is the same filter, numerator 1, on
+reversed time. The per-sample loops serve nonlinear hooks only.
 
 A nonlinear force ``hook`` is an object with ``begin(n_steps)`` (fresh
 per-run caches), ``hook(q, n)`` (the force at step n, caching what the sweep
@@ -38,9 +42,9 @@ needs), ``jt_vec(n, v, q)`` (J_nl(q^n)^T v) and ``finalize(V, Qmid, want)``
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import get_window
+from scipy.signal import get_window, lfilter
 
-# steps between the finiteness checks of the forward recurrence
+# steps between the hook loop's finiteness checks (the filter path checks once)
 CHECK_EVERY = 64
 
 
@@ -49,10 +53,14 @@ class OverdampedError(ValueError):
 
 
 class InstabilityError(RuntimeError):
+    """The state went non-finite. step is the first such step on the filter
+    path and the next multiple of CHECK_EVERY in the hook loop; mode is the
+    lowest-index mode non-finite there."""
+
     def __init__(self, step: int, mode: int):
         self.step = step
         self.mode = mode
-        super().__init__(f"non-finite state at step {step} (largest-magnitude mode index {mode})")
+        super().__init__(f"non-finite state at step {step} (mode index {mode})")
 
 
 def _check_finite(q, step):
@@ -143,38 +151,49 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
     """Forward stepping that stores everything the reverse sweep needs.
 
     Returns (Q, U): Q[t] = q^{t-1} with shape [n_steps+2, modes]; U holds the
-    inputs u^n, or None when the system runs force- and hook-free.
+    inputs u^n, or None when the system runs force- and hook-free. Without a
+    hook, Q is the transpose of a [mode, time] array (a view, not a copy).
     """
     m = len(q0)
+    if hook is None:
+        U = None if force_signal is None else np.outer(force_signal, force_gains)
+        R2 = np.zeros(m) if R2 is None else R2
+        Qt = np.empty((m, n_steps + 2))
+        Qt[:, 0], Qt[:, 1] = q_prev, q0
+        zi = np.stack([A * q0 + B * q_prev, B * q0], axis=1)
+        x = np.zeros(n_steps)
+        for k in range(m):
+            if force_signal is not None:
+                x = force_gains[k] * force_signal
+            Qt[k, 2:] = lfilter([R[k], R2[k]], [1.0, -A[k], -B[k]], x, zi=zi[k])[0]
+        finite = np.isfinite(Qt[:, 2:])  # column j holds q^{j+1}
+        if not finite.all():
+            first = np.where(finite.all(axis=1), n_steps, finite.argmin(axis=1))
+            mode = int(np.argmin(first))
+            raise InstabilityError(step=int(first[mode]) + 1, mode=mode)
+        return Qt.T, U
+
     Q = np.empty((n_steps + 2, m))
     Q[0] = q_prev
     Q[1] = q0
     q, qp = Q[1], Q[0]
-    has_input = force_signal is not None or hook is not None
-    U = np.empty((n_steps, m)) if has_input else None
+    U = np.empty((n_steps, m))
     use_b2 = R2 is not None and np.any(R2)
     u_prev = np.zeros(m)
     every = CHECK_EVERY
-    if hook is not None:
-        hook.begin(n_steps)
+    hook.begin(n_steps)
     # a blow-up overflows before it turns non-finite; the periodic check
     # reports it as InstabilityError, also where warnings are errors
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
-            if has_input:
-                if hook is not None:
-                    u = -hook(q, n)
-                    if force_signal is not None:
-                        u += force_gains * force_signal[n]
-                else:
-                    u = force_gains * force_signal[n]
-                U[n] = u
-                q_next = A * q + B * qp + R * u
-                if use_b2:
-                    q_next += R2 * u_prev
-                    u_prev = u
-            else:
-                q_next = A * q + B * qp
+            u = -hook(q, n)
+            if force_signal is not None:
+                u += force_gains * force_signal[n]
+            U[n] = u
+            q_next = A * q + B * qp + R * u
+            if use_b2:
+                q_next += R2 * u_prev
+                u_prev = u
             qp, q = q, q_next
             Q[n + 2] = q
             if n % every == every - 1:
@@ -191,18 +210,24 @@ def bptt(A, B, R, Q, U, qbar_direct, hook=None, hook_param_names=()):
     adjoints V[n] = dL/du^n are kept internal).
     """
     n_steps, m = qbar_direct.shape
-    # qbar[t] = dL/dq^{t-1}; the last row stays zero. The sweep also visits
-    # step 0, whose qbar^0 is unused but whose force adjoint the hook keeps.
-    qbar = np.zeros((n_steps + 3, m))
-    qbar[2:-1] = qbar_direct
-    for t in range(n_steps, 0, -1):
-        nxt = qbar[t + 1]
-        acc = qbar[t] + A * nxt
-        if hook is not None:
+    if hook is None:
+        # the same filter on reversed time
+        qbar_t = np.empty((m, n_steps))
+        for k in range(m):
+            qbar_t[k] = lfilter([1.0], [1.0, -A[k], -B[k]], qbar_direct[::-1, k])[::-1]
+        qbar = qbar_t.T
+    else:
+        # qbar[t] = dL/dq^{t-1}; the last row stays zero. The sweep also visits
+        # step 0, whose qbar^0 is unused but whose force adjoint the hook keeps.
+        qbar = np.zeros((n_steps + 3, m))
+        qbar[2:-1] = qbar_direct
+        for t in range(n_steps, 0, -1):
+            nxt = qbar[t + 1]
+            acc = qbar[t] + A * nxt
             acc -= hook.jt_vec(t - 1, R * nxt, Q[t])
-        acc += B * qbar[t + 2]
-        qbar[t] = acc
-    qbar = qbar[2:-1]
+            acc += B * qbar[t + 2]
+            qbar[t] = acc
+        qbar = qbar[2:-1]
 
     out = {
         "dA": np.einsum("tm,tm->m", qbar, Q[1:-1]),

@@ -170,6 +170,12 @@ class TimeDomainProblem(_Parameters):
         self.gamma = np.broadcast_to(np.asarray(self.gamma, dtype=float), (m,)).copy()
         if self.readout_weights is None:
             self.readout_weights = np.ones(m)
+        for name, size in (("force_signal", self.n_steps), ("force_gains", m),
+                           ("readout_weights", m)):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != (size,):
+                raise ValueError(f"{name} has shape {value.shape}, expected length {size}")
+            setattr(self, name, value)
         self.freqs = np.fft.rfftfreq(self.stft_window_length, d=1.0 / self.rate)
         self._check_free()
         if self.scheme not in ("ftm", "sv"):

@@ -19,9 +19,11 @@ q^{n+1} = A q^n + B q^{n-1} + R u^n (+ R2 u^{n-1}):
 Each scheme's coefficient map is written once, in :mod:`modalsim.adjoint`,
 together with its partial derivatives in omega^2 and gamma, which the fits
 chain through. :func:`simulate` runs both schemes through the recurrence in
-:func:`modalsim.adjoint.forward_cached`, the same loop the time-domain fit
-differentiates; an oversampled RK4 integrator provides the reference solution
-for scheme-error measurements.
+:func:`modalsim.adjoint.forward_cached`, the same code the time-domain fit
+differentiates. A linear model runs there as one two-pole IIR filter per mode
+(``scipy.signal.lfilter``), whose reverse sweep is the same filter on reversed
+time; the per-sample loop serves the nonlinear forces only. An oversampled RK4
+integrator provides the reference solution for scheme-error measurements.
 """
 
 from __future__ import annotations
@@ -205,7 +207,9 @@ Excitation = Union[InitialCondition, PointForce]
 class Trajectory:
     """Modal amplitudes over time, plus the optional point-readout signal.
 
-    Row n holds the state after n+1 update steps.
+    Row n holds the state after n+1 update steps. For a linear model, q is a
+    transposed view of a [mode, time] array, so each mode's samples are
+    contiguous.
     """
 
     rate: float

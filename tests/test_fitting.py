@@ -62,3 +62,15 @@ def test_time_problem_rejects_hop_longer_than_window():
 def test_time_problem_rejects_signal_shorter_than_window():
     with pytest.raises(ValueError, match="too short"):
         TimeDomainProblem(**time_kw(n_steps=200, force_signal=np.zeros(200)))
+
+
+@pytest.mark.parametrize("name, value, expected", [
+    ("force_signal", np.zeros(599), 600),
+    ("force_signal", np.zeros(601), 600),
+    ("force_gains", np.ones(4), 3),
+    ("readout_weights", np.ones(2), 3),
+], ids=["short-signal", "long-signal", "gains", "weights"])
+def test_time_problem_rejects_input_of_wrong_length(name, value, expected):
+    with pytest.raises(ValueError, match=rf"{name} has shape \({len(value)},\), "
+                                         rf"expected length {expected}"):
+        TimeDomainProblem(**time_kw(**{name: value}))

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from modalsim.adjoint import forward_cached
+from modalsim.adjoint import bptt, forward_cached
 from modalsim.coupling import simply_supported_tensors
 from modalsim.integrators import (
     InitialCondition, InstabilityError, OverdampedError, PointForce, SchemeError,
@@ -34,6 +34,29 @@ def scan_sequential(bank, T, n_steps, q0, v0, force_signal, force_gains):
         x = a * x + beta * (force_gains * force_signal[n])
         out[n] = x.real
     return out
+
+
+def loop_forward(A, B, R, R2, q0, q_prev, n_steps, force_signal=None, force_gains=None):
+    """Reference oracle: the hook-free recurrence stepped sample by sample,
+    rows q^{-1} .. q^N as forward_cached stores them."""
+    Q = np.empty((n_steps + 2, len(q0)))
+    Q[0], Q[1] = q_prev, q0
+    u_prev = np.zeros(len(q0))
+    for n in range(n_steps):
+        u = np.zeros(len(q0)) if force_signal is None else force_gains * force_signal[n]
+        Q[n + 2] = A * Q[n + 1] + B * Q[n] + R * u + R2 * u_prev
+        u_prev = u
+    return Q
+
+
+def loop_sweep(A, B, qbar_direct):
+    """Reference oracle: the hook-free reverse sweep stepped sample by sample,
+    rows dL/dq^1 .. dL/dq^N."""
+    n_steps, m = qbar_direct.shape
+    qbar = np.zeros((n_steps + 2, m))
+    for t in range(n_steps - 1, -1, -1):
+        qbar[t] = qbar_direct[t] + A * qbar[t + 1] + B * qbar[t + 2]
+    return qbar[:n_steps]
 
 
 def string_spec(T0=1.0, d1=0.0, d3=0.0, nonlinearity="linear", E=0.0, A=1e-6, rho=1.0):
@@ -196,12 +219,17 @@ def test_instability_error_reports_step_and_mode():
     bank = oscillator_bank(np.array([1.0, 1.0]), 0.0, np.array([1.0, 1e9]))
     with pytest.warns(UserWarning):
         co = sv_coeffs(bank, 0.1)
-    A, B, R, _ = co.update_vectors()
+    A, B, R, R2 = co.update_vectors()
+    q0, q_prev = np.array([0.0, 1e-3]), np.zeros(2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InstabilityError) as ei:
-            run(A, B, R, np.array([0.0, 1e-3]), np.zeros(2), 2000)
+            run(A, B, R, q0, q_prev, 2000)
+        Q = loop_forward(A, B, R, R2, q0, q_prev, 2000)
+    # Q[t] = q^{t-1}: the oracle's first non-finite state, after t-1 steps
+    first = int(np.argmax(~np.all(np.isfinite(Q), axis=1))) - 1
+    assert 1 <= first < 2000
     assert ei.value.mode == 1
-    assert ei.value.step >= 1
+    assert ei.value.step == first
 
 
 def test_blow_up_is_instability_error_when_warnings_are_errors():
@@ -359,6 +387,67 @@ def test_scan_matches_stepping_loop(damped_bank):
     loop = run(A, B, R, q0, _ftm_backstep(damped_bank, T, q0, v0), 10_000,
                force_signal=sig, force_gains=gains)
     assert np.max(np.abs(oracle - loop)) <= 1e-10 * np.max(np.abs(loop))
+
+
+# --- IIR filter path against the per-sample oracle -----------------------------------
+
+def filter_case(scheme, forced, n_steps, damped_bank):
+    T = 1 / 8000
+    if scheme == "ftm":
+        A, B, R, R2 = ftm_coeffs(damped_bank, T, b2=np.linspace(-2e-4, 3e-4, 5)).update_vectors()
+    else:
+        A, B, R, R2 = sv_coeffs(damped_bank, T).update_vectors()
+    q0 = np.array([0.01, -0.02, 0.005, 0.0, 0.003])
+    q_prev = np.array([0.009, -0.018, 0.004, 0.001, -0.002])
+    kw = {}
+    if forced:
+        rng = np.random.default_rng(n_steps)
+        kw = dict(force_signal=rng.standard_normal(n_steps), force_gains=np.linspace(1.0, 0.2, 5))
+    return (A, B, R, R2, q0, q_prev, n_steps), kw
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 257])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("scheme", ["ftm", "sv"])
+def test_filter_forward_matches_per_sample_loop(scheme, forced, n_steps, damped_bank):
+    (A, B, R, R2, q0, q_prev, n), kw = filter_case(scheme, forced, n_steps, damped_bank)
+    Q, U = forward_cached(A, B, R, q0, q_prev, n, R2=R2, **kw)
+    oracle = loop_forward(A, B, R, R2, q0, q_prev, n, **kw)
+    assert Q.shape == oracle.shape == (n + 2, 5)
+    assert np.max(np.abs(Q - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    if forced:
+        assert np.array_equal(U, np.outer(kw["force_signal"], kw["force_gains"]))
+    else:
+        assert U is None
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("scheme", ["ftm", "sv"])
+def test_filter_sweep_matches_per_sample_loop(scheme, forced, damped_bank):
+    (A, B, R, R2, q0, q_prev, n), kw = filter_case(scheme, forced, 257, damped_bank)
+    Q, U = forward_cached(A, B, R, q0, q_prev, n, **kw)
+    qbar_direct = np.random.default_rng(1).standard_normal((n, 5))
+    g = bptt(A, B, R, Q, U, qbar_direct)
+    qbar = loop_sweep(A, B, qbar_direct)
+    Q_loop = loop_forward(A, B, R, np.zeros(5), q0, q_prev, n, **kw)
+    oracle = {"dA": np.sum(qbar * Q_loop[1:-1], axis=0), "dB": np.sum(qbar * Q_loop[:-2], axis=0),
+              "dR": np.sum(qbar * U, axis=0) if forced else np.zeros(5)}
+    for name, want in oracle.items():
+        assert np.max(np.abs(g[name] - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("scheme", ["ftm", "sv"])
+def test_hook_loop_with_zero_tension_matches_filter_path(scheme):
+    # E = 0 makes tau = 0: the tension-modulated model runs the hook loop with a
+    # zero force, the linear model the filter path
+    basis = string_basis(1.0, 6)
+    modulated, linear = (
+        simulate(string_spec(T0=500.0, d1=1.0, nonlinearity=nl), basis, scheme,
+                 triangular_pluck(basis, 0.3, 0.01), 0.05, 8000.0, readout_point=0.6)
+        for nl in ("tension-modulated", "linear"))
+    assert np.max(np.abs(modulated.q - linear.q)) <= 1e-12 * np.max(np.abs(linear.q))
+    assert (np.max(np.abs(modulated.readout - linear.readout))
+            <= 1e-12 * np.max(np.abs(linear.readout)))
 
 
 # --- RK reference -------------------------------------------------------------------
