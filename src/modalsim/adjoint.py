@@ -12,7 +12,9 @@ against central finite differences):
   ``analysis.stft`` wraps, and its adjoint;
 * :func:`tf_magnitude_cached` / :func:`tf_magnitude_backward`, the modal
   transfer-function magnitude that ``analysis.tf_magnitude`` wraps, and its
-  adjoint.
+  adjoint in closed form: the forward pass keeps each mode's reciprocal
+  denominator inv and response Gm, and every gradient is one weighted sum
+  over frequency of inv or inv Gm.
 
 The nonlinear forces live with their Jacobians in :mod:`modalsim.coupling`.
 
@@ -279,11 +281,8 @@ def stft_backward(cache, mag_bar):
     Gpad = np.zeros((Z.shape[0], wl), dtype=complex)
     Gpad[:, : Z.shape[1]] = np.conj(Gz)
     seg = win[None, :] * np.real(np.fft.fft(Gpad, axis=1))
-    xp_bar = np.zeros(len(idx_map))
-    np.add.at(xp_bar, frame_idx, seg)
-    y_bar = np.zeros(n)
-    np.add.at(y_bar, idx_map, xp_bar)
-    return y_bar
+    xp_bar = np.bincount(frame_idx.ravel(), weights=seg.ravel(), minlength=len(idx_map))
+    return np.bincount(idx_map, weights=xp_bar, minlength=n)
 
 
 # --- frequency-domain transfer function with partials ------------------------------
@@ -297,34 +296,31 @@ def check_tf_frequencies(freqs, rate: float) -> np.ndarray:
 
 
 def tf_magnitude_cached(a1, a2, b1, b2, weights, freqs, rate):
-    """|sum_mu w_mu (b1 z + b2) / (z^2 + a1 z + a2)| at z = e^{i 2 pi f / rate},
-    plus the complex per-mode pieces the adjoint needs.
+    """|H| = |sum_mu w_mu (b1 z + b2) / (z^2 + a1 z + a2)| at z = e^{i 2 pi f / rate}.
 
     The modal responses are summed as complex quantities before taking the
-    magnitude, matching the parallel-resonator structure. `freqs` must have
-    passed :func:`check_tf_frequencies`.
+    magnitude, matching the parallel-resonator structure. The cache holds z,
+    the reciprocal inv = 1/den and the response Gm = (b1 z + b2) inv, both
+    [freq, mode], and H, |H|, w. With hc = conj(mag_bar H/|H|) (0 where |H| = 0),
+    P = hc w inv and PG = P Gm, :func:`tf_magnitude_backward` returns
+    dw = Re(hc Gm), db1 = Re(z P), db2 = Re sum_f P, da1 = -Re(z PG) and
+    da2 = -Re sum_f PG. `freqs` must have passed :func:`check_tf_frequencies`.
     """
-    z = np.exp(2j * np.pi * freqs / rate)[:, None]
-    num = b1[None, :] * z + b2[None, :]
-    den = z * z + a1[None, :] * z + a2[None, :]
-    Gm = num / den
-    H = np.sum(weights[None, :] * Gm, axis=1)
+    z = np.exp(2j * np.pi * freqs / rate)
+    zc = z[:, None]
+    inv = 1.0 / (zc * zc + a1[None, :] * zc + a2[None, :])
+    Gm = (b1[None, :] * zc + b2[None, :]) * inv
+    H = Gm @ weights
     mag = np.abs(H)
-    return mag, (z, num, den, Gm, H, mag, weights)
+    return mag, (z, inv, Gm, H, mag, weights)
 
 
 def tf_magnitude_backward(cache, mag_bar):
     """Gradients of sum_f mag_bar_f |H_f| with respect to w, b1, b2, a1, a2."""
-    z, num, den, Gm, H, mag, w = cache
+    z, inv, Gm, H, mag, w = cache
     safe = np.where(mag > 0.0, mag, 1.0)
-    hbar = np.where(mag > 0.0, mag_bar * H / safe, 0.0)[:, None]  # dL/dconj(H) style
-
-    def project(dH_dtheta):
-        return np.real(np.conj(hbar) * dH_dtheta).sum(axis=0)
-
-    dw = project(Gm)
-    db1 = project(w[None, :] * z / den)
-    db2 = project(w[None, :] / den)
-    da1 = project(-w[None, :] * num * z / den**2)
-    da2 = project(-w[None, :] * num / den**2)
-    return {"dw": dw, "db1": db1, "db2": db2, "da1": da1, "da2": da2}
+    hc = np.conj(np.where(mag > 0.0, mag_bar * H / safe, 0.0))
+    P = (hc[:, None] * w) * inv
+    PG = P * Gm
+    return {"dw": np.real(hc @ Gm), "db1": np.real(z @ P), "db2": np.real(P.sum(axis=0)),
+            "da1": -np.real(z @ PG), "da2": -np.real(PG.sum(axis=0))}

@@ -289,8 +289,11 @@ def _modal_excitation(basis: ModeBasis, excitation: Excitation, n_steps: int):
     elif isinstance(excitation, PointForce):
         force_gains = project_point_excitation(basis, excitation.point)
         sig = np.asarray(excitation.signal, dtype=float)
+        if len(sig) > n_steps:
+            raise ValueError(f"force signal has {len(sig)} samples but the simulation "
+                             f"has {n_steps} steps")
         force_signal = np.zeros(n_steps)
-        force_signal[: min(n_steps, len(sig))] = sig[:n_steps]
+        force_signal[: len(sig)] = sig
     else:
         raise TypeError(f"unsupported excitation {type(excitation).__name__}")
     return q0, v0, force_signal, force_gains

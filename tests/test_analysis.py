@@ -1,5 +1,6 @@
 import logging
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.signal import get_window
@@ -9,7 +10,9 @@ from modalsim.analysis import (
     tf_magnitude,
 )
 from modalsim.audio_io import WavFormatError, wav_read, wav_write
-from modalsim.adjoint import forward_cached
+from modalsim.adjoint import (
+    forward_cached, ftm_coeff_partials, tf_magnitude_backward, tf_magnitude_cached,
+)
 from modalsim.integrators import ftm_coeffs, oscillator_bank
 
 
@@ -245,6 +248,105 @@ def test_tf_frequency_validation():
     co = ftm_coeffs(bank, 1 / 8000.0)
     with pytest.raises(ValueError, match="Nyquist"):
         tf_magnitude(co, np.ones(1), [4000.0], 8000.0)
+
+
+# --- transfer-function kernels against the num/den oracle -------------------------------
+
+def tf_oracle(a1, a2, b1, b2, w, freqs, rate, mag_bar):
+    """|H| and its gradients from num/den: the per-mode response num/den and
+    one projection Re(conj(hbar) dH/dtheta) per coefficient."""
+    z = np.exp(2j * np.pi * freqs / rate)[:, None]
+    num = b1[None, :] * z + b2[None, :]
+    den = z * z + a1[None, :] * z + a2[None, :]
+    Gm = num / den
+    H = np.sum(w[None, :] * Gm, axis=1)
+    mag = np.abs(H)
+    safe = np.where(mag > 0.0, mag, 1.0)
+    hbar = np.where(mag > 0.0, mag_bar * H / safe, 0.0)[:, None]
+
+    def project(dH_dtheta):
+        return np.real(np.conj(hbar) * dH_dtheta).sum(axis=0)
+
+    return mag, {
+        "dw": project(Gm),
+        "db1": project(w[None, :] * z / den),
+        "db2": project(w[None, :] / den),
+        "da1": project(-w[None, :] * num * z / den**2),
+        "da2": project(-w[None, :] * num / den**2),
+    }
+
+
+def random_tf_coefficients(seed, n_modes=30, n_freqs=256, rate=44100.0):
+    """Resonator coefficients on a Bark grid; a third of the modes sit on grid
+    points with so little damping that |den| falls to ~1e-5 there."""
+    rng = np.random.default_rng(seed)
+    freqs = bark_grid(n_freqs, 18000.0, rate)
+    n_sharp = n_modes // 3
+    f_mode = np.concatenate([
+        rng.choice(freqs[20:-20], n_sharp, replace=False),
+        rng.uniform(40.0, 17000.0, n_modes - n_sharp),
+    ])
+    # |den| at the pole's own frequency is about (1 - e^{-gamma T}) 2 sin(theta)
+    theta = 2 * np.pi * f_mode[:n_sharp] / rate
+    gamma = np.concatenate([rate * rng.uniform(1e-5, 3e-5, n_sharp) / (2 * np.sin(theta)),
+                            rng.uniform(5.0, 300.0, n_modes - n_sharp)])
+    cp = ftm_coeff_partials((2 * np.pi * f_mode) ** 2 + gamma**2, gamma, 1.0 / rate)
+    b2 = rng.normal(size=n_modes) * np.abs(cp["b1"])
+    w = rng.normal(size=n_modes)
+    return cp["a1"], cp["a2"], cp["b1"], b2, w, freqs, rate
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tf_kernels_match_num_den_oracle(seed):
+    a1, a2, b1, b2, w, freqs, rate = random_tf_coefficients(seed)
+    assert np.any(w > 0) and np.any(w < 0) and np.all(b2 != 0.0)
+    z = np.exp(2j * np.pi * freqs / rate)[:, None]
+    assert np.min(np.abs(z * z + a1 * z + a2)) < 1e-4
+    mag_bar = np.random.default_rng([seed, 1]).normal(size=len(freqs))
+    mag, cache = tf_magnitude_cached(a1, a2, b1, b2, w, freqs, rate)
+    grads = tf_magnitude_backward(cache, mag_bar)
+    mag_ref, grads_ref = tf_oracle(a1, a2, b1, b2, w, freqs, rate, mag_bar)
+    assert np.max(np.abs(mag - mag_ref)) <= 1e-12 * np.max(mag_ref)
+    assert set(grads) == set(grads_ref)
+    for name, ref in grads_ref.items():
+        assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+def test_tf_gradients_vanish_with_zero_magnitude():
+    a1, a2, b1, b2, w, freqs, rate = random_tf_coefficients(0)
+    mag, cache = tf_magnitude_cached(a1, a2, b1, b2, np.zeros_like(w), freqs, rate)
+    assert np.all(mag == 0.0)
+    grads = tf_magnitude_backward(cache, np.ones_like(freqs))
+    for name, g in grads.items():
+        assert np.all(g == 0.0), name
+
+
+def test_tf_magnitude_matches_extended_precision():
+    rate = 44100.0
+    L = 0.65
+    lam = (np.arange(1, 31) * np.pi / L) ** 2
+    gamma = 0.8 + 1.5e-5 * lam  # lightly damped string modes, 196 Hz fundamental
+    cp = ftm_coeff_partials((2 * L * 196.0) ** 2 * lam + gamma**2, gamma, 1.0 / rate)
+    a1, a2, b1 = cp["a1"], cp["a2"], cp["b1"]
+    b2 = np.zeros(30)
+    w = np.sin(np.arange(1, 31) * np.pi * 0.2) * np.sin(np.arange(1, 31) * np.pi * 0.7)
+    freqs = bark_grid(256, 18000.0, rate)
+    mag, _ = tf_magnitude_cached(a1, a2, b1, b2, w, freqs, rate)
+    exact = np.empty_like(mag)
+    bound = np.empty_like(mag)
+    with mp.workdps(40):
+        for i, f in enumerate(freqs):
+            z = mp.exp(2j * mp.pi * mp.mpf(f) / rate)
+            dens = [z * z + mp.mpf(c1) * z + mp.mpf(c2) for c1, c2 in zip(a1, a2)]
+            terms = [mp.mpf(wk) * (mp.mpf(p) * z + mp.mpf(q)) / d
+                     for wk, p, q, d in zip(w, b1, b2, dens)]
+            exact[i] = float(abs(mp.fsum(terms)))
+            # rounding: a term's relative error is a few ulps of (1 + |a1| + |a2|)
+            # / |den| from den's cancellation, plus up to 30 ulps from the sum
+            cond = (1.0 + np.abs(a1) + np.abs(a2)) / np.array([float(abs(d)) for d in dens])
+            term_abs = np.array([float(abs(t)) for t in terms])
+            bound[i] = 4 * np.finfo(float).eps * np.sum(term_abs * (cond + 30))
+    assert np.all(np.abs(mag - exact) <= bound)
 
 
 # --- WAV --------------------------------------------------------------------------------

@@ -349,6 +349,25 @@ def test_readout_weights_of_wrong_length_rejected():
                  readout_weights=np.ones(3))
 
 
+def test_force_signal_longer_than_duration_rejected():
+    spec = string_spec(T0=800.0)
+    basis = string_basis(1.0, 4)
+    with pytest.raises(ValueError, match="1000 samples but the simulation has 80 steps"):
+        simulate(spec, basis, "ftm", PointForce(0.3, np.ones(1000)), 0.01, 8000.0)
+
+
+@pytest.mark.parametrize("n_sig", [80, 30])
+def test_force_signal_up_to_duration_is_zero_padded(n_sig):
+    spec = string_spec(T0=800.0)
+    basis = string_basis(1.0, 4)
+    sig = np.zeros(80)
+    sig[:n_sig] = np.linspace(1.0, 2.0, n_sig)
+    full = simulate(spec, basis, "ftm", PointForce(0.3, sig), 0.01, 8000.0)
+    cut = simulate(spec, basis, "ftm", PointForce(0.3, sig[:n_sig]), 0.01, 8000.0)
+    assert full.q.shape == (80, 4)
+    np.testing.assert_array_equal(cut.q, full.q)
+
+
 def test_trajectory_exports(tmp_path):
     spec = string_spec(T0=500.0, d1=1.0)
     basis = string_basis(1.0, 3)
