@@ -35,5 +35,5 @@ from .audio_io import WavFormatError, wav_read, wav_write
 from .fitting import (
     FitConfig, FitResult, FitDivergedError, GradientReport,
     TimeDomainProblem, FrequencyDomainProblem,
-    fit, gradient_report, adam_step, one_cycle_lr, AdamState,
+    fit, gradient_report, one_cycle_lr,
 )

@@ -12,9 +12,9 @@ against central finite differences):
   ``analysis.stft`` wraps, and its adjoint;
 * :func:`tf_magnitude_cached` / :func:`tf_magnitude_backward`, the modal
   transfer-function magnitude that ``analysis.tf_magnitude`` wraps, and its
-  adjoint in closed form: the forward pass keeps each mode's reciprocal
-  denominator inv and response Gm, and every gradient is one weighted sum
-  over frequency of inv or inv Gm.
+  adjoint in closed form: the forward pass keeps only each mode's reciprocal
+  denominator inv, and every gradient is a weighted sum over frequency of inv
+  or inv^2 times a power of z.
 
 The nonlinear forces live with their Jacobians in :mod:`modalsim.coupling`.
 
@@ -299,28 +299,30 @@ def tf_magnitude_cached(a1, a2, b1, b2, weights, freqs, rate):
     """|H| = |sum_mu w_mu (b1 z + b2) / (z^2 + a1 z + a2)| at z = e^{i 2 pi f / rate}.
 
     The modal responses are summed as complex quantities before taking the
-    magnitude, matching the parallel-resonator structure. The cache holds z,
-    the reciprocal inv = 1/den and the response Gm = (b1 z + b2) inv, both
-    [freq, mode], and H, |H|, w. With hc = conj(mag_bar H/|H|) (0 where |H| = 0),
-    P = hc w inv and PG = P Gm, :func:`tf_magnitude_backward` returns
-    dw = Re(hc Gm), db1 = Re(z P), db2 = Re sum_f P, da1 = -Re(z PG) and
-    da2 = -Re sum_f PG. `freqs` must have passed :func:`check_tf_frequencies`.
+    magnitude, matching the parallel-resonator structure:
+    H = z (inv @ (w b1)) + inv @ (w b2) with the reciprocal denominator
+    inv = 1/den [freq, mode], the only [freq, mode] array the cache keeps
+    (with z, H, |H|, w, b1, b2). With hc = conj(mag_bar H/|H|) (0 where
+    |H| = 0), V = [hc; hc z; hc z^2], s = Re(V[:2] @ inv) and
+    t = Re(V @ inv^2), :func:`tf_magnitude_backward` returns dw = b1 s1 + b2 s0,
+    db1 = w s1, db2 = w s0, da1 = -w (b1 t2 + b2 t1) and da2 = -w (b1 t1 + b2 t0).
+    `freqs` must have passed :func:`check_tf_frequencies`.
     """
     z = np.exp(2j * np.pi * freqs / rate)
     zc = z[:, None]
     inv = 1.0 / (zc * zc + a1[None, :] * zc + a2[None, :])
-    Gm = (b1[None, :] * zc + b2[None, :]) * inv
-    H = Gm @ weights
+    H = z * (inv @ (weights * b1)) + inv @ (weights * b2)
     mag = np.abs(H)
-    return mag, (z, inv, Gm, H, mag, weights)
+    return mag, (z, inv, H, mag, weights, b1, b2)
 
 
 def tf_magnitude_backward(cache, mag_bar):
     """Gradients of sum_f mag_bar_f |H_f| with respect to w, b1, b2, a1, a2."""
-    z, inv, Gm, H, mag, w = cache
+    z, inv, H, mag, w, b1, b2 = cache
     safe = np.where(mag > 0.0, mag, 1.0)
     hc = np.conj(np.where(mag > 0.0, mag_bar * H / safe, 0.0))
-    P = (hc[:, None] * w) * inv
-    PG = P * Gm
-    return {"dw": np.real(hc @ Gm), "db1": np.real(z @ P), "db2": np.real(P.sum(axis=0)),
-            "da1": -np.real(z @ PG), "da2": -np.real(PG.sum(axis=0))}
+    V = np.stack([hc, hc * z, hc * z * z])
+    s0, s1 = np.real(V[:2] @ inv)
+    t0, t1, t2 = np.real(V @ (inv * inv))
+    return {"dw": b1 * s1 + b2 * s0, "db1": w * s1, "db2": w * s0,
+            "da1": -w * (b1 * t2 + b2 * t1), "da2": -w * (b1 * t1 + b2 * t0)}

@@ -23,7 +23,11 @@ Two objective kinds cover the fitting paths:
 
 Optimisation is Adam under a one-cycle schedule (linear ramp over the first
 10% of steps, cosine decay to peak/100), with independent random restarts
-ranked by their best loss.
+ranked by their best loss. The restarts run in lockstep: each step is one
+``value_and_grad`` call with a leading start axis on every raw array and one
+Adam update of all live starts. The frequency-domain problem vectorises that
+call over the starts, the time-domain problem loops over them (``lfilter``
+takes one coefficient set per call), and a start that fails stops alone.
 """
 
 from __future__ import annotations
@@ -119,6 +123,11 @@ class _Parameters:
         values = self._fixed()
         values.update(self.physical(raw))
         return values
+
+    def _starts(self, raw):
+        """The number of starts along raw's leading axis, or None without one."""
+        fixed = self._fixed()
+        return next((len(v) for n, v in raw.items() if np.ndim(v) > np.ndim(fixed[n])), None)
 
     def _raw_grads(self, raw, grads):
         """Chain gradients in physical values through the transforms."""
@@ -223,6 +232,15 @@ class TimeDomainProblem(_Parameters):
         return Q[2:] @ w
 
     def value_and_grad(self, raw):
+        """Loss and raw gradients; with a leading start axis on raw, one loss per
+        start, the starts run one at a time (lfilter takes one coefficient set)."""
+        if self._starts(raw) is None:
+            return self._value_and_grad(raw)
+        out = [self._value_and_grad(dict(zip(raw, row))) for row in zip(*raw.values())]
+        return (np.array([loss for loss, _ in out]),
+                {n: np.stack([g[n] for _, g in out]) for n in raw})
+
+    def _value_and_grad(self, raw):
         parts, hook, w = self._assemble(raw)
         Q, U = self._forward(parts, hook)
         y = Q[2:] @ w
@@ -289,35 +307,42 @@ class FrequencyDomainProblem(_Parameters):
         }
 
     def _assemble(self, raw):
+        """Coefficient partials and the kernels' a1, a2, b1, b2, w, each
+        [start, mode] (one start where raw has no start axis)."""
         p = self._values(raw)
-        w2 = float(p["d_hat"]) * self.lam**2 + float(p["t0_hat"]) * self.lam
+        w2 = (np.reshape(p["d_hat"], (-1, 1)) * self.lam**2
+              + np.reshape(p["t0_hat"], (-1, 1)) * self.lam)
         cp = adjoint.ftm_coeff_partials(w2, p["gamma"], 1.0 / self.rate)
-        return cp, np.asarray(p["b2"], dtype=float), np.asarray(p["weights"], dtype=float)
+        return cp, np.broadcast_arrays(cp["a1"], cp["a2"], cp["b1"], p["b2"], p["weights"])
 
     def predict(self, raw) -> np.ndarray:
-        cp, b2, w = self._assemble(raw)
-        mag, _ = adjoint.tf_magnitude_cached(cp["a1"], cp["a2"], cp["b1"], b2, w, self.freqs,
-                                             self.rate)
+        _, coeffs = self._assemble(raw)
+        mag, _ = adjoint.tf_magnitude_cached(*(c[0] for c in coeffs), self.freqs, self.rate)
         return mag
 
     def value_and_grad(self, raw):
-        cp, b2, w = self._assemble(raw)
-        mag, cache = adjoint.tf_magnitude_cached(cp["a1"], cp["a2"], cp["b1"], b2, w,
-                                                 self.freqs, self.rate)
-        loss, dmag = loss_total_grad(
-            self.target_env[None, :], mag[None, :], self.loss_weights, self.freqs
-        )
-        tb = adjoint.tf_magnitude_backward(cache, dmag[0])
+        """Loss and raw gradients; with a leading start axis on raw, one loss per
+        start. The transfer-function kernels run one start at a time, so their
+        [freq, mode] temporaries stay in cache; the rest runs on all at once."""
+        cp, coeffs = self._assemble(raw)
+        runs = [adjoint.tf_magnitude_cached(*c, self.freqs, self.rate) for c in zip(*coeffs)]
+        loss, dmag = loss_total_grad(self.target_env[None, :],
+                                     np.stack([mag for mag, _ in runs])[:, None, :],
+                                     self.loss_weights, self.freqs)
+        tbs = [adjoint.tf_magnitude_backward(cache, d[0]) for (_, cache), d in zip(runs, dmag)]
+        tb = {n: np.stack([t[n] for t in tbs]) for n in tbs[0]}
         dw2 = tb["da1"] * cp["da1_dw2"] + tb["db1"] * cp["db1_dw2"]
-        grads = {
-            "d_hat": float(dw2 @ self.lam**2),
-            "t0_hat": float(dw2 @ self.lam),
+        grads = self._raw_grads(raw, {
+            "d_hat": dw2 @ self.lam**2,
+            "t0_hat": dw2 @ self.lam,
             "gamma": (tb["da1"] * cp["da1_dg"] + tb["da2"] * cp["da2_dg"]
                       + tb["db1"] * cp["db1_dg"]),
             "b2": tb["db2"],
             "weights": tb["dw"],
-        }
-        return loss, self._raw_grads(raw, grads)
+        })
+        if self._starts(raw) is None:
+            return float(loss[0]), {n: g[0] for n, g in grads.items()}
+        return loss, grads
 
 
 # --- gradient verification -------------------------------------------------------
@@ -381,35 +406,6 @@ def one_cycle_lr(step: int, total: int, peak: float, warmup_frac: float = 0.1,
     return floor + (peak - floor) * 0.5 * (1.0 + math.cos(math.pi * t))
 
 
-@dataclass
-class AdamState:
-    m: Dict[str, np.ndarray]
-    v: Dict[str, np.ndarray]
-    t: int = 0
-
-    @classmethod
-    def for_params(cls, raw):
-        return cls(
-            m={k: np.zeros_like(np.asarray(v, dtype=float)) for k, v in raw.items()},
-            v={k: np.zeros_like(np.asarray(v, dtype=float)) for k, v in raw.items()},
-        )
-
-
-def adam_step(state: AdamState, raw, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update; mutates raw and state, returns them."""
-    state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
-    for k in raw:
-        g = np.asarray(grads[k], dtype=float)
-        state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
-        state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * g * g
-        mhat = state.m[k] / bc1
-        vhat = state.v[k] / bc2
-        raw[k] = raw[k] - lr * mhat / (np.sqrt(vhat) + eps)
-    return state, raw
-
-
 # --- multi-start fit engine ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -449,16 +445,19 @@ class FitResult:
 def _init_raw(problem, cfg: FitConfig, rng: np.random.Generator):
     raw = problem.initial_raw()
     init = cfg.init or {}
+    unused = sorted(set(init) - set(problem.free))
+    if unused:
+        raise ValueError(f"init rules for parameters that are not free: {unused}")
     for name in problem.free:
         kind, shape = TRANSFORMS[name], raw[name].shape
         rule = init.get(name)
         if rule is None:
             continue
         if "value" in rule:
-            raw[name] = np.asarray(
-                transform_invert(np.asarray(rule["value"], dtype=float), kind),
-                dtype=float,
-            )
+            value = np.asarray(rule["value"], dtype=float)
+            if value.shape not in ((), shape):
+                raise ValueError(f"init value for {name} has shape {value.shape}, not {shape}")
+            raw[name] = np.array(transform_invert(np.broadcast_to(value, shape), kind))
         elif "low" in rule:
             # positive parameters draw log-uniformly; unconstrained ones uniformly
             if kind in ("log", "softplus"):
@@ -474,44 +473,83 @@ def _init_raw(problem, cfg: FitConfig, rng: np.random.Generator):
     return raw
 
 
-def _run_start(problem, cfg: FitConfig, start_idx: int) -> StartResult:
-    rng = np.random.default_rng([cfg.seed, start_idx])
-    raw = _init_raw(problem, cfg, rng)
-    state = AdamState.for_params(raw)
-    trace = np.full(cfg.steps, np.nan)
-    best_loss = np.inf
-    best_raw = None
+# errors that stop one start; any other error ends the fit
+START_ERRORS = (InstabilityError, OverdampedError, FloatingPointError)
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def _live_value_and_grad(problem, raw, live, errors):
+    """Losses and gradients of the live starts (rows of raw) from one call; if
+    it raises, each start runs alone and one that raises gets a NaN loss."""
     try:
-        for step_idx in range(cfg.steps):
-            loss, grads = problem.value_and_grad(raw)
-            if not np.isfinite(loss):
-                raise FloatingPointError(f"non-finite loss at step {step_idx}")
-            trace[step_idx] = loss
-            if loss < best_loss:
-                best_loss = loss
-                best_raw = {k: np.copy(v) for k, v in raw.items()}
-            lr = one_cycle_lr(step_idx + 1, cfg.steps, cfg.peak_lr)
-            adam_step(state, raw, grads, lr)
-            if "gamma" in raw and not np.all(np.isfinite(raw["gamma"])):
-                raise FloatingPointError("gamma coordinates left the finite range")
-    except (InstabilityError, OverdampedError, FloatingPointError) as exc:
-        if best_raw is None:
-            return StartResult(start_idx, True, np.inf, np.inf, None, trace, str(exc))
-        return StartResult(start_idx, False, float(trace[np.isfinite(trace)][-1]),
-                           best_loss, best_raw, trace, str(exc))
-    return StartResult(start_idx, False, float(trace[-1]), best_loss, best_raw, trace)
+        loss, grads = problem.value_and_grad({n: x[live] for n, x in raw.items()})
+        return np.broadcast_to(loss, live.shape), grads
+    except START_ERRORS:
+        loss = np.full(live.shape, np.nan)
+        grads = {n: np.zeros_like(x[live]) for n, x in raw.items()}
+    for i, k in enumerate(live):
+        try:
+            loss[i:i + 1], g = problem.value_and_grad({n: x[k:k + 1] for n, x in raw.items()})
+            for n in grads:
+                grads[n][i:i + 1] = g[n]
+        except START_ERRORS as exc:
+            errors[k] = str(exc)
+    return loss, grads
 
 
 def fit(problem, cfg: FitConfig) -> FitResult:
-    """Run cfg.starts independent Adam runs and rank them by best loss.
+    """Run cfg.starts independent Adam runs in lockstep and rank them by best loss.
 
-    The starts run one after another. Start k draws its initialisation from
-    default_rng([seed, k]), so each start, and the ranking, is reproducible
-    on its own, whatever the other starts do.
+    Start k draws its initialisation from default_rng([seed, k]), so each
+    start, and the ranking, is reproducible on its own, whatever the other
+    starts do. Each step is one problem.value_and_grad call over the live
+    starts' raw coordinates, stacked on a leading start axis (vectorised by
+    the frequency-domain problem, a loop in the time-domain one), and one Adam
+    update of their rows. A start stops when its loss or gamma goes
+    non-finite. When the stacked call raises InstabilityError,
+    OverdampedError or FloatingPointError, each live start is re-run alone:
+    the ones that raise stop with that error and the others go on.
     """
-    results = [_run_start(problem, cfg, i) for i in range(cfg.starts)]
-    ok = [r for r in results if not r.diverged]
-    if not ok:
+    draws = [_init_raw(problem, cfg, np.random.default_rng([cfg.seed, k]))
+             for k in range(cfg.starts)]
+    raw = {n: np.stack([d[n] for d in draws]) for n in problem.free}
+    m = {n: np.zeros_like(x) for n, x in raw.items()}
+    v = {n: np.zeros_like(x) for n, x in raw.items()}
+    trace = np.full((cfg.starts, cfg.steps), np.nan)
+    best_loss = np.full(cfg.starts, np.inf)
+    best_raw, errors = [None] * cfg.starts, [None] * cfg.starts
+    live = np.arange(cfg.starts)
+    for t in range(1, cfg.steps + 1):
+        if not live.size:
+            break
+        loss, grads = _live_value_and_grad(problem, raw, live, errors)
+        finite = np.isfinite(loss)
+        for k in live[~finite]:
+            errors[k] = errors[k] or f"non-finite loss at step {t - 1}"  # unless it raised
+        live, loss = live[finite], loss[finite]
+        trace[live, t - 1] = loss
+        for k in live[loss < best_loss[live]]:
+            best_raw[k] = {n: np.copy(x[k]) for n, x in raw.items()}
+        best_loss[live] = np.minimum(best_loss[live], loss)
+        lr = one_cycle_lr(t, cfg.steps, cfg.peak_lr)
+        for n, x in raw.items():
+            g = grads[n][finite]
+            m[n][live] = BETA1 * m[n][live] + (1.0 - BETA1) * g
+            v[n][live] = BETA2 * v[n][live] + (1.0 - BETA2) * g * g
+            mhat, vhat = m[n][live] / (1.0 - BETA1**t), v[n][live] / (1.0 - BETA2**t)
+            x[live] = x[live] - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        if "gamma" in raw:
+            ok = np.isfinite(raw["gamma"][live]).all(axis=1)
+            for k in live[~ok]:
+                errors[k] = "gamma coordinates left the finite range"
+            live = live[ok]
+
+    results = []
+    for k, row in enumerate(trace):
+        done = row[np.isfinite(row)]
+        results.append(StartResult(k, not done.size, float(done[-1]) if done.size else np.inf,
+                                   float(best_loss[k]), best_raw[k], row, errors[k]))
+    if all(r.diverged for r in results):
         raise FitDivergedError(
             [{"start": r.start, "error": r.error or "diverged"} for r in results]
         )

@@ -41,11 +41,13 @@ class LossWeights:
 
 
 def _check_shapes(Y, Yh):
+    """Y is the target; Yh the prediction, of Y's shape or with leading
+    (start) axes before it. Also returns the axes a loss sums over."""
     Y = np.asarray(Y, dtype=float)
     Yh = np.asarray(Yh, dtype=float)
-    if Y.shape != Yh.shape:
+    if Yh.shape[Yh.ndim - Y.ndim:] != Y.shape:
         raise ValueError(f"shape mismatch {Y.shape} vs {Yh.shape}")
-    return Y, Yh
+    return Y, Yh, tuple(range(-Y.ndim, 0))
 
 
 def loss_log(Y, Yh, epsilon: float = 1e-8) -> float:
@@ -53,9 +55,9 @@ def loss_log(Y, Yh, epsilon: float = 1e-8) -> float:
 
 
 def loss_log_grad(Y, Yh, epsilon: float = 1e-8):
-    Y, Yh = _check_shapes(Y, Yh)
+    Y, Yh, axes = _check_shapes(Y, Yh)
     diff = np.log(Y + epsilon) - np.log(Yh + epsilon)
-    val = float(np.sum(np.abs(diff)))
+    val = np.sum(np.abs(diff), axis=axes)
     dYh = -np.sign(diff) / (Yh + epsilon)
     return val, dYh
 
@@ -65,33 +67,31 @@ def loss_sc(Y, Yh) -> float:
 
 
 def loss_sc_grad(Y, Yh):
-    Y, Yh = _check_shapes(Y, Yh)
+    Y, Yh, axes = _check_shapes(Y, Yh)
     ny = np.linalg.norm(Y)
     if ny == 0.0:
         raise ValueError("spectral convergence undefined for an all-zero target")
     d = Yh - Y
-    nd = np.linalg.norm(d)
-    val = float(nd / ny)
-    dYh = np.zeros_like(Yh) if nd == 0.0 else d / (nd * ny)
-    return val, dYh
+    nd = np.sqrt(np.sum(d * d, axis=axes, keepdims=True))
+    dYh = d / np.where(nd == 0.0, np.inf, nd * ny)
+    return np.squeeze(nd, axis=axes) / ny, dYh
 
 
 def _sot_parts(Y, Yh, freqs):
-    Y, Yh = _check_shapes(Y, Yh)
+    Y, Yh, _ = _check_shapes(Y, Yh)
     f = np.asarray(freqs, dtype=float)
-    if f.shape != (Y.shape[1],):
+    if Y.ndim != 2 or f.shape != (Y.shape[1],):
         raise ValueError("need one bin frequency per spectrogram column")
     widths = np.diff(f)  # distance between adjacent bin locations
-    sy = Y.sum(axis=1)
-    sh = Yh.sum(axis=1)
+    sy = Y.sum(axis=-1)
+    sh = Yh.sum(axis=-1)
     valid = (sy > 0) & (sh > 0)
-    if not np.any(valid):
+    if not np.all(np.any(valid, axis=-1)):
         raise ValueError("all frames have zero mass; transport undefined")
-    cy = np.cumsum(Y, axis=1) / np.where(sy, sy, 1.0)[:, None]
-    ch = np.cumsum(Yh, axis=1) / np.where(sh, sh, 1.0)[:, None]
-    dcdf = (cy - ch)[:, :-1]  # final column is 0 for normalised masses
-    per_frame = np.abs(dcdf) @ widths
-    per_frame[~valid] = 0.0
+    cy = np.cumsum(Y, axis=-1) / np.where(sy, sy, 1.0)[:, None]
+    ch = np.cumsum(Yh, axis=-1) / np.where(sh, sh, 1.0)[..., None]
+    dcdf = (cy - ch)[..., :-1]  # final column is 0 for normalised masses
+    per_frame = np.where(valid, np.abs(dcdf) @ widths, 0.0)
     return per_frame, valid, cy, ch, sh, widths
 
 
@@ -104,14 +104,14 @@ def loss_sot(Y, Yh, freqs) -> float:
 
 def loss_sot_grad(Y, Yh, freqs):
     per_frame, valid, cy, ch, sh, widths = _sot_parts(Y, Yh, freqs)
-    n = len(per_frame)
-    val = float(per_frame.sum() / n)
+    n = per_frame.shape[-1]
+    val = per_frame.sum(axis=-1) / n
     # dW/dYh_j = (sum_{k>=j} s_k - sum_k s_k ch_k) / mass, s_k = sign(ch-cy)_k * width_k
-    s = np.sign((ch - cy)[:, :-1]) * widths[None, :]
-    rev = np.zeros_like(np.asarray(Yh, dtype=float))
-    rev[:, : s.shape[1]] = np.cumsum(s[:, ::-1], axis=1)[:, ::-1]
-    inner = np.einsum("fk,fk->f", s, ch[:, :-1])
-    dYh = (rev - inner[:, None]) / np.where(sh, sh, 1.0)[:, None]
+    s = np.sign((ch - cy)[..., :-1]) * widths
+    rev = np.zeros_like(ch)
+    rev[..., :-1] = np.cumsum(s[..., ::-1], axis=-1)[..., ::-1]
+    inner = np.einsum("...fk,...fk->...f", s, ch[..., :-1])
+    dYh = (rev - inner[..., None]) / np.where(sh, sh, 1.0)[..., None]
     dYh[~valid] = 0.0
     return val, dYh / n
 

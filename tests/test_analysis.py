@@ -349,6 +349,41 @@ def test_tf_magnitude_matches_extended_precision():
     assert np.all(np.abs(mag - exact) <= bound)
 
 
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tf_gradients_match_extended_precision(seed):
+    a1, a2, b1, b2, w, freqs, rate = random_tf_coefficients(seed, n_modes=9, n_freqs=64)
+    mag_bar = np.random.default_rng([seed, 1]).normal(size=len(freqs))
+    _, cache = tf_magnitude_cached(a1, a2, b1, b2, w, freqs, rate)
+    grads = tf_magnitude_backward(cache, mag_bar)
+    exact = {name: [mp.mpf(0)] * 9 for name in grads}
+    bound = {name: np.zeros(9) for name in grads}
+    with mp.workdps(40):
+        A1, A2, B1, B2, W = ([mp.mpf(x) for x in c] for c in (a1, a2, b1, b2, w))
+        for f, mb in zip(freqs, mag_bar):
+            z = mp.exp(2j * mp.pi * mp.mpf(f) / rate)
+            inv = [1 / (z * z + A1[m] * z + A2[m]) for m in range(9)]
+            G = [(B1[m] * z + B2[m]) * inv[m] for m in range(9)]
+            H = mp.fsum(W[m] * G[m] for m in range(9))
+            hc = mp.conj(mp.mpf(mb) * H / abs(H))
+            # rounding: inv carries a few ulps of cond = (1 + |a1| + |a2|) |inv|,
+            # inv^2 twice that; hc's direction a few ulps of kappa_H, the
+            # condition of the mode sum; the sums over modes and frequencies
+            # add up to M + F ulps
+            cond = [float((1 + abs(A1[m]) + abs(A2[m])) * abs(inv[m])) for m in range(9)]
+            kappa_h = float(mp.fsum(abs(W[m] * G[m]) * (cond[m] + 9) for m in range(9)) / abs(H))
+            for m in range(9):
+                terms = {"dw": hc * G[m], "db1": hc * W[m] * z * inv[m], "db2": hc * W[m] * inv[m],
+                         "da1": -hc * W[m] * G[m] * z * inv[m], "da2": -hc * W[m] * G[m] * inv[m]}
+                for name, t in terms.items():
+                    exact[name][m] += mp.re(t)
+                    k = 2 if name.startswith("da") else 1
+                    bound[name][m] += float(abs(t)) * (k * cond[m] + kappa_h + len(freqs))
+    for name, g in grads.items():
+        err = np.abs(g - np.array([float(x) for x in exact[name]]))
+        assert np.all(err <= 4 * np.finfo(float).eps * bound[name]), name
+
+
 # --- WAV --------------------------------------------------------------------------------
 
 def test_wav_float_round_trip(tmp_path, rng):

@@ -177,3 +177,42 @@ def test_loss_gradients_match_fd(rng):
     v, g = loss_total_grad(Y, Yh, LossWeights(0.7, 1.3, 2.1), freqs)
     fd = fd_grad(lambda z: loss_total(Y, z, LossWeights(0.7, 1.3, 2.1), freqs), Yh)
     assert np.max(np.abs(g - fd)) < 1e-5
+
+
+# --- a leading start axis -----------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["log", "sc", "sot", "total"])
+def test_losses_over_starts_equal_separate_calls(rng, name):
+    freqs = np.cumsum(rng.uniform(0.5, 3.0, size=12))
+    grad_fn = {
+        "log": lambda Y, Yh: loss_log_grad(Y, Yh),
+        "sc": loss_sc_grad,
+        "sot": lambda Y, Yh: loss_sot_grad(Y, Yh, freqs),
+        "total": lambda Y, Yh: loss_total_grad(Y, Yh, LossWeights(0.7, 1.3, 2.1), freqs),
+    }[name]
+    Y = rng.uniform(0.01, 2.0, size=(3, 12))
+    Yh = rng.uniform(0.01, 2.0, size=(5, 3, 12))
+    Yh[2] = Y  # one start on the target: zero sc norm and zero transport
+    vals, grads = grad_fn(Y, Yh)
+    assert vals.shape == (5,) and grads.shape == Yh.shape
+    for k in range(5):
+        v, g = grad_fn(Y, Yh[k])
+        assert vals[k] == pytest.approx(v, rel=1e-14, abs=1e-15)
+        np.testing.assert_allclose(grads[k], g, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 11), (5, 2, 12), (3,), (12,)])
+def test_losses_over_starts_reject_mismatched_shapes(rng, shape):
+    Y = rng.uniform(0.01, 2.0, size=(3, 12))
+    Yh = rng.uniform(0.01, 2.0, size=shape)
+    for fn in (loss_log, loss_sc, lambda Y, Yh: loss_sot(Y, Yh, uniform_freqs(12))):
+        with pytest.raises(ValueError, match="mismatch"):
+            fn(Y, Yh)
+
+
+def test_sot_rejects_a_start_without_mass():
+    Y = np.ones((2, 4))
+    Yh = np.ones((3, 2, 4))
+    Yh[1] = 0.0
+    with pytest.raises(ValueError, match="zero mass"):
+        loss_sot(Y, Yh, uniform_freqs(4))
