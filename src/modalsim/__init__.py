@@ -13,10 +13,7 @@ from .modes import (
     evaluate_mode, evaluate_all_modes, point_readout, project_point_excitation,
     project_function, reconstruct, sample_modes,
 )
-from .coupling import (
-    CouplingTensors, simply_supported_tensors, sparsify, TensionModulation,
-    VkContraction, save_tensors, load_tensors, tensors_to_csv,
-)
+from .coupling import PlateCoupling, simply_supported_tensors, TensionModulation, VkContraction
 from .integrators import (
     OscillatorBank, FtmCoeffs, SvCoeffs, Trajectory,
     InitialCondition, PointForce, raised_cosine_pulse, triangular_pluck,
@@ -33,7 +30,6 @@ from .analysis import (
 )
 from .audio_io import WavFormatError, wav_read, wav_write
 from .fitting import (
-    FitConfig, FitResult, FitDivergedError, GradientReport,
-    TimeDomainProblem, FrequencyDomainProblem,
-    fit, gradient_report, one_cycle_lr,
+    FitConfig, FitResult, FitDivergedError, TimeDomainProblem, FrequencyDomainProblem,
+    fit, one_cycle_lr,
 )

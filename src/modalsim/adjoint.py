@@ -295,8 +295,10 @@ def check_tf_frequencies(freqs, rate: float) -> np.ndarray:
     return f
 
 
-def tf_magnitude_cached(a1, a2, b1, b2, weights, freqs, rate):
-    """|H| = |sum_mu w_mu (b1 z + b2) / (z^2 + a1 z + a2)| at z = e^{i 2 pi f / rate}.
+def tf_magnitude_cached(a1, a2, b1, b2, weights, z):
+    """|H| = |sum_mu w_mu (b1 z + b2) / (z^2 + a1 z + a2)| at the points z =
+    e^{i 2 pi f / rate} of a frequency grid f that has passed
+    :func:`check_tf_frequencies` (callers compute z once per grid).
 
     The modal responses are summed as complex quantities before taking the
     magnitude, matching the parallel-resonator structure:
@@ -306,9 +308,7 @@ def tf_magnitude_cached(a1, a2, b1, b2, weights, freqs, rate):
     |H| = 0), V = [hc; hc z; hc z^2], s = Re(V[:2] @ inv) and
     t = Re(V @ inv^2), :func:`tf_magnitude_backward` returns dw = b1 s1 + b2 s0,
     db1 = w s1, db2 = w s0, da1 = -w (b1 t2 + b2 t1) and da2 = -w (b1 t1 + b2 t0).
-    `freqs` must have passed :func:`check_tf_frequencies`.
     """
-    z = np.exp(2j * np.pi * freqs / rate)
     zc = z[:, None]
     inv = 1.0 / (zc * zc + a1[None, :] * zc + a2[None, :])
     H = z * (inv @ (weights * b1)) + inv @ (weights * b2)

@@ -143,8 +143,8 @@ def bark_grid(n_points: int, f_max: float, rate: float, f_min: float = 20.0) -> 
 def tf_magnitude(coeffs: FtmCoeffs, weights: np.ndarray, freqs: Sequence[float],
                  rate: float) -> np.ndarray:
     """|sum_mu w_mu (b1 z + b2) / (z^2 + a1 z + a2)| at z = e^{i 2 pi f / rate}."""
+    z = np.exp(2j * np.pi * adjoint.check_tf_frequencies(freqs, rate) / rate)
     mag, _ = adjoint.tf_magnitude_cached(
-        coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, np.asarray(weights, dtype=float),
-        adjoint.check_tf_frequencies(freqs, rate), rate,
+        coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, np.asarray(weights, dtype=float), z,
     )
     return mag

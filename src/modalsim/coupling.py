@@ -6,146 +6,128 @@ Two mechanisms:
   proportional to the integrated squared gradient, giving the modal force
   f_mu = tau * lambda_mu * q_mu * sum_nu lambda_nu q_nu^2 (unit-norm modes);
 
-* transverse/in-plane coupling (plates): third-order tensors H and C project
-  the bilinear operator L(f, g) = f_xx g_yy + f_yy g_xx - 2 f_xy g_xy between
-  the transverse basis Phi and the in-plane (Airy) basis Psi. For the simply
-  supported plate Psi is the same sine-product family with biharmonic
-  eigenvalues zeta^4 = lambda^2, and with Psi = Phi, C is H with its first
-  and last indices swapped.
+* von Karman coupling (plates): the transverse displacement w = sum_i q_i Phi_i
+  drives the in-plane (Airy) stress function F = sum_k eta_k Psi_k through the
+  bilinear operator L(f, g) = f_xx g_yy + f_yy g_xx - 2 f_xy g_xy,
 
-The plate force is the two-stage contraction eta = H : q q / zeta4,
-f = gain C : q eta (VkContraction). Each stage keeps only the nonzero blocks
-of its tensor: rows with the same exact zero pattern form one zero-padded
-block holding just their nonzero columns, and the first stage runs over the
-pairs i <= j with the (i, j) and (j, i) coefficients summed, since q q is
-symmetric. For the simply supported plate the parity rules zero about three
-quarters of H and C in four row patterns per stage, so the blocks hold 15-30%
-of the dense entries.
+      eta_k = <Psi_k, L(w, w)> / zeta4_k,    f_s = gain <Phi_s, L(w, F)>,
 
-The tensor entries are closed forms. A sine mode's second derivatives are
-sines and cosines again, so each entry splits into x-integrals times
-y-integrals of three sines or cosines, and those reduce by products to sums
-to integer-indexed integrals of a single sine (Bilbao, Numerical Sound
-Synthesis, 2009). The parity zeros therefore come out exact, and simulate
-hands the tensors to VkContraction as they are. Tensors from elsewhere (a
-file, a quadrature) may carry those zeros as rounding dust; sparsify makes
-them exact.
+  with unit-norm shapes in the inner products. For the simply supported plate
+  Psi is the sine family of the same rectangle, with biharmonic eigenvalues
+  zeta^4 = lambda^2.
+
+The plate force is evaluated on a separable grid, never through third-order
+coupling tensors. With sine modes, w_xx and w_yy are sine-sine and w_xy
+cosine-cosine double series whose coefficients live on the Kx x Ky rectangle
+of mode indices, and the products in L(w, w) and L(w, F) are cosine
+polynomials of degree at most N = max(2 K_phi, K_phi + K_psi) per axis. Their
+samples on an (N + 1)-point grid per axis determine them exactly, so one
+matrix per axis projects them onto the sines: the inverse DCT-I, then the
+closed-form integrals int_0^L sin(m pi x / L) cos(k pi x / L) dx =
+(L / pi) 2m / (m^2 - k^2) for odd m + k, and 0 otherwise (Bilbao, Numerical
+Sound Synthesis, 2009). A force evaluation is then a few small matrix
+products per stage, and its cost grows with the index rectangle rather than
+with the cube of the mode count.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import ModeBasis
+from .modes import ModeBasis, _sinpi, airy_eigenvalues, rect_basis
 
 
-@dataclass(frozen=True)
-class CouplingTensors:
-    """H[k, i, j]: Airy k against transverse i, j. C[s, p, n]: transverse s, p
-    against Airy n. zeta4: in-plane biharmonic eigenvalues."""
+# --- plate coupling ------------------------------------------------------------
 
-    H: np.ndarray
-    C: np.ndarray
+def _axis_operators(L: float, K: int, N: int):
+    """Sampling and projection matrices of one axis of length L on the grid
+    x_l = l L / N, l = 0..N: S[l, m] = sin(m pi x_l / L), C[l, m] =
+    cos(m pi x_l / L) for m = 1..K, and P[k, l] (k = 1..K) with
+    sum_l P[k, l] f(x_l) = int_0^L sin(k pi x / L) f(x) dx exactly for every
+    cosine polynomial f of degree <= N in pi x / L."""
+    r = np.outer(np.arange(N + 1), np.arange(N + 1)) % (2 * N)  # phase l j, reduced
+    sines, cosines = _sinpi(r / N), _sinpi(r / N + 0.5)
+    # inverse DCT-I: the cosine coefficients c_j of f from its samples
+    dct = (2.0 / N) * cosines
+    dct[:, [0, N]] *= 0.5
+    dct[[0, N], :] *= 0.5
+    k, j = np.arange(1, K + 1)[:, None], np.arange(N + 1)[None, :]
+    odd = (k + j) % 2 == 1
+    integrals = np.where(odd, (L / np.pi) * 2.0 * k / np.where(odd, k * k - j * j, 1), 0.0)
+    return sines[:, 1:K + 1], cosines[:, 1:K + 1], integrals @ dct
+
+
+@dataclass(frozen=True, eq=False)
+class PlateCoupling:
+    """The von Karman coupling of a simply supported plate as grid operators.
+
+    phi is the transverse basis the coupling was built for and zeta4 holds
+    the in-plane biharmonic eigenvalues, one per Airy mode. Both bases' modal
+    coordinates scatter into coefficients on the Kx x Ky index rectangle
+    (flat positions phi_index and psi_index). Fields on the grid come out as
+    the stack (x-factor @ C) @ y-factor, one layer per second derivative:
+    eval_x [3 (Nx+1), Kx] and eval_y [3, Ky, Ny+1] give (f_xx, f_yy, f_xy) of
+    a transverse field, airy_x and airy_y give (g_yy, g_xx, -2 g_xy) of an
+    Airy field, so that L(f, g) is the sum over the stack of their products.
+    proj_x @ G @ proj_y.T projects a grid field G onto every unit-norm sine
+    product on the rectangle. All shapes are unit-norm, c sin sin with
+    c = 2 / sqrt(Lx Ly), whether or not phi is unit-normalised.
+    """
+
+    phi: ModeBasis
     zeta4: np.ndarray
-
-    def __post_init__(self):
-        n_psi, n_phi, n_phi2 = self.H.shape
-        if n_phi != n_phi2:
-            raise ValueError("H must have shape [n_psi, n_phi, n_phi]")
-        if self.C.shape != (n_phi, n_phi, n_psi):
-            raise ValueError("C must have shape [n_phi, n_phi, n_psi]")
-        if self.zeta4.shape != (n_psi,):
-            raise ValueError("zeta4 must have one entry per Airy mode")
-        if not np.all(self.zeta4 > 0):
-            raise ValueError("zeta4 entries must be positive")
-        if not (np.all(np.isfinite(self.H)) and np.all(np.isfinite(self.C))):
-            raise ValueError("tensor entries must be finite")
+    eval_x: np.ndarray
+    eval_y: np.ndarray
+    airy_x: np.ndarray
+    airy_y: np.ndarray
+    proj_x: np.ndarray
+    proj_y: np.ndarray
+    phi_index: np.ndarray
+    psi_index: np.ndarray
 
     @property
     def n_phi(self) -> int:
-        return self.H.shape[1]
+        return self.phi.count
 
     @property
     def n_psi(self) -> int:
-        return self.H.shape[0]
+        return len(self.zeta4)
 
 
-def _sine_integrals(k, L):
-    """S[p, q, r] = int_0^L sin sin sin and C[p, q, r] = int_0^L sin cos cos of
-    (p, q, r) pi x / L for all p, q, r in k: products to sums over
-    int_0^L sin(k pi x / L) dx = 2 L / (k pi) for odd k and 0 for even k."""
-    p, q, r = k[:, None, None], k[None, :, None], k[None, None, :]
+def simply_supported_tensors(phi: ModeBasis, n_psi: int | None = None) -> PlateCoupling:
+    """The von Karman coupling of a simply supported plate: Psi is the sine
+    family of phi's rectangle (its first n_psi modes, default phi's count) and
+    zeta^4 = lambda^2.
 
-    def I(n):
-        odd = n % 2 == 1
-        return np.where(odd, 2.0 * L / (np.pi * np.where(odd, n, 1)), 0.0)
-
-    # grouped so that swapping q and r only reorders exact operations, which
-    # keeps the (i, j) symmetry of H bit for bit
-    S = ((I(p + r - q) - I(r - p - q)) + (I(q + r - p) - I(p + q + r))) / 4.0
-    C = ((I(p + q - r) + I(p - q + r)) + (I(p + q + r) + I(p - q - r))) / 4.0
-    return S, C
-
-
-def _projection(o: ModeBasis, l: ModeBasis, r: ModeBasis) -> np.ndarray:
-    """T[k, i, j] = integral o_k L(l_i, r_j) / (||o_k|| ||l_i|| ||r_j||) in closed form.
-
-    A mode f = sin(a x) sin(b y) has f_xx = -a^2 f, f_yy = -b^2 f and
-    f_xy = a b cos(a x) cos(b y), so each entry is a sum of products of 1-D
-    integrals:
-    T = (a_i^2 b_j^2 + b_i^2 a_j^2) Sx Sy - 2 (a_i b_i)(a_j b_j) Cx Cy.
-    The integrals vanish exactly unless both index sums are odd.
+    Returns the grid operator that VkContraction applies, not coupling
+    tensors; no tensor is formed. The name is kept because the benchmark calls
+    and traces it.
     """
-    labels = [np.asarray(b.labels) for b in (o, l, r)]
-    factors = []
-    for axis, L in enumerate(o.lengths):
-        io, il, ir = (lab[:, axis] - 1 for lab in labels)
-        tables = _sine_integrals(np.arange(1, max(io.max(), il.max(), ir.max()) + 2), L)
-        factors.append([t[io][:, il][:, :, ir] for t in tables])
-    (Sx, Cx), (Sy, Cy) = factors
-    (al, bl), (ar, br) = ((lab * np.pi / np.asarray(o.lengths)).T for lab in labels[1:])
-    cross = np.outer(al**2, br**2) + np.outer(bl**2, ar**2)
-    twist = 2.0 * np.outer(al * bl, ar * br)
-    so, sl, sr = (b.shape_scale / np.sqrt(b.norms_sq) for b in (o, l, r))
-    return (cross * (Sx * Sy) - twist * (Cx * Cy)) * (so[:, None, None] * np.outer(sl, sr))
-
-
-def simply_supported_tensors(phi: ModeBasis, n_psi: int | None = None) -> CouplingTensors:
-    """Coupling tensors of a simply supported plate: Psi is the sine family of
-    phi's rectangle (its first n_psi modes, default phi itself), zeta^4 =
-    lambda^2, H = T(Psi; Phi, Phi) and C = T(Phi; Phi, Psi) with T the closed
-    form of _projection."""
-    from .modes import airy_eigenvalues, rect_basis
-
     if phi.kind != "rect":
         raise ValueError("plate coupling requires a rectangle basis")
-    if n_psi is None or n_psi == phi.count:
-        psi = phi
-    else:
-        psi = rect_basis(phi.lengths[0], phi.lengths[1], n_psi, phi.unit_normalized)
-    return CouplingTensors(H=_projection(psi, phi, phi), C=_projection(phi, phi, psi),
-                           zeta4=airy_eigenvalues(psi))
-
-
-def sparsify(ct: CouplingTensors, rel_tol: float = 1e-12) -> CouplingTensors:
-    """Zero entries below rel_tol times the largest magnitude.
-
-    For tensors that were not computed by simply_supported_tensors, such as
-    ones read from a file or integrated numerically, whose parity zeros may be
-    rounding dust: made exact, they let VkContraction store only the nonzero
-    blocks. simply_supported_tensors already returns exact zeros, which this
-    leaves as they are."""
-
-    def clean(t):
-        cut = rel_tol * np.max(np.abs(t))
-        out = t.copy()
-        out[np.abs(out) < cut] = 0.0
-        return out
-
-    return CouplingTensors(H=clean(ct.H), C=clean(ct.C), zeta4=ct.zeta4)
+    psi = rect_basis(phi.lengths[0], phi.lengths[1], phi.count if n_psi is None else n_psi,
+                     phi.unit_normalized)
+    lab_phi, lab_psi = np.asarray(phi.labels), np.asarray(psi.labels)
+    k_phi, k_psi = lab_phi.max(axis=0), lab_psi.max(axis=0)
+    K, N = np.maximum(k_phi, k_psi), np.maximum(2 * k_phi, k_phi + k_psi)
+    c = phi.shape_scale / np.sqrt(phi.norms_sq[0])
+    (Sx, Cx, Px), (Sy, Cy, Py) = (_axis_operators(L, int(k), int(n))
+                                  for L, k, n in zip(phi.lengths, K, N))
+    a = np.arange(1, K[0] + 1) * np.pi / phi.lengths[0]
+    b = np.arange(1, K[1] + 1) * np.pi / phi.lengths[1]
+    x_layers = (-c * Sx * a**2, c * Sx, c * Cx * a)  # d_xx, none, d_x
+    y_layers = (Sy.T, -(Sy * b**2).T, (Cy * b).T)  # none, d_yy, d_y
+    return PlateCoupling(
+        phi=phi, zeta4=airy_eigenvalues(psi),
+        eval_x=np.concatenate(x_layers), eval_y=np.stack(y_layers),
+        airy_x=np.concatenate([x_layers[1], x_layers[0], -2.0 * x_layers[2]]),
+        airy_y=np.stack([y_layers[1], y_layers[0], y_layers[2]]),
+        proj_x=c * Px, proj_y=Py,
+        phi_index=(lab_phi[:, 0] - 1) * K[1] + lab_phi[:, 1] - 1,
+        psi_index=(lab_psi[:, 0] - 1) * K[1] + lab_psi[:, 1] - 1,
+    )
 
 
 # --- modal nonlinear forces -------------------------------------------------
@@ -186,167 +168,70 @@ class TensionModulation:
         return out
 
 
-class _Blocks:
-    """A matrix M[n_out, n_in] whose column c multiplies a[ia[c]] * b[ib[c]],
-    stored as the nonzero blocks of its rows.
-
-    Rows with the same exact zero pattern form a group; a group keeps only
-    its nonzero columns. The groups are zero-padded to one stack B[G, R, K]
-    with gather indices IA, IB[G, K] into a and b, and slot[g, r], the output
-    row of stacked row r of group g. Padding carries zero coefficients, so it
-    adds nothing whatever index it gathers (slot and the indices pad with 0).
-    A matrix without exact zeros is a single dense group.
-    """
-
-    def __init__(self, M, ia, ib):
-        groups = {}
-        for r, pattern in enumerate(M != 0.0):
-            groups.setdefault(pattern.tobytes(), []).append(r)
-        rows = [np.array(r) for r in groups.values()]
-        cols = [np.flatnonzero(M[r[0]]) for r in rows]
-        G, R, K = len(rows), max(map(len, rows)), max(map(len, cols))
-        self.B = np.zeros((G, R, K))
-        self.IA = np.zeros((G, K), dtype=np.intp)
-        self.IB = np.zeros((G, K), dtype=np.intp)
-        self.slot = np.zeros((G, R), dtype=np.intp)
-        self.pos = np.empty(M.shape[0], dtype=np.intp)  # stacked index of each output row
-        for g, (r, c) in enumerate(zip(rows, cols)):
-            self.B[g, : len(r), : len(c)] = M[np.ix_(r, c)]
-            self.IA[g, : len(c)] = ia[c]
-            self.IB[g, : len(c)] = ib[c]
-            self.slot[g, : len(r)] = r
-            self.pos[r] = g * R + np.arange(len(r))
-
-    def __call__(self, a, b):
-        """M @ (a[ia] * b[ib]) in output-row order."""
-        x = a[self.IA] * b[self.IB]
-        return np.matmul(self.B, x[:, :, None]).reshape(-1)[self.pos]
-
-    def transpose(self, v):
-        """w[g, k] = sum_r B[g, r, k] v[slot[g, r]]: the adjoint of M applied to
-        v, per stored column."""
-        return np.matmul(v[self.slot][:, None, :], self.B)[:, 0, :]
+_SWAP_SIGNS = np.array([1.0, 1.0, -2.0])[:, None, None]
 
 
 class VkContraction:
-    """Two-stage contraction of the plate coupling:
+    """The von Karman plate force of a PlateCoupling,
 
-        eta_n = sum_{a,b} H[n,a,b] q_a q_b / zeta4_n
-        out_s = gain * sum_{p,n} C[s,p,n] q_p eta_n
+        eta_k = <Psi_k, L(w, w)> / zeta4_k,   out_s = gain <Phi_s, L(w, F)>,
 
-    gain is E / (2 rho) with rho the volumetric density.
-
-    Each stage is stored as the nonzero blocks of its rows (see _Blocks).
-    Stage 1 folds the (i, j) symmetry of the quadratic form: it runs over the
-    pairs i <= j with coefficient H[n,i,j] + H[n,j,i] (the diagonal once),
-    which is exact for any H, including the asymmetric ones of a fit. Stage 2
-    runs over C reshaped to [n_phi, n_phi n_psi]. A call is then one gather
-    multiply and one batched matrix product per stage, and jt_vec the
-    transposed products with their scatter-adds.
-
-    The block structure comes from exact zeros. The simply supported plate's
-    parity rules make about three quarters of H and C zero, in four row
-    patterns per stage, and simply_supported_tensors returns those zeros
-    exactly. A tensor whose zeros are rounding dust, or that has none, forms
-    one group, which is the dense product; sparsify exposes the dust.
-
-    The H gradient of finalize assumes C is tied to H by C[s,p,n] = H[n,p,s]
-    (the simply supported plate), so that optimising H drags C along.
+    with gain = E / (2 rho), rho the volumetric density. A call samples
+    w_xx, w_yy, w_xy on the grid, projects L(w, w) to eta, samples F's
+    derivatives and projects L(w, F); jt_vec applies the transposes of the
+    same matrices. Only eta is stored per step: the sweep recomputes the
+    grid fields from q and eta.
     """
 
-    def __init__(self, H, C, zeta4, gain):
-        n_psi, n_phi, _ = H.shape
-        self.n_phi, self.n_psi = n_phi, n_psi
-        self.inv_zeta4 = 1.0 / zeta4
+    def __init__(self, coupling: PlateCoupling, gain):
+        self.coupling = coupling
+        self.shape = (int(coupling.proj_x.shape[0]), int(coupling.proj_y.shape[0]))
         self.gain = float(gain)
-        # the scales ride in the blocks: stage 1 yields eta, stage 2 the force
-        i, j = np.triu_indices(n_phi)
-        folded = H[:, i, j] + np.where(i < j, H[:, j, i], 0.0)
-        self.h_blocks = _Blocks(folded * self.inv_zeta4[:, None], i, j)
-        p, n = np.divmod(np.arange(n_phi * n_psi), n_psi)
-        self.c_blocks = _Blocks(self.gain * C.reshape(n_phi, -1), p, n)
-        # every term jt_vec scatters onto q: the q index it lands on, and the
-        # index of its partner factor in [q, eta]
-        hb, cb = self.h_blocks, self.c_blocks
-        self._jt_index = np.concatenate([hb.IA.ravel(), hb.IB.ravel(), cb.IA.ravel()])
-        self._jt_partner = np.concatenate([hb.IB.ravel(), hb.IA.ravel(),
-                                           n_phi + cb.IB.ravel()])
-        self.eta = self.G = None
+        self.eta_scale = 2.0 / coupling.zeta4  # L(w, w) = 2 (w_xx w_yy - w_xy^2)
+        self.eta = None
 
     def begin(self, n_steps):
-        self.eta = np.empty((n_steps, self.n_psi))
-        self.G = np.empty((n_steps, self.n_psi))
+        self.eta = np.empty((n_steps, self.coupling.n_psi))
+
+    def _field(self, x, y, index, coeffs):
+        """The grid stack of a field from its modal coordinates."""
+        C = np.zeros(self.shape)
+        C.flat[index] = coeffs
+        return (x @ C).reshape(3, -1, self.shape[1]) @ y
+
+    def _field_adjoint(self, x, y, index, G):
+        """Transpose of _field: modal coordinates from a grid stack G."""
+        return (x.T @ (G @ y.transpose(0, 2, 1)).reshape(-1, self.shape[1])).flat[index]
+
+    def _project(self, G, index, scale):
+        c = self.coupling
+        return (c.proj_x @ G @ c.proj_y.T).flat[index] * scale
+
+    def _project_adjoint(self, v, index, scale):
+        c = self.coupling
+        V = np.zeros(self.shape)
+        V.flat[index] = v * scale
+        return c.proj_x.T @ V @ c.proj_y
 
     def __call__(self, q, n=None):
-        eta = self.h_blocks(q, q)
+        c = self.coupling
+        w = self._field(c.eval_x, c.eval_y, c.phi_index, q)
+        eta = self._project(w[0] * w[1] - w[2] * w[2], c.psi_index, self.eta_scale)
         if n is not None:
             self.eta[n] = eta
-        return self.c_blocks(q, eta)
+        F = self._field(c.airy_x, c.airy_y, c.psi_index, eta)
+        return self._project(np.einsum("dij,dij->ij", w, F), c.phi_index, self.gain)
 
     def jt_vec(self, n, v, q):
-        hb, cb = self.h_blocks, self.c_blocks
-        wc = cb.transpose(v)
-        g_eta = np.bincount(cb.IB.ravel(), weights=(wc * q[cb.IA]).ravel(),
-                            minlength=self.n_psi)
-        self.G[n] = g_eta
-        wh = hb.transpose(g_eta).ravel()
-        w = np.concatenate([wh, wh, wc.ravel()])
-        partners = np.concatenate([q, self.eta[n]])[self._jt_partner]
-        return np.bincount(self._jt_index, weights=w * partners, minlength=self.n_phi)
+        c = self.coupling
+        w = self._field(c.eval_x, c.eval_y, c.phi_index, q)
+        F = self._field(c.airy_x, c.airy_y, c.psi_index, self.eta[n])
+        g = self._project_adjoint(v, c.phi_index, self.gain)
+        eta_bar = self._field_adjoint(c.airy_x, c.airy_y, c.psi_index, g * w)
+        r = self._project_adjoint(eta_bar, c.psi_index, self.eta_scale)
+        # d(w_xx w_yy - w_xy^2) = (w_yy, w_xx, -2 w_xy) . dw
+        w_bar = g * F + r * w[[1, 0, 2]] * _SWAP_SIGNS
+        return self._field_adjoint(c.eval_x, c.eval_y, c.phi_index, w_bar)
 
     def finalize(self, V, Qmid, want):
-        out = {}
-        if "H" in want:
-            dH = -np.einsum("tn,ta,tb->nab", self.G * self.inv_zeta4[None, :], Qmid, Qmid)
-            dH -= self.gain * np.einsum("ts,tp,tn->nps", V, Qmid, self.eta)
-            out["H"] = dH
-        return out
-
-
-# --- serialisation ----------------------------------------------------------
-
-_MAGIC = b"VKCT"
-_VERSION = 1
-
-
-def save_tensors(ct: CouplingTensors, path) -> None:
-    """Flat binary layout: magic, endianness tag, version, dims, then zeta4, H,
-    C as row-major little-endian doubles."""
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(b"<")
-        f.write(struct.pack("<III", _VERSION, ct.n_psi, ct.n_phi))
-        for arr in (ct.zeta4, ct.H, ct.C):
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_tensors(path) -> CouplingTensors:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"not a coupling-tensor file (magic {magic!r})")
-        endian = f.read(1)
-        if endian not in (b"<", b">"):
-            raise ValueError(f"unknown endianness tag {endian!r}")
-        tag = endian.decode()
-        version, n_psi, n_phi = struct.unpack(f"{tag}III", f.read(12))
-        if version != _VERSION:
-            raise ValueError(f"unsupported tensor file version {version}")
-        dt = np.dtype(f"{tag}f8")
-        zeta4 = np.frombuffer(f.read(8 * n_psi), dtype=dt).astype(float)
-        H = np.frombuffer(f.read(8 * n_psi * n_phi * n_phi), dtype=dt).astype(float)
-        C = np.frombuffer(f.read(8 * n_phi * n_phi * n_psi), dtype=dt).astype(float)
-    return CouplingTensors(
-        H=H.reshape(n_psi, n_phi, n_phi), C=C.reshape(n_phi, n_phi, n_psi), zeta4=zeta4
-    )
-
-
-def tensors_to_csv(ct: CouplingTensors, path) -> None:
-    """Entry-per-row dump for inspection: tensor, i0, i1, i2, value."""
-    with open(path, "w") as f:
-        f.write("tensor,i0,i1,i2,value\n")
-        for name, t in (("H", ct.H), ("C", ct.C)):
-            for idx in np.ndindex(t.shape):
-                f.write(f"{name},{idx[0]},{idx[1]},{idx[2]},{t[idx]!r}\n")
-        for k, z in enumerate(ct.zeta4):
-            f.write(f"zeta4,{k},0,0,{z!r}\n")
+        return {}

@@ -7,7 +7,7 @@ values through per-parameter transforms:
 * ``softplus`` — damping rates gamma (keeps every continuous-time pole in the
                  left half-plane, hence every discrete pole inside the unit
                  circle, by construction rather than by projection),
-* ``linear``   — unconstrained quantities (output weights, b2, H entries).
+* ``linear``   — unconstrained quantities (output weights, b2).
 
 Two objective kinds cover the fitting paths:
 
@@ -38,7 +38,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from . import adjoint, coupling
+from . import adjoint
+from .coupling import PlateCoupling, TensionModulation, VkContraction
 from .integrators import InstabilityError, OverdampedError
 from .losses import LossWeights, loss_total_grad
 
@@ -88,7 +89,7 @@ def transform_invert(value, kind: str):
 # Every fittable parameter and its transform; each problem accepts a subset.
 TRANSFORMS = {
     "d_hat": "log", "t0_hat": "log", "tau": "log", "gamma": "softplus",
-    "weights": "linear", "b2": "linear", "H": "linear",
+    "weights": "linear", "b2": "linear",
 }
 
 
@@ -145,9 +146,10 @@ class TimeDomainProblem(_Parameters):
 
     Whatever appears in `free` is optimised; everything else is read from the
     fixed values. `nonlinearity` is None, "kc" (tension modulation with
-    tau_hat) or "vk" (plate coupling with H, zeta4 and vk_gain) — the plate's
-    C tensor is tied to H through the simply supported permutation identity,
-    so optimising H drags C along.
+    tau_hat) or "vk": the von Karman force of `coupling`, a PlateCoupling from
+    simply_supported_tensors built for the same modes as `lam`, times
+    `vk_gain`, the force VkContraction that simulate runs. The plate coupling
+    has no free parameters of its own.
     """
 
     lam: np.ndarray
@@ -164,14 +166,13 @@ class TimeDomainProblem(_Parameters):
     t0_hat: float = 0.0
     gamma: np.ndarray | float = 0.0
     tau_hat: float = 0.0
-    H: Optional[np.ndarray] = None
-    zeta4: Optional[np.ndarray] = None
+    coupling: Optional[PlateCoupling] = None
     vk_gain: float = 0.0
     readout_weights: Optional[np.ndarray] = None
     nonlinearity: Optional[str] = None  # None | "kc" | "vk"
     free: Tuple[str, ...] = ()
 
-    FREE = frozenset({"d_hat", "t0_hat", "tau", "gamma", "weights", "H"})
+    FREE = frozenset({"d_hat", "t0_hat", "tau", "gamma", "weights"})
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
@@ -185,6 +186,12 @@ class TimeDomainProblem(_Parameters):
             if value.shape != (size,):
                 raise ValueError(f"{name} has shape {value.shape}, expected length {size}")
             setattr(self, name, value)
+        if self.nonlinearity == "vk":
+            if self.coupling is None:
+                raise ValueError("the plate model ('vk') needs a coupling")
+            if self.coupling.n_phi != m:
+                raise ValueError(f"the coupling acts on {self.coupling.n_phi} modes, "
+                                 f"lam has {m}")
         self.freqs = np.fft.rfftfreq(self.stft_window_length, d=1.0 / self.rate)
         self._check_free()
         if self.scheme not in ("ftm", "sv"):
@@ -195,13 +202,11 @@ class TimeDomainProblem(_Parameters):
         super()._check_free()
         if "tau" in self.free and self.nonlinearity != "kc":
             raise ValueError("tau is free only for the tension-modulated model")
-        if "H" in self.free and self.nonlinearity != "vk":
-            raise ValueError("H is free only for the plate model")
 
     def _fixed(self):
         return {
             "d_hat": self.d_hat, "t0_hat": self.t0_hat, "tau": self.tau_hat,
-            "gamma": self.gamma, "weights": self.readout_weights, "H": self.H,
+            "gamma": self.gamma, "weights": self.readout_weights,
         }
 
     def _assemble(self, raw):
@@ -212,11 +217,9 @@ class TimeDomainProblem(_Parameters):
         parts = partials(w2, p["gamma"], 1.0 / self.rate)
         hook = None
         if self.nonlinearity == "kc":
-            hook = coupling.TensionModulation(self.lam, p["tau"])
+            hook = TensionModulation(self.lam, p["tau"])
         elif self.nonlinearity == "vk":
-            H = np.asarray(p["H"], dtype=float)
-            C = np.ascontiguousarray(np.transpose(H, (2, 1, 0)))
-            hook = coupling.VkContraction(H, C, self.zeta4, self.vk_gain)
+            hook = VkContraction(self.coupling, self.vk_gain)
         return parts, hook, np.asarray(p["weights"], dtype=float)
 
     def _forward(self, parts, hook):
@@ -249,7 +252,7 @@ class TimeDomainProblem(_Parameters):
         ybar = adjoint.stft_backward(cache, dmag)
 
         g = adjoint.bptt(parts["A"], parts["B"], parts["R"], Q, U, np.outer(ybar, w),
-                         hook=hook, hook_param_names={"tau", "H"} & set(raw))
+                         hook=hook, hook_param_names={"tau"} & set(raw))
         dw2 = g["dA"] * parts["dA_dw2"] + g["dB"] * parts["dB_dw2"] + g["dR"] * parts["dR_dw2"]
         grads = {
             "d_hat": float(dw2 @ self.lam**2),
@@ -258,7 +261,8 @@ class TimeDomainProblem(_Parameters):
                       + g["dR"] * parts["dR_dg"]),
             "weights": Q[2:].T @ ybar,
         }
-        grads.update((n, g[n]) for n in ("tau", "H") if n in g)
+        if "tau" in g:
+            grads["tau"] = g["tau"]
         return loss, self._raw_grads(raw, grads)
 
 
@@ -292,6 +296,7 @@ class FrequencyDomainProblem(_Parameters):
         if self.weights is None:
             self.weights = np.ones(m)
         self.freqs = adjoint.check_tf_frequencies(self.freqs, self.rate)
+        self._z = np.exp(2j * np.pi * self.freqs / self.rate)
         self.target_env = np.asarray(self.target_env, dtype=float)
         if self.target_env.shape != self.freqs.shape:
             raise ValueError(
@@ -317,7 +322,7 @@ class FrequencyDomainProblem(_Parameters):
 
     def predict(self, raw) -> np.ndarray:
         _, coeffs = self._assemble(raw)
-        mag, _ = adjoint.tf_magnitude_cached(*(c[0] for c in coeffs), self.freqs, self.rate)
+        mag, _ = adjoint.tf_magnitude_cached(*(c[0] for c in coeffs), self._z)
         return mag
 
     def value_and_grad(self, raw):
@@ -325,7 +330,7 @@ class FrequencyDomainProblem(_Parameters):
         start. The transfer-function kernels run one start at a time, so their
         [freq, mode] temporaries stay in cache; the rest runs on all at once."""
         cp, coeffs = self._assemble(raw)
-        runs = [adjoint.tf_magnitude_cached(*c, self.freqs, self.rate) for c in zip(*coeffs)]
+        runs = [adjoint.tf_magnitude_cached(*c, self._z) for c in zip(*coeffs)]
         loss, dmag = loss_total_grad(self.target_env[None, :],
                                      np.stack([mag for mag, _ in runs])[:, None, :],
                                      self.loss_weights, self.freqs)
@@ -343,53 +348,6 @@ class FrequencyDomainProblem(_Parameters):
         if self._starts(raw) is None:
             return float(loss[0]), {n: g[0] for n, g in grads.items()}
         return loss, grads
-
-
-# --- gradient verification -------------------------------------------------------
-
-@dataclass
-class GradientReport:
-    """Analytic vs central-finite-difference gradients, every free coordinate."""
-
-    analytic: Dict[str, np.ndarray]
-    numeric: Dict[str, np.ndarray]
-    relative_error: Dict[str, np.ndarray]
-
-    @property
-    def max_relative_error(self) -> float:
-        return max(float(np.max(v)) for v in self.relative_error.values())
-
-
-def gradient_report(problem, raw: Dict[str, np.ndarray], rel_step: float = 1e-4,
-                    floor: float = 0.0) -> GradientReport:
-    """Central finite differences on every raw coordinate of every free
-    parameter; relative errors use max(|analytic|, |numeric|) as the scale,
-    with `floor` guarding the comparison of near-zero pairs."""
-    base_loss, analytic = problem.value_and_grad(raw)
-    numeric = {}
-    for name, arr in raw.items():
-        arr = np.asarray(arr, dtype=float)
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gf = g.reshape(-1)
-        for i in range(flat.size):
-            h = rel_step * max(1.0, abs(flat[i]))
-            orig = flat[i]
-            flat[i] = orig + h
-            lp, _ = problem.value_and_grad(raw)
-            flat[i] = orig - h
-            lm, _ = problem.value_and_grad(raw)
-            flat[i] = orig
-            gf[i] = (lp - lm) / (2.0 * h)
-        numeric[name] = g
-    rel = {}
-    for name in raw:
-        a = np.asarray(analytic[name], dtype=float)
-        n = numeric[name]
-        scale = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-        scale = np.where(scale == 0.0, 1.0, scale)
-        rel[name] = np.abs(a - n) / scale
-    return GradientReport(analytic=analytic, numeric=numeric, relative_error=rel)
 
 
 # --- optimiser --------------------------------------------------------------------

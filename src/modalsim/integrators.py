@@ -36,7 +36,7 @@ import numpy as np
 
 from . import adjoint
 from .adjoint import InstabilityError, OverdampedError  # noqa: F401  (re-exported)
-from .coupling import CouplingTensors, TensionModulation, VkContraction
+from .coupling import PlateCoupling, TensionModulation, VkContraction
 from .model import ModelSpec, derive_normalized, derive_tau, validate
 from .modes import ModeBasis, point_readout, project_point_excitation
 
@@ -250,8 +250,12 @@ def _sv_backstep(bank: OscillatorBank, T: float, q0, v0, u0):
     return q0 - T * v0 + 0.5 * T**2 * a0
 
 
+def _plate(basis: ModeBasis) -> str:
+    return f"{basis.count} modes of a {' x '.join(map(str, basis.lengths))} {basis.kind}"
+
+
 def _nl_hook_for(spec: ModelSpec, basis: ModeBasis,
-                 tensors: Optional[CouplingTensors]) -> Optional[Callable]:
+                 tensors: Optional[PlateCoupling]) -> Optional[Callable]:
     if tensors is not None and spec.nonlinearity != "von-karman":
         raise ValueError(f"tensors apply to von-karman models only, not {spec.nonlinearity!r}")
     if spec.nonlinearity == "linear":
@@ -262,14 +266,11 @@ def _nl_hook_for(spec: ModelSpec, basis: ModeBasis,
         return TensionModulation(basis.eigenvalues, derive_tau(spec) / spec.effective_density)
     if spec.nonlinearity == "von-karman":
         if tensors is None:
-            raise ValueError("von Karman simulation needs coupling tensors")
-        if tensors.n_phi != basis.count:
-            raise ValueError(
-                f"coupling tensors act on modal states of length {tensors.n_phi}, "
-                f"the basis has {basis.count} modes"
-            )
-        return VkContraction(tensors.H, tensors.C, tensors.zeta4,
-                             spec.material.E / (2.0 * spec.material.rho))
+            raise ValueError("von Karman simulation needs the plate coupling (tensors)")
+        if not (tensors.phi.same_domain(basis) and tensors.phi.labels == basis.labels):
+            raise ValueError(f"the plate coupling was built for {_plate(tensors.phi)}, "
+                             f"the basis has {_plate(basis)}")
+        return VkContraction(tensors, spec.material.E / (2.0 * spec.material.rho))
     raise ValueError(f"unknown nonlinearity {spec.nonlinearity!r}")
 
 
@@ -302,7 +303,7 @@ def _modal_excitation(basis: ModeBasis, excitation: Excitation, n_steps: int):
 def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitation,
              duration: float, rate: float,
              readout_point=None, readout_weights: Optional[np.ndarray] = None,
-             tensors: Optional[CouplingTensors] = None,
+             tensors: Optional[PlateCoupling] = None,
              b2: Optional[np.ndarray] = None,
              rk_oversample: Optional[int] = None) -> Trajectory:
     """Full simulation: assembles the oscillator bank, scheme coefficients,
@@ -311,10 +312,12 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
     scheme is one of 'ftm' (impulse-invariant resonators), 'sv'
     (Stoermer-Verlet) or 'rk-reference' (oversampled RK4 oracle). b2, the
     resonator numerator's second coefficient, exists only for 'ftm';
-    rk_oversample (default 16) only for 'rk-reference'. tensors are the von
-    Karman coupling; tensors read from a file may need sparsify first for the
-    contraction to find its blocks. The readout is taken either at
-    readout_point or with readout_weights, one per mode.
+    rk_oversample (default 16) only for 'rk-reference'. tensors is the plate
+    coupling from simply_supported_tensors, required by and only accepted for
+    von-karman models; it must have been built for this basis (same rectangle,
+    same mode labels). Every scheme, 'rk-reference' included, applies its one
+    force, VkContraction. The readout is taken either at readout_point or with
+    readout_weights, one per mode.
     """
     spec = validate(spec)
     if scheme not in ("ftm", "sv", "rk-reference"):

@@ -1,12 +1,11 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalsim.coupling import (
-    CouplingTensors, TensionModulation, VkContraction, load_tensors, save_tensors,
-    simply_supported_tensors, sparsify, tensors_to_csv,
-)
+from modalsim.coupling import TensionModulation, VkContraction, simply_supported_tensors
 from modalsim.integrators import InitialCondition, simulate
 from modalsim.model import MaterialParams, ModelSpec, RectPlate, String
 from modalsim.modes import _sinpi, rect_basis, reconstruct, required_grid_points, string_basis
@@ -16,14 +15,14 @@ def tension_force(q, basis, tau):
     return TensionModulation(basis.eigenvalues, tau)(np.asarray(q, dtype=float))
 
 
-def vk_force(q, ct, gain):
-    return VkContraction(ct.H, ct.C, ct.zeta4, gain)(np.asarray(q, dtype=float))
+def vk_force(q, coupling, gain):
+    return VkContraction(coupling, gain)(np.asarray(q, dtype=float))
 
 
 @pytest.fixture(scope="module")
 def square_tensors():
     basis = rect_basis(1.0, 1.0, 5)
-    return basis, simply_supported_tensors(basis)
+    return basis, closed_form_tensors(basis)
 
 
 # --- quadrature oracle -----------------------------------------------------------
@@ -145,6 +144,71 @@ def test_H_first_entry_against_finer_quadrature():
     assert h16 == pytest.approx(h64, rel=1e-6)
 
 
+# --- closed-form tensor oracle ------------------------------------------------------
+#
+# The coupling as third-order tensors H[k, i, j] = <Psi_k, L(Phi_i, Phi_j)> and
+# C[s, p, n] = <Phi_s, L(Phi_p, Psi_n)> (unit-norm shapes), each entry a sum
+# of products of 1-D integrals. The library never forms them; they are the
+# oracle for its grid force, checked here against the quadrature.
+
+Tensors = namedtuple("Tensors", "H C zeta4")
+
+
+def _sine_integrals(k, L):
+    """S[p, q, r] = int_0^L sin sin sin and C[p, q, r] = int_0^L sin cos cos of
+    (p, q, r) pi x / L for all p, q, r in k: products to sums over
+    int_0^L sin(k pi x / L) dx = 2 L / (k pi) for odd k and 0 for even k."""
+    p, q, r = k[:, None, None], k[None, :, None], k[None, None, :]
+
+    def I(n):
+        odd = n % 2 == 1
+        return np.where(odd, 2.0 * L / (np.pi * np.where(odd, n, 1)), 0.0)
+
+    # grouped so that swapping q and r only reorders exact operations, which
+    # keeps the (i, j) symmetry of H bit for bit
+    S = ((I(p + r - q) - I(r - p - q)) + (I(q + r - p) - I(p + q + r))) / 4.0
+    C = ((I(p + q - r) + I(p - q + r)) + (I(p + q + r) + I(p - q - r))) / 4.0
+    return S, C
+
+
+def _projection(o, l, r):
+    """T[k, i, j] = integral o_k L(l_i, r_j) / (||o_k|| ||l_i|| ||r_j||) in closed form.
+
+    A mode f = sin(a x) sin(b y) has f_xx = -a^2 f, f_yy = -b^2 f and
+    f_xy = a b cos(a x) cos(b y), so each entry is a sum of products of 1-D
+    integrals:
+    T = (a_i^2 b_j^2 + b_i^2 a_j^2) Sx Sy - 2 (a_i b_i)(a_j b_j) Cx Cy.
+    The integrals vanish exactly unless both index sums are odd.
+    """
+    labels = [np.asarray(b.labels) for b in (o, l, r)]
+    factors = []
+    for axis, L in enumerate(o.lengths):
+        io, il, ir = (lab[:, axis] - 1 for lab in labels)
+        tables = _sine_integrals(np.arange(1, max(io.max(), il.max(), ir.max()) + 2), L)
+        factors.append([t[io][:, il][:, :, ir] for t in tables])
+    (Sx, Cx), (Sy, Cy) = factors
+    (al, bl), (ar, br) = ((lab * np.pi / np.asarray(o.lengths)).T for lab in labels[1:])
+    cross = np.outer(al**2, br**2) + np.outer(bl**2, ar**2)
+    twist = 2.0 * np.outer(al * bl, ar * br)
+    so, sl, sr = (b.shape_scale / np.sqrt(b.norms_sq) for b in (o, l, r))
+    return (cross * (Sx * Sy) - twist * (Cx * Cy)) * (so[:, None, None] * np.outer(sl, sr))
+
+
+def closed_form_tensors(phi, n_psi=None):
+    """H = T(Psi; Phi, Phi), C = T(Phi; Phi, Psi) and zeta4 = lambda_psi^2, with
+    Psi the first n_psi sine modes of phi's rectangle (default phi itself)."""
+    psi = phi if n_psi is None else rect_basis(*phi.lengths, n_psi, phi.unit_normalized)
+    return Tensors(H=_projection(psi, phi, phi), C=_projection(phi, phi, psi),
+                   zeta4=psi.eigenvalues**2)
+
+
+def naive_contraction(q, ct, gain):
+    """The force straight from the tensors: eta = H : q q / zeta4, then
+    out = gain C : q eta."""
+    eta = np.einsum("nab,a,b->n", ct.H, q, q) / ct.zeta4
+    return gain * np.einsum("spn,p,n->s", ct.C, q, eta)
+
+
 # --- coupling tensors ------------------------------------------------------------
 
 @pytest.mark.parametrize("n_phi, n_psi, unit_norm", [
@@ -154,7 +218,7 @@ def test_H_first_entry_against_finer_quadrature():
 def test_closed_form_matches_quadrature_oracle(n_phi, n_psi, unit_norm):
     phi = rect_basis(0.4, 0.3, n_phi, unit_norm)
     psi = rect_basis(0.4, 0.3, n_psi, unit_norm) if n_psi else phi
-    ct = simply_supported_tensors(phi, n_psi)
+    ct = closed_form_tensors(phi, n_psi)
     for got, oracle in ((ct.H, compute_H(phi, psi)), (ct.C, compute_C(phi, psi))):
         assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
@@ -178,7 +242,7 @@ def test_H_parity_selection_rules(square_tensors):
 
 
 def test_C_is_H_transposed_when_psi_is_phi():
-    ct = simply_supported_tensors(rect_basis(0.4, 0.3, 30))
+    ct = closed_form_tensors(rect_basis(0.4, 0.3, 30))
     HT = np.transpose(ct.H, (2, 1, 0))
     assert np.array_equal(ct.C == 0.0, HT == 0.0)
     assert np.max(np.abs(ct.C - HT)) <= 1e-14 * np.max(np.abs(ct.H))
@@ -193,9 +257,11 @@ def test_C_direct_quadrature_matches_permutation_identity(square_tensors):
 
 def test_mixed_basis_sizes_use_direct_C():
     phi = rect_basis(1.0, 1.0, 3)
-    ct = simply_supported_tensors(phi, n_psi=6)
-    assert ct.n_phi == 3 and ct.n_psi == 6
-    assert ct.zeta4 == pytest.approx(rect_basis(1.0, 1.0, 6).eigenvalues ** 2)
+    coupling = simply_supported_tensors(phi, n_psi=6)
+    assert coupling.n_phi == 3 and coupling.n_psi == 6
+    assert coupling.zeta4 == pytest.approx(rect_basis(1.0, 1.0, 6).eigenvalues ** 2)
+    ct = closed_form_tensors(phi, n_psi=6)
+    assert ct.H.shape == (6, 3, 3) and ct.C.shape == (3, 3, 6)
 
 
 # --- tension-modulation force ------------------------------------------------------
@@ -249,63 +315,28 @@ def test_tension_force_is_pure_hardening(seed):
 # --- plate force ----------------------------------------------------------------------
 
 def test_vk_force_zero_cases(square_tensors, rng):
-    _, ct = square_tensors
-    assert np.all(vk_force(np.zeros(5), ct, 1.0) == 0.0)
-    zero_h = CouplingTensors(H=np.zeros_like(ct.H), C=ct.C, zeta4=ct.zeta4)
-    q = rng.normal(size=5)
-    assert np.all(vk_force(q, zero_h, 1.0) == 0.0)
-
-
-def naive_contraction(q, ct, gain):
-    out = np.zeros(ct.n_phi)
-    for s in range(ct.n_phi):
-        for p in range(ct.n_phi):
-            for a in range(ct.n_phi):
-                for r in range(ct.n_phi):
-                    for n in range(ct.n_psi):
-                        out[s] += (
-                            gain * ct.H[n, a, r] * ct.C[s, p, n] / ct.zeta4[n]
-                            * q[p] * q[a] * q[r]
-                        )
-    return out
+    basis, _ = square_tensors
+    coupling = simply_supported_tensors(basis)
+    assert np.all(vk_force(np.zeros(5), coupling, 1.0) == 0.0)
+    assert np.all(vk_force(rng.normal(size=5), coupling, 0.0) == 0.0)
 
 
 @settings(max_examples=10)
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=3, max_value=6))
 def test_vk_force_matches_naive_quadruple_loop(seed, n_modes):
     rng = np.random.default_rng(seed)
-    H = rng.normal(size=(n_modes, n_modes, n_modes))
-    C = rng.normal(size=(n_modes, n_modes, n_modes))
-    ct = CouplingTensors(H=H, C=C, zeta4=rng.uniform(0.5, 3.0, size=n_modes))
+    phi = rect_basis(*rng.uniform(0.2, 1.0, size=2), n_modes)
     q = rng.normal(size=n_modes)
-    fast = vk_force(q, ct, gain=1.7)
-    slow = naive_contraction(q, ct, 1.7)
-    assert np.max(np.abs(fast - slow)) <= 1e-12 * max(1.0, np.max(np.abs(slow)))
+    fast = vk_force(q, simply_supported_tensors(phi), gain=1.7)
+    slow = naive_contraction(q, closed_form_tensors(phi), 1.7)
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
 def test_vk_contraction_class_matches_function(square_tensors, rng):
-    _, ct = square_tensors
-    hook = VkContraction(ct.H, ct.C, ct.zeta4, gain=2.2)
+    basis, ct = square_tensors
+    hook = VkContraction(simply_supported_tensors(basis), gain=2.2)
     q = rng.normal(size=5)
-    assert hook(q) == pytest.approx(naive_contraction(q, ct, 2.2))
-
-
-def physical_tensors():
-    return simply_supported_tensors(rect_basis(0.4, 0.3, 12))
-
-
-def dense_tensors():
-    rng = np.random.default_rng(3)
-    return CouplingTensors(H=rng.normal(size=(5, 7, 7)), C=rng.normal(size=(7, 7, 5)),
-                           zeta4=rng.uniform(0.5, 3.0, size=5))
-
-
-def row_pattern_tensors():
-    # every row of either stage gets a zero pattern of its own
-    rng = np.random.default_rng(4)
-    H = rng.normal(size=(5, 7, 7)) * (rng.uniform(size=(5, 7, 7)) < 0.4)
-    C = rng.normal(size=(7, 7, 5)) * (rng.uniform(size=(7, 7, 5)) < 0.4)
-    return CouplingTensors(H=H, C=C, zeta4=rng.uniform(0.5, 3.0, size=5))
+    assert hook(q) == pytest.approx(naive_contraction(q, ct, 2.2), rel=1e-12)
 
 
 def jacobian_fd(f, q, h=0.5):
@@ -319,87 +350,52 @@ def jacobian_fd(f, q, h=0.5):
     return np.array(cols).T
 
 
-@pytest.mark.parametrize("tensors, groups", [
-    (physical_tensors, (4, 4)), (dense_tensors, (1, 1)), (row_pattern_tensors, (5, 7)),
+@pytest.mark.parametrize("n_phi, n_psi, unit_norm", [
+    (12, None, True), (30, None, True), (60, None, True), (120, None, True),
+    (8, 14, True), (14, 8, True), (12, None, False), (8, 14, False),
 ])
-def test_blocked_contraction_matches_naive_and_jacobian(tensors, groups):
-    ct = tensors()
-    hook = VkContraction(ct.H, ct.C, ct.zeta4, gain=1.3)
-    assert (hook.h_blocks.B.shape[0], hook.c_blocks.B.shape[0]) == groups
+def test_grid_force_matches_tensor_oracle_and_jacobian(n_phi, n_psi, unit_norm):
+    phi = rect_basis(0.4, 0.3, n_phi, unit_norm)
+    hook = VkContraction(simply_supported_tensors(phi, n_psi), gain=1.3)
     rng = np.random.default_rng(5)
-    q, v = rng.normal(size=(2, ct.n_phi))
+    q, v = rng.normal(size=(2, n_phi))
     hook.begin(3)
     f = hook(q, 2)
-    slow = naive_contraction(q, ct, 1.3)
+    slow = naive_contraction(q, closed_form_tensors(phi, n_psi), 1.3)
     assert np.max(np.abs(f - slow)) <= 1e-12 * np.max(np.abs(slow))
     jt = hook.jt_vec(2, v, q)
     fd = jacobian_fd(hook, q).T @ v
     assert np.max(np.abs(jt - fd)) <= 1e-12 * np.max(np.abs(fd))
 
 
-def test_blocked_contraction_keeps_parity_blocks_only():
-    ct = simply_supported_tensors(rect_basis(0.4, 0.3, 60))
-    hook = VkContraction(ct.H, ct.C, ct.zeta4, gain=1.0)
-    dense = ct.n_phi**2 * ct.n_psi
-    for blocks in (hook.h_blocks, hook.c_blocks):
-        assert blocks.B.shape[0] == 4
-        assert blocks.B.size < dense / 3
+def test_many_mode_plate_force_is_odd_and_cubic():
+    # 500 modes: H and C would hold 1.25e8 entries each; the grid needs none
+    phi = rect_basis(0.4, 0.3, 500)
+    hook = VkContraction(simply_supported_tensors(phi), gain=1.0)
+    q = np.random.default_rng(6).normal(size=500) / np.sqrt(phi.eigenvalues)
+    f = hook(q)
+    scale = np.max(np.abs(f))
+    assert scale > 0.0
+    assert np.max(np.abs(hook(-q) + f)) <= 1e-12 * scale
+    assert np.max(np.abs(hook(2.0 * q) - 8.0 * f)) <= 1e-12 * 8.0 * scale
+
+
+def plate_spec():
+    return ModelSpec(MaterialParams(rho=1000.0, E=7e6, nu=0.3), RectPlate(0.4, 0.3, 0.002),
+                     nonlinearity="von-karman")
 
 
 def test_vk_dimension_mismatch():
-    ct = CouplingTensors(H=np.zeros((2, 3, 3)), C=np.zeros((3, 3, 2)), zeta4=np.ones(2))
-    spec = ModelSpec(MaterialParams(rho=1000.0, E=7e6, nu=0.3), RectPlate(0.3, 0.3, 0.002),
-                     nonlinearity="von-karman")
-    with pytest.raises(ValueError, match="length"):
-        simulate(spec, rect_basis(0.3, 0.3, 4), "sv", InitialCondition(np.zeros(4)),
-                 0.001, 8000.0, tensors=ct)
+    coupling = simply_supported_tensors(rect_basis(0.4, 0.3, 2))
+    with pytest.raises(ValueError, match="built for 2 modes of a 0.4 x 0.3 rect, "
+                                         "the basis has 4 modes"):
+        simulate(plate_spec(), rect_basis(0.4, 0.3, 4), "sv", InitialCondition(np.zeros(4)),
+                 0.001, 8000.0, tensors=coupling)
 
 
-# --- storage ---------------------------------------------------------------------------
-
-def test_sparsify_drops_parity_dust(square_tensors):
-    basis, ct = square_tensors
-    quad = CouplingTensors(H=compute_H(basis, basis), C=compute_C(basis, basis),
-                           zeta4=ct.zeta4)
-    assert np.count_nonzero(quad.H == 0.0) == 0
-    cleaned = sparsify(quad)
-    assert np.array_equal(cleaned.H == 0.0, ct.H == 0.0)
-    assert np.array_equal(cleaned.C == 0.0, ct.C == 0.0)
-    nz = np.abs(quad.H) > 1e-10 * np.max(np.abs(quad.H))
-    assert np.array_equal(cleaned.H[nz], quad.H[nz])
-
-
-def test_sparsify_leaves_closed_form_unchanged():
-    ct = simply_supported_tensors(rect_basis(0.4, 0.3, 30))
-    cleaned = sparsify(ct)
-    assert np.array_equal(cleaned.H, ct.H)
-    assert np.array_equal(cleaned.C, ct.C)
-
-
-def test_binary_round_trip(tmp_path, square_tensors):
-    _, ct = square_tensors
-    path = tmp_path / "tensors.bin"
-    save_tensors(ct, path)
-    again = load_tensors(path)
-    assert np.array_equal(again.H, ct.H)
-    assert np.array_equal(again.C, ct.C)
-    assert np.array_equal(again.zeta4, ct.zeta4)
-    with open(path, "rb") as f:
-        head = f.read(5)
-    assert head == b"VKCT<"
-
-
-def test_bad_magic_rejected(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"JUNKdata")
-    with pytest.raises(ValueError, match="magic"):
-        load_tensors(path)
-
-
-def test_csv_export(tmp_path, square_tensors):
-    _, ct = square_tensors
-    path = tmp_path / "tensors.csv"
-    tensors_to_csv(ct, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "tensor,i0,i1,i2,value"
-    assert len(lines) == 1 + ct.H.size + ct.C.size + ct.n_psi
+def test_coupling_of_another_plate_rejected():
+    coupling = simply_supported_tensors(rect_basis(0.8, 0.2, 12))
+    with pytest.raises(ValueError, match="built for 12 modes of a 0.8 x 0.2 rect, "
+                                         "the basis has 12 modes of a 0.4 x 0.3 rect"):
+        simulate(plate_spec(), rect_basis(0.4, 0.3, 12), "sv",
+                 InitialCondition(np.full(12, 1e-4)), 0.001, 8000.0, tensors=coupling)

@@ -5,11 +5,13 @@ from typing import Dict
 import numpy as np
 import pytest
 
+from modalsim.coupling import simply_supported_tensors
 from modalsim.fitting import (
     FitConfig, FrequencyDomainProblem, StartResult, TimeDomainProblem, _init_raw, fit,
     one_cycle_lr,
 )
 from modalsim.integrators import InstabilityError, OverdampedError
+from modalsim.modes import rect_basis
 from problem_builders import string_frequency_problem, string_time_problem
 
 
@@ -22,7 +24,7 @@ def test_fit_reports_misshaped_target_instead_of_divergence():
 
 @pytest.mark.parametrize("free, message", [(("bogus",), "unknown free parameters"),
                                            (("tau",), "tau is free only"),
-                                           (("H",), "H is free only")])
+                                           (("H",), "unknown free parameters")])
 def test_fit_checks_free_assigned_after_construction(free, message):
     problem = string_time_problem()
     problem.free = free
@@ -82,6 +84,16 @@ def test_time_problem_rejects_input_of_wrong_length(name, value, expected):
     with pytest.raises(ValueError, match=rf"{name} has shape \({len(value)},\), "
                                          rf"expected length {expected}"):
         TimeDomainProblem(**time_kw(**{name: value}))
+
+
+@pytest.mark.parametrize("coupling, message", [
+    (None, "needs a coupling"),
+    (simply_supported_tensors(rect_basis(0.4, 0.3, 4)), "acts on 4 modes, lam has 3"),
+], ids=["missing", "mode-count"])
+def test_time_problem_rejects_coupling_that_does_not_fit(coupling, message):
+    with pytest.raises(ValueError, match=message):
+        TimeDomainProblem(**time_kw(scheme="sv", nonlinearity="vk", coupling=coupling,
+                                    vk_gain=1.0))
 
 
 # --- lockstep engine against the serial per-start oracle ------------------------------

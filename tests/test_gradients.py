@@ -7,14 +7,13 @@ scale of its raw coordinate.
 
 import pytest
 
-from modalsim.fitting import gradient_report
 from modalsim.losses import LossWeights
 from problem_builders import (
-    floored_relative_errors, plate_frequency_problem, plate_time_problem,
+    floored_relative_errors, gradient_report, plate_frequency_problem, plate_time_problem,
     string_frequency_problem, string_time_problem,
 )
 
-STEPS = {"t0_hat": 1e-5, "d_hat": 1e-5, "weights": 1e-5, "H": 1e-5,
+STEPS = {"t0_hat": 1e-5, "d_hat": 1e-5, "weights": 1e-5,
          "gamma": 1e-4, "tau": 1e-6, "b2": 1e-8}
 TOL = 1e-3
 
@@ -40,14 +39,15 @@ def test_string_time_kc_gradients(scheme, name):
     check(string_time_problem(scheme=scheme, nl="kc"), name)
 
 
-@pytest.mark.parametrize("name", ["d_hat", "H", "gamma"])
+@pytest.mark.parametrize("name", ["d_hat", "gamma"])
 def test_plate_time_vk_gradients(name):
-    check(plate_time_problem(), name)
+    # a rectangle with more Airy modes than transverse ones
+    check(plate_time_problem(lengths=(0.4, 0.3), n_modes=4, n_psi=7), name)
 
 
 @pytest.mark.parametrize("name", ["d_hat", "gamma"])
 def test_plate_time_vk_gradients_physical_tensors(name):
-    check(plate_time_problem(random_H=False), name)
+    check(plate_time_problem(), name)
 
 
 @pytest.mark.parametrize("name", ["t0_hat", "gamma", "b2", "weights"])
