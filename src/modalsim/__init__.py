@@ -15,7 +15,7 @@ from .modes import (
 )
 from .coupling import PlateCoupling, simply_supported_tensors, TensionModulation, VkContraction
 from .integrators import (
-    OscillatorBank, FtmCoeffs, SvCoeffs, Trajectory,
+    OscillatorBank, Coefficients, Trajectory,
     InitialCondition, PointForce, raised_cosine_pulse, triangular_pluck,
     OverdampedError, InstabilityError, SchemeError,
     oscillator_bank, bank_from_spec, ftm_coeffs, sv_coeffs, simulate, rk_reference,

@@ -4,8 +4,10 @@ Each block exists once, with the hand-written reverse-mode derivative the
 fits need (no general-purpose autodiff; the tests check every gradient
 against central finite differences):
 
-* the scheme coefficient maps with their partials in omega^2 and gamma
-  (``integrators.ftm_coeffs``/``sv_coeffs`` wrap them for a bank);
+* the scheme coefficient maps, from omega^2 and gamma to the update vectors
+  (A, B, R), with their partials in omega^2 and gamma
+  (``integrators.ftm_coeffs``/``sv_coeffs`` wrap them for a bank, and both
+  fits chain through them);
 * :func:`forward_cached`, the two-step modal recurrence that ``simulate`` and
   the time-domain fit run, and :func:`bptt`, its reverse sweep;
 * :func:`stft_cached` / :func:`stft_backward`, the magnitude STFT that
@@ -18,22 +20,25 @@ against central finite differences):
 
 The nonlinear forces live with their Jacobians in :mod:`modalsim.coupling`.
 
-Conventions. The recurrence is
+Conventions. One coefficient form serves every block: the per-mode update
+vectors (A, B, R) of the recurrence
 
-    q^{n+1} = A q^n + B q^{n-1} + R u^n + R2 u^{n-1},   u^n = f_ext^n - nl(q^n),
+    q^{n+1} = A q^n + B q^{n-1} + R u^n,   u^n = f_ext^n - nl(q^n).
 
-with per-mode vectors A, B, R, R2 (R2, the resonator numerator's b2 term, is
-forward-only). Trajectories are stored as Q[t] = q^{t-1} (rows q^{-1} .. q^N),
-output samples are y_n = w . q^{n+1}. The reverse sweep propagates
-qbar^n = dL/dq^n backwards:
+Trajectories are stored as Q[t] = q^{t-1} (rows q^{-1} .. q^N), output
+samples are y_n = w . q^{n+1}. The reverse sweep propagates qbar^n = dL/dq^n
+backwards:
 
     qbar^n = w ybar_n + A qbar^{n+1} + B qbar^{n+2} - J_nl(q^n)^T (R qbar^{n+1})
 
 and parameter gradients reduce to sums of stored products afterwards. With
-nl = 0, mode k is the two-pole IIR filter (R_k + R2_k z^-1) / (1 - A_k z^-1 -
-B_k z^-2) of its force, run by ``scipy.signal.lfilter`` from the state
+nl = 0, mode k is the two-pole IIR filter R_k / (1 - A_k z^-1 - B_k z^-2) of
+its force, run by ``scipy.signal.lfilter`` from the state
 [A q^0 + B q^{-1}, B q^0], and the sweep is the same filter, numerator 1, on
-reversed time. The per-sample loops serve nonlinear hooks only.
+reversed time. The per-sample loops serve nonlinear hooks only. On the unit
+circle that filter's magnitude is |R z / (z^2 - A z - B)|; the
+transfer-function kernels evaluate (R z + R2) / (z^2 - A z - B), where R2 is
+the frequency-domain fit's free numerator term (zero for a simulated bank).
 
 A nonlinear force ``hook`` is an object with ``begin(n_steps)`` (fresh
 per-run caches), ``hook(q, n)`` (the force at step n, caching what the sweep
@@ -43,8 +48,14 @@ needs), ``jt_vec(n, v, q)`` (J_nl(q^n)^T v) and ``finalize(V, Qmid, want)``
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
-from scipy.signal import get_window, lfilter
+# Imported eagerly on purpose: importing scipy.signal leaves a large heap that
+# the transfer-function kernels' [freq, mode] temporaries reuse. Imported
+# lazily, the string_fit_fd benchmark op ran 1.2-1.5x slower, with about 54k
+# minor page faults per op instead of none.
+from scipy.signal import lfilter
 
 # steps between the hook loop's finiteness checks (the filter path checks once)
 CHECK_EVERY = 64
@@ -73,10 +84,19 @@ def _check_finite(q, step):
 
 # --- coefficient maps with partials -------------------------------------------
 
-def ftm_coeff_partials(omega2, gamma, T):
-    """Impulse-invariant coefficients a1 = -2 e^{-gT} cos(wt T), a2 = e^{-2gT},
-    b1 = e^{-gT} sin(wt T) / wt and their partial derivatives with respect to
-    omega^2 and gamma."""
+class Coefficients(NamedTuple):
+    """Per-mode update vectors of q^{n+1} = A q^n + B q^{n-1} + R u^n."""
+
+    A: np.ndarray
+    B: np.ndarray
+    R: np.ndarray
+
+
+def ftm_update_partials(omega2, gamma, T):
+    """Impulse-invariant update vectors A = 2 e^{-gT} cos(wt T), B = -e^{-2gT}
+    and R = e^{-gT} sin(wt T) / wt, with wt = sqrt(omega^2 - g^2), and their
+    partial derivatives with respect to omega^2 and gamma = g. The poles of
+    each resonator are e^{(-g +- i wt) T}."""
     if T <= 0:
         raise ValueError("sample period must be positive")
     w2 = np.asarray(omega2, dtype=float)
@@ -93,35 +113,18 @@ def ftm_coeff_partials(omega2, gamma, T):
     s = np.sin(wt * T)
     dwt_dw2 = 0.5 / wt
     dwt_dg = -g / wt
-
-    a1 = -2.0 * e1 * c
-    a2 = e1**2
-    b1 = e1 * s / wt
-
-    da1_dwt = 2.0 * e1 * T * s
-    da1_dw2 = da1_dwt * dwt_dw2
-    da1_dg = 2.0 * T * e1 * c + da1_dwt * dwt_dg
-    da2_dg = -2.0 * T * e1**2
-    db1_dwt = e1 * (T * c * wt - s) / wt**2
-    db1_dw2 = db1_dwt * dwt_dw2
-    db1_dg = -T * e1 * s / wt + db1_dwt * dwt_dg
+    dA_dwt = -2.0 * e1 * T * s
+    dR_dwt = e1 * (T * c * wt - s) / wt**2
     return {
-        "a1": a1, "a2": a2, "b1": b1,
-        "da1_dw2": da1_dw2, "da1_dg": da1_dg,
-        "da2_dg": da2_dg,
-        "db1_dw2": db1_dw2, "db1_dg": db1_dg,
+        "A": 2.0 * e1 * c, "B": -(e1**2), "R": e1 * s / wt,
+        "dA_dw2": dA_dwt * dwt_dw2, "dA_dg": -2.0 * T * e1 * c + dA_dwt * dwt_dg,
+        "dB_dw2": np.zeros_like(e1), "dB_dg": 2.0 * T * e1**2,
+        "dR_dw2": dR_dwt * dwt_dw2, "dR_dg": -T * e1 * s / wt + dR_dwt * dwt_dg,
     }
 
 
-def ftm_update_partials(omega2, gamma, T):
-    """Update vectors A = -a1, B = -a2, R = b1 and their partials."""
-    p = ftm_coeff_partials(omega2, gamma, T)
-    return {
-        "A": -p["a1"], "B": -p["a2"], "R": p["b1"],
-        "dA_dw2": -p["da1_dw2"], "dA_dg": -p["da1_dg"],
-        "dB_dw2": np.zeros_like(p["a2"]), "dB_dg": -p["da2_dg"],
-        "dR_dw2": p["db1_dw2"], "dR_dg": p["db1_dg"],
-    }
+# the same map under its earlier name, which the benchmark traces
+ftm_coeff_partials = ftm_update_partials
 
 
 def sv_update_partials(omega2, gamma, T):
@@ -149,7 +152,7 @@ def sv_update_partials(omega2, gamma, T):
 # --- forward recurrence + reverse sweep ------------------------------------------
 
 def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=None,
-                   hook=None, R2=None):
+                   hook=None):
     """Forward stepping that stores everything the reverse sweep needs.
 
     Returns (Q, U): Q[t] = q^{t-1} with shape [n_steps+2, modes]; U holds the
@@ -159,7 +162,6 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
     m = len(q0)
     if hook is None:
         U = None if force_signal is None else np.outer(force_signal, force_gains)
-        R2 = np.zeros(m) if R2 is None else R2
         Qt = np.empty((m, n_steps + 2))
         Qt[:, 0], Qt[:, 1] = q_prev, q0
         zi = np.stack([A * q0 + B * q_prev, B * q0], axis=1)
@@ -167,7 +169,7 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
         for k in range(m):
             if force_signal is not None:
                 x = force_gains[k] * force_signal
-            Qt[k, 2:] = lfilter([R[k], R2[k]], [1.0, -A[k], -B[k]], x, zi=zi[k])[0]
+            Qt[k, 2:] = lfilter([R[k]], [1.0, -A[k], -B[k]], x, zi=zi[k])[0]
         finite = np.isfinite(Qt[:, 2:])  # column j holds q^{j+1}
         if not finite.all():
             first = np.where(finite.all(axis=1), n_steps, finite.argmin(axis=1))
@@ -180,8 +182,6 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
     Q[1] = q0
     q, qp = Q[1], Q[0]
     U = np.empty((n_steps, m))
-    use_b2 = R2 is not None and np.any(R2)
-    u_prev = np.zeros(m)
     every = CHECK_EVERY
     hook.begin(n_steps)
     # a blow-up overflows before it turns non-finite; the periodic check
@@ -192,11 +192,7 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
             if force_signal is not None:
                 u += force_gains * force_signal[n]
             U[n] = u
-            q_next = A * q + B * qp + R * u
-            if use_b2:
-                q_next += R2 * u_prev
-                u_prev = u
-            qp, q = q, q_next
+            qp, q = q, A * q + B * qp + R * u
             Q[n + 2] = q
             if n % every == every - 1:
                 _check_finite(q, n + 1)
@@ -246,6 +242,8 @@ def bptt(A, B, R, Q, U, qbar_direct, hook=None, hook_param_names=()):
 
 def check_stft(n_samples: int, window_length: int, hop: int) -> None:
     """Reject STFT settings that leave samples out or yield no frame."""
+    if window_length < 2:
+        raise ValueError("window length must be >= 2")
     if window_length < hop:
         raise ValueError("window length must be >= hop")
     if n_samples < window_length:
@@ -254,8 +252,8 @@ def check_stft(n_samples: int, window_length: int, hop: int) -> None:
         )
 
 
-def stft_cached(y, window_length, hop, window="hann"):
-    """Magnitude STFT with a periodic window, centered frames and reflect
+def stft_cached(y, window_length, hop):
+    """Magnitude STFT with a periodic Hann window, centered frames and reflect
     padding; returns the magnitude [frame, bin] and the adjoint cache."""
     n = len(y)
     check_stft(n, window_length, hop)
@@ -265,7 +263,7 @@ def stft_cached(y, window_length, hop, window="hann"):
     n_frames = (len(xp) - window_length) // hop + 1
     starts = np.arange(n_frames) * hop
     frame_idx = starts[:, None] + np.arange(window_length)[None, :]
-    win = get_window(window, window_length, fftbins=True)
+    win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, window_length + 1)[:-1])
     Z = np.fft.rfft(xp[frame_idx] * win[None, :], axis=1)
     mag = np.abs(Z)
     cache = (Z, mag, win, idx_map, frame_idx, n, window_length)
@@ -295,34 +293,34 @@ def check_tf_frequencies(freqs, rate: float) -> np.ndarray:
     return f
 
 
-def tf_magnitude_cached(a1, a2, b1, b2, weights, z):
-    """|H| = |sum_mu w_mu (b1 z + b2) / (z^2 + a1 z + a2)| at the points z =
+def tf_magnitude_cached(A, B, R, R2, weights, z):
+    """|H| = |sum_mu w_mu (R z + R2) / (z^2 - A z - B)| at the points z =
     e^{i 2 pi f / rate} of a frequency grid f that has passed
     :func:`check_tf_frequencies` (callers compute z once per grid).
 
     The modal responses are summed as complex quantities before taking the
     magnitude, matching the parallel-resonator structure:
-    H = z (inv @ (w b1)) + inv @ (w b2) with the reciprocal denominator
+    H = z (inv @ (w R)) + inv @ (w R2) with the reciprocal denominator
     inv = 1/den [freq, mode], the only [freq, mode] array the cache keeps
-    (with z, H, |H|, w, b1, b2). With hc = conj(mag_bar H/|H|) (0 where
+    (with z, H, |H|, w, R, R2). With hc = conj(mag_bar H/|H|) (0 where
     |H| = 0), V = [hc; hc z; hc z^2], s = Re(V[:2] @ inv) and
-    t = Re(V @ inv^2), :func:`tf_magnitude_backward` returns dw = b1 s1 + b2 s0,
-    db1 = w s1, db2 = w s0, da1 = -w (b1 t2 + b2 t1) and da2 = -w (b1 t1 + b2 t0).
+    t = Re(V @ inv^2), :func:`tf_magnitude_backward` returns dw = R s1 + R2 s0,
+    dR = w s1, dR2 = w s0, dA = w (R t2 + R2 t1) and dB = w (R t1 + R2 t0).
     """
     zc = z[:, None]
-    inv = 1.0 / (zc * zc + a1[None, :] * zc + a2[None, :])
-    H = z * (inv @ (weights * b1)) + inv @ (weights * b2)
+    inv = 1.0 / (zc * zc - A[None, :] * zc - B[None, :])
+    H = z * (inv @ (weights * R)) + inv @ (weights * R2)
     mag = np.abs(H)
-    return mag, (z, inv, H, mag, weights, b1, b2)
+    return mag, (z, inv, H, mag, weights, R, R2)
 
 
 def tf_magnitude_backward(cache, mag_bar):
-    """Gradients of sum_f mag_bar_f |H_f| with respect to w, b1, b2, a1, a2."""
-    z, inv, H, mag, w, b1, b2 = cache
+    """Gradients of sum_f mag_bar_f |H_f| with respect to A, B, R, R2, w."""
+    z, inv, H, mag, w, R, R2 = cache
     safe = np.where(mag > 0.0, mag, 1.0)
     hc = np.conj(np.where(mag > 0.0, mag_bar * H / safe, 0.0))
     V = np.stack([hc, hc * z, hc * z * z])
     s0, s1 = np.real(V[:2] @ inv)
     t0, t1, t2 = np.real(V @ (inv * inv))
-    return {"dw": b1 * s1 + b2 * s0, "db1": w * s1, "db2": w * s0,
-            "da1": -w * (b1 * t2 + b2 * t1), "da2": -w * (b1 * t1 + b2 * t0)}
+    return {"dA": w * (R * t2 + R2 * t1), "dB": w * (R * t1 + R2 * t0),
+            "dR": w * s1, "dR2": w * s0, "dw": R * s1 + R2 * s0}

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import adjoint
-from .integrators import FtmCoeffs
+from .adjoint import Coefficients
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,6 @@ class Spectrogram:
     magnitude: np.ndarray
     frequencies: np.ndarray
     hop: int
-    window: str
     window_length: int
     rate: float
 
@@ -33,17 +32,17 @@ class Spectrogram:
         return self.magnitude.shape[0]
 
     def to_csv(self, path) -> None:
-        header = f"rate={self.rate},window={self.window}{self.window_length},hop={self.hop}"
+        header = f"rate={self.rate},window=hann{self.window_length},hop={self.hop}"
         np.savetxt(path, self.magnitude, delimiter=",", header=header, fmt="%.17g")
 
 
-def stft(signal: np.ndarray, rate: float, window_length: int = 1024, hop: int = 256,
-         window: str = "hann") -> Spectrogram:
-    """Magnitude STFT with a periodic window, centered frames, reflect padding."""
-    mag, _ = adjoint.stft_cached(np.asarray(signal, dtype=float), window_length, hop, window)
+def stft(signal: np.ndarray, rate: float, window_length: int = 1024,
+         hop: int = 256) -> Spectrogram:
+    """Magnitude STFT with a periodic Hann window, centered frames, reflect padding."""
+    mag, _ = adjoint.stft_cached(np.asarray(signal, dtype=float), window_length, hop)
     return Spectrogram(
         magnitude=mag, frequencies=np.fft.rfftfreq(window_length, d=1.0 / rate), hop=hop,
-        window=window, window_length=window_length, rate=rate,
+        window_length=window_length, rate=rate,
     )
 
 
@@ -140,11 +139,13 @@ def bark_grid(n_points: int, f_max: float, rate: float, f_min: float = 20.0) -> 
 
 # --- transfer-function magnitude ------------------------------------------------
 
-def tf_magnitude(coeffs: FtmCoeffs, weights: np.ndarray, freqs: Sequence[float],
+def tf_magnitude(coeffs: Coefficients, weights: np.ndarray, freqs: Sequence[float],
                  rate: float) -> np.ndarray:
-    """|sum_mu w_mu (b1 z + b2) / (z^2 + a1 z + a2)| at z = e^{i 2 pi f / rate}."""
+    """|sum_mu w_mu R z / (z^2 - A z - B)| at z = e^{i 2 pi f / rate}: the
+    magnitude response of the resonators with update vectors (A, B, R), as
+    from ftm_coeffs."""
+    A, B, R = coeffs
     z = np.exp(2j * np.pi * adjoint.check_tf_frequencies(freqs, rate) / rate)
-    mag, _ = adjoint.tf_magnitude_cached(
-        coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, np.asarray(weights, dtype=float), z,
-    )
+    mag, _ = adjoint.tf_magnitude_cached(A, B, R, np.zeros_like(R),
+                                         np.asarray(weights, dtype=float), z)
     return mag

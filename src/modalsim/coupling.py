@@ -73,7 +73,7 @@ class PlateCoupling:
     Airy field, so that L(f, g) is the sum over the stack of their products.
     proj_x @ G @ proj_y.T projects a grid field G onto every unit-norm sine
     product on the rectangle. All shapes are unit-norm, c sin sin with
-    c = 2 / sqrt(Lx Ly), whether or not phi is unit-normalised.
+    c = 2 / sqrt(Lx Ly).
     """
 
     phi: ModeBasis
@@ -107,12 +107,11 @@ def simply_supported_tensors(phi: ModeBasis, n_psi: int | None = None) -> PlateC
     """
     if phi.kind != "rect":
         raise ValueError("plate coupling requires a rectangle basis")
-    psi = rect_basis(phi.lengths[0], phi.lengths[1], phi.count if n_psi is None else n_psi,
-                     phi.unit_normalized)
+    psi = rect_basis(phi.lengths[0], phi.lengths[1], phi.count if n_psi is None else n_psi)
     lab_phi, lab_psi = np.asarray(phi.labels), np.asarray(psi.labels)
     k_phi, k_psi = lab_phi.max(axis=0), lab_psi.max(axis=0)
     K, N = np.maximum(k_phi, k_psi), np.maximum(2 * k_phi, k_phi + k_psi)
-    c = phi.shape_scale / np.sqrt(phi.norms_sq[0])
+    c = phi.shape_scale
     (Sx, Cx, Px), (Sy, Cy, Py) = (_axis_operators(L, int(k), int(n))
                                   for L, k, n in zip(phi.lengths, K, N))
     a = np.arange(1, K[0] + 1) * np.pi / phi.lengths[0]
@@ -139,8 +138,8 @@ def simply_supported_tensors(phi: ModeBasis, n_psi: int | None = None) -> PlateC
 class TensionModulation:
     """Tension-modulation force tau_hat * lam_mu * q_mu * sum_nu lam_nu q_nu^2.
 
-    The closed form assumes unit-normalised modes; lam holds their
-    eigenvalues.
+    The closed form holds for unit-norm modes, as every ModeBasis has; lam
+    holds their eigenvalues.
     """
 
     def __init__(self, lam, tau_hat):

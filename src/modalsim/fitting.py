@@ -21,6 +21,10 @@ Two objective kinds cover the fitting paths:
   magnitude on a Bark-spaced grid and compares against a target envelope
   (e.g. an LPC envelope of a recording), avoiding time stepping entirely.
 
+Both problems map omega^2 and gamma to the update vectors (A, B, R) through
+the coefficient maps of :mod:`modalsim.adjoint` and chain the gradients of
+A, B and R back through their partials (:func:`_coefficient_grads`).
+
 Optimisation is Adam under a one-cycle schedule (linear ramp over the first
 10% of steps, cosine decay to peak/100), with independent random restarts
 ranked by their best loss. The restarts run in lockstep: each step is one
@@ -100,6 +104,14 @@ class _Parameters:
 
     FREE: frozenset = frozenset()
 
+    def _check_lengths(self, sizes):
+        """Store each named input as a float array of the given length."""
+        for name, size in sizes:
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != (size,):
+                raise ValueError(f"{name} has shape {value.shape}, expected length {size}")
+            setattr(self, name, value)
+
     def _check_free(self):
         unknown = set(self.free) - self.FREE
         if unknown:
@@ -136,6 +148,18 @@ class _Parameters:
             n: np.asarray(grads[n], dtype=float) * transform_jacobian(raw[n], TRANSFORMS[n])
             for n in raw
         }
+
+
+def _coefficient_grads(parts, g, lam):
+    """Gradients of d_hat, t0_hat and gamma from those of the update vectors
+    (g["dA"], g["dB"], g["dR"]), through the coefficient map's partials in
+    omega^2 = d_hat lam^2 + t0_hat lam and gamma."""
+    dw2 = g["dA"] * parts["dA_dw2"] + g["dB"] * parts["dB_dw2"] + g["dR"] * parts["dR_dw2"]
+    return {
+        "d_hat": dw2 @ lam**2,
+        "t0_hat": dw2 @ lam,
+        "gamma": g["dA"] * parts["dA_dg"] + g["dB"] * parts["dB_dg"] + g["dR"] * parts["dR_dg"],
+    }
 
 
 # --- objective: time domain (BPTT) --------------------------------------------
@@ -180,12 +204,8 @@ class TimeDomainProblem(_Parameters):
         self.gamma = np.broadcast_to(np.asarray(self.gamma, dtype=float), (m,)).copy()
         if self.readout_weights is None:
             self.readout_weights = np.ones(m)
-        for name, size in (("force_signal", self.n_steps), ("force_gains", m),
-                           ("readout_weights", m)):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if value.shape != (size,):
-                raise ValueError(f"{name} has shape {value.shape}, expected length {size}")
-            setattr(self, name, value)
+        self._check_lengths((("force_signal", self.n_steps), ("force_gains", m),
+                             ("readout_weights", m)))
         if self.nonlinearity == "vk":
             if self.coupling is None:
                 raise ValueError("the plate model ('vk') needs a coupling")
@@ -253,14 +273,7 @@ class TimeDomainProblem(_Parameters):
 
         g = adjoint.bptt(parts["A"], parts["B"], parts["R"], Q, U, np.outer(ybar, w),
                          hook=hook, hook_param_names={"tau"} & set(raw))
-        dw2 = g["dA"] * parts["dA_dw2"] + g["dB"] * parts["dB_dw2"] + g["dR"] * parts["dR_dw2"]
-        grads = {
-            "d_hat": float(dw2 @ self.lam**2),
-            "t0_hat": float(dw2 @ self.lam),
-            "gamma": (g["dA"] * parts["dA_dg"] + g["dB"] * parts["dB_dg"]
-                      + g["dR"] * parts["dR_dg"]),
-            "weights": Q[2:].T @ ybar,
-        }
+        grads = dict(_coefficient_grads(parts, g, self.lam), weights=Q[2:].T @ ybar)
         if "tau" in g:
             grads["tau"] = g["tau"]
         return loss, self._raw_grads(raw, grads)
@@ -271,7 +284,12 @@ class TimeDomainProblem(_Parameters):
 @dataclass
 class FrequencyDomainProblem(_Parameters):
     """Transfer-function magnitude on a frequency grid matched to a target
-    envelope (single-frame spectral losses; no time stepping)."""
+    envelope (single-frame spectral losses; no time stepping).
+
+    The model is sum_mu w_mu (R z + b2) / (z^2 - A z - B) with the resonators'
+    update vectors (A, B, R); b2 is a free term for matching unknown initial
+    conditions, not a physical quantity.
+    """
 
     lam: np.ndarray
     rate: float
@@ -295,6 +313,7 @@ class FrequencyDomainProblem(_Parameters):
             self.b2 = np.zeros(m)
         if self.weights is None:
             self.weights = np.ones(m)
+        self._check_lengths((("b2", m), ("weights", m)))
         self.freqs = adjoint.check_tf_frequencies(self.freqs, self.rate)
         self._z = np.exp(2j * np.pi * self.freqs / self.rate)
         self.target_env = np.asarray(self.target_env, dtype=float)
@@ -312,13 +331,14 @@ class FrequencyDomainProblem(_Parameters):
         }
 
     def _assemble(self, raw):
-        """Coefficient partials and the kernels' a1, a2, b1, b2, w, each
+        """Coefficient partials and the kernels' A, B, R, R2 = b2 and w, each
         [start, mode] (one start where raw has no start axis)."""
         p = self._values(raw)
         w2 = (np.reshape(p["d_hat"], (-1, 1)) * self.lam**2
               + np.reshape(p["t0_hat"], (-1, 1)) * self.lam)
-        cp = adjoint.ftm_coeff_partials(w2, p["gamma"], 1.0 / self.rate)
-        return cp, np.broadcast_arrays(cp["a1"], cp["a2"], cp["b1"], p["b2"], p["weights"])
+        parts = adjoint.ftm_update_partials(w2, p["gamma"], 1.0 / self.rate)
+        return parts, np.broadcast_arrays(parts["A"], parts["B"], parts["R"], p["b2"],
+                                          p["weights"])
 
     def predict(self, raw) -> np.ndarray:
         _, coeffs = self._assemble(raw)
@@ -329,22 +349,15 @@ class FrequencyDomainProblem(_Parameters):
         """Loss and raw gradients; with a leading start axis on raw, one loss per
         start. The transfer-function kernels run one start at a time, so their
         [freq, mode] temporaries stay in cache; the rest runs on all at once."""
-        cp, coeffs = self._assemble(raw)
+        parts, coeffs = self._assemble(raw)
         runs = [adjoint.tf_magnitude_cached(*c, self._z) for c in zip(*coeffs)]
         loss, dmag = loss_total_grad(self.target_env[None, :],
                                      np.stack([mag for mag, _ in runs])[:, None, :],
                                      self.loss_weights, self.freqs)
         tbs = [adjoint.tf_magnitude_backward(cache, d[0]) for (_, cache), d in zip(runs, dmag)]
         tb = {n: np.stack([t[n] for t in tbs]) for n in tbs[0]}
-        dw2 = tb["da1"] * cp["da1_dw2"] + tb["db1"] * cp["db1_dw2"]
-        grads = self._raw_grads(raw, {
-            "d_hat": dw2 @ self.lam**2,
-            "t0_hat": dw2 @ self.lam,
-            "gamma": (tb["da1"] * cp["da1_dg"] + tb["da2"] * cp["da2_dg"]
-                      + tb["db1"] * cp["db1_dg"]),
-            "b2": tb["db2"],
-            "weights": tb["dw"],
-        })
+        grads = self._raw_grads(raw, dict(_coefficient_grads(parts, tb, self.lam),
+                                          b2=tb["dR2"], weights=tb["dw"]))
         if self._starts(raw) is None:
             return float(loss[0]), {n: g[0] for n, g in grads.items()}
         return loss, grads

@@ -5,20 +5,19 @@
 with omega_mu^2 = d_hat lambda_mu^2 + t0_hat lambda_mu and the density-normalised
 modal force u on the right-hand side.
 
-Two explicit two-step schemes share the update shape
-q^{n+1} = A q^n + B q^{n-1} + R u^n (+ R2 u^{n-1}):
+Two explicit two-step schemes share one coefficient form, the update vectors
+(A, B, R) of q^{n+1} = A q^n + B q^{n-1} + R u^n (:class:`Coefficients`):
 
-* impulse-invariant resonator (per-mode discrete transfer function
-  (b1 z + b2) / (z^2 + a1 z + a2)): A = -a1, B = -a2, R = b1, R2 = b2. The
-  recurrence signs are fixed by matching the impulse response to the transfer
-  function. Input samples act as per-step impulse weights.
+* impulse-invariant resonator: each mode's impulse response samples the
+  continuous one. Input samples act as per-step impulse weights.
 
-* Stoermer-Verlet (centered differences): A = g, B = p, R = r. Input samples
-  are the sampled continuous force.
+* Stoermer-Verlet (centered differences). Input samples are the sampled
+  continuous force.
 
 Each scheme's coefficient map is written once, in :mod:`modalsim.adjoint`,
 together with its partial derivatives in omega^2 and gamma, which the fits
-chain through. :func:`simulate` runs both schemes through the recurrence in
+chain through; :func:`ftm_coeffs` and :func:`sv_coeffs` apply them to a bank.
+:func:`simulate` runs both schemes through the recurrence in
 :func:`modalsim.adjoint.forward_cached`, the same code the time-domain fit
 differentiates. A linear model runs there as one two-pole IIR filter per mode
 (``scipy.signal.lfilter``), whose reverse sweep is the same filter on reversed
@@ -35,7 +34,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import adjoint
-from .adjoint import InstabilityError, OverdampedError  # noqa: F401  (re-exported)
+from .adjoint import Coefficients, InstabilityError, OverdampedError  # noqa: F401  (re-exported)
 from .coupling import PlateCoupling, TensionModulation, VkContraction
 from .model import ModelSpec, derive_normalized, derive_tau, validate
 from .modes import ModeBasis, point_readout, project_point_excitation
@@ -89,64 +88,29 @@ def bank_from_spec(spec: ModelSpec, basis: ModeBasis) -> OscillatorBank:
     return oscillator_bank(basis.eigenvalues, par.d_hat, par.t0_hat, gamma)
 
 
-@dataclass(frozen=True)
-class FtmCoeffs:
-    """Impulse-invariant resonator coefficients (denominator z^2 + a1 z + a2)."""
-
-    a1: np.ndarray
-    a2: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    T: float
-
-    def pole_magnitudes(self) -> np.ndarray:
-        return np.sqrt(self.a2)
-
-    def update_vectors(self):
-        """(A, B, R, R2) of q^{n+1} = A q^n + B q^{n-1} + R u^n + R2 u^{n-1}."""
-        return -self.a1, -self.a2, self.b1, self.b2
+def ftm_coeffs(bank: OscillatorBank, T: float) -> Coefficients:
+    """The bank's resonator update vectors (formula: adjoint.ftm_update_partials)."""
+    u = adjoint.ftm_update_partials(bank.omega2, bank.gamma, T)
+    return Coefficients(u["A"], u["B"], u["R"])
 
 
-@dataclass(frozen=True)
-class SvCoeffs:
-    """Stoermer-Verlet update coefficients."""
+def sv_coeffs(bank: OscillatorBank, T: float) -> Coefficients:
+    """The bank's Stoermer-Verlet update vectors (formula: adjoint.sv_update_partials).
 
-    g: np.ndarray
-    p: np.ndarray
-    r: np.ndarray
-    T: float
-
-    def update_vectors(self):
-        return self.g, self.p, self.r, np.zeros_like(self.r)
-
-
-def ftm_coeffs(bank: OscillatorBank, T: float, b2: Optional[np.ndarray] = None) -> FtmCoeffs:
-    """The bank's resonator coefficients (formula: adjoint.ftm_coeff_partials).
-
-    b2 defaults to zero; it is a free fitting parameter for matching unknown
-    initial conditions, not a physical quantity.
+    Warns when a mode breaks the stability bound omega T < 2, naming the
+    lowest-index such mode, their count and the largest omega T.
     """
-    c = adjoint.ftm_coeff_partials(bank.omega2, bank.gamma, T)
-    if b2 is None:
-        b2 = np.zeros_like(c["b1"])
-    else:
-        b2 = np.asarray(b2, dtype=float)
-        if b2.shape != c["b1"].shape:
-            raise ValueError("b2 must have one entry per mode")
-    return FtmCoeffs(a1=c["a1"], a2=c["a2"], b1=c["b1"], b2=b2, T=T)
-
-
-def sv_coeffs(bank: OscillatorBank, T: float) -> SvCoeffs:
-    """The bank's Stoermer-Verlet coefficients (formula: adjoint.sv_update_partials)."""
-    n_unstable = int(np.sum(np.sqrt(bank.omega2) * T >= 2.0))
-    if n_unstable:
+    wT = np.sqrt(bank.omega2) * T
+    unstable = np.flatnonzero(wT >= 2.0)
+    if unstable.size:
         warnings.warn(
-            f"{n_unstable} mode(s) violate the stability bound omega*T < 2; "
-            "expect the explicit scheme to blow up",
+            f"{unstable.size} mode(s) violate the stability bound omega*T < 2, the first "
+            f"at mode index {unstable[0]} (largest omega*T {wT.max():.4g}); expect the "
+            "explicit scheme to blow up",
             stacklevel=2,
         )
     u = adjoint.sv_update_partials(bank.omega2, bank.gamma, T)
-    return SvCoeffs(g=u["A"], p=u["B"], r=u["R"], T=T)
+    return Coefficients(u["A"], u["B"], u["R"])
 
 
 # --- excitations -------------------------------------------------------------
@@ -261,8 +225,6 @@ def _nl_hook_for(spec: ModelSpec, basis: ModeBasis,
     if spec.nonlinearity == "linear":
         return None
     if spec.nonlinearity == "tension-modulated":
-        if not basis.unit_normalized:
-            raise ValueError("tension modulation requires a unit-normalised basis")
         return TensionModulation(basis.eigenvalues, derive_tau(spec) / spec.effective_density)
     if spec.nonlinearity == "von-karman":
         if tensors is None:
@@ -304,15 +266,13 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
              duration: float, rate: float,
              readout_point=None, readout_weights: Optional[np.ndarray] = None,
              tensors: Optional[PlateCoupling] = None,
-             b2: Optional[np.ndarray] = None,
              rk_oversample: Optional[int] = None) -> Trajectory:
     """Full simulation: assembles the oscillator bank, scheme coefficients,
     modal excitation, and nonlinear hook from a validated model spec.
 
     scheme is one of 'ftm' (impulse-invariant resonators), 'sv'
-    (Stoermer-Verlet) or 'rk-reference' (oversampled RK4 oracle). b2, the
-    resonator numerator's second coefficient, exists only for 'ftm';
-    rk_oversample (default 16) only for 'rk-reference'. tensors is the plate
+    (Stoermer-Verlet) or 'rk-reference' (oversampled RK4 oracle);
+    rk_oversample (default 16) applies to 'rk-reference' only. tensors is the plate
     coupling from simply_supported_tensors, required by and only accepted for
     von-karman models; it must have been built for this basis (same rectangle,
     same mode labels). Every scheme, 'rk-reference' included, applies its one
@@ -322,8 +282,6 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
     spec = validate(spec)
     if scheme not in ("ftm", "sv", "rk-reference"):
         raise SchemeError(f"unknown scheme {scheme!r}")
-    if b2 is not None and scheme != "ftm":
-        raise SchemeError(f"b2 is a resonator coefficient; scheme {scheme!r} has none")
     if rk_oversample is not None and scheme != "rk-reference":
         raise SchemeError(f"rk_oversample applies to 'rk-reference' only, not {scheme!r}")
     if readout_point is not None and readout_weights is not None:
@@ -346,19 +304,18 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
                          oversample=16 if rk_oversample is None else rk_oversample)
     else:
         if scheme == "ftm":
-            coeffs = ftm_coeffs(bank, T, b2=b2)
+            A, B, R = ftm_coeffs(bank, T)
             q_prev = _ftm_backstep(bank, T, q0, v0)
         else:
-            coeffs = sv_coeffs(bank, T)
+            A, B, R = sv_coeffs(bank, T)
             u0 = np.zeros_like(q0)
             if nl_hook is not None:
                 u0 = -nl_hook(q0)
             if force_signal is not None and n_steps:
                 u0 = u0 + force_gains * force_signal[0]
             q_prev = _sv_backstep(bank, T, q0, v0, u0)
-        A, B, R, R2 = coeffs.update_vectors()
         Q, _ = adjoint.forward_cached(A, B, R, q0, q_prev, n_steps, force_signal,
-                                      force_gains, hook=nl_hook, R2=R2)
+                                      force_gains, hook=nl_hook)
         Q = Q[2:]
 
     readout = None

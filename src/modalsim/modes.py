@@ -8,8 +8,9 @@ All bases solve  laplacian(Phi) = -lambda * Phi  with sine shapes:
 
 The biharmonic eigenvalue of a simply supported plate is lambda^2, so the same
 basis serves membranes and plates. Modes are ordered by ascending eigenvalue
-with lexicographic tie-break on the index label. Unit L2 normalisation is on
-by default (shape values scaled so ||Phi|| = 1); raw norms stay available.
+with lexicographic tie-break on the index label. Every shape is scaled to unit
+L2 norm, ||Phi|| = 1, so modal coordinates are amplitudes of unit-norm shapes
+and projections need no norm division.
 """
 
 from __future__ import annotations
@@ -36,39 +37,28 @@ class ModeBasis:
 
     labels      : tuple of (m,) or (m, n) integer indices, 1-based
     eigenvalues : ascending Laplacian eigenvalues (1/m^2)
-    norms_sq    : ||Phi||^2 per mode (all 1.0 when unit_normalized)
     """
 
     kind: str  # "string" | "rect"
     lengths: Tuple[float, ...]
     labels: Tuple[Tuple[int, ...], ...]
     eigenvalues: np.ndarray
-    norms_sq: np.ndarray
-    unit_normalized: bool
 
     @property
     def count(self) -> int:
         return len(self.labels)
 
     @property
-    def raw_norms_sq(self) -> np.ndarray:
-        """||Phi||^2 of the unscaled sine shapes (L/2 or Lx*Ly/4)."""
-        if self.kind == "string":
-            return np.full(self.count, self.lengths[0] / 2.0)
-        return np.full(self.count, self.lengths[0] * self.lengths[1] / 4.0)
-
-    @property
     def shape_scale(self) -> float:
-        """Factor applied to the raw sine shapes."""
-        if not self.unit_normalized:
-            return 1.0
-        return 1.0 / math.sqrt(self.raw_norms_sq[0])
+        """Factor that scales the sine shapes to unit norm: 1 / sqrt(L/2) or
+        1 / sqrt(Lx Ly / 4)."""
+        return 1.0 / math.sqrt(math.prod(self.lengths) / 2.0 ** len(self.lengths))
 
     def same_domain(self, other: "ModeBasis") -> bool:
         return self.kind == other.kind and self.lengths == other.lengths
 
 
-def string_basis(L: float, count: int, unit_norm: bool = True) -> ModeBasis:
+def string_basis(L: float, count: int) -> ModeBasis:
     """First `count` modes of a fixed-fixed string of length L."""
     if L <= 0:
         raise ValueError("L must be positive")
@@ -76,18 +66,15 @@ def string_basis(L: float, count: int, unit_norm: bool = True) -> ModeBasis:
         raise ValueError("count must be >= 1")
     m = np.arange(1, count + 1)
     lam = (m * np.pi / L) ** 2
-    norms = np.ones(count) if unit_norm else np.full(count, L / 2.0)
     return ModeBasis(
         kind="string",
         lengths=(L,),
         labels=tuple((int(k),) for k in m),
         eigenvalues=lam,
-        norms_sq=norms,
-        unit_normalized=unit_norm,
     )
 
 
-def rect_basis(Lx: float, Ly: float, count: int, unit_norm: bool = True) -> ModeBasis:
+def rect_basis(Lx: float, Ly: float, count: int) -> ModeBasis:
     """The `count` smallest-eigenvalue sine-product modes of an Lx x Ly rectangle.
 
     Serves fixed membranes and simply supported plates alike (the plate's
@@ -114,25 +101,22 @@ def rect_basis(Lx: float, Ly: float, count: int, unit_norm: bool = True) -> Mode
         K *= 2
 
     chosen = cand[:count]
-    norms = np.ones(count) if unit_norm else np.full(count, Lx * Ly / 4.0)
     return ModeBasis(
         kind="rect",
         lengths=(Lx, Ly),
         labels=tuple((int(m), int(n)) for (m, n), _ in chosen),
         eigenvalues=np.array([l for _, l in chosen]),
-        norms_sq=norms,
-        unit_normalized=unit_norm,
     )
 
 
-def basis_for(geometry, count: int, unit_norm: bool = True) -> ModeBasis:
+def basis_for(geometry, count: int) -> ModeBasis:
     """Build the analytical basis matching a geometry object from model.py."""
     from .model import RectMembrane, RectPlate, String
 
     if isinstance(geometry, String):
-        return string_basis(geometry.L, count, unit_norm)
+        return string_basis(geometry.L, count)
     if isinstance(geometry, (RectMembrane, RectPlate)):
-        return rect_basis(geometry.Lx, geometry.Ly, count, unit_norm)
+        return rect_basis(geometry.Lx, geometry.Ly, count)
     raise TypeError(f"unsupported geometry {type(geometry).__name__}")
 
 
@@ -203,8 +187,8 @@ def point_readout(basis: ModeBasis, point) -> PointReadout:
 
 
 def project_point_excitation(basis: ModeBasis, point) -> np.ndarray:
-    """Modal gains of a point force at p: Phi_mu(p) / ||Phi_mu||^2."""
-    return evaluate_all_modes(basis, point) / basis.norms_sq
+    """Modal gains of a point force at p: Phi_mu(p) (the shapes have unit norm)."""
+    return evaluate_all_modes(basis, point)
 
 
 def _max_axis_indices(basis: ModeBasis) -> Tuple[int, ...]:
@@ -253,7 +237,7 @@ def _trapezoid_weights(ax: np.ndarray) -> np.ndarray:
 
 def project_function(basis: ModeBasis, values: np.ndarray, axes: Sequence[np.ndarray],
                      ppw: int = 8) -> np.ndarray:
-    """Modal coordinates <f, Phi_mu> / ||Phi_mu||^2 by trapezoidal quadrature.
+    """Modal coordinates <f, Phi_mu> by trapezoidal quadrature.
 
     `values` is sampled on the uniform grid given by `axes` ((x,) for strings,
     (x, y) for rectangles with values indexed [y, x]). Rejects grids with fewer
@@ -264,13 +248,11 @@ def project_function(basis: ModeBasis, values: np.ndarray, axes: Sequence[np.nda
     shapes = sample_modes(basis, axes)
     if basis.kind == "string":
         w = _trapezoid_weights(axes[0])
-        inner = shapes @ (np.asarray(values) * w)
-    else:
-        wx = _trapezoid_weights(axes[0])
-        wy = _trapezoid_weights(axes[1])
-        weighted = np.asarray(values) * np.outer(wy, wx)
-        inner = np.einsum("myx,yx->m", shapes, weighted)
-    return inner / basis.norms_sq
+        return shapes @ (np.asarray(values) * w)
+    wx = _trapezoid_weights(axes[0])
+    wy = _trapezoid_weights(axes[1])
+    weighted = np.asarray(values) * np.outer(wy, wx)
+    return np.einsum("myx,yx->m", shapes, weighted)
 
 
 def reconstruct(basis: ModeBasis, q: np.ndarray, axes: Sequence[np.ndarray]) -> np.ndarray:

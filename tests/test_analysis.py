@@ -11,7 +11,8 @@ from modalsim.analysis import (
 )
 from modalsim.audio_io import WavFormatError, wav_read, wav_write
 from modalsim.adjoint import (
-    forward_cached, ftm_coeff_partials, tf_magnitude_backward, tf_magnitude_cached,
+    forward_cached, ftm_update_partials, stft_cached, tf_magnitude_backward,
+    tf_magnitude_cached,
 )
 from modalsim.integrators import ftm_coeffs, oscillator_bank
 
@@ -51,6 +52,17 @@ def test_stft_parseval_per_frame(rng):
         # one-sided bins: double everything except DC and Nyquist
         spec_energy = (2 * np.sum(m**2) - m[0] ** 2 - m[-1] ** 2) / wl
         assert spec_energy == pytest.approx(energy, rel=1e-6)
+
+
+@pytest.mark.parametrize("wl", [2, 16, 256, 1000, 1024, 4095])
+def test_stft_window_is_periodic_hann(wl):
+    _, (_, _, win, *_) = stft_cached(np.zeros(4096), wl, wl // 2)
+    assert np.array_equal(win, get_window("hann", wl, fftbins=True))
+
+
+def test_stft_rejects_one_sample_window():
+    with pytest.raises(ValueError, match="window length must be >= 2"):
+        stft(np.zeros(16), 8000.0, 1, 1)
 
 
 def test_stft_magnitude_triangle_inequality(rng):
@@ -228,7 +240,7 @@ def test_tf_matches_dft_of_impulse_response():
                            gamma=np.array([40.0, 50.0, 60.0]))
     co = ftm_coeffs(bank, 1 / rate)
     w = np.array([1.0, 0.6, 0.3])
-    A, B, R, _ = co.update_vectors()
+    A, B, R = co
     imp = np.zeros(2**18)
     imp[0] = 1.0
     n_sim = 2**18
@@ -257,12 +269,12 @@ def unit_circle(freqs, rate):
     return np.exp(2j * np.pi * np.asarray(freqs) / rate)
 
 
-def tf_oracle(a1, a2, b1, b2, w, freqs, rate, mag_bar):
+def tf_oracle(A, B, R, R2, w, freqs, rate, mag_bar):
     """|H| and its gradients from num/den: the per-mode response num/den and
     one projection Re(conj(hbar) dH/dtheta) per coefficient."""
     z = np.exp(2j * np.pi * freqs / rate)[:, None]
-    num = b1[None, :] * z + b2[None, :]
-    den = z * z + a1[None, :] * z + a2[None, :]
+    num = R[None, :] * z + R2[None, :]
+    den = z * z - A[None, :] * z - B[None, :]
     Gm = num / den
     H = np.sum(w[None, :] * Gm, axis=1)
     mag = np.abs(H)
@@ -274,10 +286,10 @@ def tf_oracle(a1, a2, b1, b2, w, freqs, rate, mag_bar):
 
     return mag, {
         "dw": project(Gm),
-        "db1": project(w[None, :] * z / den),
-        "db2": project(w[None, :] / den),
-        "da1": project(-w[None, :] * num * z / den**2),
-        "da2": project(-w[None, :] * num / den**2),
+        "dR": project(w[None, :] * z / den),
+        "dR2": project(w[None, :] / den),
+        "dA": project(w[None, :] * num * z / den**2),
+        "dB": project(w[None, :] * num / den**2),
     }
 
 
@@ -295,22 +307,22 @@ def random_tf_coefficients(seed, n_modes=30, n_freqs=256, rate=44100.0):
     theta = 2 * np.pi * f_mode[:n_sharp] / rate
     gamma = np.concatenate([rate * rng.uniform(1e-5, 3e-5, n_sharp) / (2 * np.sin(theta)),
                             rng.uniform(5.0, 300.0, n_modes - n_sharp)])
-    cp = ftm_coeff_partials((2 * np.pi * f_mode) ** 2 + gamma**2, gamma, 1.0 / rate)
-    b2 = rng.normal(size=n_modes) * np.abs(cp["b1"])
+    u = ftm_update_partials((2 * np.pi * f_mode) ** 2 + gamma**2, gamma, 1.0 / rate)
+    R2 = rng.normal(size=n_modes) * np.abs(u["R"])
     w = rng.normal(size=n_modes)
-    return cp["a1"], cp["a2"], cp["b1"], b2, w, freqs, rate
+    return u["A"], u["B"], u["R"], R2, w, freqs, rate
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_tf_kernels_match_num_den_oracle(seed):
-    a1, a2, b1, b2, w, freqs, rate = random_tf_coefficients(seed)
-    assert np.any(w > 0) and np.any(w < 0) and np.all(b2 != 0.0)
+    A, B, R, R2, w, freqs, rate = random_tf_coefficients(seed)
+    assert np.any(w > 0) and np.any(w < 0) and np.all(R2 != 0.0)
     z = np.exp(2j * np.pi * freqs / rate)[:, None]
-    assert np.min(np.abs(z * z + a1 * z + a2)) < 1e-4
+    assert np.min(np.abs(z * z - A * z - B)) < 1e-4
     mag_bar = np.random.default_rng([seed, 1]).normal(size=len(freqs))
-    mag, cache = tf_magnitude_cached(a1, a2, b1, b2, w, unit_circle(freqs, rate))
+    mag, cache = tf_magnitude_cached(A, B, R, R2, w, unit_circle(freqs, rate))
     grads = tf_magnitude_backward(cache, mag_bar)
-    mag_ref, grads_ref = tf_oracle(a1, a2, b1, b2, w, freqs, rate, mag_bar)
+    mag_ref, grads_ref = tf_oracle(A, B, R, R2, w, freqs, rate, mag_bar)
     assert np.max(np.abs(mag - mag_ref)) <= 1e-12 * np.max(mag_ref)
     assert set(grads) == set(grads_ref)
     for name, ref in grads_ref.items():
@@ -318,8 +330,8 @@ def test_tf_kernels_match_num_den_oracle(seed):
 
 
 def test_tf_gradients_vanish_with_zero_magnitude():
-    a1, a2, b1, b2, w, freqs, rate = random_tf_coefficients(0)
-    mag, cache = tf_magnitude_cached(a1, a2, b1, b2, np.zeros_like(w), unit_circle(freqs, rate))
+    A, B, R, R2, w, freqs, rate = random_tf_coefficients(0)
+    mag, cache = tf_magnitude_cached(A, B, R, R2, np.zeros_like(w), unit_circle(freqs, rate))
     assert np.all(mag == 0.0)
     grads = tf_magnitude_backward(cache, np.ones_like(freqs))
     for name, g in grads.items():
@@ -331,24 +343,22 @@ def test_tf_magnitude_matches_extended_precision():
     L = 0.65
     lam = (np.arange(1, 31) * np.pi / L) ** 2
     gamma = 0.8 + 1.5e-5 * lam  # lightly damped string modes, 196 Hz fundamental
-    cp = ftm_coeff_partials((2 * L * 196.0) ** 2 * lam + gamma**2, gamma, 1.0 / rate)
-    a1, a2, b1 = cp["a1"], cp["a2"], cp["b1"]
-    b2 = np.zeros(30)
+    u = ftm_update_partials((2 * L * 196.0) ** 2 * lam + gamma**2, gamma, 1.0 / rate)
+    A, B, R = u["A"], u["B"], u["R"]
     w = np.sin(np.arange(1, 31) * np.pi * 0.2) * np.sin(np.arange(1, 31) * np.pi * 0.7)
     freqs = bark_grid(256, 18000.0, rate)
-    mag, _ = tf_magnitude_cached(a1, a2, b1, b2, w, unit_circle(freqs, rate))
+    mag, _ = tf_magnitude_cached(A, B, R, np.zeros(30), w, unit_circle(freqs, rate))
     exact = np.empty_like(mag)
     bound = np.empty_like(mag)
     with mp.workdps(40):
         for i, f in enumerate(freqs):
             z = mp.exp(2j * mp.pi * mp.mpf(f) / rate)
-            dens = [z * z + mp.mpf(c1) * z + mp.mpf(c2) for c1, c2 in zip(a1, a2)]
-            terms = [mp.mpf(wk) * (mp.mpf(p) * z + mp.mpf(q)) / d
-                     for wk, p, q, d in zip(w, b1, b2, dens)]
+            dens = [z * z - mp.mpf(c1) * z - mp.mpf(c2) for c1, c2 in zip(A, B)]
+            terms = [mp.mpf(wk) * mp.mpf(p) * z / d for wk, p, d in zip(w, R, dens)]
             exact[i] = float(abs(mp.fsum(terms)))
-            # rounding: a term's relative error is a few ulps of (1 + |a1| + |a2|)
+            # rounding: a term's relative error is a few ulps of (1 + |A| + |B|)
             # / |den| from den's cancellation, plus up to 30 ulps from the sum
-            cond = (1.0 + np.abs(a1) + np.abs(a2)) / np.array([float(abs(d)) for d in dens])
+            cond = (1.0 + np.abs(A) + np.abs(B)) / np.array([float(abs(d)) for d in dens])
             term_abs = np.array([float(abs(t)) for t in terms])
             bound[i] = 4 * np.finfo(float).eps * np.sum(term_abs * (cond + 30))
     assert np.all(np.abs(mag - exact) <= bound)
@@ -357,32 +367,32 @@ def test_tf_magnitude_matches_extended_precision():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_tf_gradients_match_extended_precision(seed):
-    a1, a2, b1, b2, w, freqs, rate = random_tf_coefficients(seed, n_modes=9, n_freqs=64)
+    A, B, R, R2, w, freqs, rate = random_tf_coefficients(seed, n_modes=9, n_freqs=64)
     mag_bar = np.random.default_rng([seed, 1]).normal(size=len(freqs))
-    _, cache = tf_magnitude_cached(a1, a2, b1, b2, w, unit_circle(freqs, rate))
+    _, cache = tf_magnitude_cached(A, B, R, R2, w, unit_circle(freqs, rate))
     grads = tf_magnitude_backward(cache, mag_bar)
     exact = {name: [mp.mpf(0)] * 9 for name in grads}
     bound = {name: np.zeros(9) for name in grads}
     with mp.workdps(40):
-        A1, A2, B1, B2, W = ([mp.mpf(x) for x in c] for c in (a1, a2, b1, b2, w))
+        Am, Bm, Rm, R2m, W = ([mp.mpf(x) for x in c] for c in (A, B, R, R2, w))
         for f, mb in zip(freqs, mag_bar):
             z = mp.exp(2j * mp.pi * mp.mpf(f) / rate)
-            inv = [1 / (z * z + A1[m] * z + A2[m]) for m in range(9)]
-            G = [(B1[m] * z + B2[m]) * inv[m] for m in range(9)]
+            inv = [1 / (z * z - Am[m] * z - Bm[m]) for m in range(9)]
+            G = [(Rm[m] * z + R2m[m]) * inv[m] for m in range(9)]
             H = mp.fsum(W[m] * G[m] for m in range(9))
             hc = mp.conj(mp.mpf(mb) * H / abs(H))
-            # rounding: inv carries a few ulps of cond = (1 + |a1| + |a2|) |inv|,
+            # rounding: inv carries a few ulps of cond = (1 + |A| + |B|) |inv|,
             # inv^2 twice that; hc's direction a few ulps of kappa_H, the
             # condition of the mode sum; the sums over modes and frequencies
             # add up to M + F ulps
-            cond = [float((1 + abs(A1[m]) + abs(A2[m])) * abs(inv[m])) for m in range(9)]
+            cond = [float((1 + abs(Am[m]) + abs(Bm[m])) * abs(inv[m])) for m in range(9)]
             kappa_h = float(mp.fsum(abs(W[m] * G[m]) * (cond[m] + 9) for m in range(9)) / abs(H))
             for m in range(9):
-                terms = {"dw": hc * G[m], "db1": hc * W[m] * z * inv[m], "db2": hc * W[m] * inv[m],
-                         "da1": -hc * W[m] * G[m] * z * inv[m], "da2": -hc * W[m] * G[m] * inv[m]}
+                terms = {"dw": hc * G[m], "dR": hc * W[m] * z * inv[m], "dR2": hc * W[m] * inv[m],
+                         "dA": hc * W[m] * G[m] * z * inv[m], "dB": hc * W[m] * G[m] * inv[m]}
                 for name, t in terms.items():
                     exact[name][m] += mp.re(t)
-                    k = 2 if name.startswith("da") else 1
+                    k = 2 if name in ("dA", "dB") else 1
                     bound[name][m] += float(abs(t)) * (k * cond[m] + kappa_h + len(freqs))
     for name, g in grads.items():
         err = np.abs(g - np.array([float(x) for x in exact[name]]))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from modalsim.coupling import TensionModulation, VkContraction, simply_supported_tensors
 from modalsim.integrators import InitialCondition, simulate
-from modalsim.model import MaterialParams, ModelSpec, RectPlate, String
+from modalsim.model import MaterialParams, ModelSpec, RectPlate
 from modalsim.modes import _sinpi, rect_basis, reconstruct, required_grid_points, string_basis
 
 
@@ -88,13 +88,8 @@ def _mode_values(basis, X, Y):
     return vals * basis.shape_scale
 
 
-def _norms(*bases):
-    a, b, c = (np.sqrt(x.norms_sq) for x in bases)
-    return a[:, None, None] * b[None, :, None] * c[None, None, :]
-
-
 def compute_H(phi, psi, ppw=DEFAULT_PPW):
-    """H[k, i, j] = integral Psi_k L(Phi_i, Phi_j) / (||Psi_k|| ||Phi_i|| ||Phi_j||)."""
+    """H[k, i, j] = integral Psi_k L(Phi_i, Phi_j) of the unit-norm shapes."""
     X, Y, W = _quadrature_grid(phi, psi, ppw)
     fxx, fyy, fxy = _hessian_stack(phi, X, Y)
     psi_w = (_mode_values(psi, X, Y) * W).reshape(psi.count, -1)
@@ -103,11 +98,11 @@ def compute_H(phi, psi, ppw=DEFAULT_PPW):
     for i in range(n):
         batch = vk_bilinear(fxx[i][None], fyy[i][None], fxy[i][None], fxx, fyy, fxy)
         H[:, i, :] = psi_w @ batch.reshape(n, -1).T
-    return H / _norms(psi, phi, phi)
+    return H
 
 
 def compute_C(phi, psi, ppw=DEFAULT_PPW):
-    """C[s, p, n] = integral Phi_s L(Phi_p, Psi_n) / (||Phi_s|| ||Phi_p|| ||Psi_n||)."""
+    """C[s, p, n] = integral Phi_s L(Phi_p, Psi_n) of the unit-norm shapes."""
     X, Y, W = _quadrature_grid(phi, psi, ppw)
     pxx, pyy, pxy = _hessian_stack(phi, X, Y)
     sxx, syy, sxy = _hessian_stack(psi, X, Y)
@@ -116,17 +111,17 @@ def compute_C(phi, psi, ppw=DEFAULT_PPW):
     for p in range(phi.count):
         batch = vk_bilinear(pxx[p][None], pyy[p][None], pxy[p][None], sxx, syy, sxy)
         C[:, p, :] = phi_w @ batch.reshape(psi.count, -1).T
-    return C / _norms(phi, phi, psi)
+    return C
 
 
 def test_vk_operator_value_at_plate_center():
-    # f = g = sin(pi x) sin(pi y): value 2 pi^4 at the center
-    basis = rect_basis(1.0, 1.0, 1, unit_norm=False)
+    # f = g = 2 sin(pi x) sin(pi y), the unit-norm mode: value 8 pi^4 at the center
+    basis = rect_basis(1.0, 1.0, 1)
     X = np.array([[0.5]])
     Y = np.array([[0.5]])
     fxx, fyy, fxy = mode_second_derivatives(basis, 0, X, Y)
     val = vk_bilinear(fxx, fyy, fxy, fxx, fyy, fxy)[0, 0]
-    assert val == pytest.approx(2 * np.pi**4, rel=1e-12)
+    assert val == pytest.approx(8 * np.pi**4, rel=1e-12)
 
 
 def test_H_stable_under_grid_refinement():
@@ -190,14 +185,14 @@ def _projection(o, l, r):
     (al, bl), (ar, br) = ((lab * np.pi / np.asarray(o.lengths)).T for lab in labels[1:])
     cross = np.outer(al**2, br**2) + np.outer(bl**2, ar**2)
     twist = 2.0 * np.outer(al * bl, ar * br)
-    so, sl, sr = (b.shape_scale / np.sqrt(b.norms_sq) for b in (o, l, r))
-    return (cross * (Sx * Sy) - twist * (Cx * Cy)) * (so[:, None, None] * np.outer(sl, sr))
+    return (cross * (Sx * Sy) - twist * (Cx * Cy)) * (o.shape_scale * l.shape_scale
+                                                       * r.shape_scale)
 
 
 def closed_form_tensors(phi, n_psi=None):
     """H = T(Psi; Phi, Phi), C = T(Phi; Phi, Psi) and zeta4 = lambda_psi^2, with
     Psi the first n_psi sine modes of phi's rectangle (default phi itself)."""
-    psi = phi if n_psi is None else rect_basis(*phi.lengths, n_psi, phi.unit_normalized)
+    psi = phi if n_psi is None else rect_basis(*phi.lengths, n_psi)
     return Tensors(H=_projection(psi, phi, phi), C=_projection(phi, phi, psi),
                    zeta4=psi.eigenvalues**2)
 
@@ -211,13 +206,18 @@ def naive_contraction(q, ct, gain):
 
 # --- coupling tensors ------------------------------------------------------------
 
-@pytest.mark.parametrize("n_phi, n_psi, unit_norm", [
+def plate_lengths(wide):
+    """A 0.4 x 0.3 rectangle, or its transpose when not wide."""
+    return (0.4, 0.3) if wide else (0.3, 0.4)
+
+
+@pytest.mark.parametrize("n_phi, n_psi, wide", [
     (12, None, True), (30, None, True), (60, None, True),
     (8, 14, True), (14, 8, True), (12, None, False), (8, 14, False),
 ])
-def test_closed_form_matches_quadrature_oracle(n_phi, n_psi, unit_norm):
-    phi = rect_basis(0.4, 0.3, n_phi, unit_norm)
-    psi = rect_basis(0.4, 0.3, n_psi, unit_norm) if n_psi else phi
+def test_closed_form_matches_quadrature_oracle(n_phi, n_psi, wide):
+    phi = rect_basis(*plate_lengths(wide), n_phi)
+    psi = rect_basis(*plate_lengths(wide), n_psi) if n_psi else phi
     ct = closed_form_tensors(phi, n_psi)
     for got, oracle in ((ct.H, compute_H(phi, psi)), (ct.C, compute_C(phi, psi))):
         assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
@@ -278,14 +278,6 @@ def test_tension_force_single_mode_closed_form():
     f = tension_force(q, b, tau=2.0)
     assert f[1] == pytest.approx(2.0 * lam**2 * 0.3**3)
     assert f[0] == f[2] == 0.0
-
-
-def test_tension_force_requires_unit_norm():
-    spec = ModelSpec(MaterialParams(rho=1.0, E=1e9), String(L=1.0, A=1e-6), T0=800.0,
-                     nonlinearity="tension-modulated")
-    b = string_basis(1.0, 3, unit_norm=False)
-    with pytest.raises(ValueError, match="unit-normalised"):
-        simulate(spec, b, "sv", InitialCondition(np.zeros(3)), 0.001, 8000.0)
 
 
 def test_tension_force_matches_gradient_energy_quadrature(rng):
@@ -350,12 +342,12 @@ def jacobian_fd(f, q, h=0.5):
     return np.array(cols).T
 
 
-@pytest.mark.parametrize("n_phi, n_psi, unit_norm", [
+@pytest.mark.parametrize("n_phi, n_psi, wide", [
     (12, None, True), (30, None, True), (60, None, True), (120, None, True),
     (8, 14, True), (14, 8, True), (12, None, False), (8, 14, False),
 ])
-def test_grid_force_matches_tensor_oracle_and_jacobian(n_phi, n_psi, unit_norm):
-    phi = rect_basis(0.4, 0.3, n_phi, unit_norm)
+def test_grid_force_matches_tensor_oracle_and_jacobian(n_phi, n_psi, wide):
+    phi = rect_basis(*plate_lengths(wide), n_phi)
     hook = VkContraction(simply_supported_tensors(phi, n_psi), gain=1.3)
     rng = np.random.default_rng(5)
     q, v = rng.normal(size=(2, n_phi))

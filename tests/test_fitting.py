@@ -51,6 +51,17 @@ def test_frequency_problem_rejects_target_of_other_length():
         FrequencyDomainProblem(**frequency_kw(target_env=np.ones(15)))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("weights", np.ones(1)), ("weights", np.ones(4)), ("weights", np.ones((1, 3))),
+    ("b2", np.zeros(2)), ("b2", np.float64(0.0)),
+], ids=["weights-one", "weights-long", "weights-2d", "b2-short", "b2-scalar"])
+def test_frequency_problem_rejects_input_of_wrong_length(name, value):
+    # one entry per mode: a single weight is not broadcast over the three modes
+    shape = re.escape(str(np.shape(value)))
+    with pytest.raises(ValueError, match=rf"{name} has shape {shape}, expected length 3"):
+        FrequencyDomainProblem(**frequency_kw(**{name: value}, free=(name,)))
+
+
 def test_frequency_builder_grid_passes():
     assert len(string_frequency_problem().freqs) == 96
 

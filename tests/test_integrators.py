@@ -36,16 +36,14 @@ def scan_sequential(bank, T, n_steps, q0, v0, force_signal, force_gains):
     return out
 
 
-def loop_forward(A, B, R, R2, q0, q_prev, n_steps, force_signal=None, force_gains=None):
+def loop_forward(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=None):
     """Reference oracle: the hook-free recurrence stepped sample by sample,
     rows q^{-1} .. q^N as forward_cached stores them."""
     Q = np.empty((n_steps + 2, len(q0)))
     Q[0], Q[1] = q_prev, q0
-    u_prev = np.zeros(len(q0))
     for n in range(n_steps):
         u = np.zeros(len(q0)) if force_signal is None else force_gains * force_signal[n]
-        Q[n + 2] = A * Q[n + 1] + B * Q[n] + R * u + R2 * u_prev
-        u_prev = u
+        Q[n + 2] = A * Q[n + 1] + B * Q[n] + R * u
     return Q
 
 
@@ -100,19 +98,19 @@ def test_bank_gamma_from_damping_coefficients():
 # --- scheme coefficients ---------------------------------------------------------
 
 def test_ftm_lossless_pole_magnitudes():
+    # the poles' squared magnitude is -B
     bank = oscillator_bank(np.array([np.pi**2]), 0.0, 400.0)
     co = ftm_coeffs(bank, 1 / 8000)
-    assert co.a2[0] == 1.0
-    assert co.pole_magnitudes()[0] == 1.0
+    assert co.B[0] == -1.0
 
 
 def test_ftm_quarter_period_sampling():
-    # omega*T = pi/2 with no damping makes a1 vanish
+    # omega*T = pi/2 with no damping makes A vanish
     w = 2 * np.pi * 100.0
     T = (np.pi / 2) / w
     bank = oscillator_bank(np.array([1.0]), 0.0, w**2)
     co = ftm_coeffs(bank, T)
-    assert abs(co.a1[0]) < 1e-15
+    assert abs(co.A[0]) < 1e-15
 
 
 def test_ftm_matches_extended_precision():
@@ -122,12 +120,12 @@ def test_ftm_matches_extended_precision():
     with mp.workdps(50):
         wt = mp.sqrt(mp.mpf(w) ** 2 - mp.mpf(g) ** 2)
         e1 = mp.e ** (-mp.mpf(g) * T)
-        a1 = -2 * e1 * mp.cos(wt * T)
-        a2 = e1**2
-        b1 = e1 * mp.sin(wt * T) / wt
-        assert abs(co.a1[0] - float(a1)) <= 1e-14 * abs(float(a1))
-        assert abs(co.a2[0] - float(a2)) <= 1e-14 * abs(float(a2))
-        assert abs(co.b1[0] - float(b1)) <= 1e-14 * abs(float(b1))
+        A = 2 * e1 * mp.cos(wt * T)
+        B = -(e1**2)
+        R = e1 * mp.sin(wt * T) / wt
+        assert abs(co.A[0] - float(A)) <= 1e-14 * abs(float(A))
+        assert abs(co.B[0] - float(B)) <= 1e-14 * abs(float(B))
+        assert abs(co.R[0] - float(R)) <= 1e-14 * abs(float(R))
 
 
 def test_ftm_rejects_overdamped_mode_by_name():
@@ -141,16 +139,16 @@ def test_sv_undamped_limit():
     bank = oscillator_bank(np.array([1.0]), 0.0, w2)
     T = 1 / 8000
     co = sv_coeffs(bank, T)
-    assert co.r[0] == pytest.approx(T**2)
-    assert co.g[0] == pytest.approx(2 - w2 * T**2)
-    assert co.p[0] == pytest.approx(-1.0)
+    assert co.R[0] == pytest.approx(T**2)
+    assert co.A[0] == pytest.approx(2 - w2 * T**2)
+    assert co.B[0] == pytest.approx(-1.0)
 
 
 def test_sv_free_particle():
     bank = oscillator_bank(np.array([0.0]), 0.0, 0.0)
     co = sv_coeffs(bank, 0.01)
-    assert co.g[0] == pytest.approx(2.0)
-    assert co.p[0] == pytest.approx(-1.0)
+    assert co.A[0] == pytest.approx(2.0)
+    assert co.B[0] == pytest.approx(-1.0)
 
 
 def test_sv_matches_extended_precision():
@@ -161,23 +159,26 @@ def test_sv_matches_extended_precision():
         r = 2 * mp.mpf(T) ** 2 / (2 + 2 * mp.mpf(g) * T)
         gg = r * (2 / mp.mpf(T) ** 2 - mp.mpf(w) ** 2)
         p = r * (-1 / mp.mpf(T) ** 2 + 2 * mp.mpf(g) / (2 * T))
-        assert abs(co.r[0] - float(r)) <= 1e-14 * abs(float(r))
-        assert abs(co.g[0] - float(gg)) <= 1e-14 * abs(float(gg))
-        assert abs(co.p[0] - float(p)) <= 1e-14 * abs(float(p))
+        assert abs(co.R[0] - float(r)) <= 1e-14 * abs(float(r))
+        assert abs(co.A[0] - float(gg)) <= 1e-14 * abs(float(gg))
+        assert abs(co.B[0] - float(p)) <= 1e-14 * abs(float(p))
 
 
 def test_sv_stability_warning():
-    bank = oscillator_bank(np.array([1.0]), 0.0, 500.0**2)
-    with pytest.warns(UserWarning, match="stability"):
+    # omega*T = 0.5, 5, 1, 3: modes 1 and 3 break the bound
+    bank = oscillator_bank(np.ones(4), 0.0, np.array([50.0, 500.0, 100.0, 300.0]) ** 2)
+    with pytest.warns(UserWarning, match="stability") as record:
         sv_coeffs(bank, 0.01)
+    message = str(record[0].message)
+    assert message.startswith("2 mode(s)")
+    assert "mode index 1 " in message and "largest omega*T 5)" in message
 
 
 # --- stepping ---------------------------------------------------------------------
 
 def test_step_zero_state_zero_force():
     bank = oscillator_bank(np.array([1.0, 4.0]), 0.0, 100.0, gamma=0.5)
-    co = ftm_coeffs(bank, 1e-3)
-    A, B, R, _ = co.update_vectors()
+    A, B, R = ftm_coeffs(bank, 1e-3)
     Q = run(A, B, R, np.zeros(2), np.zeros(2), 1)
     assert Q.shape == (1, 2) and np.all(Q == 0.0)
 
@@ -186,14 +187,13 @@ def test_ftm_impulse_response_closed_form():
     w = 2 * np.pi * 440.0
     bank = oscillator_bank(np.array([1.0]), 0.0, w**2)
     T = 1 / 44100
-    co = ftm_coeffs(bank, T)
-    A, B, R, _ = co.update_vectors()
+    A, B, R = ftm_coeffs(bank, T)
     imp = np.zeros(1000)
     imp[0] = 1.0
     Q = run(A, B, R, np.zeros(1), np.zeros(1), 1000,
             force_signal=imp, force_gains=np.ones(1))
     n = np.arange(1, 1001)
-    expect = co.b1[0] * np.sin(w * n * T) / np.sin(w * T)
+    expect = R[0] * np.sin(w * n * T) / np.sin(w * T)
     assert np.max(np.abs(Q[:, 0] - expect)) < 1e-9
 
 
@@ -203,8 +203,7 @@ def test_sv_second_order_against_analytic_cosine():
     for rate in (4000.0, 8000.0):
         bank = oscillator_bank(np.array([1.0]), 0.0, w**2)
         n = int(0.25 * rate)
-        co = sv_coeffs(bank, 1 / rate)
-        A, B, R, _ = co.update_vectors()
+        A, B, R = sv_coeffs(bank, 1 / rate)
         q0 = np.array([1.0])
         q_prev = np.array([np.cos(-w / rate)])
         Q = run(A, B, R, q0, q_prev, n)
@@ -218,13 +217,12 @@ def test_instability_error_reports_step_and_mode():
     # omega*T far beyond the stability bound blows up rapidly
     bank = oscillator_bank(np.array([1.0, 1.0]), 0.0, np.array([1.0, 1e9]))
     with pytest.warns(UserWarning):
-        co = sv_coeffs(bank, 0.1)
-    A, B, R, R2 = co.update_vectors()
+        A, B, R = sv_coeffs(bank, 0.1)
     q0, q_prev = np.array([0.0, 1e-3]), np.zeros(2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InstabilityError) as ei:
             run(A, B, R, q0, q_prev, 2000)
-        Q = loop_forward(A, B, R, R2, q0, q_prev, 2000)
+        Q = loop_forward(A, B, R, q0, q_prev, 2000)
     # Q[t] = q^{t-1}: the oracle's first non-finite state, after t-1 steps
     first = int(np.argmax(~np.all(np.isfinite(Q), axis=1))) - 1
     assert 1 <= first < 2000
@@ -303,15 +301,6 @@ def test_scan_scheme_is_unknown():
     basis = string_basis(1.0, 4)
     with pytest.raises(SchemeError, match="unknown scheme"):
         simulate(spec, basis, "scan", triangular_pluck(basis, 0.3, 0.01), 0.01, 8000.0)
-
-
-@pytest.mark.parametrize("scheme", ["sv", "rk-reference"])
-def test_b2_rejected_by_schemes_without_it(scheme):
-    spec = string_spec(T0=800.0)
-    basis = string_basis(1.0, 4)
-    with pytest.raises(SchemeError, match=scheme):
-        simulate(spec, basis, scheme, triangular_pluck(basis, 0.3, 0.01), 0.01, 8000.0,
-                 b2=np.full(4, 1e-3))
 
 
 @pytest.mark.parametrize("nonlinearity", ["linear", "tension-modulated"])
@@ -401,8 +390,7 @@ def test_scan_matches_stepping_loop(damped_bank):
     sig = raised_cosine_pulse(2.0, 0.02, 0.005, 44100.0, 10_000)
     gains = np.linspace(1.0, 0.2, 5)
     oracle = scan_sequential(damped_bank, T, 10_000, q0, v0, sig, gains)
-    co = ftm_coeffs(damped_bank, T)
-    A, B, R, _ = co.update_vectors()
+    A, B, R = ftm_coeffs(damped_bank, T)
     loop = run(A, B, R, q0, _ftm_backstep(damped_bank, T, q0, v0), 10_000,
                force_signal=sig, force_gains=gains)
     assert np.max(np.abs(oracle - loop)) <= 1e-10 * np.max(np.abs(loop))
@@ -412,26 +400,23 @@ def test_scan_matches_stepping_loop(damped_bank):
 
 def filter_case(scheme, forced, n_steps, damped_bank):
     T = 1 / 8000
-    if scheme == "ftm":
-        A, B, R, R2 = ftm_coeffs(damped_bank, T, b2=np.linspace(-2e-4, 3e-4, 5)).update_vectors()
-    else:
-        A, B, R, R2 = sv_coeffs(damped_bank, T).update_vectors()
+    A, B, R = (ftm_coeffs if scheme == "ftm" else sv_coeffs)(damped_bank, T)
     q0 = np.array([0.01, -0.02, 0.005, 0.0, 0.003])
     q_prev = np.array([0.009, -0.018, 0.004, 0.001, -0.002])
     kw = {}
     if forced:
         rng = np.random.default_rng(n_steps)
         kw = dict(force_signal=rng.standard_normal(n_steps), force_gains=np.linspace(1.0, 0.2, 5))
-    return (A, B, R, R2, q0, q_prev, n_steps), kw
+    return (A, B, R, q0, q_prev, n_steps), kw
 
 
 @pytest.mark.parametrize("n_steps", [0, 1, 2, 257])
 @pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("scheme", ["ftm", "sv"])
 def test_filter_forward_matches_per_sample_loop(scheme, forced, n_steps, damped_bank):
-    (A, B, R, R2, q0, q_prev, n), kw = filter_case(scheme, forced, n_steps, damped_bank)
-    Q, U = forward_cached(A, B, R, q0, q_prev, n, R2=R2, **kw)
-    oracle = loop_forward(A, B, R, R2, q0, q_prev, n, **kw)
+    (A, B, R, q0, q_prev, n), kw = filter_case(scheme, forced, n_steps, damped_bank)
+    Q, U = forward_cached(A, B, R, q0, q_prev, n, **kw)
+    oracle = loop_forward(A, B, R, q0, q_prev, n, **kw)
     assert Q.shape == oracle.shape == (n + 2, 5)
     assert np.max(np.abs(Q - oracle)) <= 1e-12 * np.max(np.abs(oracle))
     if forced:
@@ -443,12 +428,12 @@ def test_filter_forward_matches_per_sample_loop(scheme, forced, n_steps, damped_
 @pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("scheme", ["ftm", "sv"])
 def test_filter_sweep_matches_per_sample_loop(scheme, forced, damped_bank):
-    (A, B, R, R2, q0, q_prev, n), kw = filter_case(scheme, forced, 257, damped_bank)
+    (A, B, R, q0, q_prev, n), kw = filter_case(scheme, forced, 257, damped_bank)
     Q, U = forward_cached(A, B, R, q0, q_prev, n, **kw)
     qbar_direct = np.random.default_rng(1).standard_normal((n, 5))
     g = bptt(A, B, R, Q, U, qbar_direct)
     qbar = loop_sweep(A, B, qbar_direct)
-    Q_loop = loop_forward(A, B, R, np.zeros(5), q0, q_prev, n, **kw)
+    Q_loop = loop_forward(A, B, R, q0, q_prev, n, **kw)
     oracle = {"dA": np.sum(qbar * Q_loop[1:-1], axis=0), "dB": np.sum(qbar * Q_loop[:-2], axis=0),
               "dR": np.sum(qbar * U, axis=0) if forced else np.zeros(5)}
     for name, want in oracle.items():
@@ -497,8 +482,7 @@ def test_sv_stft_error_vs_reference_decreases_with_rate():
         bank = oscillator_bank(np.array([1.0]), 0.0, w**2, gamma=1.0)
         n = int(0.5 * rate)
         ref = rk_reference(bank, n, rate, np.array([1.0]), np.zeros(1), oversample=16)
-        co = sv_coeffs(bank, 1 / rate)
-        A, B, R, _ = co.update_vectors()
+        A, B, R = sv_coeffs(bank, 1 / rate)
         a0 = -w**2 * 1.0 - 2.0 * 1.0 * 0.0
         q_prev = np.array([1.0 - 0.5 * (1 / rate) ** 2 * w**2])
         sv = run(A, B, R, np.array([1.0]), q_prev, n)
@@ -510,11 +494,12 @@ def test_sv_stft_error_vs_reference_decreases_with_rate():
 
 
 def test_pluck_and_pulse_helpers():
-    basis = string_basis(1.0, 4, unit_norm=False)
+    basis = string_basis(1.0, 4)
     ic = triangular_pluck(basis, 0.25, 0.002)
     m = np.arange(1, 5)
+    # sine-series amplitudes, in coordinates of the unit-norm shapes sqrt(2) sin
     expect = 2 * 0.002 * np.sin(m * np.pi * 0.25) / (np.pi**2 * m**2 * 0.25 * 0.75)
-    assert ic.q0 == pytest.approx(expect)
+    assert ic.q0 * np.sqrt(2.0) == pytest.approx(expect)
     sig = raised_cosine_pulse(3.0, 0.01, 0.004, 1000.0, 30)
     assert sig[0] == 0.0 and np.max(sig) <= 3.0 + 1e-12
     assert np.max(sig) > 2.9

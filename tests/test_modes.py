@@ -11,9 +11,10 @@ from modalsim.modes import (
 
 
 def test_string_first_mode():
-    b = string_basis(1.0, 1, unit_norm=False)
+    b = string_basis(1.0, 1)
     assert b.eigenvalues[0] == pytest.approx(np.pi**2)
-    assert b.norms_sq[0] == pytest.approx(0.5)
+    # ||sin(pi x)||^2 = 1/2 on [0, 1]
+    assert b.shape_scale == pytest.approx(np.sqrt(2.0))
 
 
 def test_string_eigenvalues_scaling():
@@ -61,10 +62,8 @@ def test_rect_lattice_matches_brute_force(Lx, Ly, count):
 
 
 def test_evaluate_string_midpoint():
-    raw = string_basis(1.0, 1, unit_norm=False)
-    unit = string_basis(1.0, 1, unit_norm=True)
-    assert evaluate_mode(raw, 0, 0.5) == pytest.approx(1.0)
-    assert evaluate_mode(unit, 0, 0.5) == pytest.approx(np.sqrt(2.0))
+    assert evaluate_mode(string_basis(1.0, 1), 0, 0.5) == pytest.approx(np.sqrt(2.0))
+    assert evaluate_mode(string_basis(2.0, 1), 0, 1.0) == pytest.approx(1.0)
 
 
 def test_boundary_values_are_exact_zeros():
@@ -80,8 +79,9 @@ def test_boundary_values_are_exact_zeros():
 
 
 def test_evaluate_plate_center():
-    b = rect_basis(1.0, 1.0, 1, unit_norm=False)
-    assert evaluate_mode(b, 0, (0.5, 0.5)) == pytest.approx(1.0)
+    # unit norm: 2 sin(pi x) sin(pi y) on the unit square
+    b = rect_basis(1.0, 1.0, 1)
+    assert evaluate_mode(b, 0, (0.5, 0.5)) == pytest.approx(2.0)
 
 
 def test_out_of_domain_rejected():
@@ -110,19 +110,20 @@ def test_point_gain_even_modes_exactly_zero_at_center():
 
 
 def test_triangular_pluck_matches_fourier_series():
-    # closed-form sine coefficients of the unit-peak triangle on L = 1
-    b = string_basis(1.0, 8, unit_norm=False)
+    # closed-form sine coefficients of the unit-peak triangle on L = 1, in
+    # coordinates of the unit-norm shapes sqrt(2) sin(m pi x)
+    b = string_basis(1.0, 8)
     x = np.linspace(0.0, 1.0, 8193)
     x0 = 0.3
     tri = np.where(x <= x0, x / x0, (1.0 - x) / (1.0 - x0))
     q = project_function(b, tri, [x])
     m = np.arange(1, 9)
-    expect = 2 * np.sin(m * np.pi * x0) / (m**2 * np.pi**2 * x0 * (1 - x0))
+    expect = 2 * np.sin(m * np.pi * x0) / (m**2 * np.pi**2 * x0 * (1 - x0)) / np.sqrt(2.0)
     assert np.max(np.abs(q - expect)) < 1e-6
 
 
 def test_orthogonality_on_fine_grid():
-    b = rect_basis(0.8, 0.5, 6, unit_norm=False)
+    b = rect_basis(0.8, 0.5, 6)
     x = np.linspace(0.0, 0.8, 513)
     y = np.linspace(0.0, 0.5, 513)
     shapes = sample_modes(b, [x, y])
@@ -130,8 +131,7 @@ def test_orthogonality_on_fine_grid():
     wy = np.full(513, y[1] - y[0]); wy[[0, -1]] /= 2
     W = np.outer(wy, wx)
     gram = np.einsum("myx,nyx,yx->mn", shapes, shapes, W)
-    expect = np.diag(b.norms_sq * 0 + 0.8 * 0.5 / 4)
-    assert np.max(np.abs(gram - expect)) / np.max(expect) < 1e-8
+    assert np.max(np.abs(gram - np.eye(6))) < 1e-8
 
 
 def test_projection_round_trip(rng):
