@@ -9,9 +9,8 @@ from .model import (
     spec_to_dict, spec_from_dict, spec_to_json, spec_from_json,
 )
 from .modes import (
-    ModeBasis, PointReadout, string_basis, rect_basis, basis_for, airy_eigenvalues,
-    evaluate_mode, evaluate_all_modes, point_readout, project_point_excitation,
-    project_function, reconstruct, sample_modes,
+    ModeBasis, PointReadout, string_basis, rect_basis, point_readout,
+    project_point_excitation, project_function, reconstruct, sample_modes,
 )
 from .coupling import PlateCoupling, simply_supported_tensors, TensionModulation, VkContraction
 from .integrators import (
@@ -21,8 +20,7 @@ from .integrators import (
     oscillator_bank, bank_from_spec, ftm_coeffs, sv_coeffs, simulate, rk_reference,
 )
 from .losses import (
-    LossWeights, loss_log, loss_sc, loss_sot, loss_total,
-    loss_log_grad, loss_sc_grad, loss_sot_grad, loss_total_grad,
+    LossWeights, loss_log_grad, loss_sc_grad, loss_sot_grad, loss_total_grad,
 )
 from .analysis import (
     Spectrogram, LpcModel, stft, lpc, lpc_envelope_at, bark_grid, tf_magnitude,

@@ -57,7 +57,7 @@ import numpy as np
 # minor page faults per op instead of none.
 from scipy.signal import lfilter
 
-# steps between the hook loop's finiteness checks (the filter path checks once)
+# steps between the hook loop's finiteness checks: the most it runs past a blow-up
 CHECK_EVERY = 64
 
 
@@ -66,8 +66,7 @@ class OverdampedError(ValueError):
 
 
 class InstabilityError(RuntimeError):
-    """The state went non-finite. step is the first such step on the filter
-    path and the next multiple of CHECK_EVERY in the hook loop; mode is the
+    """The state went non-finite. step is the first such step; mode is the
     lowest-index mode non-finite there."""
 
     def __init__(self, step: int, mode: int):
@@ -76,10 +75,14 @@ class InstabilityError(RuntimeError):
         super().__init__(f"non-finite state at step {step} (mode index {mode})")
 
 
-def _check_finite(q, step):
-    if not np.all(np.isfinite(q)):
-        bad = np.where(np.isfinite(q), np.abs(q), np.inf)
-        raise InstabilityError(step=step, mode=int(np.argmax(bad)))
+def _check_finite(Q):
+    """Raise InstabilityError at the first non-finite state among the stored
+    rows Q[t] = q^{t-1} (the rows from q^1 on are checked)."""
+    finite = np.isfinite(Q[2:])  # row j holds q^{j+1}
+    if not finite.all():
+        first = np.where(finite.all(axis=0), len(finite), finite.argmin(axis=0))
+        mode = int(np.argmin(first))
+        raise InstabilityError(step=int(first[mode]) + 1, mode=mode)
 
 
 # --- coefficient maps with partials -------------------------------------------
@@ -170,11 +173,7 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
             if force_signal is not None:
                 x = force_gains[k] * force_signal
             Qt[k, 2:] = lfilter([R[k]], [1.0, -A[k], -B[k]], x, zi=zi[k])[0]
-        finite = np.isfinite(Qt[:, 2:])  # column j holds q^{j+1}
-        if not finite.all():
-            first = np.where(finite.all(axis=1), n_steps, finite.argmin(axis=1))
-            mode = int(np.argmin(first))
-            raise InstabilityError(step=int(first[mode]) + 1, mode=mode)
+        _check_finite(Qt.T)
         return Qt.T, U
 
     Q = np.empty((n_steps + 2, m))
@@ -194,9 +193,9 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
             U[n] = u
             qp, q = q, A * q + B * qp + R * u
             Q[n + 2] = q
-            if n % every == every - 1:
-                _check_finite(q, n + 1)
-    _check_finite(q, n_steps)
+            if n % every == every - 1 and not np.isfinite(q).all():
+                _check_finite(Q[:n + 3])
+    _check_finite(Q)
     return Q, U
 
 
@@ -242,6 +241,8 @@ def bptt(A, B, R, Q, U, qbar_direct, hook=None, hook_param_names=()):
 
 def check_stft(n_samples: int, window_length: int, hop: int) -> None:
     """Reject STFT settings that leave samples out or yield no frame."""
+    if hop < 1:
+        raise ValueError(f"hop must be >= 1, got {hop}")
     if window_length < 2:
         raise ValueError("window length must be >= 2")
     if window_length < hop:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import ModeBasis, _sinpi, airy_eigenvalues, rect_basis
+from .modes import ModeBasis, _sinpi, rect_basis
 
 
 # --- plate coupling ------------------------------------------------------------
@@ -119,7 +119,7 @@ def simply_supported_tensors(phi: ModeBasis, n_psi: int | None = None) -> PlateC
     x_layers = (-c * Sx * a**2, c * Sx, c * Cx * a)  # d_xx, none, d_x
     y_layers = (Sy.T, -(Sy * b**2).T, (Cy * b).T)  # none, d_yy, d_y
     return PlateCoupling(
-        phi=phi, zeta4=airy_eigenvalues(psi),
+        phi=phi, zeta4=psi.eigenvalues**2,
         eval_x=np.concatenate(x_layers), eval_y=np.stack(y_layers),
         airy_x=np.concatenate([x_layers[1], x_layers[0], -2.0 * x_layers[2]]),
         airy_y=np.stack([y_layers[1], y_layers[0], y_layers[2]]),
@@ -162,8 +162,8 @@ class TensionModulation:
 
     def finalize(self, V, Qmid, want):
         out = {}
-        if "tau" in want:
-            out["tau"] = -float(np.einsum("tm,m,tm,t->", V, self.lam, Qmid, self.S))
+        if "tau_hat" in want:
+            out["tau_hat"] = -float(np.einsum("tm,m,tm,t->", V, self.lam, Qmid, self.S))
         return out
 
 

@@ -1,13 +1,14 @@
 """Gradient-based recovery of physical parameters.
 
-Free parameters are held as raw optimiser coordinates and mapped to physical
-values through per-parameter transforms:
+Fitted parameters are fields of the problem. ``free`` names the fields to
+optimise, and the problem's ``PARAMS`` maps each field that may be free to
+the transform (``TRANSFORMS``) from its raw optimiser coordinates:
 
-* ``log``      — strictly positive quantities (d_hat, t0_hat, tau),
+* ``log``      — strictly positive quantities (d_hat, t0_hat, tau_hat),
 * ``softplus`` — damping rates gamma (keeps every continuous-time pole in the
                  left half-plane, hence every discrete pole inside the unit
                  circle, by construction rather than by projection),
-* ``linear``   — unconstrained quantities (output weights, b2).
+* ``linear``   — unconstrained quantities (readout_weights, weights, b2).
 
 Two objective kinds cover the fitting paths:
 
@@ -38,13 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import adjoint
 from .coupling import PlateCoupling, TensionModulation, VkContraction
-from .integrators import InstabilityError, OverdampedError
+from .integrators import InstabilityError, OverdampedError, omega_squared
 from .losses import LossWeights, loss_total_grad
 
 
@@ -59,53 +60,40 @@ class FitDivergedError(RuntimeError):
 
 # --- parameter transforms ----------------------------------------------------
 
-def transform_apply(raw, kind: str):
-    if kind == "log":
-        return np.exp(raw)
-    if kind == "softplus":
-        return np.logaddexp(0.0, raw)
-    if kind == "linear":
-        return raw
-    raise ValueError(f"unknown transform {kind!r}")
+def _softplus_inverse(value):
+    v = np.asarray(value, dtype=float)
+    return np.where(v > 30.0, v, np.log(np.expm1(np.minimum(v, 30.0))))
 
 
-def transform_jacobian(raw, kind: str):
-    if kind == "log":
-        return np.exp(raw)
-    if kind == "softplus":
-        return 1.0 / (1.0 + np.exp(-np.asarray(raw, dtype=float)))
-    if kind == "linear":
-        return np.ones_like(np.asarray(raw, dtype=float))
-    raise ValueError(f"unknown transform {kind!r}")
+class Transform(NamedTuple):
+    forward: Callable  # raw coordinate -> physical value
+    derivative: Callable  # d value / d raw, at the raw coordinate
+    inverse: Callable  # physical value -> raw coordinate
 
 
-def transform_invert(value, kind: str):
-    if kind == "log":
-        return np.log(value)
-    if kind == "softplus":
-        v = np.asarray(value, dtype=float)
-        return np.where(v > 30.0, v, np.log(np.expm1(np.minimum(v, 30.0))))
-    if kind == "linear":
-        return np.asarray(value, dtype=float)
-    raise ValueError(f"unknown transform {kind!r}")
-
-
-# Every fittable parameter and its transform; each problem accepts a subset.
 TRANSFORMS = {
-    "d_hat": "log", "t0_hat": "log", "tau": "log", "gamma": "softplus",
-    "weights": "linear", "b2": "linear",
+    "log": Transform(np.exp, np.exp, np.log),
+    "softplus": Transform(lambda raw: np.logaddexp(0.0, raw),
+                          lambda raw: 1.0 / (1.0 + np.exp(-np.asarray(raw, dtype=float))),
+                          _softplus_inverse),
+    "linear": Transform(lambda raw: raw,
+                        lambda raw: np.ones_like(np.asarray(raw, dtype=float)),
+                        lambda value: np.asarray(value, dtype=float)),
 }
 
 
 class _Parameters:
-    """Parameter plumbing shared by the problems. A problem lists the names it
-    accepts in FREE and returns their current physical values from _fixed();
-    shapes and starting coordinates follow from those values."""
+    """Parameter plumbing shared by the problems. A problem's PARAMS maps each
+    field that may be free to its transform kind; shapes and starting
+    coordinates follow from the fields' current values."""
 
-    FREE: frozenset = frozenset()
+    PARAMS: Dict[str, str] = {}
 
     def _check_lengths(self, sizes):
-        """Store each named input as a float array of the given length."""
+        """Store each named input as a float array of the given length; a
+        scalar gamma first fills every mode."""
+        if np.ndim(self.gamma) == 0:
+            self.gamma = np.full(len(self.lam), float(self.gamma))
         for name, size in sizes:
             value = np.asarray(getattr(self, name), dtype=float)
             if value.shape != (size,):
@@ -113,7 +101,7 @@ class _Parameters:
             setattr(self, name, value)
 
     def _check_free(self):
-        unknown = set(self.free) - self.FREE
+        unknown = set(self.free) - set(self.PARAMS)
         if unknown:
             raise ValueError(f"unknown free parameters {sorted(unknown)}")
 
@@ -121,31 +109,28 @@ class _Parameters:
         """Raw coordinates matching the problem's current fixed values."""
         # free may have been reassigned since construction
         self._check_free()
-        fixed = self._fixed()
-        return {
-            n: np.asarray(transform_invert(fixed[n], TRANSFORMS[n]), dtype=float)
-            for n in self.free
-        }
+        return {n: np.asarray(TRANSFORMS[self.PARAMS[n]].inverse(getattr(self, n)), dtype=float)
+                for n in self.free}
 
     def physical(self, raw: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        return {n: transform_apply(raw[n], TRANSFORMS[n]) for n in raw}
+        return {n: TRANSFORMS[self.PARAMS[n]].forward(raw[n]) for n in raw}
 
     def _values(self, raw):
         """Physical values of every parameter: the free ones from raw, the
         rest fixed."""
-        values = self._fixed()
+        values = {n: getattr(self, n) for n in self.PARAMS}
         values.update(self.physical(raw))
         return values
 
     def _starts(self, raw):
         """The number of starts along raw's leading axis, or None without one."""
-        fixed = self._fixed()
-        return next((len(v) for n, v in raw.items() if np.ndim(v) > np.ndim(fixed[n])), None)
+        return next((len(v) for n, v in raw.items() if np.ndim(v) > np.ndim(getattr(self, n))),
+                    None)
 
     def _raw_grads(self, raw, grads):
         """Chain gradients in physical values through the transforms."""
         return {
-            n: np.asarray(grads[n], dtype=float) * transform_jacobian(raw[n], TRANSFORMS[n])
+            n: np.asarray(grads[n], dtype=float) * TRANSFORMS[self.PARAMS[n]].derivative(raw[n])
             for n in raw
         }
 
@@ -196,15 +181,15 @@ class TimeDomainProblem(_Parameters):
     nonlinearity: Optional[str] = None  # None | "kc" | "vk"
     free: Tuple[str, ...] = ()
 
-    FREE = frozenset({"d_hat", "t0_hat", "tau", "gamma", "weights"})
+    PARAMS = {"d_hat": "log", "t0_hat": "log", "tau_hat": "log", "gamma": "softplus",
+              "readout_weights": "linear"}
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
         m = len(self.lam)
-        self.gamma = np.broadcast_to(np.asarray(self.gamma, dtype=float), (m,)).copy()
         if self.readout_weights is None:
             self.readout_weights = np.ones(m)
-        self._check_lengths((("force_signal", self.n_steps), ("force_gains", m),
+        self._check_lengths((("gamma", m), ("force_signal", self.n_steps), ("force_gains", m),
                              ("readout_weights", m)))
         if self.nonlinearity == "vk":
             if self.coupling is None:
@@ -220,27 +205,21 @@ class TimeDomainProblem(_Parameters):
 
     def _check_free(self):
         super()._check_free()
-        if "tau" in self.free and self.nonlinearity != "kc":
-            raise ValueError("tau is free only for the tension-modulated model")
-
-    def _fixed(self):
-        return {
-            "d_hat": self.d_hat, "t0_hat": self.t0_hat, "tau": self.tau_hat,
-            "gamma": self.gamma, "weights": self.readout_weights,
-        }
+        if "tau_hat" in self.free and self.nonlinearity != "kc":
+            raise ValueError("tau_hat is free only for the tension-modulated model")
 
     def _assemble(self, raw):
         p = self._values(raw)
-        w2 = float(p["d_hat"]) * self.lam**2 + float(p["t0_hat"]) * self.lam
+        w2 = omega_squared(self.lam, p["d_hat"], p["t0_hat"])
         partials = (adjoint.ftm_update_partials if self.scheme == "ftm"
                     else adjoint.sv_update_partials)
         parts = partials(w2, p["gamma"], 1.0 / self.rate)
         hook = None
         if self.nonlinearity == "kc":
-            hook = TensionModulation(self.lam, p["tau"])
+            hook = TensionModulation(self.lam, p["tau_hat"])
         elif self.nonlinearity == "vk":
             hook = VkContraction(self.coupling, self.vk_gain)
-        return parts, hook, np.asarray(p["weights"], dtype=float)
+        return parts, hook, np.asarray(p["readout_weights"], dtype=float)
 
     def _forward(self, parts, hook):
         m = len(self.lam)
@@ -272,10 +251,9 @@ class TimeDomainProblem(_Parameters):
         ybar = adjoint.stft_backward(cache, dmag)
 
         g = adjoint.bptt(parts["A"], parts["B"], parts["R"], Q, U, np.outer(ybar, w),
-                         hook=hook, hook_param_names={"tau"} & set(raw))
-        grads = dict(_coefficient_grads(parts, g, self.lam), weights=Q[2:].T @ ybar)
-        if "tau" in g:
-            grads["tau"] = g["tau"]
+                         hook=hook, hook_param_names={"tau_hat"} & set(raw))
+        # the hook's gradients come named by their fields
+        grads = dict(g, **_coefficient_grads(parts, g, self.lam), readout_weights=Q[2:].T @ ybar)
         return loss, self._raw_grads(raw, grads)
 
 
@@ -303,17 +281,17 @@ class FrequencyDomainProblem(_Parameters):
     weights: Optional[np.ndarray] = None
     free: Tuple[str, ...] = ()
 
-    FREE = frozenset({"d_hat", "t0_hat", "gamma", "b2", "weights"})
+    PARAMS = {"d_hat": "log", "t0_hat": "log", "gamma": "softplus", "b2": "linear",
+              "weights": "linear"}
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
         m = len(self.lam)
-        self.gamma = np.broadcast_to(np.asarray(self.gamma, dtype=float), (m,)).copy()
         if self.b2 is None:
             self.b2 = np.zeros(m)
         if self.weights is None:
             self.weights = np.ones(m)
-        self._check_lengths((("b2", m), ("weights", m)))
+        self._check_lengths((("gamma", m), ("b2", m), ("weights", m)))
         self.freqs = adjoint.check_tf_frequencies(self.freqs, self.rate)
         self._z = np.exp(2j * np.pi * self.freqs / self.rate)
         self.target_env = np.asarray(self.target_env, dtype=float)
@@ -324,18 +302,12 @@ class FrequencyDomainProblem(_Parameters):
             )
         self._check_free()
 
-    def _fixed(self):
-        return {
-            "d_hat": self.d_hat, "t0_hat": self.t0_hat, "gamma": self.gamma,
-            "b2": self.b2, "weights": self.weights,
-        }
-
     def _assemble(self, raw):
         """Coefficient partials and the kernels' A, B, R, R2 = b2 and w, each
         [start, mode] (one start where raw has no start axis)."""
         p = self._values(raw)
-        w2 = (np.reshape(p["d_hat"], (-1, 1)) * self.lam**2
-              + np.reshape(p["t0_hat"], (-1, 1)) * self.lam)
+        w2 = omega_squared(self.lam, np.reshape(p["d_hat"], (-1, 1)),
+                           np.reshape(p["t0_hat"], (-1, 1)))
         parts = adjoint.ftm_update_partials(w2, p["gamma"], 1.0 / self.rate)
         return parts, np.broadcast_arrays(parts["A"], parts["B"], parts["R"], p["b2"],
                                           p["weights"])
@@ -365,12 +337,14 @@ class FrequencyDomainProblem(_Parameters):
 
 # --- optimiser --------------------------------------------------------------------
 
-def one_cycle_lr(step: int, total: int, peak: float, warmup_frac: float = 0.1,
-                 floor_ratio: float = 0.01) -> float:
+WARMUP_FRAC, FLOOR_RATIO = 0.1, 0.01
+
+
+def one_cycle_lr(step: int, total: int, peak: float) -> float:
     """Linear ramp to `peak` over the first 10% of steps, cosine decay to
     peak/100 at the final step."""
-    floor = peak * floor_ratio
-    warmup = warmup_frac * total
+    floor = peak * FLOOR_RATIO
+    warmup = WARMUP_FRAC * total
     if step <= warmup:
         return floor + (peak - floor) * (step / warmup if warmup > 0 else 1.0)
     t = (step - warmup) / (total - warmup)
@@ -384,12 +358,14 @@ class FitConfig:
     steps: int
     peak_lr: float
     starts: int = 1
-    init: Optional[Dict[str, dict]] = None  # name -> {"low","high"} | {"std"} | {"value"}
+    init: Optional[Dict[str, dict]] = None  # name -> {"low", "high"} | {"value"}
     seed: int = 0
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if not self.peak_lr > 0:
+            raise ValueError(f"peak_lr must be positive, got {self.peak_lr}")
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
 
@@ -420,27 +396,31 @@ def _init_raw(problem, cfg: FitConfig, rng: np.random.Generator):
     if unused:
         raise ValueError(f"init rules for parameters that are not free: {unused}")
     for name in problem.free:
-        kind, shape = TRANSFORMS[name], raw[name].shape
+        kind, shape = problem.PARAMS[name], raw[name].shape
+        invert = TRANSFORMS[kind].inverse
         rule = init.get(name)
         if rule is None:
             continue
+        if set(rule) not in ({"value"}, {"low", "high"}):
+            raise ValueError(f"init rule for {name} needs 'value' or 'low'/'high', "
+                             f"got {sorted(rule)}")
         if "value" in rule:
             value = np.asarray(rule["value"], dtype=float)
             if value.shape not in ((), shape):
                 raise ValueError(f"init value for {name} has shape {value.shape}, not {shape}")
-            raw[name] = np.array(transform_invert(np.broadcast_to(value, shape), kind))
-        elif "low" in rule:
+            raw[name] = np.array(invert(np.broadcast_to(value, shape)))
+        else:
+            low, high = rule["low"], rule["high"]
+            if not low < high:
+                raise ValueError(f"init range for {name} needs low < high, got {low}, {high}")
             # positive parameters draw log-uniformly; unconstrained ones uniformly
             if kind in ("log", "softplus"):
-                val = np.exp(rng.uniform(np.log(rule["low"]), np.log(rule["high"]),
-                                         size=shape))
+                if not low > 0:
+                    raise ValueError(f"init range for {name} ({kind}) needs low > 0, got {low}")
+                val = np.exp(rng.uniform(np.log(low), np.log(high), size=shape))
             else:
-                val = rng.uniform(rule["low"], rule["high"], size=shape)
-            raw[name] = np.asarray(transform_invert(val, kind), dtype=float)
-        elif "std" in rule:
-            raw[name] = rng.normal(0.0, rule["std"], size=shape)
-        else:
-            raise ValueError(f"init rule for {name} needs 'value', 'low'/'high', or 'std'")
+                val = rng.uniform(low, high, size=shape)
+            raw[name] = np.asarray(invert(val), dtype=float)
     return raw
 
 

@@ -70,13 +70,18 @@ class OscillatorBank:
             return np.sqrt(self.omega2 - self.gamma**2)
 
 
+def omega_squared(lam, d_hat, t0_hat):
+    """omega^2 = d_hat lam^2 + t0_hat lam, broadcasting: per-mode or column
+    vectors of d_hat and t0_hat give one row per entry."""
+    return d_hat * lam**2 + t0_hat * lam
+
+
 def oscillator_bank(eigenvalues: np.ndarray, d_hat: float, t0_hat: float,
                     gamma: Union[float, np.ndarray] = 0.0) -> OscillatorBank:
     """omega_mu^2 = d_hat lambda_mu^2 + t0_hat lambda_mu with given damping rates."""
     lam = np.asarray(eigenvalues, dtype=float)
-    omega2 = d_hat * lam**2 + t0_hat * lam
     g = np.broadcast_to(np.asarray(gamma, dtype=float), lam.shape).copy()
-    return OscillatorBank(omega2=omega2, gamma=g)
+    return OscillatorBank(omega2=omega_squared(lam, d_hat, t0_hat), gamma=g)
 
 
 def bank_from_spec(spec: ModelSpec, basis: ModeBasis) -> OscillatorBank:
@@ -264,8 +269,7 @@ def _modal_excitation(basis: ModeBasis, excitation: Excitation, n_steps: int):
 
 def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitation,
              duration: float, rate: float,
-             readout_point=None, readout_weights: Optional[np.ndarray] = None,
-             tensors: Optional[PlateCoupling] = None,
+             readout_point=None, tensors: Optional[PlateCoupling] = None,
              rk_oversample: Optional[int] = None) -> Trajectory:
     """Full simulation: assembles the oscillator bank, scheme coefficients,
     modal excitation, and nonlinear hook from a validated model spec.
@@ -276,21 +280,18 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
     coupling from simply_supported_tensors, required by and only accepted for
     von-karman models; it must have been built for this basis (same rectangle,
     same mode labels). Every scheme, 'rk-reference' included, applies its one
-    force, VkContraction. The readout is taken either at readout_point or with
-    readout_weights, one per mode.
+    force, VkContraction. The readout, if asked for, is the displacement at
+    readout_point.
     """
     spec = validate(spec)
     if scheme not in ("ftm", "sv", "rk-reference"):
         raise SchemeError(f"unknown scheme {scheme!r}")
     if rk_oversample is not None and scheme != "rk-reference":
         raise SchemeError(f"rk_oversample applies to 'rk-reference' only, not {scheme!r}")
-    if readout_point is not None and readout_weights is not None:
-        raise ValueError("pass readout_point or readout_weights, not both")
-    if readout_weights is not None:
-        readout_weights = np.asarray(readout_weights, dtype=float)
-        if readout_weights.shape != (basis.count,):
-            raise ValueError(f"readout_weights has shape {readout_weights.shape}, "
-                             f"the basis has {basis.count} modes")
+    if not rate > 0:
+        raise ValueError(f"rate must be positive, got {rate}")
+    if not duration >= 0:
+        raise ValueError(f"duration must be non-negative, got {duration}")
     bank = bank_from_spec(spec, basis)
     n_steps = int(round(duration * rate))
     T = 1.0 / rate
@@ -319,9 +320,7 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
         Q = Q[2:]
 
     readout = None
-    if readout_weights is not None:
-        readout = Q @ readout_weights
-    elif readout_point is not None:
+    if readout_point is not None:
         readout = Q @ point_readout(basis, readout_point).weights
     return Trajectory(rate=rate, q=Q, readout=readout, labels=basis.labels)
 

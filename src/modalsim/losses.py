@@ -11,8 +11,9 @@ Yh (prediction), frames indexed [time][frequency]:
 
 The transport term moves smoothly when a peak slides along the frequency
 axis, which is exactly where the pointwise terms saturate, so it steers the
-optimiser out of far-off-frequency local minima. Each loss comes with a
-closed-form gradient in the prediction (`*_grad` returns (value, dYh)).
+optimiser out of far-off-frequency local minima. Each loss is one `*_grad`
+function that returns the value and its closed-form gradient in the
+prediction, (value, dYh).
 """
 
 from __future__ import annotations
@@ -50,20 +51,12 @@ def _check_shapes(Y, Yh):
     return Y, Yh, tuple(range(-Y.ndim, 0))
 
 
-def loss_log(Y, Yh, epsilon: float = 1e-8) -> float:
-    return loss_log_grad(Y, Yh, epsilon)[0]
-
-
 def loss_log_grad(Y, Yh, epsilon: float = 1e-8):
     Y, Yh, axes = _check_shapes(Y, Yh)
     diff = np.log(Y + epsilon) - np.log(Yh + epsilon)
     val = np.sum(np.abs(diff), axis=axes)
     dYh = -np.sign(diff) / (Yh + epsilon)
     return val, dYh
-
-
-def loss_sc(Y, Yh) -> float:
-    return loss_sc_grad(Y, Yh)[0]
 
 
 def loss_sc_grad(Y, Yh):
@@ -95,14 +88,10 @@ def _sot_parts(Y, Yh, freqs):
     return per_frame, valid, cy, ch, sh, widths
 
 
-def loss_sot(Y, Yh, freqs) -> float:
+def loss_sot_grad(Y, Yh, freqs):
     """Mean per-frame Wasserstein-1 distance; frames are normalised to unit
     mass internally, zero-mass frames are skipped but still counted in the
     mean."""
-    return loss_sot_grad(Y, Yh, freqs)[0]
-
-
-def loss_sot_grad(Y, Yh, freqs):
     per_frame, valid, cy, ch, sh, widths = _sot_parts(Y, Yh, freqs)
     n = per_frame.shape[-1]
     val = per_frame.sum(axis=-1) / n
@@ -114,10 +103,6 @@ def loss_sot_grad(Y, Yh, freqs):
     dYh = (rev - inner[..., None]) / np.where(sh, sh, 1.0)[..., None]
     dYh[~valid] = 0.0
     return val, dYh / n
-
-
-def loss_total(Y, Yh, weights: LossWeights, freqs=None) -> float:
-    return loss_total_grad(Y, Yh, weights, freqs)[0]
 
 
 def loss_total_grad(Y, Yh, weights: LossWeights, freqs=None):

@@ -109,22 +109,6 @@ def rect_basis(Lx: float, Ly: float, count: int) -> ModeBasis:
     )
 
 
-def basis_for(geometry, count: int) -> ModeBasis:
-    """Build the analytical basis matching a geometry object from model.py."""
-    from .model import RectMembrane, RectPlate, String
-
-    if isinstance(geometry, String):
-        return string_basis(geometry.L, count)
-    if isinstance(geometry, (RectMembrane, RectPlate)):
-        return rect_basis(geometry.Lx, geometry.Ly, count)
-    raise TypeError(f"unsupported geometry {type(geometry).__name__}")
-
-
-def airy_eigenvalues(basis: ModeBasis) -> np.ndarray:
-    """zeta^4 of the in-plane (Airy) modes: the biharmonic eigenvalues lambda^2."""
-    return basis.eigenvalues**2
-
-
 def _check_point(basis: ModeBasis, point) -> Tuple[float, ...]:
     p = np.atleast_1d(np.asarray(point, dtype=float))
     if basis.kind == "string":
@@ -141,30 +125,10 @@ def _check_point(basis: ModeBasis, point) -> Tuple[float, ...]:
     return tuple(p)
 
 
-def evaluate_mode(basis: ModeBasis, idx: int, point) -> float:
-    """Shape value Phi_idx at a point (normalisation scaling included)."""
+def _point_values(basis: ModeBasis, point) -> np.ndarray:
+    """Shape values Phi_mu(p) at one point: sample_modes on a one-point grid."""
     p = _check_point(basis, point)
-    lab = basis.labels[idx]
-    if basis.kind == "string":
-        val = _sinpi(lab[0] * (p[0] / basis.lengths[0]))
-    else:
-        val = _sinpi(lab[0] * (p[0] / basis.lengths[0])) * _sinpi(
-            lab[1] * (p[1] / basis.lengths[1])
-        )
-    return float(val) * basis.shape_scale
-
-
-def evaluate_all_modes(basis: ModeBasis, point) -> np.ndarray:
-    """Vector of all shape values at one point."""
-    p = _check_point(basis, point)
-    labs = np.asarray(basis.labels, dtype=float)
-    if basis.kind == "string":
-        vals = _sinpi(labs[:, 0] * (p[0] / basis.lengths[0]))
-    else:
-        vals = _sinpi(labs[:, 0] * (p[0] / basis.lengths[0])) * _sinpi(
-            labs[:, 1] * (p[1] / basis.lengths[1])
-        )
-    return vals * basis.shape_scale
+    return sample_modes(basis, [np.array([c]) for c in p]).reshape(basis.count)
 
 
 @dataclass(frozen=True)
@@ -177,28 +141,20 @@ class PointReadout:
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("readout weights must be finite")
 
-    def __call__(self, q: np.ndarray) -> np.ndarray:
-        return np.asarray(q) @ self.weights
-
 
 def point_readout(basis: ModeBasis, point) -> PointReadout:
     """Physical displacement readout: weights Phi_mu(p)."""
-    return PointReadout(weights=evaluate_all_modes(basis, point))
+    return PointReadout(weights=_point_values(basis, point))
 
 
 def project_point_excitation(basis: ModeBasis, point) -> np.ndarray:
     """Modal gains of a point force at p: Phi_mu(p) (the shapes have unit norm)."""
-    return evaluate_all_modes(basis, point)
-
-
-def _max_axis_indices(basis: ModeBasis) -> Tuple[int, ...]:
-    labs = np.asarray(basis.labels)
-    return tuple(int(v) for v in labs.max(axis=0))
+    return _point_values(basis, point)
 
 
 def required_grid_points(basis: ModeBasis, points_per_halfwave: int = 8) -> Tuple[int, ...]:
     """Minimum uniform grid points per axis: ppw points per shortest half-wavelength."""
-    return tuple(points_per_halfwave * m + 1 for m in _max_axis_indices(basis))
+    return tuple(points_per_halfwave * int(m) + 1 for m in np.max(basis.labels, axis=0))
 
 
 def _check_grid_resolution(basis: ModeBasis, axes: Sequence[np.ndarray], ppw: int = 8):

@@ -65,6 +65,12 @@ def test_stft_rejects_one_sample_window():
         stft(np.zeros(16), 8000.0, 1, 1)
 
 
+@pytest.mark.parametrize("hop", [0, -4])
+def test_stft_rejects_hop_below_one(hop):
+    with pytest.raises(ValueError, match="hop must be >= 1"):
+        stft(np.zeros(64), 8000.0, 16, hop)
+
+
 def test_stft_magnitude_triangle_inequality(rng):
     x = rng.normal(size=2048)
     y = rng.normal(size=2048)

@@ -23,7 +23,7 @@ def test_fit_reports_misshaped_target_instead_of_divergence():
 
 
 @pytest.mark.parametrize("free, message", [(("bogus",), "unknown free parameters"),
-                                           (("tau",), "tau is free only"),
+                                           (("tau_hat",), "tau_hat is free only"),
                                            (("H",), "unknown free parameters")])
 def test_fit_checks_free_assigned_after_construction(free, message):
     problem = string_time_problem()
@@ -62,6 +62,16 @@ def test_frequency_problem_rejects_input_of_wrong_length(name, value):
         FrequencyDomainProblem(**frequency_kw(**{name: value}, free=(name,)))
 
 
+@pytest.mark.parametrize("problem, kw", [
+    (FrequencyDomainProblem, frequency_kw()), (TimeDomainProblem, None),
+], ids=["frequency", "time"])
+def test_problems_check_gamma_length(problem, kw):
+    kw = kw or time_kw()
+    with pytest.raises(ValueError, match=re.escape("gamma has shape (5,), expected length 3")):
+        problem(**dict(kw, gamma=np.ones(5)))
+    assert np.array_equal(problem(**dict(kw, gamma=2.0)).gamma, np.full(3, 2.0))
+
+
 def test_frequency_builder_grid_passes():
     assert len(string_frequency_problem().freqs) == 96
 
@@ -78,6 +88,11 @@ def time_kw(**changes):
 def test_time_problem_rejects_hop_longer_than_window():
     with pytest.raises(ValueError, match="hop"):
         TimeDomainProblem(**time_kw(stft_hop=512))
+
+
+def test_time_problem_rejects_hop_below_one():
+    with pytest.raises(ValueError, match="hop must be >= 1"):
+        TimeDomainProblem(**time_kw(stft_hop=0))
 
 
 def test_time_problem_rejects_signal_shorter_than_window():
@@ -256,7 +271,43 @@ def test_init_value_of_another_shape_is_rejected(value):
 
 def test_init_rules_for_parameters_that_are_not_free_are_rejected():
     problem = string_frequency_problem(free=("t0_hat",))
-    cfg = FitConfig(steps=2, peak_lr=0.01, init={"gamma": {"value": 3.0}, "b2": {"std": 1.0},
+    cfg = FitConfig(steps=2, peak_lr=0.01, init={"gamma": {"value": 3.0}, "b2": {"value": 0.0},
                                                   "t0_hat": {"value": 1e5}})
     with pytest.raises(ValueError, match=r"not free: \['b2', 'gamma'\]"):
         fit(problem, cfg)
+
+
+@pytest.mark.parametrize("peak_lr", [0.0, -0.05, np.nan])
+def test_fit_config_rejects_peak_lr_that_is_not_positive(peak_lr):
+    with pytest.raises(ValueError, match="peak_lr must be positive"):
+        FitConfig(steps=2, peak_lr=peak_lr)
+
+
+@pytest.mark.parametrize("name, low, high, message", [
+    ("t0_hat", 2e4, 1e4, "init range for t0_hat needs low < high"),
+    ("gamma", 3.0, 3.0, "init range for gamma needs low < high"),
+    ("t0_hat", 0.0, 1e4, r"init range for t0_hat \(log\) needs low > 0"),
+    ("gamma", -1.0, 3.0, r"init range for gamma \(softplus\) needs low > 0"),
+], ids=["reversed", "empty", "log-zero", "softplus-negative"])
+def test_init_range_must_be_ordered_and_positive_where_transformed(name, low, high, message):
+    problem = string_frequency_problem(free=("t0_hat", "gamma"))
+    cfg = FitConfig(steps=1, peak_lr=0.01, init={name: {"low": low, "high": high}})
+    with pytest.raises(ValueError, match=message):
+        _init_raw(problem, cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("rule", [{"low": 1e4}, {"value": 2e4, "low": 1.0, "high": 2.0},
+                                  {"value": 2e4, "std": 5.0}, {}],
+                         ids=["no-high", "value-and-range", "unknown-key", "empty"])
+def test_init_rule_with_missing_or_extra_keys_is_rejected(rule):
+    problem = string_frequency_problem(free=("t0_hat",))
+    cfg = FitConfig(steps=1, peak_lr=0.01, init={"t0_hat": rule})
+    with pytest.raises(ValueError, match="init rule for t0_hat needs 'value' or 'low'/'high'"):
+        _init_raw(problem, cfg, np.random.default_rng(0))
+
+
+def test_init_range_of_a_linear_parameter_may_be_negative():
+    problem = string_frequency_problem(free=("b2",))
+    cfg = FitConfig(steps=1, peak_lr=0.01, init={"b2": {"low": -1.0, "high": 1.0}})
+    raw = _init_raw(problem, cfg, np.random.default_rng(0))
+    assert np.all((raw["b2"] >= -1.0) & (raw["b2"] < 1.0))

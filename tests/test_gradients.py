@@ -13,8 +13,12 @@ from problem_builders import (
     string_frequency_problem, string_time_problem,
 )
 
-STEPS = {"t0_hat": 1e-5, "d_hat": 1e-5, "weights": 1e-5,
-         "gamma": 1e-4, "tau": 1e-6, "b2": 1e-8}
+STEPS = {"t0_hat": 1e-5, "d_hat": 1e-5, "weights": 1e-5, "readout_weights": 1e-5,
+         "gamma": 1e-4, "tau_hat": 1e-6, "b2": 1e-8}
+# the time-domain problem's readout weights and tension coefficient, with
+# short test ids
+READOUT_WEIGHTS = pytest.param("readout_weights", id="weights")
+TAU_HAT = pytest.param("tau_hat", id="tau")
 TOL = 1e-3
 
 
@@ -28,13 +32,13 @@ def check(problem, name):
 
 
 @pytest.mark.parametrize("scheme", ["ftm", "sv"])
-@pytest.mark.parametrize("name", ["d_hat", "t0_hat", "gamma", "weights"])
+@pytest.mark.parametrize("name", ["d_hat", "t0_hat", "gamma", READOUT_WEIGHTS])
 def test_string_time_linear_gradients(scheme, name):
     check(string_time_problem(scheme=scheme), name)
 
 
 @pytest.mark.parametrize("scheme", ["ftm", "sv"])
-@pytest.mark.parametrize("name", ["d_hat", "t0_hat", "gamma", "weights", "tau"])
+@pytest.mark.parametrize("name", ["d_hat", "t0_hat", "gamma", READOUT_WEIGHTS, TAU_HAT])
 def test_string_time_kc_gradients(scheme, name):
     check(string_time_problem(scheme=scheme, nl="kc"), name)
 

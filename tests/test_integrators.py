@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from modalsim import adjoint
 from modalsim.adjoint import bptt, forward_cached
 from modalsim.coupling import simply_supported_tensors
 from modalsim.integrators import (
@@ -230,7 +231,7 @@ def test_instability_error_reports_step_and_mode():
     assert ei.value.step == first
 
 
-def test_blow_up_is_instability_error_when_warnings_are_errors():
+def test_blow_up_is_instability_error_when_warnings_are_errors(monkeypatch):
     # ftm takes the strike's force samples as per-step impulses, so this plate
     # overflows within a few dozen steps
     Lx, Ly = 0.4, 0.3
@@ -242,9 +243,15 @@ def test_blow_up_is_instability_error_when_warnings_are_errors():
     strike = PointForce((0.3 * Lx, 0.3 * Ly), raised_cosine_pulse(50.0, 2e-4, 1e-3, rate, n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InstabilityError):
+        with pytest.raises(InstabilityError) as ei:
             simulate(spec, basis, "ftm", strike, n / rate, rate,
                      readout_point=(0.7 * Lx, 0.7 * Ly), tensors=tensors)
+    # the hook loop checks every CHECK_EVERY steps but names the first
+    # non-finite step, as a check at every step does
+    monkeypatch.setattr(adjoint, "CHECK_EVERY", 1)
+    with pytest.raises(InstabilityError) as every_step:
+        simulate(spec, basis, "ftm", strike, n / rate, rate, tensors=tensors)
+    assert (ei.value.step, ei.value.mode) == (every_step.value.step, every_step.value.mode)
 
 
 # --- simulate ---------------------------------------------------------------------
@@ -322,20 +329,15 @@ def test_rk_oversample_rejected_by_explicit_schemes(scheme, oversample):
                  rk_oversample=oversample)
 
 
-def test_readout_point_and_weights_together_rejected():
+@pytest.mark.parametrize("duration, rate, message", [
+    (0.01, 0.0, "rate must be positive"), (0.01, -8000.0, "rate must be positive"),
+    (-0.01, 8000.0, "duration must be non-negative"),
+])
+def test_run_settings_out_of_range_rejected(duration, rate, message):
     spec = string_spec(T0=800.0)
     basis = string_basis(1.0, 4)
-    with pytest.raises(ValueError, match="readout_point or readout_weights"):
-        simulate(spec, basis, "ftm", triangular_pluck(basis, 0.3, 0.01), 0.01, 8000.0,
-                 readout_point=0.6, readout_weights=np.ones(4))
-
-
-def test_readout_weights_of_wrong_length_rejected():
-    spec = string_spec(T0=800.0)
-    basis = string_basis(1.0, 4)
-    with pytest.raises(ValueError, match=r"readout_weights has shape \(3,\), the basis has 4"):
-        simulate(spec, basis, "ftm", triangular_pluck(basis, 0.3, 0.01), 0.01, 8000.0,
-                 readout_weights=np.ones(3))
+    with pytest.raises(ValueError, match=message):
+        simulate(spec, basis, "ftm", triangular_pluck(basis, 0.3, 0.01), duration, rate)
 
 
 def test_force_signal_longer_than_duration_rejected():

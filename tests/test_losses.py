@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalsim.losses import (
-    LossWeights, loss_log, loss_log_grad, loss_sc, loss_sc_grad, loss_sot,
-    loss_sot_grad, loss_total, loss_total_grad,
+    LossWeights, loss_log_grad, loss_sc_grad, loss_sot_grad, loss_total_grad,
 )
 
 
@@ -23,13 +22,13 @@ def uniform_freqs(bins=16, df=10.0):
 
 def test_log_identity_is_zero(rng):
     Y, _ = spectra(rng)
-    assert loss_log(Y, Y) == 0.0
+    assert loss_log_grad(Y, Y)[0] == 0.0
 
 
 def test_log_single_bin_ratio():
     Y = np.array([[np.e]])
     Yh = np.array([[1.0]])
-    assert loss_log(Y, Yh, epsilon=1e-15) == pytest.approx(1.0, rel=1e-9)
+    assert loss_log_grad(Y, Yh, epsilon=1e-15)[0] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_log_matches_naive_double_loop(rng):
@@ -39,34 +38,34 @@ def test_log_matches_naive_double_loop(rng):
     for i in range(Y.shape[0]):
         for j in range(Y.shape[1]):
             naive += abs(np.log(Y[i, j] + eps) - np.log(Yh[i, j] + eps))
-    assert loss_log(Y, Yh) == pytest.approx(naive, abs=1e-12)
+    assert loss_log_grad(Y, Yh)[0] == pytest.approx(naive, abs=1e-12)
 
 
 def test_log_shape_mismatch(rng):
     Y, Yh = spectra(rng)
     with pytest.raises(ValueError, match="mismatch"):
-        loss_log(Y, Yh[:, :-1])
+        loss_log_grad(Y, Yh[:, :-1])
 
 
 # --- spectral convergence -------------------------------------------------------
 
 def test_sc_identity_and_scaling(rng):
     Y, _ = spectra(rng)
-    assert loss_sc(Y, Y) == 0.0
-    assert loss_sc(Y, np.zeros_like(Y)) == pytest.approx(1.0)
-    assert loss_sc(Y, 2 * Y) == pytest.approx(1.0)
+    assert loss_sc_grad(Y, Y)[0] == 0.0
+    assert loss_sc_grad(Y, np.zeros_like(Y))[0] == pytest.approx(1.0)
+    assert loss_sc_grad(Y, 2 * Y)[0] == pytest.approx(1.0)
 
 
 def test_sc_zero_target_rejected():
     with pytest.raises(ValueError, match="all-zero"):
-        loss_sc(np.zeros((2, 3)), np.ones((2, 3)))
+        loss_sc_grad(np.zeros((2, 3)), np.ones((2, 3)))
 
 
 # --- spectral optimal transport ---------------------------------------------------
 
 def test_sot_identity(rng):
     Y, _ = spectra(rng)
-    assert loss_sot(Y, Y, uniform_freqs()) == pytest.approx(0.0, abs=1e-15)
+    assert loss_sot_grad(Y, Y, uniform_freqs())[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_sot_point_mass_shift_is_exact():
@@ -75,20 +74,20 @@ def test_sot_point_mass_shift_is_exact():
     for k, m in [(3, 5), (10, 1), (0, 20)]:
         Y = np.zeros((1, bins)); Y[0, k] = 1.0
         Yh = np.zeros((1, bins)); Yh[0, k + m] = 1.0
-        assert loss_sot(Y, Yh, freqs) == m * df
+        assert loss_sot_grad(Y, Yh, freqs)[0] == m * df
 
 
 def test_sot_zero_mass_frames_skipped_but_counted(rng):
     freqs = uniform_freqs(8, 2.0)
     Y = np.zeros((2, 8)); Y[0, 1] = 1.0; Y[1, 2] = 1.0
     Yh = np.zeros((2, 8)); Yh[0, 3] = 1.0  # second frame empty on one side
-    full = loss_sot(Y, Yh, freqs)
+    full = loss_sot_grad(Y, Yh, freqs)[0]
     assert full == pytest.approx((2 * 2.0) / 2)
 
 
 def test_sot_all_zero_rejected():
     with pytest.raises(ValueError, match="zero mass"):
-        loss_sot(np.zeros((2, 4)), np.zeros((2, 4)), uniform_freqs(4))
+        loss_sot_grad(np.zeros((2, 4)), np.zeros((2, 4)), uniform_freqs(4))
 
 
 def sorted_cdf_distance(y, yh, freqs):
@@ -107,7 +106,7 @@ def test_sot_matches_cdf_oracle(seed):
     Yh = rng.uniform(0.01, 1.0, size=(frames, bins))
     freqs = np.cumsum(rng.uniform(0.5, 3.0, size=bins))
     expect = np.mean([sorted_cdf_distance(Y[i], Yh[i], freqs) for i in range(frames)])
-    assert loss_sot(Y, Yh, freqs) == pytest.approx(expect, abs=1e-10)
+    assert loss_sot_grad(Y, Yh, freqs)[0] == pytest.approx(expect, abs=1e-10)
 
 
 # --- composite ---------------------------------------------------------------------
@@ -115,16 +114,17 @@ def test_sot_matches_cdf_oracle(seed):
 def test_total_weight_selection(rng):
     Y, Yh = spectra(rng)
     freqs = uniform_freqs()
-    only_log = loss_total(Y, Yh, LossWeights(1.0, 0.0, 0.0), freqs)
-    assert only_log == pytest.approx(loss_log(Y, Yh))
-    assert loss_total(Y, Y, LossWeights(1.0, 2.0, 3.0), freqs) == pytest.approx(0.0, abs=1e-12)
+    only_log = loss_total_grad(Y, Yh, LossWeights(1.0, 0.0, 0.0), freqs)[0]
+    assert only_log == pytest.approx(loss_log_grad(Y, Yh)[0])
+    zero, _ = loss_total_grad(Y, Y, LossWeights(1.0, 2.0, 3.0), freqs)
+    assert zero == pytest.approx(0.0, abs=1e-12)
 
 
 def test_total_is_sum_of_components(rng):
     Y, Yh = spectra(rng)
     freqs = uniform_freqs()
-    total = loss_total(Y, Yh, LossWeights(1.0, 1.0, 1.0), freqs)
-    parts = loss_log(Y, Yh) + loss_sc(Y, Yh) + loss_sot(Y, Yh, freqs)
+    total = loss_total_grad(Y, Yh, LossWeights(1.0, 1.0, 1.0), freqs)[0]
+    parts = loss_log_grad(Y, Yh)[0] + loss_sc_grad(Y, Yh)[0] + loss_sot_grad(Y, Yh, freqs)[0]
     assert total == pytest.approx(parts, abs=1e-12)
 
 
@@ -145,9 +145,9 @@ def test_losses_nonnegative(seed):
     Yh = rng.uniform(0.0, 3.0, size=(3, 12))
     Y[0, 0] = 1.0  # keep target nonzero
     freqs = uniform_freqs(12)
-    assert loss_log(Y, Yh) >= 0.0
-    assert loss_sc(Y, Yh) >= 0.0
-    assert loss_sot(Y + 1e-6, Yh + 1e-6, freqs) >= 0.0
+    assert loss_log_grad(Y, Yh)[0] >= 0.0
+    assert loss_sc_grad(Y, Yh)[0] >= 0.0
+    assert loss_sot_grad(Y + 1e-6, Yh + 1e-6, freqs)[0] >= 0.0
 
 
 # --- gradients vs finite differences -------------------------------------------------
@@ -166,16 +166,16 @@ def test_loss_gradients_match_fd(rng):
     freqs = uniform_freqs(10, 3.0)
 
     v, g = loss_log_grad(Y, Yh)
-    assert np.max(np.abs(g - fd_grad(lambda z: loss_log(Y, z), Yh))) < 1e-6
+    assert np.max(np.abs(g - fd_grad(lambda z: loss_log_grad(Y, z)[0], Yh))) < 1e-6
 
     v, g = loss_sc_grad(Y, Yh)
-    assert np.max(np.abs(g - fd_grad(lambda z: loss_sc(Y, z), Yh))) < 1e-6
+    assert np.max(np.abs(g - fd_grad(lambda z: loss_sc_grad(Y, z)[0], Yh))) < 1e-6
 
     v, g = loss_sot_grad(Y, Yh, freqs)
-    assert np.max(np.abs(g - fd_grad(lambda z: loss_sot(Y, z, freqs), Yh))) < 1e-6
+    assert np.max(np.abs(g - fd_grad(lambda z: loss_sot_grad(Y, z, freqs)[0], Yh))) < 1e-6
 
     v, g = loss_total_grad(Y, Yh, LossWeights(0.7, 1.3, 2.1), freqs)
-    fd = fd_grad(lambda z: loss_total(Y, z, LossWeights(0.7, 1.3, 2.1), freqs), Yh)
+    fd = fd_grad(lambda z: loss_total_grad(Y, z, LossWeights(0.7, 1.3, 2.1), freqs)[0], Yh)
     assert np.max(np.abs(g - fd)) < 1e-5
 
 
@@ -205,7 +205,7 @@ def test_losses_over_starts_equal_separate_calls(rng, name):
 def test_losses_over_starts_reject_mismatched_shapes(rng, shape):
     Y = rng.uniform(0.01, 2.0, size=(3, 12))
     Yh = rng.uniform(0.01, 2.0, size=shape)
-    for fn in (loss_log, loss_sc, lambda Y, Yh: loss_sot(Y, Yh, uniform_freqs(12))):
+    for fn in (loss_log_grad, loss_sc_grad, lambda Y, Yh: loss_sot_grad(Y, Yh, uniform_freqs(12))):
         with pytest.raises(ValueError, match="mismatch"):
             fn(Y, Yh)
 
@@ -215,4 +215,4 @@ def test_sot_rejects_a_start_without_mass():
     Yh = np.ones((3, 2, 4))
     Yh[1] = 0.0
     with pytest.raises(ValueError, match="zero mass"):
-        loss_sot(Y, Yh, uniform_freqs(4))
+        loss_sot_grad(Y, Yh, uniform_freqs(4))

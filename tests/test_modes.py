@@ -4,9 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from modalsim.modes import (
-    evaluate_all_modes, evaluate_mode, point_readout, project_function,
-    project_point_excitation, reconstruct, rect_basis, required_grid_points,
-    sample_modes, string_basis,
+    point_readout, project_function, project_point_excitation, reconstruct, rect_basis,
+    required_grid_points, sample_modes, string_basis,
 )
 
 
@@ -62,35 +61,32 @@ def test_rect_lattice_matches_brute_force(Lx, Ly, count):
 
 
 def test_evaluate_string_midpoint():
-    assert evaluate_mode(string_basis(1.0, 1), 0, 0.5) == pytest.approx(np.sqrt(2.0))
-    assert evaluate_mode(string_basis(2.0, 1), 0, 1.0) == pytest.approx(1.0)
+    assert point_readout(string_basis(1.0, 1), 0.5).weights[0] == pytest.approx(np.sqrt(2.0))
+    assert point_readout(string_basis(2.0, 1), 1.0).weights[0] == pytest.approx(1.0)
 
 
 def test_boundary_values_are_exact_zeros():
     b = string_basis(1.0, 7)
-    for i in range(7):
-        assert evaluate_mode(b, i, 0.0) == 0.0
-        assert evaluate_mode(b, i, 1.0) == 0.0
+    for x in (0.0, 1.0):
+        assert np.all(point_readout(b, x).weights == 0.0)
     r = rect_basis(0.7, 0.4, 5)
-    for i in range(5):
-        assert evaluate_mode(r, i, (0.0, 0.2)) == 0.0
-        assert evaluate_mode(r, i, (0.7, 0.2)) == 0.0
-        assert evaluate_mode(r, i, (0.3, 0.4)) == 0.0
+    for p in ((0.0, 0.2), (0.7, 0.2), (0.3, 0.4)):
+        assert np.all(point_readout(r, p).weights == 0.0)
 
 
 def test_evaluate_plate_center():
     # unit norm: 2 sin(pi x) sin(pi y) on the unit square
     b = rect_basis(1.0, 1.0, 1)
-    assert evaluate_mode(b, 0, (0.5, 0.5)) == pytest.approx(2.0)
+    assert point_readout(b, (0.5, 0.5)).weights[0] == pytest.approx(2.0)
 
 
 def test_out_of_domain_rejected():
     b = string_basis(1.0, 2)
     with pytest.raises(ValueError, match="outside"):
-        evaluate_mode(b, 0, 1.5)
+        point_readout(b, 1.5)
     r = rect_basis(1.0, 1.0, 2)
     with pytest.raises(ValueError, match="outside"):
-        evaluate_all_modes(r, (0.5, -0.1))
+        project_point_excitation(r, (0.5, -0.1))
 
 
 def test_project_recovers_unit_vector():
@@ -170,6 +166,7 @@ def test_point_readout_matches_reconstruction(rng):
     b = rect_basis(1.0, 1.0, 5)
     q = rng.normal(size=5)
     p = (0.31, 0.57)
-    ro = point_readout(b, p)
-    direct = sum(q[i] * evaluate_mode(b, i, p) for i in range(5))
-    assert ro(q) == pytest.approx(direct)
+    # unit norm: 2 sin(m pi x) sin(n pi y) on the unit square
+    direct = sum(qi * 2.0 * np.sin(m * np.pi * p[0]) * np.sin(n * np.pi * p[1])
+                 for qi, (m, n) in zip(q, b.labels))
+    assert q @ point_readout(b, p).weights == pytest.approx(direct)
