@@ -4,12 +4,16 @@ Each block exists once, with the hand-written reverse-mode derivative the
 fits need (no general-purpose autodiff; the tests check every gradient
 against central finite differences):
 
-* the scheme coefficient maps, from omega^2 and gamma to the update vectors
-  (A, B, R), with their partials in omega^2 and gamma
-  (``integrators.ftm_coeffs``/``sv_coeffs`` wrap them for a bank, and both
-  fits chain through them);
-* :func:`forward_cached`, the two-step modal recurrence that ``simulate`` and
-  the time-domain fit run, and :func:`bptt`, its reverse sweep;
+* the scheme coefficient maps :func:`ftm_update_partials` and
+  :func:`sv_update_partials`, from omega^2 and gamma to the update vectors
+  (A, B, R), with the partials in omega^2 and gamma that both fits chain
+  through. ``simulate`` applies them to a bank through
+  ``integrators.ftm_coeffs``/``sv_coeffs``; those two and the alias
+  ``ftm_coeff_partials`` keep their names only because the benchmark calls or
+  traces them;
+* :func:`forward_cached`, the two-step modal recurrence of the one model that
+  ``simulate`` and the time-domain fit run from ``integrators.start_state``,
+  and :func:`bptt`, its reverse sweep;
 * :func:`stft_cached` / :func:`stft_backward`, the magnitude STFT that
   ``analysis.stft`` wraps, and its adjoint;
 * :func:`tf_magnitude_cached` / :func:`tf_magnitude_backward`, the modal
@@ -18,7 +22,8 @@ against central finite differences):
   denominator inv, and every gradient is a weighted sum over frequency of inv
   or inv^2 times a power of z.
 
-The nonlinear forces live with their Jacobians in :mod:`modalsim.coupling`.
+The nonlinear forces live with their Jacobians in :mod:`modalsim.coupling`,
+built by ``coupling.nonlinear_force``.
 
 Conventions. One coefficient form serves every block: the per-mode update
 vectors (A, B, R) of the recurrence

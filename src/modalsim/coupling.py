@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import NONLINEARITY_KINDS
 from .modes import ModeBasis, _sinpi, rect_basis
 
 
@@ -234,3 +235,25 @@ class VkContraction:
 
     def finalize(self, V, Qmid, want):
         return {}
+
+
+def nonlinear_force(kind: str, lam, tau_hat, coupling: PlateCoupling | None, gain):
+    """The force of a ModelSpec nonlinearity kind (None for "linear") that
+    simulate and the time-domain fit run. A coefficient the kind does not use
+    must be 0, or None for the coupling; errors name the fit's fields."""
+    if kind not in NONLINEARITY_KINDS:
+        raise ValueError(f"nonlinearity must be one of {NONLINEARITY_KINDS}, got {kind!r}")
+    for name, unused, owner in (("tau_hat", tau_hat != 0.0, "tension-modulated"),
+                                ("coupling of plate tensors", coupling is not None, "von-karman"),
+                                ("vk_gain", gain != 0.0, "von-karman")):
+        if unused and kind != owner:
+            raise ValueError(f"{name} applies to the {owner} model only, not {kind!r}")
+    if kind == "tension-modulated":
+        return TensionModulation(lam, tau_hat)
+    if kind == "von-karman":
+        if coupling is None:
+            raise ValueError("the von-karman model needs a coupling (simply_supported_tensors)")
+        if coupling.n_phi != len(lam):
+            raise ValueError(f"the coupling acts on {coupling.n_phi} modes, lam has {len(lam)}")
+        return VkContraction(coupling, gain)
+    return None

@@ -12,11 +12,10 @@ the transform (``TRANSFORMS``) from its raw optimiser coordinates:
 
 Two objective kinds cover the fitting paths:
 
-* :class:`TimeDomainProblem` simulates the forced response from rest, reads it
-  out at a point, takes the magnitude STFT, and compares against a target
+* :class:`TimeDomainProblem` runs ``simulate``'s model forced from rest, reads
+  it out at a point, takes the magnitude STFT, and compares against a target
   spectrogram. Gradients flow through the full time recurrence (BPTT) using
-  the differentiable core in :mod:`modalsim.adjoint`, the same recurrence
-  ``simulate`` runs.
+  the differentiable core in :mod:`modalsim.adjoint`.
 
 * :class:`FrequencyDomainProblem` evaluates the modal transfer-function
   magnitude on a Bark-spaced grid and compares against a target envelope
@@ -44,8 +43,8 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import adjoint
-from .coupling import PlateCoupling, TensionModulation, VkContraction
-from .integrators import InstabilityError, OverdampedError, omega_squared
+from .coupling import PlateCoupling, nonlinear_force
+from .integrators import InstabilityError, OverdampedError, omega_squared, start_state
 from .losses import LossWeights, loss_total_grad
 
 
@@ -151,14 +150,14 @@ def _coefficient_grads(parts, g, lam):
 
 @dataclass
 class TimeDomainProblem(_Parameters):
-    """Forced-from-rest simulation matched to a target magnitude spectrogram.
+    """simulate's model, forced from rest, matched to a target magnitude
+    spectrogram. Built from a spec's derive_normalized fields and bank gamma,
+    a PointForce and a point readout, predict({}) is simulate's readout.
 
     Whatever appears in `free` is optimised; everything else is read from the
-    fixed values. `nonlinearity` is None, "kc" (tension modulation with
-    tau_hat) or "vk": the von Karman force of `coupling`, a PlateCoupling from
-    simply_supported_tensors built for the same modes as `lam`, times
-    `vk_gain`, the force VkContraction that simulate runs. The plate coupling
-    has no free parameters of its own.
+    fixed values. `nonlinearity` is one of ModelSpec's kinds, and tau_hat,
+    `coupling` (a PlateCoupling for the modes of `lam`) and vk_gain must stay
+    unset unless the model uses them (coupling.nonlinear_force).
     """
 
     lam: np.ndarray
@@ -178,7 +177,7 @@ class TimeDomainProblem(_Parameters):
     coupling: Optional[PlateCoupling] = None
     vk_gain: float = 0.0
     readout_weights: Optional[np.ndarray] = None
-    nonlinearity: Optional[str] = None  # None | "kc" | "vk"
+    nonlinearity: str = "linear"
     free: Tuple[str, ...] = ()
 
     PARAMS = {"d_hat": "log", "t0_hat": "log", "tau_hat": "log", "gamma": "softplus",
@@ -191,12 +190,8 @@ class TimeDomainProblem(_Parameters):
             self.readout_weights = np.ones(m)
         self._check_lengths((("gamma", m), ("force_signal", self.n_steps), ("force_gains", m),
                              ("readout_weights", m)))
-        if self.nonlinearity == "vk":
-            if self.coupling is None:
-                raise ValueError("the plate model ('vk') needs a coupling")
-            if self.coupling.n_phi != m:
-                raise ValueError(f"the coupling acts on {self.coupling.n_phi} modes, "
-                                 f"lam has {m}")
+        # rejects an unknown model and fields it does not use
+        nonlinear_force(self.nonlinearity, self.lam, self.tau_hat, self.coupling, self.vk_gain)
         self.freqs = np.fft.rfftfreq(self.stft_window_length, d=1.0 / self.rate)
         self._check_free()
         if self.scheme not in ("ftm", "sv"):
@@ -205,32 +200,31 @@ class TimeDomainProblem(_Parameters):
 
     def _check_free(self):
         super()._check_free()
-        if "tau_hat" in self.free and self.nonlinearity != "kc":
+        if "tau_hat" in self.free and self.nonlinearity != "tension-modulated":
             raise ValueError("tau_hat is free only for the tension-modulated model")
 
-    def _assemble(self, raw):
+    def _run(self, raw):
+        """Coefficient partials, force, forward_cached's (Q, U) and readout weights."""
         p = self._values(raw)
+        T = 1.0 / self.rate
         w2 = omega_squared(self.lam, p["d_hat"], p["t0_hat"])
         partials = (adjoint.ftm_update_partials if self.scheme == "ftm"
                     else adjoint.sv_update_partials)
-        parts = partials(w2, p["gamma"], 1.0 / self.rate)
-        hook = None
-        if self.nonlinearity == "kc":
-            hook = TensionModulation(self.lam, p["tau_hat"])
-        elif self.nonlinearity == "vk":
-            hook = VkContraction(self.coupling, self.vk_gain)
-        return parts, hook, np.asarray(p["readout_weights"], dtype=float)
-
-    def _forward(self, parts, hook):
-        m = len(self.lam)
-        return adjoint.forward_cached(parts["A"], parts["B"], parts["R"], np.zeros(m),
-                                      np.zeros(m), self.n_steps, self.force_signal,
-                                      self.force_gains, hook)
+        parts = partials(w2, p["gamma"], T)
+        hook = nonlinear_force(self.nonlinearity, self.lam, p["tau_hat"], self.coupling,
+                               self.vk_gain)
+        # from rest every nonlinear force vanishes, so u^0 is the external force
+        # and q^{-1} depends on no fitted parameter
+        rest = np.zeros(len(self.lam))
+        q_prev = start_state(self.scheme, w2, p["gamma"], T, rest, rest,
+                             self.force_gains * self.force_signal[0])
+        Q, U = adjoint.forward_cached(parts["A"], parts["B"], parts["R"], rest, q_prev,
+                                      self.n_steps, self.force_signal, self.force_gains, hook)
+        return parts, hook, Q, U, np.asarray(p["readout_weights"], dtype=float)
 
     def predict(self, raw) -> np.ndarray:
         """Readout signal under the given raw parameters."""
-        parts, hook, w = self._assemble(raw)
-        Q, _ = self._forward(parts, hook)
+        _, _, Q, _, w = self._run(raw)
         return Q[2:] @ w
 
     def value_and_grad(self, raw):
@@ -243,8 +237,7 @@ class TimeDomainProblem(_Parameters):
                 {n: np.stack([g[n] for _, g in out]) for n in raw})
 
     def _value_and_grad(self, raw):
-        parts, hook, w = self._assemble(raw)
-        Q, U = self._forward(parts, hook)
+        parts, hook, Q, U, w = self._run(raw)
         y = Q[2:] @ w
         mag, cache = adjoint.stft_cached(y, self.stft_window_length, self.stft_hop)
         loss, dmag = loss_total_grad(self.target_mag, mag, self.loss_weights, self.freqs)

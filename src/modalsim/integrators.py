@@ -14,29 +14,30 @@ Two explicit two-step schemes share one coefficient form, the update vectors
 * Stoermer-Verlet (centered differences). Input samples are the sampled
   continuous force.
 
-Each scheme's coefficient map is written once, in :mod:`modalsim.adjoint`,
-together with its partial derivatives in omega^2 and gamma, which the fits
-chain through; :func:`ftm_coeffs` and :func:`sv_coeffs` apply them to a bank.
-:func:`simulate` runs both schemes through the recurrence in
-:func:`modalsim.adjoint.forward_cached`, the same code the time-domain fit
-differentiates. A linear model runs there as one two-pole IIR filter per mode
-(``scipy.signal.lfilter``), whose reverse sweep is the same filter on reversed
-time; the per-sample loop serves the nonlinear forces only. An oversampled RK4
-integrator provides the reference solution for scheme-error measurements.
+:func:`simulate` and the time-domain fit run one model: the coefficient map of
+:mod:`modalsim.adjoint`, :func:`start_state`, the force of
+:func:`modalsim.coupling.nonlinear_force` (simulate takes its coefficients from
+``derive_normalized``) and the recurrence
+:func:`modalsim.adjoint.forward_cached`, where a linear model runs as one
+two-pole IIR filter per mode (``scipy.signal.lfilter``). :func:`ftm_coeffs`
+and :func:`sv_coeffs` apply the maps to a bank for simulate, and sv_coeffs
+warns past the stability bound; they stay as wrappers only because the
+benchmark calls and traces them. An oversampled RK4 integrator provides the
+reference solution for scheme-error measurements.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import adjoint
 from .adjoint import Coefficients, InstabilityError, OverdampedError  # noqa: F401  (re-exported)
-from .coupling import PlateCoupling, TensionModulation, VkContraction
-from .model import ModelSpec, derive_normalized, derive_tau, validate
+from .coupling import PlateCoupling, nonlinear_force
+from .model import ModelSpec, derive_normalized, validate
 from .modes import ModeBasis, point_readout, project_point_excitation
 
 
@@ -63,12 +64,6 @@ class OscillatorBank:
     def count(self) -> int:
         return self.omega2.shape[0]
 
-    @property
-    def omega_tilde(self) -> np.ndarray:
-        """Damped angular frequency sqrt(omega^2 - gamma^2); NaN where overdamped."""
-        with np.errstate(invalid="ignore"):
-            return np.sqrt(self.omega2 - self.gamma**2)
-
 
 def omega_squared(lam, d_hat, t0_hat):
     """omega^2 = d_hat lam^2 + t0_hat lam, broadcasting: per-mode or column
@@ -86,7 +81,6 @@ def oscillator_bank(eigenvalues: np.ndarray, d_hat: float, t0_hat: float,
 
 def bank_from_spec(spec: ModelSpec, basis: ModeBasis) -> OscillatorBank:
     """Bank with gamma_mu = (d1 + d3 lambda_mu) / (2 rho_eff)."""
-    spec = validate(spec)
     par = derive_normalized(spec)
     rho = spec.effective_density
     gamma = (spec.material.d1 + spec.material.d3 * basis.eigenvalues) / (2.0 * rho)
@@ -143,6 +137,8 @@ class PointForce:
 def raised_cosine_pulse(amplitude: float, onset: float, width: float, rate: float,
                         n_steps: int) -> np.ndarray:
     """Smooth force pulse 0.5*amp*(1 - cos(2 pi (t-onset)/width)) on [onset, onset+width]."""
+    if not width > 0:
+        raise ValueError(f"width must be positive, got {width}")
     t = np.arange(n_steps) / rate
     s = np.zeros(n_steps)
     inside = (t >= onset) & (t <= onset + width)
@@ -206,39 +202,22 @@ class Trajectory:
 
 # --- simulation ---------------------------------------------------------------
 
-def _ftm_backstep(bank: OscillatorBank, T: float, q0, v0):
-    """Exact homogeneous back-step q^{-1} = Re(x0 e^{(gamma - i wt) T})."""
-    g, wt = bank.gamma, bank.omega_tilde
-    x0 = q0 - 1j * (v0 + g * q0) / wt
-    return np.real(x0 * np.exp((g - 1j * wt) * T))
-
-
-def _sv_backstep(bank: OscillatorBank, T: float, q0, v0, u0):
-    """Second-order Taylor back-step (keeps the scheme's global order)."""
-    a0 = u0 - 2.0 * bank.gamma * v0 - bank.omega2 * q0
-    return q0 - T * v0 + 0.5 * T**2 * a0
+def start_state(scheme: str, omega2, gamma, T: float, q0, v0, u0) -> np.ndarray:
+    """q^{-1}, one step before q^0 = q0, from the velocity v0 and input u^0 = u0:
+    'ftm' steps the homogeneous system back exactly (and ignores u0), 'sv'
+    takes the second-order Taylor step, which keeps its global order."""
+    if scheme == "ftm":
+        wt = np.sqrt(omega2 - gamma**2)
+        x0 = q0 - 1j * (v0 + gamma * q0) / wt
+        return np.real(x0 * np.exp((gamma - 1j * wt) * T))
+    if scheme == "sv":
+        a0 = u0 - 2.0 * gamma * v0 - omega2 * q0
+        return q0 - T * v0 + 0.5 * T**2 * a0
+    raise SchemeError(f"no start state for scheme {scheme!r}")
 
 
 def _plate(basis: ModeBasis) -> str:
     return f"{basis.count} modes of a {' x '.join(map(str, basis.lengths))} {basis.kind}"
-
-
-def _nl_hook_for(spec: ModelSpec, basis: ModeBasis,
-                 tensors: Optional[PlateCoupling]) -> Optional[Callable]:
-    if tensors is not None and spec.nonlinearity != "von-karman":
-        raise ValueError(f"tensors apply to von-karman models only, not {spec.nonlinearity!r}")
-    if spec.nonlinearity == "linear":
-        return None
-    if spec.nonlinearity == "tension-modulated":
-        return TensionModulation(basis.eigenvalues, derive_tau(spec) / spec.effective_density)
-    if spec.nonlinearity == "von-karman":
-        if tensors is None:
-            raise ValueError("von Karman simulation needs the plate coupling (tensors)")
-        if not (tensors.phi.same_domain(basis) and tensors.phi.labels == basis.labels):
-            raise ValueError(f"the plate coupling was built for {_plate(tensors.phi)}, "
-                             f"the basis has {_plate(basis)}")
-        return VkContraction(tensors, spec.material.E / (2.0 * spec.material.rho))
-    raise ValueError(f"unknown nonlinearity {spec.nonlinearity!r}")
 
 
 def _modal_excitation(basis: ModeBasis, excitation: Excitation, n_steps: int):
@@ -293,10 +272,16 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
     if not duration >= 0:
         raise ValueError(f"duration must be non-negative, got {duration}")
     bank = bank_from_spec(spec, basis)
+    par = derive_normalized(spec)
     n_steps = int(round(duration * rate))
     T = 1.0 / rate
     q0, v0, force_signal, force_gains = _modal_excitation(basis, excitation, n_steps)
-    nl_hook = _nl_hook_for(spec, basis, tensors)
+    if spec.nonlinearity == "von-karman" and tensors is not None and not (
+            tensors.phi.same_domain(basis) and tensors.phi.labels == basis.labels):
+        raise ValueError(f"the plate coupling was built for {_plate(tensors.phi)}, "
+                         f"the basis has {_plate(basis)}")
+    nl_hook = nonlinear_force(spec.nonlinearity, basis.eigenvalues, par.tau_hat, tensors,
+                              par.vk_gain)
 
     if scheme == "rk-reference":
         Q = rk_reference(bank, n_steps, rate, q0, v0,
@@ -304,17 +289,11 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
                          nl_hook=nl_hook,
                          oversample=16 if rk_oversample is None else rk_oversample)
     else:
-        if scheme == "ftm":
-            A, B, R = ftm_coeffs(bank, T)
-            q_prev = _ftm_backstep(bank, T, q0, v0)
-        else:
-            A, B, R = sv_coeffs(bank, T)
-            u0 = np.zeros_like(q0)
-            if nl_hook is not None:
-                u0 = -nl_hook(q0)
-            if force_signal is not None and n_steps:
-                u0 = u0 + force_gains * force_signal[0]
-            q_prev = _sv_backstep(bank, T, q0, v0, u0)
+        A, B, R = (ftm_coeffs if scheme == "ftm" else sv_coeffs)(bank, T)
+        u0 = np.zeros_like(q0) if nl_hook is None else -nl_hook(q0)
+        if force_signal is not None and n_steps:
+            u0 = u0 + force_gains * force_signal[0]
+        q_prev = start_state(scheme, bank.omega2, bank.gamma, T, q0, v0, u0)
         Q, _ = adjoint.forward_cached(A, B, R, q0, q_prev, n_steps, force_signal,
                                       force_gains, hook=nl_hook)
         Q = Q[2:]

@@ -104,16 +104,15 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class NormalizedParams:
-    """Density-normalised stiffness/tension plus the nonlinear tension scalar.
-
-    d_hat = D / rho_eff, t0_hat = T0 / rho_eff; tau is the raw tension-modulation
-    coefficient from :func:`derive_tau` (0 for plates, whose nonlinearity is the
-    von Karman coupling instead).
-    """
+    """The model's coefficients under the time-domain fit's names: d_hat =
+    D / rho_eff, t0_hat = T0 / rho_eff, and the force scales tau_hat =
+    derive_tau / rho_eff and vk_gain = E / (2 rho), rho volumetric, each 0
+    unless the spec's nonlinearity uses it."""
 
     d_hat: float
     t0_hat: float
-    tau: float = 0.0
+    tau_hat: float = 0.0
+    vk_gain: float = 0.0
 
 
 def _resolved_bending_stiffness(spec: ModelSpec) -> float:
@@ -198,16 +197,16 @@ def derive_tau(spec: ModelSpec) -> float:
 
 
 def derive_normalized(spec: ModelSpec) -> NormalizedParams:
-    """Density-normalised parameters d_hat = D/rho_eff, t0_hat = T0/rho_eff.
-
-    tau comes from derive_tau for strings and membranes, otherwise 0.
-    """
+    """The density-normalised coefficients of the validated spec's model."""
     spec = validate(spec)
     rho = spec.effective_density
-    tau = 0.0
-    if isinstance(spec.geometry, (String, RectMembrane)):
-        tau = derive_tau(spec)
-    return NormalizedParams(d_hat=spec.D / rho, t0_hat=spec.T0 / rho, tau=tau)
+    tau_hat = vk_gain = 0.0
+    if spec.nonlinearity == "tension-modulated":
+        tau_hat = derive_tau(spec) / rho
+    elif spec.nonlinearity == "von-karman":
+        vk_gain = spec.material.E / (2.0 * spec.material.rho)
+    return NormalizedParams(d_hat=spec.D / rho, t0_hat=spec.T0 / rho, tau_hat=tau_hat,
+                            vk_gain=vk_gain)
 
 
 # --- JSON round trip -------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Configurations are chosen so every checked parameter actually influences the
 loss (otherwise central differences measure nothing but roundoff): plates for
-d_hat, strings for t0_hat/tau.
+d_hat, strings for t0_hat/tau. The force pulse starts at `onset`; a negative
+onset puts the pulse's peak at t = 0, so under 'sv' the start state q^{-1}
+carries the first force sample.
 """
 
 from dataclasses import dataclass
@@ -18,10 +20,10 @@ from modalsim.losses import LossWeights
 from modalsim.modes import point_readout, project_point_excitation, rect_basis
 
 
-def string_time_problem(scheme="ftm", nl=None, free=(), n_steps=600, rate=8000.0,
-                        n_modes=3, stft=(256, 64)):
+def string_time_problem(scheme="ftm", nl="linear", free=(), n_steps=600, rate=8000.0,
+                        n_modes=3, stft=(256, 64), onset=0.005):
     lam = (np.arange(1, n_modes + 1) * np.pi) ** 2
-    sig = raised_cosine_pulse(50.0, 0.005, 0.004, rate, n_steps)
+    sig = raised_cosine_pulse(50.0, onset, 0.004, rate, n_steps)
     gains = np.sin(np.arange(1, n_modes + 1) * np.pi * 0.3)
     w = np.sin(np.arange(1, n_modes + 1) * np.pi * 0.7)
     kw = dict(
@@ -31,12 +33,12 @@ def string_time_problem(scheme="ftm", nl=None, free=(), n_steps=600, rate=8000.0
         d_hat=0.002, t0_hat=30.0, gamma=2.0 + np.arange(n_modes, dtype=float),
         readout_weights=w, nonlinearity=nl, free=(),
     )
-    if nl == "kc":
+    if nl == "tension-modulated":
         kw["tau_hat"] = 5e3
     problem = TimeDomainProblem(**kw)
     target_kw = dict(kw)
     target_kw.update(d_hat=0.0032, t0_hat=24.0)
-    if nl == "kc":
+    if nl == "tension-modulated":
         target_kw["tau_hat"] = 8e3
     target = TimeDomainProblem(**target_kw)
     problem.target_mag, _ = adjoint.stft_cached(target.predict({}), stft[0], stft[1])
@@ -45,9 +47,9 @@ def string_time_problem(scheme="ftm", nl=None, free=(), n_steps=600, rate=8000.0
 
 
 def plate_time_problem(free=(), n_steps=500, rate=8000.0, lengths=(0.3, 0.3), n_psi=None,
-                       vk_gain=4.0e3, stft=(256, 64), n_modes=3, force_amp=150.0):
+                       vk_gain=4.0e3, stft=(256, 64), n_modes=3, force_amp=150.0, onset=0.005):
     basis = rect_basis(*lengths, n_modes)
-    sig = raised_cosine_pulse(force_amp, 0.005, 0.004, rate, n_steps)
+    sig = raised_cosine_pulse(force_amp, onset, 0.004, rate, n_steps)
     gains = project_point_excitation(basis, (0.09, 0.12))
     w = point_readout(basis, (0.21, 0.08)).weights
     kw = dict(
@@ -55,7 +57,7 @@ def plate_time_problem(free=(), n_steps=500, rate=8000.0, lengths=(0.3, 0.3), n_
         force_signal=sig, force_gains=gains, target_mag=np.zeros((1, 1)),
         stft_window_length=stft[0], stft_hop=stft[1],
         d_hat=5.8328, t0_hat=0.0, gamma=np.full(n_modes, 3.0),
-        readout_weights=w, nonlinearity="vk",
+        readout_weights=w, nonlinearity="von-karman",
         coupling=simply_supported_tensors(basis, n_psi), vk_gain=vk_gain, free=(),
     )
     problem = TimeDomainProblem(**kw)

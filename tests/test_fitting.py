@@ -10,8 +10,11 @@ from modalsim.fitting import (
     FitConfig, FrequencyDomainProblem, StartResult, TimeDomainProblem, _init_raw, fit,
     one_cycle_lr,
 )
-from modalsim.integrators import InstabilityError, OverdampedError
-from modalsim.modes import rect_basis
+from modalsim.integrators import (
+    InstabilityError, OverdampedError, PointForce, bank_from_spec, raised_cosine_pulse, simulate,
+)
+from modalsim.model import MaterialParams, ModelSpec, RectPlate, String, derive_normalized
+from modalsim.modes import point_readout, project_point_excitation, rect_basis, string_basis
 from problem_builders import string_frequency_problem, string_time_problem
 
 
@@ -118,8 +121,63 @@ def test_time_problem_rejects_input_of_wrong_length(name, value, expected):
 ], ids=["missing", "mode-count"])
 def test_time_problem_rejects_coupling_that_does_not_fit(coupling, message):
     with pytest.raises(ValueError, match=message):
-        TimeDomainProblem(**time_kw(scheme="sv", nonlinearity="vk", coupling=coupling,
+        TimeDomainProblem(**time_kw(scheme="sv", nonlinearity="von-karman", coupling=coupling,
                                     vk_gain=1.0))
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(nonlinearity="tension"), "nonlinearity must be one of"),
+    (dict(nonlinearity="kc", tau_hat=5e3), "nonlinearity must be one of"),
+    (dict(tau_hat=5e3), "tau_hat applies to the tension-modulated model only, not 'linear'"),
+    (dict(coupling=simply_supported_tensors(rect_basis(0.4, 0.3, 3))),
+     "coupling of plate tensors applies to the von-karman model only, not 'linear'"),
+    (dict(nonlinearity="tension-modulated", vk_gain=1.0),
+     "vk_gain applies to the von-karman model only, not 'tension-modulated'"),
+], ids=["misspelt", "old-name", "tau_hat", "coupling", "vk_gain"])
+def test_time_problem_rejects_unknown_model_or_fields_it_does_not_use(changes, message):
+    # each ran the linear model before, ignoring the name or the field
+    with pytest.raises(ValueError, match=message):
+        TimeDomainProblem(**time_kw(**changes))
+
+
+def model_case(scheme, nonlinearity):
+    """A spec, its basis and plate coupling (None for a string), and a force
+    pulse at its peak at t = 0, which sets q^{-1} under 'sv'."""
+    rate, n_steps = 8000.0, 400
+    if nonlinearity == "von-karman":
+        spec = ModelSpec(MaterialParams(rho=7850.0, E=2e11, nu=0.3, d1=30.0, d3=0.02),
+                         RectPlate(0.4, 0.3, 0.001), nonlinearity=nonlinearity)
+        basis = rect_basis(0.4, 0.3, 6)
+        points, coupling = ((0.13, 0.1), (0.3, 0.21)), simply_supported_tensors(basis)
+    else:
+        spec = ModelSpec(MaterialParams(rho=0.01, E=2e11, d1=0.02, d3=1e-6),
+                         String(L=1.0, A=1e-6), T0=100.0, nonlinearity=nonlinearity)
+        basis = string_basis(1.0, 6)
+        points, coupling = (0.23, 0.71), None
+    # ftm takes force samples as per-step impulses, sv as a force
+    amplitude = 50.0 if scheme == "sv" else 50.0 / rate
+    pulse = raised_cosine_pulse(amplitude, -0.001, 0.002, rate, n_steps)
+    return spec, basis, coupling, PointForce(points[0], pulse), points[1], rate, n_steps
+
+
+@pytest.mark.parametrize("scheme, nonlinearity", [
+    ("ftm", "linear"), ("ftm", "tension-modulated"), ("sv", "linear"),
+    ("sv", "tension-modulated"), ("sv", "von-karman"),
+])
+def test_time_problem_predicts_simulate_readout(scheme, nonlinearity):
+    spec, basis, coupling, force, pickup, rate, n_steps = model_case(scheme, nonlinearity)
+    traj = simulate(spec, basis, scheme, force, n_steps / rate, rate, readout_point=pickup,
+                    tensors=coupling)
+    par = derive_normalized(spec)
+    problem = TimeDomainProblem(
+        lam=basis.eigenvalues, rate=rate, n_steps=n_steps, scheme=scheme,
+        force_signal=force.signal, force_gains=project_point_excitation(basis, force.point),
+        target_mag=np.zeros((1, 1)), stft_window_length=256, stft_hop=64,
+        d_hat=par.d_hat, t0_hat=par.t0_hat, gamma=bank_from_spec(spec, basis).gamma,
+        tau_hat=par.tau_hat, coupling=coupling, vk_gain=par.vk_gain,
+        readout_weights=point_readout(basis, pickup).weights, nonlinearity=nonlinearity)
+    assert np.max(np.abs(traj.readout)) > 0.0
+    assert np.array_equal(problem.predict({}), traj.readout)
 
 
 # --- lockstep engine against the serial per-start oracle ------------------------------

@@ -40,7 +40,7 @@ def test_string_time_linear_gradients(scheme, name):
 @pytest.mark.parametrize("scheme", ["ftm", "sv"])
 @pytest.mark.parametrize("name", ["d_hat", "t0_hat", "gamma", READOUT_WEIGHTS, TAU_HAT])
 def test_string_time_kc_gradients(scheme, name):
-    check(string_time_problem(scheme=scheme, nl="kc"), name)
+    check(string_time_problem(scheme=scheme, nl="tension-modulated"), name)
 
 
 @pytest.mark.parametrize("name", ["d_hat", "gamma"])
@@ -52,6 +52,24 @@ def test_plate_time_vk_gradients(name):
 @pytest.mark.parametrize("name", ["d_hat", "gamma"])
 def test_plate_time_vk_gradients_physical_tensors(name):
     check(plate_time_problem(), name)
+
+
+# a pulse at its peak at t = 0, whose first sample sets q^{-1} under 'sv'
+STRUCK_AT_START = -0.002
+
+
+@pytest.mark.parametrize("model, name", [
+    *(("linear", n) for n in ["d_hat", "t0_hat", "gamma", "readout_weights"]),
+    *(("tension-modulated", n) for n in ["d_hat", "t0_hat", "gamma", "readout_weights",
+                                         "tau_hat"]),
+    *(("von-karman", n) for n in ["d_hat", "gamma"]),
+])
+def test_sv_time_gradients_with_force_at_first_sample(model, name):
+    if model == "von-karman":
+        problem = plate_time_problem(onset=STRUCK_AT_START)
+    else:
+        problem = string_time_problem("sv", model, onset=STRUCK_AT_START)
+    check(problem, name)
 
 
 @pytest.mark.parametrize("name", ["t0_hat", "gamma", "b2", "weights"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -62,13 +64,18 @@ def test_normalized_plate_keeps_flag_and_zero_tau():
         T0=10.0, nonlinearity="von-karman",
     )
     par = derive_normalized(spec)
-    assert par.tau == 0.0
+    assert par.tau_hat == 0.0
+    assert par.vk_gain == 1e9 / (2.0 * 1000.0)
     assert validate(spec).nonlinearity == "von-karman"
 
 
 def test_normalized_tau_matches_derive_tau():
     spec = string_spec(rho=0.01, E=2e11, L=0.65, A=5.0265e-7, T0=60.0)
-    assert derive_normalized(spec).tau == pytest.approx(derive_tau(spec))
+    par = derive_normalized(replace(spec, nonlinearity="tension-modulated"))
+    assert par.tau_hat == pytest.approx(derive_tau(spec) / 0.01)
+    assert par.vk_gain == 0.0
+    # the linear model uses neither coefficient
+    assert derive_normalized(spec).tau_hat == 0.0
 
 
 @given(st.floats(min_value=1e-2, max_value=1e2))

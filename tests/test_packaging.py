@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -11,3 +12,15 @@ def test_console_scripts_import():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_every_name_the_benchmark_traces_exists():
+    # the traced run only prints a vanished name, so a rename would go unseen
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(spans)
+    recorder = spans.Recorder()
+    with recorder.installed():
+        pass
+    assert recorder.missing == []
