@@ -7,12 +7,12 @@ against central finite differences):
 * the scheme coefficient maps :func:`ftm_update_partials` and
   :func:`sv_update_partials`, from omega^2 and gamma to the update vectors
   (A, B, R), with the partials in omega^2 and gamma that both fits chain
-  through. ``simulate`` applies them to a bank through
-  ``integrators.ftm_coeffs``/``sv_coeffs``; those two and the alias
-  ``ftm_coeff_partials`` keep their names only because the benchmark calls or
-  traces them;
+  through. ``sv_update_partials`` raises :class:`StabilityBoundError` past
+  the scheme's stability bound. ``integrators.ftm_coeffs``/``sv_coeffs`` and
+  the alias ``ftm_coeff_partials`` keep their names only because the
+  benchmark calls or traces them;
 * :func:`forward_cached`, the two-step modal recurrence of the one model that
-  ``simulate`` and the time-domain fit run from ``integrators.start_state``,
+  ``simulate`` and the time-domain fit run through ``integrators.run_model``,
   and :func:`bptt`, its reverse sweep;
 * :func:`stft_cached` / :func:`stft_backward`, the magnitude STFT that
   ``analysis.stft`` wraps, and its adjoint;
@@ -45,10 +45,10 @@ circle that filter's magnitude is |R z / (z^2 - A z - B)|; the
 transfer-function kernels evaluate (R z + R2) / (z^2 - A z - B), where R2 is
 the frequency-domain fit's free numerator term (zero for a simulated bank).
 
-A nonlinear force ``hook`` is an object with ``begin(n_steps)`` (fresh
-per-run caches), ``hook(q, n)`` (the force at step n, caching what the sweep
-needs), ``jt_vec(n, v, q)`` (J_nl(q^n)^T v) and ``finalize(V, Qmid, want)``
-(gradients of the force's own parameters).
+A nonlinear force ``hook`` is a pair of pure functions of the state:
+``hook(q)`` is nl(q) and ``hook.jt_vec(q, v)`` is J_nl(q)^T v. The sweep
+returns the input adjoints dU[n] = dL/du^n = R qbar^{n+1}, from which a
+force's own parameters take their gradients (``TensionModulation.tau_grad``).
 """
 
 from __future__ import annotations
@@ -68,6 +68,10 @@ CHECK_EVERY = 64
 
 class OverdampedError(ValueError):
     """A mode with gamma >= omega cannot be realised as a resonator pair."""
+
+
+class StabilityBoundError(ValueError):
+    """A mode breaks the Stoermer-Verlet stability bound omega T < 2."""
 
 
 class InstabilityError(RuntimeError):
@@ -140,11 +144,18 @@ def sv_update_partials(omega2, gamma, T):
 
         r = T^2 / (1 + gamma T), g = r (2/T^2 - omega^2), p = r (gamma/T - 1/T^2),
 
-    and their partials."""
+    and their partials. Raises StabilityBoundError when modes break the
+    bound omega T < 2."""
     if T <= 0:
         raise ValueError("sample period must be positive")
     w2 = np.asarray(omega2, dtype=float)
     g = np.asarray(gamma, dtype=float)
+    wT = np.sqrt(w2) * T
+    unstable = np.flatnonzero(wT >= 2.0)
+    if unstable.size:
+        raise StabilityBoundError(
+            f"{unstable.size} mode(s) violate the stability bound omega*T < 2, the first at "
+            f"mode index {unstable[0]} (largest omega*T {wT.max():.4g}); the scheme would blow up")
     r = T**2 / (1.0 + g * T)
     dr_dg = -(T**3) / (1.0 + g * T) ** 2
     A = r * (2.0 / T**2 - w2)
@@ -187,12 +198,11 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
     q, qp = Q[1], Q[0]
     U = np.empty((n_steps, m))
     every = CHECK_EVERY
-    hook.begin(n_steps)
     # a blow-up overflows before it turns non-finite; the periodic check
     # reports it as InstabilityError, also where warnings are errors
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
-            u = -hook(q, n)
+            u = -hook(q)
             if force_signal is not None:
                 u += force_gains * force_signal[n]
             U[n] = u
@@ -204,12 +214,11 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
     return Q, U
 
 
-def bptt(A, B, R, Q, U, qbar_direct, hook=None, hook_param_names=()):
+def bptt(A, B, R, Q, U, qbar_direct, hook=None):
     """Reverse sweep through the stepping recurrence.
 
     qbar_direct[n] is the direct dL/dq^{n+1} coming from the readout. Returns
-    per-mode gradients for A, B, R plus whatever the hook finalises (the input
-    adjoints V[n] = dL/du^n are kept internal).
+    per-mode gradients dA, dB, dR and the input adjoints dU[n] = dL/du^n.
     """
     n_steps, m = qbar_direct.shape
     if hook is None:
@@ -219,27 +228,24 @@ def bptt(A, B, R, Q, U, qbar_direct, hook=None, hook_param_names=()):
             qbar_t[k] = lfilter([1.0], [1.0, -A[k], -B[k]], qbar_direct[::-1, k])[::-1]
         qbar = qbar_t.T
     else:
-        # qbar[t] = dL/dq^{t-1}; the last row stays zero. The sweep also visits
-        # step 0, whose qbar^0 is unused but whose force adjoint the hook keeps.
+        # qbar[t] = dL/dq^{t-1}; the last row stays zero, and the sweep stops
+        # at q^1 because q^0 is given
         qbar = np.zeros((n_steps + 3, m))
         qbar[2:-1] = qbar_direct
-        for t in range(n_steps, 0, -1):
+        for t in range(n_steps, 1, -1):
             nxt = qbar[t + 1]
             acc = qbar[t] + A * nxt
-            acc -= hook.jt_vec(t - 1, R * nxt, Q[t])
+            acc -= hook.jt_vec(Q[t], R * nxt)
             acc += B * qbar[t + 2]
             qbar[t] = acc
         qbar = qbar[2:-1]
 
-    out = {
+    return {
         "dA": np.einsum("tm,tm->m", qbar, Q[1:-1]),
         "dB": np.einsum("tm,tm->m", qbar, Q[: -2]),
         "dR": (np.einsum("tm,tm->m", qbar, U) if U is not None else np.zeros(m)),
+        "dU": R[None, :] * qbar,
     }
-    if hook is not None:
-        V = R[None, :] * qbar  # V[n] = dL/du^n
-        out.update(hook.finalize(V, Q[1:-1], hook_param_names))
-    return out
 
 
 # --- STFT with adjoint -----------------------------------------------------------

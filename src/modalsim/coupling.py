@@ -133,8 +133,8 @@ def simply_supported_tensors(phi: ModeBasis, n_psi: int | None = None) -> PlateC
 # --- modal nonlinear forces -------------------------------------------------
 #
 # One object per force law, shared by simulate, rk_reference and the fits (the
-# hook protocol is described in modalsim.adjoint). force(q) is pure; force(q, n)
-# also stores what the reverse sweep reads, so make one object per run.
+# hook protocol is described in modalsim.adjoint). force(q) and
+# force.jt_vec(q, v) are pure, so one object serves any number of runs.
 
 class TensionModulation:
     """Tension-modulation force tau_hat * lam_mu * q_mu * sum_nu lam_nu q_nu^2.
@@ -146,26 +146,24 @@ class TensionModulation:
     def __init__(self, lam, tau_hat):
         self.lam = np.asarray(lam, dtype=float)
         self.tau_hat = float(tau_hat)
-        self.S = None
 
-    def begin(self, n_steps):
-        self.S = np.empty(n_steps)
+    def _s(self, q):
+        """sum_nu lam_nu q_nu^2."""
+        return float(self.lam @ (q * q))
 
-    def __call__(self, q, n=None):
-        s = float(self.lam @ (q * q))
-        if n is not None:
-            self.S[n] = s
-        return self.tau_hat * self.lam * q * s
+    def __call__(self, q):
+        return self.tau_hat * self.lam * q * self._s(q)
 
-    def jt_vec(self, n, v, q):
+    def jt_vec(self, q, v):
         lamq = self.lam * q
-        return self.tau_hat * (self.lam * v * self.S[n] + 2.0 * lamq * (lamq @ v))
+        return self.tau_hat * (self.lam * v * self._s(q) + 2.0 * lamq * (lamq @ v))
 
-    def finalize(self, V, Qmid, want):
-        out = {}
-        if "tau_hat" in want:
-            out["tau_hat"] = -float(np.einsum("tm,m,tm,t->", V, self.lam, Qmid, self.S))
-        return out
+    def tau_grad(self, dU, Q):
+        """dL/dtau_hat from bptt's dU[n] = dL/du^n, u^n = ... - nl(q^n), and
+        forward_cached's rows Q[t] = q^{t-1}."""
+        Qmid = Q[1:-1]
+        S = np.array([self._s(q) for q in Qmid])
+        return -float(np.einsum("tm,m,tm,t->", dU, self.lam, Qmid, S))
 
 
 _SWAP_SIGNS = np.array([1.0, 1.0, -2.0])[:, None, None]
@@ -179,8 +177,7 @@ class VkContraction:
     with gain = E / (2 rho), rho the volumetric density. A call samples
     w_xx, w_yy, w_xy on the grid, projects L(w, w) to eta, samples F's
     derivatives and projects L(w, F); jt_vec applies the transposes of the
-    same matrices. Only eta is stored per step: the sweep recomputes the
-    grid fields from q and eta.
+    same matrices, recomputing the grid fields from q.
     """
 
     def __init__(self, coupling: PlateCoupling, gain):
@@ -188,10 +185,6 @@ class VkContraction:
         self.shape = (int(coupling.proj_x.shape[0]), int(coupling.proj_y.shape[0]))
         self.gain = float(gain)
         self.eta_scale = 2.0 / coupling.zeta4  # L(w, w) = 2 (w_xx w_yy - w_xy^2)
-        self.eta = None
-
-    def begin(self, n_steps):
-        self.eta = np.empty((n_steps, self.coupling.n_psi))
 
     def _field(self, x, y, index, coeffs):
         """The grid stack of a field from its modal coordinates."""
@@ -213,28 +206,26 @@ class VkContraction:
         V.flat[index] = v * scale
         return c.proj_x.T @ V @ c.proj_y
 
-    def __call__(self, q, n=None):
+    def _fields(self, q):
+        """The grid stacks of w and of its Airy field F."""
         c = self.coupling
         w = self._field(c.eval_x, c.eval_y, c.phi_index, q)
         eta = self._project(w[0] * w[1] - w[2] * w[2], c.psi_index, self.eta_scale)
-        if n is not None:
-            self.eta[n] = eta
-        F = self._field(c.airy_x, c.airy_y, c.psi_index, eta)
-        return self._project(np.einsum("dij,dij->ij", w, F), c.phi_index, self.gain)
+        return w, self._field(c.airy_x, c.airy_y, c.psi_index, eta)
 
-    def jt_vec(self, n, v, q):
+    def __call__(self, q):
+        w, F = self._fields(q)
+        return self._project(np.einsum("dij,dij->ij", w, F), self.coupling.phi_index, self.gain)
+
+    def jt_vec(self, q, v):
         c = self.coupling
-        w = self._field(c.eval_x, c.eval_y, c.phi_index, q)
-        F = self._field(c.airy_x, c.airy_y, c.psi_index, self.eta[n])
+        w, F = self._fields(q)
         g = self._project_adjoint(v, c.phi_index, self.gain)
         eta_bar = self._field_adjoint(c.airy_x, c.airy_y, c.psi_index, g * w)
         r = self._project_adjoint(eta_bar, c.psi_index, self.eta_scale)
         # d(w_xx w_yy - w_xy^2) = (w_yy, w_xx, -2 w_xy) . dw
         w_bar = g * F + r * w[[1, 0, 2]] * _SWAP_SIGNS
         return self._field_adjoint(c.eval_x, c.eval_y, c.phi_index, w_bar)
-
-    def finalize(self, V, Qmid, want):
-        return {}
 
 
 def nonlinear_force(kind: str, lam, tau_hat, coupling: PlateCoupling | None, gain):

@@ -12,10 +12,11 @@ the transform (``TRANSFORMS``) from its raw optimiser coordinates:
 
 Two objective kinds cover the fitting paths:
 
-* :class:`TimeDomainProblem` runs ``simulate``'s model forced from rest, reads
-  it out at a point, takes the magnitude STFT, and compares against a target
-  spectrogram. Gradients flow through the full time recurrence (BPTT) using
-  the differentiable core in :mod:`modalsim.adjoint`.
+* :class:`TimeDomainProblem` runs ``simulate``'s model
+  (``integrators.run_model``) forced from rest, reads it out at a point, takes
+  the magnitude STFT, and compares against a target spectrogram. Gradients
+  flow through the full time recurrence (BPTT) using the differentiable core
+  in :mod:`modalsim.adjoint`.
 
 * :class:`FrequencyDomainProblem` evaluates the modal transfer-function
   magnitude on a Bark-spaced grid and compares against a target envelope
@@ -31,7 +32,9 @@ ranked by their best loss. The restarts run in lockstep: each step is one
 ``value_and_grad`` call with a leading start axis on every raw array and one
 Adam update of all live starts. The frequency-domain problem vectorises that
 call over the starts, the time-domain problem loops over them (``lfilter``
-takes one coefficient set per call), and a start that fails stops alone.
+takes one coefficient set per call), and a start that raises one of
+``START_ERRORS`` stops alone, such as one past the Stoermer-Verlet stability
+bound, which stops before its first step.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ import numpy as np
 
 from . import adjoint
 from .coupling import PlateCoupling, nonlinear_force
-from .integrators import InstabilityError, OverdampedError, omega_squared, start_state
+from .integrators import (
+    InstabilityError, OverdampedError, StabilityBoundError, omega_squared, run_model,
+)
 from .losses import LossWeights, loss_total_grad
 
 
@@ -204,27 +209,19 @@ class TimeDomainProblem(_Parameters):
             raise ValueError("tau_hat is free only for the tension-modulated model")
 
     def _run(self, raw):
-        """Coefficient partials, force, forward_cached's (Q, U) and readout weights."""
+        """Force, run_model's (parts, Q, U) from rest, and the readout weights."""
         p = self._values(raw)
-        T = 1.0 / self.rate
-        w2 = omega_squared(self.lam, p["d_hat"], p["t0_hat"])
-        partials = (adjoint.ftm_update_partials if self.scheme == "ftm"
-                    else adjoint.sv_update_partials)
-        parts = partials(w2, p["gamma"], T)
-        hook = nonlinear_force(self.nonlinearity, self.lam, p["tau_hat"], self.coupling,
-                               self.vk_gain)
-        # from rest every nonlinear force vanishes, so u^0 is the external force
-        # and q^{-1} depends on no fitted parameter
+        force = nonlinear_force(self.nonlinearity, self.lam, p["tau_hat"], self.coupling,
+                                self.vk_gain)
         rest = np.zeros(len(self.lam))
-        q_prev = start_state(self.scheme, w2, p["gamma"], T, rest, rest,
-                             self.force_gains * self.force_signal[0])
-        Q, U = adjoint.forward_cached(parts["A"], parts["B"], parts["R"], rest, q_prev,
-                                      self.n_steps, self.force_signal, self.force_gains, hook)
-        return parts, hook, Q, U, np.asarray(p["readout_weights"], dtype=float)
+        parts, Q, U = run_model(self.scheme, omega_squared(self.lam, p["d_hat"], p["t0_hat"]),
+                                p["gamma"], 1.0 / self.rate, rest, rest, self.n_steps,
+                                self.force_signal, self.force_gains, force)
+        return force, parts, Q, U, np.asarray(p["readout_weights"], dtype=float)
 
     def predict(self, raw) -> np.ndarray:
         """Readout signal under the given raw parameters."""
-        _, _, Q, _, w = self._run(raw)
+        *_, Q, _, w = self._run(raw)
         return Q[2:] @ w
 
     def value_and_grad(self, raw):
@@ -237,16 +234,17 @@ class TimeDomainProblem(_Parameters):
                 {n: np.stack([g[n] for _, g in out]) for n in raw})
 
     def _value_and_grad(self, raw):
-        parts, hook, Q, U, w = self._run(raw)
+        force, parts, Q, U, w = self._run(raw)
         y = Q[2:] @ w
         mag, cache = adjoint.stft_cached(y, self.stft_window_length, self.stft_hop)
         loss, dmag = loss_total_grad(self.target_mag, mag, self.loss_weights, self.freqs)
         ybar = adjoint.stft_backward(cache, dmag)
 
         g = adjoint.bptt(parts["A"], parts["B"], parts["R"], Q, U, np.outer(ybar, w),
-                         hook=hook, hook_param_names={"tau_hat"} & set(raw))
-        # the hook's gradients come named by their fields
-        grads = dict(g, **_coefficient_grads(parts, g, self.lam), readout_weights=Q[2:].T @ ybar)
+                         hook=force)
+        grads = dict(_coefficient_grads(parts, g, self.lam), readout_weights=Q[2:].T @ ybar)
+        if "tau_hat" in raw:
+            grads["tau_hat"] = force.tau_grad(g["dU"], Q)
         return loss, self._raw_grads(raw, grads)
 
 
@@ -418,7 +416,7 @@ def _init_raw(problem, cfg: FitConfig, rng: np.random.Generator):
 
 
 # errors that stop one start; any other error ends the fit
-START_ERRORS = (InstabilityError, OverdampedError, FloatingPointError)
+START_ERRORS = (InstabilityError, OverdampedError, StabilityBoundError, FloatingPointError)
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -450,9 +448,9 @@ def fit(problem, cfg: FitConfig) -> FitResult:
     starts' raw coordinates, stacked on a leading start axis (vectorised by
     the frequency-domain problem, a loop in the time-domain one), and one Adam
     update of their rows. A start stops when its loss or gamma goes
-    non-finite. When the stacked call raises InstabilityError,
-    OverdampedError or FloatingPointError, each live start is re-run alone:
-    the ones that raise stop with that error and the others go on.
+    non-finite. When the stacked call raises one of START_ERRORS, each live
+    start is re-run alone: the ones that raise stop with that error and the
+    others go on.
     """
     draws = [_init_raw(problem, cfg, np.random.default_rng([cfg.seed, k]))
              for k in range(cfg.starts)]

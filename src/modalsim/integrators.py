@@ -14,28 +14,27 @@ Two explicit two-step schemes share one coefficient form, the update vectors
 * Stoermer-Verlet (centered differences). Input samples are the sampled
   continuous force.
 
-:func:`simulate` and the time-domain fit run one model: the coefficient map of
-:mod:`modalsim.adjoint`, :func:`start_state`, the force of
-:func:`modalsim.coupling.nonlinear_force` (simulate takes its coefficients from
-``derive_normalized``) and the recurrence
+:func:`simulate` and the time-domain fit run one model, :func:`run_model`:
+the coefficient map of :mod:`modalsim.adjoint` (past the Stoermer-Verlet bound
+omega T < 2 it raises :class:`StabilityBoundError`), :func:`start_state` and
 :func:`modalsim.adjoint.forward_cached`, where a linear model runs as one
-two-pole IIR filter per mode (``scipy.signal.lfilter``). :func:`ftm_coeffs`
-and :func:`sv_coeffs` apply the maps to a bank for simulate, and sv_coeffs
-warns past the stability bound; they stay as wrappers only because the
-benchmark calls and traces them. An oversampled RK4 integrator provides the
-reference solution for scheme-error measurements.
+two-pole IIR filter per mode (``scipy.signal.lfilter``), under the force of
+:func:`modalsim.coupling.nonlinear_force`. :func:`ftm_coeffs` and
+:func:`sv_coeffs` stay only because the benchmark calls and traces them. An
+oversampled RK4 integrator provides the reference solution for scheme-error
+measurements.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from . import adjoint
-from .adjoint import Coefficients, InstabilityError, OverdampedError  # noqa: F401  (re-exported)
+from .adjoint import (Coefficients, InstabilityError, OverdampedError,  # noqa: F401
+                      StabilityBoundError)  # (re-exported)
 from .coupling import PlateCoupling, nonlinear_force
 from .model import ModelSpec, derive_normalized, validate
 from .modes import ModeBasis, point_readout, project_point_excitation
@@ -94,20 +93,7 @@ def ftm_coeffs(bank: OscillatorBank, T: float) -> Coefficients:
 
 
 def sv_coeffs(bank: OscillatorBank, T: float) -> Coefficients:
-    """The bank's Stoermer-Verlet update vectors (formula: adjoint.sv_update_partials).
-
-    Warns when a mode breaks the stability bound omega T < 2, naming the
-    lowest-index such mode, their count and the largest omega T.
-    """
-    wT = np.sqrt(bank.omega2) * T
-    unstable = np.flatnonzero(wT >= 2.0)
-    if unstable.size:
-        warnings.warn(
-            f"{unstable.size} mode(s) violate the stability bound omega*T < 2, the first "
-            f"at mode index {unstable[0]} (largest omega*T {wT.max():.4g}); expect the "
-            "explicit scheme to blow up",
-            stacklevel=2,
-        )
+    """The bank's Stoermer-Verlet update vectors (formula, bound: adjoint.sv_update_partials)."""
     u = adjoint.sv_update_partials(bank.omega2, bank.gamma, T)
     return Coefficients(u["A"], u["B"], u["R"])
 
@@ -216,6 +202,24 @@ def start_state(scheme: str, omega2, gamma, T: float, q0, v0, u0) -> np.ndarray:
     raise SchemeError(f"no start state for scheme {scheme!r}")
 
 
+def run_model(scheme: str, omega2, gamma, T: float, q0, v0, n_steps: int,
+              force_signal, force_gains, force):
+    """The time-domain model from q0 and v0: the scheme's coefficient map with
+    partials, the start state from u^0 = f_ext^0 - force(q0), and
+    forward_cached under the nonlinear force (None for a linear model).
+    Returns (parts, Q, U): the map's update vectors and partials, and
+    forward_cached's rows Q[t] = q^{t-1} and inputs U."""
+    partials = adjoint.ftm_update_partials if scheme == "ftm" else adjoint.sv_update_partials
+    parts = partials(omega2, gamma, T)
+    u0 = np.zeros_like(q0) if force is None else -force(q0)
+    if force_signal is not None and n_steps:
+        u0 = u0 + force_gains * force_signal[0]
+    q_prev = start_state(scheme, omega2, gamma, T, q0, v0, u0)
+    Q, U = adjoint.forward_cached(parts["A"], parts["B"], parts["R"], q0, q_prev, n_steps,
+                                  force_signal, force_gains, hook=force)
+    return parts, Q, U
+
+
 def _plate(basis: ModeBasis) -> str:
     return f"{basis.count} modes of a {' x '.join(map(str, basis.lengths))} {basis.kind}"
 
@@ -274,7 +278,6 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
     bank = bank_from_spec(spec, basis)
     par = derive_normalized(spec)
     n_steps = int(round(duration * rate))
-    T = 1.0 / rate
     q0, v0, force_signal, force_gains = _modal_excitation(basis, excitation, n_steps)
     if spec.nonlinearity == "von-karman" and tensors is not None and not (
             tensors.phi.same_domain(basis) and tensors.phi.labels == basis.labels):
@@ -289,14 +292,8 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
                          nl_hook=nl_hook,
                          oversample=16 if rk_oversample is None else rk_oversample)
     else:
-        A, B, R = (ftm_coeffs if scheme == "ftm" else sv_coeffs)(bank, T)
-        u0 = np.zeros_like(q0) if nl_hook is None else -nl_hook(q0)
-        if force_signal is not None and n_steps:
-            u0 = u0 + force_gains * force_signal[0]
-        q_prev = start_state(scheme, bank.omega2, bank.gamma, T, q0, v0, u0)
-        Q, _ = adjoint.forward_cached(A, B, R, q0, q_prev, n_steps, force_signal,
-                                      force_gains, hook=nl_hook)
-        Q = Q[2:]
+        Q = run_model(scheme, bank.omega2, bank.gamma, 1.0 / rate, q0, v0, n_steps,
+                      force_signal, force_gains, nl_hook)[1][2:]  # rows q^1 .. q^N
 
     readout = None
     if readout_point is not None:

@@ -152,18 +152,21 @@ def project_point_excitation(basis: ModeBasis, point) -> np.ndarray:
     return _point_values(basis, point)
 
 
-def required_grid_points(basis: ModeBasis, points_per_halfwave: int = 8) -> Tuple[int, ...]:
-    """Minimum uniform grid points per axis: ppw points per shortest half-wavelength."""
+POINTS_PER_HALFWAVE = 8  # per shortest mode half-wavelength, as project_function requires
+
+
+def required_grid_points(basis: ModeBasis,
+                         points_per_halfwave: int = POINTS_PER_HALFWAVE) -> Tuple[int, ...]:
+    """Minimum uniform grid points per axis at points_per_halfwave per shortest half-wave."""
     return tuple(points_per_halfwave * int(m) + 1 for m in np.max(basis.labels, axis=0))
 
 
-def _check_grid_resolution(basis: ModeBasis, axes: Sequence[np.ndarray], ppw: int = 8):
-    need = required_grid_points(basis, ppw)
-    for ax, n_need, name in zip(axes, need, "xy"):
+def _check_grid_resolution(basis: ModeBasis, axes: Sequence[np.ndarray]):
+    for ax, n_need, name in zip(axes, required_grid_points(basis), "xy"):
         if len(ax) < n_need:
             raise ValueError(
-                f"grid too coarse along {name}: {len(ax)} points, "
-                f"requires at least {n_need} ({ppw} per shortest mode half-wavelength)"
+                f"grid too coarse along {name}: {len(ax)} points, requires at least "
+                f"{n_need} ({POINTS_PER_HALFWAVE} per shortest mode half-wavelength)"
             )
 
 
@@ -191,16 +194,16 @@ def _trapezoid_weights(ax: np.ndarray) -> np.ndarray:
     return w
 
 
-def project_function(basis: ModeBasis, values: np.ndarray, axes: Sequence[np.ndarray],
-                     ppw: int = 8) -> np.ndarray:
+def project_function(basis: ModeBasis, values: np.ndarray,
+                     axes: Sequence[np.ndarray]) -> np.ndarray:
     """Modal coordinates <f, Phi_mu> by trapezoidal quadrature.
 
     `values` is sampled on the uniform grid given by `axes` ((x,) for strings,
     (x, y) for rectangles with values indexed [y, x]). Rejects grids with fewer
-    than `ppw` points per shortest mode half-wavelength.
+    than POINTS_PER_HALFWAVE points per shortest mode half-wavelength.
     """
     axes = [np.asarray(a, dtype=float) for a in axes]
-    _check_grid_resolution(basis, axes, ppw)
+    _check_grid_resolution(basis, axes)
     shapes = sample_modes(basis, axes)
     if basis.kind == "string":
         w = _trapezoid_weights(axes[0])

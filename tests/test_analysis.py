@@ -1,4 +1,5 @@
 import logging
+import re
 
 import mpmath as mp
 import numpy as np
@@ -259,6 +260,22 @@ def test_tf_matches_dft_of_impulse_response():
     mag = tf_magnitude(co, w, probe_freqs, rate)
     rel = np.abs(mag - dft[k]) / np.abs(mag)
     assert np.max(rel) < 1e-6
+
+
+@pytest.mark.parametrize("name, value", [
+    ("weights", np.ones(2)), ("weights", np.ones(4)), ("weights", np.float64(1.0)),
+    ("coeffs.B", np.ones(2)), ("coeffs.R", np.ones(4)),
+], ids=["weights-short", "weights-long", "weights-scalar", "B-short", "R-long"])
+def test_tf_rejects_vectors_of_another_length(name, value):
+    # a scalar weight would broadcast over the modes
+    bank = oscillator_bank(np.array([1.0, 2.0, 3.0]), 0.0, 1000.0, gamma=0.1)
+    args = dict(zip(["coeffs.A", "coeffs.B", "coeffs.R"], ftm_coeffs(bank, 1 / 8000.0)),
+                weights=np.ones(3))
+    args[name] = value
+    message = f"{name} has shape {value.shape}, expected length 3"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tf_magnitude([args[f"coeffs.{c}"] for c in "ABR"], args["weights"], [100.0, 200.0],
+                     8000.0)
 
 
 def test_tf_frequency_validation():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modalsim.adjoint import bptt, forward_cached
 from modalsim.coupling import TensionModulation, VkContraction, simply_supported_tensors
-from modalsim.integrators import InitialCondition, simulate
+from modalsim.integrators import InitialCondition, ftm_coeffs, oscillator_bank, simulate
 from modalsim.model import MaterialParams, ModelSpec, RectPlate
 from modalsim.modes import _sinpi, rect_basis, reconstruct, required_grid_points, string_basis
 
@@ -351,13 +352,55 @@ def test_grid_force_matches_tensor_oracle_and_jacobian(n_phi, n_psi, wide):
     hook = VkContraction(simply_supported_tensors(phi, n_psi), gain=1.3)
     rng = np.random.default_rng(5)
     q, v = rng.normal(size=(2, n_phi))
-    hook.begin(3)
-    f = hook(q, 2)
+    f = hook(q)
     slow = naive_contraction(q, closed_form_tensors(phi, n_psi), 1.3)
     assert np.max(np.abs(f - slow)) <= 1e-12 * np.max(np.abs(slow))
-    jt = hook.jt_vec(2, v, q)
+    jt = hook.jt_vec(q, v)
     fd = jacobian_fd(hook, q).T @ v
     assert np.max(np.abs(jt - fd)) <= 1e-12 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("n_modes", [1, 4, 12])
+def test_tension_force_jacobian_matches_central_differences(n_modes):
+    force = TensionModulation(string_basis(1.0, n_modes).eigenvalues, 0.7)
+    q, v = np.random.default_rng(n_modes).normal(size=(2, n_modes)) / np.arange(1, n_modes + 1)
+    jt = force.jt_vec(q, v)
+    fd = jacobian_fd(force, q).T @ v
+    assert np.max(np.abs(jt - fd)) <= 1e-12 * np.max(np.abs(fd))
+
+
+def plate_force():
+    return VkContraction(simply_supported_tensors(rect_basis(0.4, 0.3, 5)), gain=0.01)
+
+
+@pytest.mark.parametrize("sweep_first", ["first", "second"])
+@pytest.mark.parametrize("build", [lambda: TensionModulation(np.arange(1.0, 6.0), 0.4),
+                                   plate_force], ids=["tension", "plate"])
+def test_one_force_serves_two_runs_in_either_order(build, sweep_first):
+    # the force is a pure function of the state: a second run's forward pass
+    # leaves nothing that the first run's sweep reads
+    coeffs = ftm_coeffs(oscillator_bank(np.arange(1.0, 6.0), 0.0, 4.0e5, gamma=3.0), 1e-3)
+    sig = np.sin(np.arange(40) * 0.3)
+    qbar = np.cos(np.arange(200.0)).reshape(40, 5)
+
+    def forward(force, q0):
+        return forward_cached(*coeffs, q0, 0.9 * q0, 40, sig, np.ones(5), hook=force)
+
+    def sweep(force, run):
+        return bptt(*coeffs, *run, qbar, hook=force)
+
+    starts = 0.05 * np.linspace(1.0, -1.0, 5), 0.08 * np.cos(np.arange(5.0))
+    alone = []
+    for q0 in starts:
+        force = build()
+        run = forward(force, q0)
+        alone.append((run, sweep(force, run)))
+    force = build()
+    runs = [forward(force, q0) for q0 in starts]
+    sweeps = {k: sweep(force, runs[k]) for k in ((0, 1) if sweep_first == "first" else (1, 0))}
+    for k, (run, g) in enumerate(alone):
+        assert np.array_equal(runs[k][0], run[0]) and np.array_equal(runs[k][1], run[1])
+        assert all(np.array_equal(sweeps[k][n], g[n]) for n in g)
 
 
 def test_many_mode_plate_force_is_odd_and_cubic():

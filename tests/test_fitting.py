@@ -11,7 +11,8 @@ from modalsim.fitting import (
     one_cycle_lr,
 )
 from modalsim.integrators import (
-    InstabilityError, OverdampedError, PointForce, bank_from_spec, raised_cosine_pulse, simulate,
+    InstabilityError, OverdampedError, PointForce, StabilityBoundError, bank_from_spec,
+    raised_cosine_pulse, simulate,
 )
 from modalsim.model import MaterialParams, ModelSpec, RectPlate, String, derive_normalized
 from modalsim.modes import point_readout, project_point_excitation, rect_basis, string_basis
@@ -232,7 +233,7 @@ def run_start(problem, cfg: FitConfig, start_idx: int) -> StartResult:
             adam_step(state, raw, grads, lr)
             if "gamma" in raw and not np.all(np.isfinite(raw["gamma"])):
                 raise FloatingPointError("gamma coordinates left the finite range")
-    except (InstabilityError, OverdampedError, FloatingPointError) as exc:
+    except (InstabilityError, OverdampedError, StabilityBoundError, FloatingPointError) as exc:
         if best_raw is None:
             return StartResult(start_idx, True, np.inf, np.inf, None, trace, str(exc))
         return StartResult(start_idx, False, float(trace[np.isfinite(trace)][-1]),
@@ -286,13 +287,28 @@ def test_overdamped_start_stops_alone(seed):
 
 
 def test_time_domain_start_that_blows_up_stops_alone():
-    # Stoermer-Verlet is unstable past omega T = 2, i.e. t0_hat above 2.9e6 here
+    # a tension coefficient far above the model's 5e3 overflows the state
+    problem = string_time_problem(nl="tension-modulated", free=("tau_hat",))
+    cfg = FitConfig(steps=4, peak_lr=0.05, starts=3, seed=1,
+                    init={"tau_hat": {"low": 1e3, "high": 1e7}})
+    results = assert_matches_serial(problem, cfg)
+    assert [r.diverged for r in results] == [True, False, False]
+    assert results[0].error.startswith("non-finite state")
+
+
+def test_time_domain_start_past_stability_bound_stops_alone():
+    # Stoermer-Verlet is unstable past omega T = 2, i.e. t0_hat above 2.9e6 here:
+    # that start stops before its first step, the others go on
     problem = string_time_problem(scheme="sv", free=("t0_hat",))
     cfg = FitConfig(steps=4, peak_lr=0.05, starts=3, seed=0,
                     init={"t0_hat": {"low": 1e5, "high": 1e7}})
     results = assert_matches_serial(problem, cfg)
     assert [r.diverged for r in results] == [False, True, False]
-    assert results[1].error.startswith("non-finite state")
+    assert np.isnan(results[1].trace).all()
+    assert re.match(r"1 mode\(s\) violate the stability bound omega\*T < 2, the first at "
+                    r"mode index 2 \(largest omega\*T 2.89\)", results[1].error)
+    with pytest.raises(StabilityBoundError):
+        problem.value_and_grad({"t0_hat": np.log(1e7)})
 
 
 @pytest.mark.parametrize("build", [string_frequency_problem, string_time_problem])

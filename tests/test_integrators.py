@@ -9,7 +9,7 @@ from modalsim.adjoint import bptt, forward_cached
 from modalsim.coupling import simply_supported_tensors
 from modalsim.integrators import (
     InitialCondition, InstabilityError, OverdampedError, PointForce, SchemeError,
-    bank_from_spec, ftm_coeffs, oscillator_bank, raised_cosine_pulse,
+    StabilityBoundError, bank_from_spec, ftm_coeffs, oscillator_bank, raised_cosine_pulse,
     rk_reference, simulate, start_state, sv_coeffs, triangular_pluck,
 )
 from modalsim.model import MaterialParams, ModelSpec, RectPlate, String
@@ -165,14 +165,27 @@ def test_sv_matches_extended_precision():
         assert abs(co.B[0] - float(p)) <= 1e-14 * abs(float(p))
 
 
-def test_sv_stability_warning():
+def test_sv_stability_bound_error():
     # omega*T = 0.5, 5, 1, 3: modes 1 and 3 break the bound
     bank = oscillator_bank(np.ones(4), 0.0, np.array([50.0, 500.0, 100.0, 300.0]) ** 2)
-    with pytest.warns(UserWarning, match="stability") as record:
+    with pytest.raises(StabilityBoundError, match="stability") as ei:
         sv_coeffs(bank, 0.01)
-    message = str(record[0].message)
+    message = str(ei.value)
     assert message.startswith("2 mode(s)")
     assert "mode index 1 " in message and "largest omega*T 5)" in message
+
+
+def test_simulate_sv_past_stability_bound_raises_before_stepping(monkeypatch):
+    # mode m of this string has omega T = 0.45 m, so modes 5..8 break the bound
+    spec = string_spec(T0=(0.45 * 8000.0 / np.pi) ** 2)
+    basis = string_basis(1.0, 8)
+
+    def no_stepping(*args, **kw):
+        raise AssertionError("stepped past the stability bound")
+
+    monkeypatch.setattr(adjoint, "forward_cached", no_stepping)
+    with pytest.raises(StabilityBoundError, match=r"^4 mode\(s\).*mode index 4 .*omega\*T 3.6\)"):
+        simulate(spec, basis, "sv", triangular_pluck(basis, 0.3, 0.01), 0.01, 8000.0)
 
 
 # --- stepping ---------------------------------------------------------------------
@@ -215,10 +228,9 @@ def test_sv_second_order_against_analytic_cosine():
 
 
 def test_instability_error_reports_step_and_mode():
-    # omega*T far beyond the stability bound blows up rapidly
-    bank = oscillator_bank(np.array([1.0, 1.0]), 0.0, np.array([1.0, 1e9]))
-    with pytest.warns(UserWarning):
-        A, B, R = sv_coeffs(bank, 0.1)
+    # mode 1 has the Stoermer-Verlet vectors of omega T = 3162, far past the
+    # stability bound: the filter path overflows within a few dozen steps
+    A, B, R = np.array([1.99, 2.0 - 1e7]), np.array([-1.0, -1.0]), np.full(2, 0.01)
     q0, q_prev = np.array([0.0, 1e-3]), np.zeros(2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InstabilityError) as ei:
