@@ -6,7 +6,7 @@ against central finite differences):
 
 * the scheme coefficient maps :func:`ftm_update_partials` and
   :func:`sv_update_partials`, from omega^2 and gamma to the update vectors
-  (A, B, R), with the partials in omega^2 and gamma that both fits chain
+  (A, B, R) and their partials in omega^2 and gamma, which both fits chain
   through. ``sv_update_partials`` raises :class:`StabilityBoundError` past
   the scheme's stability bound. ``integrators.ftm_coeffs``/``sv_coeffs`` and
   the alias ``ftm_coeff_partials`` keep their names only because the
@@ -30,6 +30,10 @@ vectors (A, B, R) of the recurrence
 
     q^{n+1} = A q^n + B q^{n-1} + R u^n,   u^n = f_ext^n - nl(q^n).
 
+A :class:`Coefficients` holds every per-mode quantity of that form: the
+update vectors, their partials d/domega^2 and d/dgamma (the maps return
+these three), and the gradients (dL/dA, dL/dB, dL/dR) the sweeps return.
+
 Trajectories are stored as Q[t] = q^{t-1} (rows q^{-1} .. q^N), output
 samples are y_n = w . q^{n+1}. The reverse sweep propagates qbar^n = dL/dq^n
 backwards:
@@ -46,9 +50,10 @@ transfer-function kernels evaluate (R z + R2) / (z^2 - A z - B), where R2 is
 the frequency-domain fit's free numerator term (zero for a simulated bank).
 
 A nonlinear force ``hook`` is a pair of pure functions of the state:
-``hook(q)`` is nl(q) and ``hook.jt_vec(q, v)`` is J_nl(q)^T v. The sweep
-returns the input adjoints dU[n] = dL/du^n = R qbar^{n+1}, from which a
-force's own parameters take their gradients (``TensionModulation.tau_grad``).
+``hook(q)`` is nl(q) and ``hook.jt_vec(q, v)`` is J_nl(q)^T v. Under a hook
+the sweep also returns the input adjoints dU[n] = dL/du^n = R qbar^{n+1},
+from which a force's own parameters take their gradients
+(``TensionModulation.tau_grad``).
 """
 
 from __future__ import annotations
@@ -84,10 +89,10 @@ class InstabilityError(RuntimeError):
         super().__init__(f"non-finite state at step {step} (mode index {mode})")
 
 
-def _check_finite(Q):
-    """Raise InstabilityError at the first non-finite state among the stored
-    rows Q[t] = q^{t-1} (the rows from q^1 on are checked)."""
-    finite = np.isfinite(Q[2:])  # row j holds q^{j+1}
+def check_finite(states):
+    """Raise InstabilityError at the first non-finite state among the rows
+    states[j] = q^{j+1}."""
+    finite = np.isfinite(states)
     if not finite.all():
         first = np.where(finite.all(axis=0), len(finite), finite.argmin(axis=0))
         mode = int(np.argmin(first))
@@ -106,9 +111,9 @@ class Coefficients(NamedTuple):
 
 def ftm_update_partials(omega2, gamma, T):
     """Impulse-invariant update vectors A = 2 e^{-gT} cos(wt T), B = -e^{-2gT}
-    and R = e^{-gT} sin(wt T) / wt, with wt = sqrt(omega^2 - g^2), and their
-    partial derivatives with respect to omega^2 and gamma = g. The poles of
-    each resonator are e^{(-g +- i wt) T}."""
+    and R = e^{-gT} sin(wt T) / wt, with wt = sqrt(omega^2 - g^2). Returns
+    three Coefficients: (A, B, R), their partials d/domega^2 and d/dgamma,
+    gamma = g. The poles of each resonator are e^{(-g +- i wt) T}."""
     if T <= 0:
         raise ValueError("sample period must be positive")
     w2 = np.asarray(omega2, dtype=float)
@@ -127,12 +132,10 @@ def ftm_update_partials(omega2, gamma, T):
     dwt_dg = -g / wt
     dA_dwt = -2.0 * e1 * T * s
     dR_dwt = e1 * (T * c * wt - s) / wt**2
-    return {
-        "A": 2.0 * e1 * c, "B": -(e1**2), "R": e1 * s / wt,
-        "dA_dw2": dA_dwt * dwt_dw2, "dA_dg": -2.0 * T * e1 * c + dA_dwt * dwt_dg,
-        "dB_dw2": np.zeros_like(e1), "dB_dg": 2.0 * T * e1**2,
-        "dR_dw2": dR_dwt * dwt_dw2, "dR_dg": -T * e1 * s / wt + dR_dwt * dwt_dg,
-    }
+    return (Coefficients(2.0 * e1 * c, -(e1**2), e1 * s / wt),
+            Coefficients(dA_dwt * dwt_dw2, np.zeros_like(e1), dR_dwt * dwt_dw2),
+            Coefficients(-2.0 * T * e1 * c + dA_dwt * dwt_dg, 2.0 * T * e1**2,
+                         -T * e1 * s / wt + dR_dwt * dwt_dg))
 
 
 # the same map under its earlier name, which the benchmark traces
@@ -144,8 +147,8 @@ def sv_update_partials(omega2, gamma, T):
 
         r = T^2 / (1 + gamma T), g = r (2/T^2 - omega^2), p = r (gamma/T - 1/T^2),
 
-    and their partials. Raises StabilityBoundError when modes break the
-    bound omega T < 2."""
+    as three Coefficients: (A, B, R), d/domega^2 and d/dgamma. Raises
+    StabilityBoundError when modes break the bound omega T < 2."""
     if T <= 0:
         raise ValueError("sample period must be positive")
     w2 = np.asarray(omega2, dtype=float)
@@ -160,12 +163,10 @@ def sv_update_partials(omega2, gamma, T):
     dr_dg = -(T**3) / (1.0 + g * T) ** 2
     A = r * (2.0 / T**2 - w2)
     B = r * (g / T - 1.0 / T**2)
-    return {
-        "A": A, "B": B, "R": r * np.ones_like(w2),
-        "dA_dw2": -r * np.ones_like(w2), "dA_dg": dr_dg * (2.0 / T**2 - w2),
-        "dB_dw2": np.zeros_like(w2), "dB_dg": dr_dg * (g / T - 1.0 / T**2) + r / T,
-        "dR_dw2": np.zeros_like(w2), "dR_dg": dr_dg * np.ones_like(w2),
-    }
+    return (Coefficients(A, B, r * np.ones_like(w2)),
+            Coefficients(-r * np.ones_like(w2), np.zeros_like(w2), np.zeros_like(w2)),
+            Coefficients(dr_dg * (2.0 / T**2 - w2), dr_dg * (g / T - 1.0 / T**2) + r / T,
+                         dr_dg * np.ones_like(w2)))
 
 
 # --- forward recurrence + reverse sweep ------------------------------------------
@@ -189,7 +190,7 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
             if force_signal is not None:
                 x = force_gains[k] * force_signal
             Qt[k, 2:] = lfilter([R[k]], [1.0, -A[k], -B[k]], x, zi=zi[k])[0]
-        _check_finite(Qt.T)
+        check_finite(Qt[:, 2:].T)
         return Qt.T, U
 
     Q = np.empty((n_steps + 2, m))
@@ -209,8 +210,8 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
             qp, q = q, A * q + B * qp + R * u
             Q[n + 2] = q
             if n % every == every - 1 and not np.isfinite(q).all():
-                _check_finite(Q[:n + 3])
-    _check_finite(Q)
+                check_finite(Q[2:n + 3])
+    check_finite(Q[2:])
     return Q, U
 
 
@@ -218,7 +219,8 @@ def bptt(A, B, R, Q, U, qbar_direct, hook=None):
     """Reverse sweep through the stepping recurrence.
 
     qbar_direct[n] is the direct dL/dq^{n+1} coming from the readout. Returns
-    per-mode gradients dA, dB, dR and the input adjoints dU[n] = dL/du^n.
+    (Coefficients(dA, dB, dR), dU), with the input adjoints dU[n] = dL/du^n
+    under a hook and dU = None without one.
     """
     n_steps, m = qbar_direct.shape
     if hook is None:
@@ -240,15 +242,21 @@ def bptt(A, B, R, Q, U, qbar_direct, hook=None):
             qbar[t] = acc
         qbar = qbar[2:-1]
 
-    return {
-        "dA": np.einsum("tm,tm->m", qbar, Q[1:-1]),
-        "dB": np.einsum("tm,tm->m", qbar, Q[: -2]),
-        "dR": (np.einsum("tm,tm->m", qbar, U) if U is not None else np.zeros(m)),
-        "dU": R[None, :] * qbar,
-    }
+    return (Coefficients(np.einsum("tm,tm->m", qbar, Q[1:-1]),
+                         np.einsum("tm,tm->m", qbar, Q[: -2]),
+                         np.einsum("tm,tm->m", qbar, U) if U is not None else np.zeros(m)),
+            None if hook is None else R[None, :] * qbar)
 
 
-# --- STFT with adjoint -----------------------------------------------------------
+# --- input checks, STFT with adjoint ----------------------------------------------
+
+def check_length(name: str, value, size: int) -> np.ndarray:
+    """value as a float array of shape (size,), or ValueError naming it."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != (size,):
+        raise ValueError(f"{name} has shape {value.shape}, expected length {size}")
+    return value
+
 
 def check_stft(n_samples: int, window_length: int, hop: int) -> None:
     """Reject STFT settings that leave samples out or yield no frame."""
@@ -327,12 +335,12 @@ def tf_magnitude_cached(A, B, R, R2, weights, z):
 
 
 def tf_magnitude_backward(cache, mag_bar):
-    """Gradients of sum_f mag_bar_f |H_f| with respect to A, B, R, R2, w."""
+    """Gradients of sum_f mag_bar_f |H_f|: (Coefficients(dA, dB, dR), dR2, dw)."""
     z, inv, H, mag, w, R, R2 = cache
     safe = np.where(mag > 0.0, mag, 1.0)
     hc = np.conj(np.where(mag > 0.0, mag_bar * H / safe, 0.0))
     V = np.stack([hc, hc * z, hc * z * z])
     s0, s1 = np.real(V[:2] @ inv)
     t0, t1, t2 = np.real(V @ (inv * inv))
-    return {"dA": w * (R * t2 + R2 * t1), "dB": w * (R * t1 + R2 * t0),
-            "dR": w * s1, "dR2": w * s0, "dw": R * s1 + R2 * s0}
+    return (Coefficients(w * (R * t2 + R2 * t1), w * (R * t1 + R2 * t0), w * s1),
+            w * s0, R * s1 + R2 * s0)

@@ -144,11 +144,9 @@ def tf_magnitude(coeffs: Coefficients, weights: np.ndarray, freqs: Sequence[floa
     """|sum_mu w_mu R z / (z^2 - A z - B)| at z = e^{i 2 pi f / rate}: the
     magnitude response of the resonators with update vectors (A, B, R), as
     from ftm_coeffs. A, B, R and the weights are vectors of one length."""
-    A, B, R = (np.asarray(c, dtype=float) for c in coeffs)
-    weights = np.asarray(weights, dtype=float)
-    for name, value in (("coeffs.A", A), ("coeffs.B", B), ("coeffs.R", R), ("weights", weights)):
-        if value.shape != (A.size,):
-            raise ValueError(f"{name} has shape {value.shape}, expected length {A.size}")
+    m = np.size(coeffs[0])
+    A, B, R, weights = (adjoint.check_length(name, value, m) for name, value in
+                        zip(("coeffs.A", "coeffs.B", "coeffs.R", "weights"), (*coeffs, weights)))
     z = np.exp(2j * np.pi * adjoint.check_tf_frequencies(freqs, rate) / rate)
     mag, _ = adjoint.tf_magnitude_cached(A, B, R, np.zeros_like(R), weights, z)
     return mag

@@ -23,8 +23,8 @@ Two objective kinds cover the fitting paths:
   (e.g. an LPC envelope of a recording), avoiding time stepping entirely.
 
 Both problems map omega^2 and gamma to the update vectors (A, B, R) through
-the coefficient maps of :mod:`modalsim.adjoint` and chain the gradients of
-A, B and R back through their partials (:func:`_coefficient_grads`).
+the coefficient maps of :mod:`modalsim.adjoint`; :func:`_coefficient_grads`
+chains the sweeps' gradients through the maps' partials, field by field.
 
 Optimisation is Adam under a one-cycle schedule (linear ramp over the first
 10% of steps, cosine decay to peak/100), with independent random restarts
@@ -46,10 +46,10 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import adjoint
+from .adjoint import Coefficients
 from .coupling import PlateCoupling, nonlinear_force
-from .integrators import (
-    InstabilityError, OverdampedError, StabilityBoundError, omega_squared, run_model,
-)
+from .integrators import (InstabilityError, OverdampedError, StabilityBoundError,
+                          coefficient_map, omega_squared, run_model)
 from .losses import LossWeights, loss_total_grad
 
 
@@ -99,10 +99,7 @@ class _Parameters:
         if np.ndim(self.gamma) == 0:
             self.gamma = np.full(len(self.lam), float(self.gamma))
         for name, size in sizes:
-            value = np.asarray(getattr(self, name), dtype=float)
-            if value.shape != (size,):
-                raise ValueError(f"{name} has shape {value.shape}, expected length {size}")
-            setattr(self, name, value)
+            setattr(self, name, adjoint.check_length(name, getattr(self, name), size))
 
     def _check_free(self):
         unknown = set(self.free) - set(self.PARAMS)
@@ -140,14 +137,15 @@ class _Parameters:
 
 
 def _coefficient_grads(parts, g, lam):
-    """Gradients of d_hat, t0_hat and gamma from those of the update vectors
-    (g["dA"], g["dB"], g["dR"]), through the coefficient map's partials in
-    omega^2 = d_hat lam^2 + t0_hat lam and gamma."""
-    dw2 = g["dA"] * parts["dA_dw2"] + g["dB"] * parts["dB_dw2"] + g["dR"] * parts["dR_dw2"]
+    """Gradients of d_hat, t0_hat and gamma from g, those of the update
+    vectors, through parts, the coefficient map's (values, d/domega^2,
+    d/dgamma), with omega^2 = d_hat lam^2 + t0_hat lam."""
+    _, d_w2, d_g = parts
+    dw2 = g.A * d_w2.A + g.B * d_w2.B + g.R * d_w2.R
     return {
         "d_hat": dw2 @ lam**2,
         "t0_hat": dw2 @ lam,
-        "gamma": g["dA"] * parts["dA_dg"] + g["dB"] * parts["dB_dg"] + g["dR"] * parts["dR_dg"],
+        "gamma": g.A * d_g.A + g.B * d_g.B + g.R * d_g.R,
     }
 
 
@@ -199,8 +197,7 @@ class TimeDomainProblem(_Parameters):
         nonlinear_force(self.nonlinearity, self.lam, self.tau_hat, self.coupling, self.vk_gain)
         self.freqs = np.fft.rfftfreq(self.stft_window_length, d=1.0 / self.rate)
         self._check_free()
-        if self.scheme not in ("ftm", "sv"):
-            raise ValueError("time-domain fitting uses the 'ftm' or 'sv' scheme")
+        coefficient_map(self.scheme)  # SchemeError unless run_model runs it
         adjoint.check_stft(self.n_steps, self.stft_window_length, self.stft_hop)
 
     def _check_free(self):
@@ -240,11 +237,10 @@ class TimeDomainProblem(_Parameters):
         loss, dmag = loss_total_grad(self.target_mag, mag, self.loss_weights, self.freqs)
         ybar = adjoint.stft_backward(cache, dmag)
 
-        g = adjoint.bptt(parts["A"], parts["B"], parts["R"], Q, U, np.outer(ybar, w),
-                         hook=force)
+        g, dU = adjoint.bptt(*parts[0], Q, U, np.outer(ybar, w), hook=force)
         grads = dict(_coefficient_grads(parts, g, self.lam), readout_weights=Q[2:].T @ ybar)
         if "tau_hat" in raw:
-            grads["tau_hat"] = force.tau_grad(g["dU"], Q)
+            grads["tau_hat"] = force.tau_grad(dU, Q)
         return loss, self._raw_grads(raw, grads)
 
 
@@ -294,14 +290,13 @@ class FrequencyDomainProblem(_Parameters):
         self._check_free()
 
     def _assemble(self, raw):
-        """Coefficient partials and the kernels' A, B, R, R2 = b2 and w, each
-        [start, mode] (one start where raw has no start axis)."""
+        """The coefficient map's three Coefficients and the kernels' A, B, R, R2 = b2
+        and w, each [start, mode] (one start where raw has no start axis)."""
         p = self._values(raw)
         w2 = omega_squared(self.lam, np.reshape(p["d_hat"], (-1, 1)),
                            np.reshape(p["t0_hat"], (-1, 1)))
         parts = adjoint.ftm_update_partials(w2, p["gamma"], 1.0 / self.rate)
-        return parts, np.broadcast_arrays(parts["A"], parts["B"], parts["R"], p["b2"],
-                                          p["weights"])
+        return parts, np.broadcast_arrays(*parts[0], p["b2"], p["weights"])
 
     def predict(self, raw) -> np.ndarray:
         _, coeffs = self._assemble(raw)
@@ -317,10 +312,10 @@ class FrequencyDomainProblem(_Parameters):
         loss, dmag = loss_total_grad(self.target_env[None, :],
                                      np.stack([mag for mag, _ in runs])[:, None, :],
                                      self.loss_weights, self.freqs)
-        tbs = [adjoint.tf_magnitude_backward(cache, d[0]) for (_, cache), d in zip(runs, dmag)]
-        tb = {n: np.stack([t[n] for t in tbs]) for n in tbs[0]}
-        grads = self._raw_grads(raw, dict(_coefficient_grads(parts, tb, self.lam),
-                                          b2=tb["dR2"], weights=tb["dw"]))
+        tbs = (adjoint.tf_magnitude_backward(cache, d[0]) for (_, cache), d in zip(runs, dmag))
+        dA, dB, dR, dR2, dw = np.stack([(*g, r2, w) for g, r2, w in tbs], axis=1)  # [start, mode]
+        grads = self._raw_grads(raw, dict(_coefficient_grads(parts, Coefficients(dA, dB, dR),
+                                                             self.lam), b2=dR2, weights=dw))
         if self._starts(raw) is None:
             return float(loss[0]), {n: g[0] for n, g in grads.items()}
         return loss, grads

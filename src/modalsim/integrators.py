@@ -88,14 +88,12 @@ def bank_from_spec(spec: ModelSpec, basis: ModeBasis) -> OscillatorBank:
 
 def ftm_coeffs(bank: OscillatorBank, T: float) -> Coefficients:
     """The bank's resonator update vectors (formula: adjoint.ftm_update_partials)."""
-    u = adjoint.ftm_update_partials(bank.omega2, bank.gamma, T)
-    return Coefficients(u["A"], u["B"], u["R"])
+    return adjoint.ftm_update_partials(bank.omega2, bank.gamma, T)[0]
 
 
 def sv_coeffs(bank: OscillatorBank, T: float) -> Coefficients:
     """The bank's Stoermer-Verlet update vectors (formula, bound: adjoint.sv_update_partials)."""
-    u = adjoint.sv_update_partials(bank.omega2, bank.gamma, T)
-    return Coefficients(u["A"], u["B"], u["R"])
+    return adjoint.sv_update_partials(bank.omega2, bank.gamma, T)[0]
 
 
 # --- excitations -------------------------------------------------------------
@@ -202,21 +200,27 @@ def start_state(scheme: str, omega2, gamma, T: float, q0, v0, u0) -> np.ndarray:
     raise SchemeError(f"no start state for scheme {scheme!r}")
 
 
+def coefficient_map(scheme: str):
+    """The coefficient map with partials of 'ftm' or 'sv', the schemes run_model runs."""
+    if scheme not in ("ftm", "sv"):
+        raise SchemeError(f"the time-domain model runs the 'ftm' or 'sv' scheme, not {scheme!r}")
+    return adjoint.ftm_update_partials if scheme == "ftm" else adjoint.sv_update_partials
+
+
 def run_model(scheme: str, omega2, gamma, T: float, q0, v0, n_steps: int,
               force_signal, force_gains, force):
     """The time-domain model from q0 and v0: the scheme's coefficient map with
     partials, the start state from u^0 = f_ext^0 - force(q0), and
     forward_cached under the nonlinear force (None for a linear model).
-    Returns (parts, Q, U): the map's update vectors and partials, and
-    forward_cached's rows Q[t] = q^{t-1} and inputs U."""
-    partials = adjoint.ftm_update_partials if scheme == "ftm" else adjoint.sv_update_partials
-    parts = partials(omega2, gamma, T)
+    Returns (parts, Q, U): the map's three Coefficients (update vectors and
+    their partials), and forward_cached's rows Q[t] = q^{t-1} and inputs U."""
+    parts = coefficient_map(scheme)(omega2, gamma, T)
     u0 = np.zeros_like(q0) if force is None else -force(q0)
     if force_signal is not None and n_steps:
         u0 = u0 + force_gains * force_signal[0]
     q_prev = start_state(scheme, omega2, gamma, T, q0, v0, u0)
-    Q, U = adjoint.forward_cached(parts["A"], parts["B"], parts["R"], q0, q_prev, n_steps,
-                                  force_signal, force_gains, hook=force)
+    Q, U = adjoint.forward_cached(*parts[0], q0, q_prev, n_steps, force_signal, force_gains,
+                                  hook=force)
     return parts, Q, U
 
 
@@ -230,13 +234,9 @@ def _modal_excitation(basis: ModeBasis, excitation: Excitation, n_steps: int):
     v0 = np.zeros(m)
     force_signal = force_gains = None
     if isinstance(excitation, InitialCondition):
-        q0 = np.asarray(excitation.q0, dtype=float)
-        if q0.shape != (m,):
-            raise ValueError(f"q0 must have length {m}")
+        q0 = adjoint.check_length("q0", excitation.q0, m)
         if excitation.v0 is not None:
-            v0 = np.asarray(excitation.v0, dtype=float)
-            if v0.shape != (m,):
-                raise ValueError(f"v0 must have length {m}")
+            v0 = adjoint.check_length("v0", excitation.v0, m)
     elif isinstance(excitation, PointForce):
         force_gains = project_point_excitation(basis, excitation.point)
         sig = np.asarray(excitation.signal, dtype=float)
@@ -308,7 +308,8 @@ def rk_reference(bank: OscillatorBank, n_steps: int, rate: float, q0, v0=None,
                  oversample: int = 16) -> np.ndarray:
     """Classical RK4 on the first-order form of the modal system, integrated at
     oversample x rate and decimated back to the sample grid. Serves as the
-    ground-truth oracle for measuring scheme error."""
+    ground-truth oracle for measuring scheme error. Raises InstabilityError
+    at the first sample step whose state is non-finite."""
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
     m = bank.count
@@ -318,35 +319,31 @@ def rk_reference(bank: OscillatorBank, n_steps: int, rate: float, q0, v0=None,
     w2 = bank.omega2
     h = 1.0 / (rate * oversample)
 
-    if force_signal is not None:
-        t_sig = np.arange(len(force_signal)) / rate
+    t_sig = None if force_signal is None else np.arange(len(force_signal)) / rate
 
-        def force_at(t):
-            return force_gains * np.interp(t, t_sig, force_signal, left=0.0, right=0.0)
-    else:
-        def force_at(t):
-            return 0.0
-
-    def accel(t, q, v):
-        u = force_at(t)
+    def rates(t, q, v):
+        """(dq/dt, dv/dt) of the first-order form."""
+        u = 0.0
+        if t_sig is not None:
+            u = force_gains * np.interp(t, t_sig, force_signal, left=0.0, right=0.0)
         if nl_hook is not None:
             u = u - nl_hook(q)
-        return u - g2 * v - w2 * q
+        return v, u - g2 * v - w2 * q
 
-    out = np.empty((n_steps, m))
+    out = np.empty((n_steps, m))  # row n holds q^{n+1}
     t = 0.0
-    for n in range(n_steps):
-        for _ in range(oversample):
-            k1q = v
-            k1v = accel(t, q, v)
-            k2q = v + 0.5 * h * k1v
-            k2v = accel(t + 0.5 * h, q + 0.5 * h * k1q, v + 0.5 * h * k1v)
-            k3q = v + 0.5 * h * k2v
-            k3v = accel(t + 0.5 * h, q + 0.5 * h * k2q, v + 0.5 * h * k2v)
-            k4q = v + h * k3v
-            k4v = accel(t + h, q + h * k3q, v + h * k3v)
-            q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            t += h
-        out[n] = q
+    # as in the hook loop, a blow-up is InstabilityError, not overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            for _ in range(oversample):
+                k1 = rates(t, q, v)
+                k2 = rates(t + 0.5 * h, q + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
+                k3 = rates(t + 0.5 * h, q + 0.5 * h * k2[0], v + 0.5 * h * k2[1])
+                k4 = rates(t + h, q + h * k3[0], v + h * k3[1])
+                q = q + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+                v = v + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+                t += h
+            out[n] = q
+            if not np.isfinite(q).all():
+                adjoint.check_finite(out[:n + 1])
     return out

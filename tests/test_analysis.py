@@ -12,7 +12,7 @@ from modalsim.analysis import (
 )
 from modalsim.audio_io import WavFormatError, wav_read, wav_write
 from modalsim.adjoint import (
-    forward_cached, ftm_update_partials, stft_cached, tf_magnitude_backward,
+    Coefficients, forward_cached, ftm_update_partials, stft_cached, tf_magnitude_backward,
     tf_magnitude_cached,
 )
 from modalsim.integrators import ftm_coeffs, oscillator_bank
@@ -292,9 +292,20 @@ def unit_circle(freqs, rate):
     return np.exp(2j * np.pi * np.asarray(freqs) / rate)
 
 
+# the transfer-function gradients (Coefficients(dA, dB, dR), dR2, dw) by name
+TF_GRADS = ("dA", "dB", "dR", "dR2", "dw")
+
+
+def tf_fields(grads):
+    """The five gradients of a (Coefficients(dA, dB, dR), dR2, dw) in TF_GRADS order."""
+    coeffs, dR2, dw = grads
+    return (*coeffs, dR2, dw)
+
+
 def tf_oracle(A, B, R, R2, w, freqs, rate, mag_bar):
-    """|H| and its gradients from num/den: the per-mode response num/den and
-    one projection Re(conj(hbar) dH/dtheta) per coefficient."""
+    """|H| and its gradients (Coefficients(dA, dB, dR), dR2, dw) from num/den:
+    the per-mode response num/den and one projection Re(conj(hbar) dH/dtheta)
+    per coefficient."""
     z = np.exp(2j * np.pi * freqs / rate)[:, None]
     num = R[None, :] * z + R2[None, :]
     den = z * z - A[None, :] * z - B[None, :]
@@ -307,13 +318,13 @@ def tf_oracle(A, B, R, R2, w, freqs, rate, mag_bar):
     def project(dH_dtheta):
         return np.real(np.conj(hbar) * dH_dtheta).sum(axis=0)
 
-    return mag, {
-        "dw": project(Gm),
-        "dR": project(w[None, :] * z / den),
-        "dR2": project(w[None, :] / den),
-        "dA": project(w[None, :] * num * z / den**2),
-        "dB": project(w[None, :] * num / den**2),
-    }
+    return mag, (
+        Coefficients(A=project(w[None, :] * num * z / den**2),
+                     B=project(w[None, :] * num / den**2),
+                     R=project(w[None, :] * z / den)),
+        project(w[None, :] / den),  # dR2
+        project(Gm),  # dw
+    )
 
 
 def random_tf_coefficients(seed, n_modes=30, n_freqs=256, rate=44100.0):
@@ -330,10 +341,10 @@ def random_tf_coefficients(seed, n_modes=30, n_freqs=256, rate=44100.0):
     theta = 2 * np.pi * f_mode[:n_sharp] / rate
     gamma = np.concatenate([rate * rng.uniform(1e-5, 3e-5, n_sharp) / (2 * np.sin(theta)),
                             rng.uniform(5.0, 300.0, n_modes - n_sharp)])
-    u = ftm_update_partials((2 * np.pi * f_mode) ** 2 + gamma**2, gamma, 1.0 / rate)
-    R2 = rng.normal(size=n_modes) * np.abs(u["R"])
+    A, B, R = ftm_update_partials((2 * np.pi * f_mode) ** 2 + gamma**2, gamma, 1.0 / rate)[0]
+    R2 = rng.normal(size=n_modes) * np.abs(R)
     w = rng.normal(size=n_modes)
-    return u["A"], u["B"], u["R"], R2, w, freqs, rate
+    return A, B, R, R2, w, freqs, rate
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -347,9 +358,9 @@ def test_tf_kernels_match_num_den_oracle(seed):
     grads = tf_magnitude_backward(cache, mag_bar)
     mag_ref, grads_ref = tf_oracle(A, B, R, R2, w, freqs, rate, mag_bar)
     assert np.max(np.abs(mag - mag_ref)) <= 1e-12 * np.max(mag_ref)
-    assert set(grads) == set(grads_ref)
-    for name, ref in grads_ref.items():
-        assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+    assert isinstance(grads[0], Coefficients) and len(grads) == len(grads_ref) == 3
+    for name, g, ref in zip(TF_GRADS, tf_fields(grads), tf_fields(grads_ref)):
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
 def test_tf_gradients_vanish_with_zero_magnitude():
@@ -357,7 +368,7 @@ def test_tf_gradients_vanish_with_zero_magnitude():
     mag, cache = tf_magnitude_cached(A, B, R, R2, np.zeros_like(w), unit_circle(freqs, rate))
     assert np.all(mag == 0.0)
     grads = tf_magnitude_backward(cache, np.ones_like(freqs))
-    for name, g in grads.items():
+    for name, g in zip(TF_GRADS, tf_fields(grads)):
         assert np.all(g == 0.0), name
 
 
@@ -366,8 +377,7 @@ def test_tf_magnitude_matches_extended_precision():
     L = 0.65
     lam = (np.arange(1, 31) * np.pi / L) ** 2
     gamma = 0.8 + 1.5e-5 * lam  # lightly damped string modes, 196 Hz fundamental
-    u = ftm_update_partials((2 * L * 196.0) ** 2 * lam + gamma**2, gamma, 1.0 / rate)
-    A, B, R = u["A"], u["B"], u["R"]
+    A, B, R = ftm_update_partials((2 * L * 196.0) ** 2 * lam + gamma**2, gamma, 1.0 / rate)[0]
     w = np.sin(np.arange(1, 31) * np.pi * 0.2) * np.sin(np.arange(1, 31) * np.pi * 0.7)
     freqs = bark_grid(256, 18000.0, rate)
     mag, _ = tf_magnitude_cached(A, B, R, np.zeros(30), w, unit_circle(freqs, rate))
@@ -394,8 +404,8 @@ def test_tf_gradients_match_extended_precision(seed):
     mag_bar = np.random.default_rng([seed, 1]).normal(size=len(freqs))
     _, cache = tf_magnitude_cached(A, B, R, R2, w, unit_circle(freqs, rate))
     grads = tf_magnitude_backward(cache, mag_bar)
-    exact = {name: [mp.mpf(0)] * 9 for name in grads}
-    bound = {name: np.zeros(9) for name in grads}
+    exact = {name: [mp.mpf(0)] * 9 for name in TF_GRADS}
+    bound = {name: np.zeros(9) for name in TF_GRADS}
     with mp.workdps(40):
         Am, Bm, Rm, R2m, W = ([mp.mpf(x) for x in c] for c in (A, B, R, R2, w))
         for f, mb in zip(freqs, mag_bar):
@@ -417,7 +427,7 @@ def test_tf_gradients_match_extended_precision(seed):
                     exact[name][m] += mp.re(t)
                     k = 2 if name in ("dA", "dB") else 1
                     bound[name][m] += float(abs(t)) * (k * cond[m] + kappa_h + len(freqs))
-    for name, g in grads.items():
+    for name, g in zip(TF_GRADS, tf_fields(grads)):
         err = np.abs(g - np.array([float(x) for x in exact[name]]))
         assert np.all(err <= 4 * np.finfo(float).eps * bound[name]), name
 

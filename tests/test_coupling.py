@@ -400,7 +400,9 @@ def test_one_force_serves_two_runs_in_either_order(build, sweep_first):
     sweeps = {k: sweep(force, runs[k]) for k in ((0, 1) if sweep_first == "first" else (1, 0))}
     for k, (run, g) in enumerate(alone):
         assert np.array_equal(runs[k][0], run[0]) and np.array_equal(runs[k][1], run[1])
-        assert all(np.array_equal(sweeps[k][n], g[n]) for n in g)
+        (coeffs_k, dU_k), (coeffs_alone, dU_alone) = sweeps[k], g
+        assert all(np.array_equal(a, b) for a, b in zip(coeffs_k, coeffs_alone))
+        assert np.array_equal(dU_k, dU_alone)
 
 
 def test_many_mode_plate_force_is_odd_and_cubic():

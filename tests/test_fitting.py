@@ -11,8 +11,8 @@ from modalsim.fitting import (
     one_cycle_lr,
 )
 from modalsim.integrators import (
-    InstabilityError, OverdampedError, PointForce, StabilityBoundError, bank_from_spec,
-    raised_cosine_pulse, simulate,
+    InstabilityError, OverdampedError, PointForce, SchemeError, StabilityBoundError,
+    bank_from_spec, raised_cosine_pulse, simulate,
 )
 from modalsim.model import MaterialParams, ModelSpec, RectPlate, String, derive_normalized
 from modalsim.modes import point_readout, project_point_excitation, rect_basis, string_basis
@@ -97,6 +97,11 @@ def test_time_problem_rejects_hop_longer_than_window():
 def test_time_problem_rejects_hop_below_one():
     with pytest.raises(ValueError, match="hop must be >= 1"):
         TimeDomainProblem(**time_kw(stft_hop=0))
+
+
+def test_time_problem_rejects_scheme_it_cannot_run():
+    with pytest.raises(SchemeError, match="'ftm' or 'sv' scheme, not 'rk-reference'"):
+        TimeDomainProblem(**time_kw(scheme="rk-reference"))
 
 
 def test_time_problem_rejects_signal_shorter_than_window():

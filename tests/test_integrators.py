@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from modalsim import adjoint
-from modalsim.adjoint import bptt, forward_cached
+from modalsim.adjoint import Coefficients, bptt, forward_cached
 from modalsim.coupling import simply_supported_tensors
 from modalsim.integrators import (
     InitialCondition, InstabilityError, OverdampedError, PointForce, SchemeError,
     StabilityBoundError, bank_from_spec, ftm_coeffs, oscillator_bank, raised_cosine_pulse,
-    rk_reference, simulate, start_state, sv_coeffs, triangular_pluck,
+    rk_reference, run_model, simulate, start_state, sv_coeffs, triangular_pluck,
 )
 from modalsim.model import MaterialParams, ModelSpec, RectPlate, String
 from modalsim.modes import rect_basis, string_basis
@@ -322,6 +322,24 @@ def test_scan_scheme_is_unknown():
         simulate(spec, basis, "scan", triangular_pluck(basis, 0.3, 0.01), 0.01, 8000.0)
 
 
+def test_run_model_checks_the_scheme_before_any_coefficient_map():
+    # omega T = 4 breaks the sv bound: a map run before the name check would
+    # raise StabilityBoundError
+    rest = np.zeros(2)
+    with pytest.raises(SchemeError, match="'ftm' or 'sv' scheme, not 'rk-reference'"):
+        run_model("rk-reference", np.array([1.0, 16.0]), np.zeros(2), 1.0, rest, rest, 4,
+                  None, None, None)
+
+
+@pytest.mark.parametrize("name", ["q0", "v0"])
+def test_initial_condition_of_wrong_length_is_named(name):
+    basis = string_basis(1.0, 4)
+    state = {"q0": np.ones(4), "v0": np.zeros(4)}
+    state[name] = np.ones(3)
+    with pytest.raises(ValueError, match=rf"^{name} has shape \(3,\), expected length 4$"):
+        simulate(string_spec(T0=800.0), basis, "sv", InitialCondition(**state), 0.01, 8000.0)
+
+
 @pytest.mark.parametrize("nonlinearity", ["linear", "tension-modulated"])
 def test_tensors_rejected_without_plate_coupling(nonlinearity):
     spec = string_spec(T0=800.0, nonlinearity=nonlinearity, E=1e9)
@@ -446,13 +464,15 @@ def test_filter_sweep_matches_per_sample_loop(scheme, forced, damped_bank):
     (A, B, R, q0, q_prev, n), kw = filter_case(scheme, forced, 257, damped_bank)
     Q, U = forward_cached(A, B, R, q0, q_prev, n, **kw)
     qbar_direct = np.random.default_rng(1).standard_normal((n, 5))
-    g = bptt(A, B, R, Q, U, qbar_direct)
+    g, dU = bptt(A, B, R, Q, U, qbar_direct)
+    assert dU is None  # no force, no input adjoints
     qbar = loop_sweep(A, B, qbar_direct)
     Q_loop = loop_forward(A, B, R, q0, q_prev, n, **kw)
-    oracle = {"dA": np.sum(qbar * Q_loop[1:-1], axis=0), "dB": np.sum(qbar * Q_loop[:-2], axis=0),
-              "dR": np.sum(qbar * U, axis=0) if forced else np.zeros(5)}
-    for name, want in oracle.items():
-        assert np.max(np.abs(g[name] - want)) <= 1e-12 * np.max(np.abs(want)), name
+    oracle = Coefficients(A=np.sum(qbar * Q_loop[1:-1], axis=0),
+                          B=np.sum(qbar * Q_loop[:-2], axis=0),
+                          R=np.sum(qbar * U, axis=0) if forced else np.zeros(5))
+    for name, got, want in zip(Coefficients._fields, g, oracle):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
 @pytest.mark.parametrize("scheme", ["ftm", "sv"])
@@ -485,6 +505,22 @@ def test_rk_zero_input_is_zero():
     bank = oscillator_bank(np.array([1.0, 2.0]), 0.0, 100.0)
     Q = rk_reference(bank, 50, 1000.0, np.zeros(2), np.zeros(2))
     assert np.all(Q == 0.0)
+
+
+def test_rk_blow_up_is_instability_error():
+    # a stiff, strongly tension-modulated string plucked hard: one RK4 step
+    # per sample overflows at once, as sv does (at step 6, mode index 0). Run
+    # without the check, the integrator's rows q^1, q^2 were finite and q^3 was
+    # non-finite in every mode
+    spec = string_spec(T0=100.0, E=2e11, A=1e-6, rho=1e-3, nonlinearity="tension-modulated")
+    basis = string_basis(1.0, 8)
+    pluck = triangular_pluck(basis, 0.3, 0.5)
+    with pytest.raises(InstabilityError) as sv:
+        simulate(spec, basis, "sv", pluck, 0.01, 8000.0)
+    assert (sv.value.step, sv.value.mode) == (6, 0)
+    with pytest.raises(InstabilityError) as rk:
+        simulate(spec, basis, "rk-reference", pluck, 0.01, 8000.0, rk_oversample=1)
+    assert (rk.value.step, rk.value.mode) == (3, 0)
 
 
 def test_sv_stft_error_vs_reference_decreases_with_rate():
