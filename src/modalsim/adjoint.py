@@ -102,7 +102,9 @@ def check_finite(states):
 # --- coefficient maps with partials -------------------------------------------
 
 class Coefficients(NamedTuple):
-    """Per-mode update vectors of q^{n+1} = A q^n + B q^{n-1} + R u^n."""
+    """Per-mode update vectors of q^{n+1} = A q^n + B q^{n-1} + R u^n. The one
+    form of any per-mode (A, B, R) quantity: the values, their partials
+    d/domega^2 and d/dgamma, and the sweeps' gradients dL/dA, dL/dB, dL/dR."""
 
     A: np.ndarray
     B: np.ndarray

@@ -319,29 +319,37 @@ def rk_reference(bank: OscillatorBank, n_steps: int, rate: float, q0, v0=None,
     w2 = bank.omega2
     h = 1.0 / (rate * oversample)
 
-    t_sig = None if force_signal is None else np.arange(len(force_signal)) / rate
+    if force_signal is not None:
+        t_sig = np.arange(len(force_signal)) / rate
 
-    def rates(t, q, v):
-        """(dq/dt, dv/dt) of the first-order form."""
-        u = 0.0
-        if t_sig is not None:
-            u = force_gains * np.interp(t, t_sig, force_signal, left=0.0, right=0.0)
+        def force_at(t):
+            return force_gains * np.interp(t, t_sig, force_signal, left=0.0, right=0.0)
+    else:
+        def force_at(t):
+            return 0.0
+
+    def accel(t, q, v):
+        u = force_at(t)
         if nl_hook is not None:
             u = u - nl_hook(q)
-        return v, u - g2 * v - w2 * q
+        return u - g2 * v - w2 * q
 
-    out = np.empty((n_steps, m))  # row n holds q^{n+1}
+    out = np.empty((n_steps, m))
     t = 0.0
     # as in the hook loop, a blow-up is InstabilityError, not overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             for _ in range(oversample):
-                k1 = rates(t, q, v)
-                k2 = rates(t + 0.5 * h, q + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
-                k3 = rates(t + 0.5 * h, q + 0.5 * h * k2[0], v + 0.5 * h * k2[1])
-                k4 = rates(t + h, q + h * k3[0], v + h * k3[1])
-                q = q + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-                v = v + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+                k1q = v
+                k1v = accel(t, q, v)
+                k2q = v + 0.5 * h * k1v
+                k2v = accel(t + 0.5 * h, q + 0.5 * h * k1q, v + 0.5 * h * k1v)
+                k3q = v + 0.5 * h * k2v
+                k3v = accel(t + 0.5 * h, q + 0.5 * h * k2q, v + 0.5 * h * k2v)
+                k4q = v + h * k3v
+                k4v = accel(t + h, q + h * k3q, v + h * k3v)
+                q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+                v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
                 t += h
             out[n] = q
             if not np.isfinite(q).all():

@@ -1,17 +1,19 @@
 """Record a checkout's outputs, or compare two records array by array.
 
-    python3 tools/output_snapshot.py --out FILE.npz [--seeds 1 2 3]
+    python3 tools/output_snapshot.py --out FILE.npz
     python3 tools/output_snapshot.py --compare A.npz B.npz
 
 ``--out`` runs the checkout that holds this script (its ``src``, ``tests`` and
 ``perfbench``) and saves every array it gets:
 
 * the first op of every benchmark workload (``perfbench/workloads.py``) at
-  each seed, at the benchmark's sizes; the op must pass the workload's own
+  seeds 1-3, at the benchmark's sizes; the op must pass the workload's own
   check, or nothing is written;
 * ``value_and_grad`` (one start, and two stacked starts) and ``predict`` of
   every problem that ``tests/problem_builders.py`` builds, with every
-  parameter the problem takes free.
+  parameter free that has a finite raw coordinate. A log-transformed
+  parameter whose value is 0 (raw -inf) stays fixed, since its gradient
+  exp(-inf) * g is 0 whatever the code computes; the printout names it.
 
 ``--compare`` lists every array that is not ``np.array_equal`` in the two
 records (NaN equals NaN), or that only one of them holds, and exits 1 if
@@ -29,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3)
 
 
 def flatten(prefix, value, out):
@@ -47,11 +50,11 @@ def flatten(prefix, value, out):
         out[prefix] = np.asarray(value)
 
 
-def workload_outputs(seeds, out):
+def workload_outputs(out):
     import workloads
 
     for name, build in workloads.WORKLOADS.items():
-        for seed in seeds:
+        for seed in SEEDS:
             case = build(seed)
             result = case.op()
             problems = case.check(result)
@@ -78,19 +81,22 @@ def builder_problems():
 def problem_outputs(out):
     for name, build in builder_problems().items():
         problem = build()
-        problem.free = tuple(n for n in problem.PARAMS if n != "tau_hat"
-                             or getattr(problem, "nonlinearity", "") == "tension-modulated")
-        with np.errstate(divide="ignore"):  # a zero fixed value has raw coordinate -inf
-            raw = problem.initial_raw()
+        takes = [n for n in problem.PARAMS if n != "tau_hat"
+                 or getattr(problem, "nonlinearity", "") == "tension-modulated"]
+        zero_log = [n for n in takes if problem.PARAMS[n] == "log"
+                    and np.any(np.asarray(getattr(problem, n)) == 0)]
+        problem.free = tuple(n for n in takes if n not in zero_log)
+        raw = problem.initial_raw()
         stacked = {n: np.stack([x, x + 0.01]) for n, x in raw.items()}
         for label, r in (("single", raw), ("stacked", stacked)):
             loss, grads = problem.value_and_grad(r)
             flatten(f"problem/{name}/{label}", {"loss": loss, "grads": grads}, out)
         flatten(f"problem/{name}/predict", problem.predict(raw), out)
-        print(f"{name}: free {', '.join(problem.free)}", flush=True)
+        fixed = f"; fixed at 0 (raw -inf): {', '.join(zero_log)}" if zero_log else ""
+        print(f"{name}: free {', '.join(problem.free)}{fixed}", flush=True)
 
 
-def record(path, seeds):
+def record(path):
     for sub in ("src", "tests", "perfbench"):
         sys.path.insert(0, str(ROOT / sub))
     import modalsim
@@ -99,7 +105,7 @@ def record(path, seeds):
         sys.exit(f"modalsim was imported from {modalsim.__file__}, not this checkout")
     out = {}
     problem_outputs(out)
-    workload_outputs(seeds, out)
+    workload_outputs(out)
     np.savez(path, **out)
     print(f"{len(out)} arrays written to {path}")
 
@@ -121,11 +127,9 @@ def main(argv=None):
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--out", help="record this checkout's outputs to this .npz file")
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two records")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3],
-                        help="workload seeds to record (default: 1 2 3)")
     args = parser.parse_args(argv)
     if args.out:
-        record(args.out, args.seeds)
+        record(args.out)
         return 0
     diff, total = differences(*args.compare)
     for key in diff:
