@@ -20,7 +20,8 @@ against central finite differences):
   transfer-function magnitude that ``analysis.tf_magnitude`` wraps, and its
   adjoint in closed form: the forward pass keeps only each mode's reciprocal
   denominator inv, and every gradient is a weighted sum over frequency of inv
-  or inv^2 times a power of z.
+  or inv^2 times a power of z. Both take an optional leading start axis, and
+  one call allocates one block for every start's inv.
 
 The nonlinear forces live with their Jacobians in :mod:`modalsim.coupling`,
 built by ``coupling.nonlinear_force``.
@@ -44,7 +45,8 @@ and parameter gradients reduce to sums of stored products afterwards. With
 nl = 0, mode k is the two-pole IIR filter R_k / (1 - A_k z^-1 - B_k z^-2) of
 its force, run by ``scipy.signal.lfilter`` from the state
 [A q^0 + B q^{-1}, B q^0], and the sweep is the same filter, numerator 1, on
-reversed time. The per-sample loops serve nonlinear hooks only. On the unit
+reversed time. ``scipy.signal`` is imported on the first such run, not with
+this module. The per-sample loops serve nonlinear hooks only. On the unit
 circle that filter's magnitude is |R z / (z^2 - A z - B)|; the
 transfer-function kernels evaluate (R z + R2) / (z^2 - A z - B), where R2 is
 the frequency-domain fit's free numerator term (zero for a simulated bank).
@@ -61,11 +63,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-# Imported eagerly on purpose: importing scipy.signal leaves a large heap that
-# the transfer-function kernels' [freq, mode] temporaries reuse. Imported
-# lazily, the string_fit_fd benchmark op ran 1.2-1.5x slower, with about 54k
-# minor page faults per op instead of none.
-from scipy.signal import lfilter
+
+# scipy.signal (for lfilter) is imported on the hook-free paths that call it,
+# not here: the import takes about 1.6 s and 70 MB, and the plate's hook loop
+# and the frequency-domain fit never call lfilter. Its heap is then not there
+# to absorb the transfer-function kernels' temporaries, so they must not fault
+# on their own; see tf_magnitude_cached.
 
 # steps between the hook loop's finiteness checks: the most it runs past a blow-up
 CHECK_EVERY = 64
@@ -91,7 +94,12 @@ class InstabilityError(RuntimeError):
 
 def check_finite(states):
     """Raise InstabilityError at the first non-finite state among the rows
-    states[j] = q^{j+1}."""
+    states[j] = q^{j+1}. Per-mode sums screen the states first: they are
+    non-finite wherever a state is, so a finite run builds no [step, mode]
+    temporary."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(states.sum(axis=0)).all():
+            return
     finite = np.isfinite(states)
     if not finite.all():
         first = np.where(finite.all(axis=0), len(finite), finite.argmin(axis=0))
@@ -183,6 +191,8 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
     """
     m = len(q0)
     if hook is None:
+        from scipy.signal import lfilter
+
         U = None if force_signal is None else np.outer(force_signal, force_gains)
         Qt = np.empty((m, n_steps + 2))
         Qt[:, 0], Qt[:, 1] = q_prev, q0
@@ -226,6 +236,8 @@ def bptt(A, B, R, Q, U, qbar_direct, hook=None):
     """
     n_steps, m = qbar_direct.shape
     if hook is None:
+        from scipy.signal import lfilter
+
         # the same filter on reversed time
         qbar_t = np.empty((m, n_steps))
         for k in range(m):
@@ -318,7 +330,8 @@ def check_tf_frequencies(freqs, rate: float) -> np.ndarray:
 def tf_magnitude_cached(A, B, R, R2, weights, z):
     """|H| = |sum_mu w_mu (R z + R2) / (z^2 - A z - B)| at the points z =
     e^{i 2 pi f / rate} of a frequency grid f that has passed
-    :func:`check_tf_frequencies` (callers compute z once per grid).
+    :func:`check_tf_frequencies` (callers compute z once per grid). A, B, R,
+    R2 and weights are [mode], or [start, mode] for one |H| row per start.
 
     The modal responses are summed as complex quantities before taking the
     magnitude, matching the parallel-resonator structure:
@@ -328,21 +341,48 @@ def tf_magnitude_cached(A, B, R, R2, weights, z):
     |H| = 0), V = [hc; hc z; hc z^2], s = Re(V[:2] @ inv) and
     t = Re(V @ inv^2), :func:`tf_magnitude_backward` returns dw = R s1 + R2 s0,
     dR = w s1, dR2 = w s0, dA = w (R t2 + R2 t1) and dB = w (R t1 + R2 t0).
+
+    Every start's inv lives in one [start + 1, freq, mode] block, allocated
+    once per call; the backward pass writes inv^2 into the last slice. With a
+    separate allocation per start and per product, each just under glibc's
+    128 KB mmap threshold at the benchmark's 256 x 30 grid, every free trimmed
+    the heap and the next call refaulted it: about 55,000 minor page faults
+    per string_fit_fd op, against none with the block.
     """
+    A, B, R, R2, w = np.broadcast_arrays(A, B, R, R2, weights)
+    lead, m = A.shape[:-1], A.shape[-1]
+    A, B, R, R2, w = (x.reshape(int(np.prod(lead)), m) for x in (A, B, R, R2, w))
+    block = np.empty((len(A) + 1, len(z), m), dtype=complex)
+    H = np.empty((len(A), len(z)), dtype=complex)
     zc = z[:, None]
-    inv = 1.0 / (zc * zc - A[None, :] * zc - B[None, :])
-    H = z * (inv @ (weights * R)) + inv @ (weights * R2)
+    z2 = zc * zc
+    for k, inv in enumerate(block[:-1]):
+        # inv = 1 / (z^2 - A z - B), in place and bit for bit
+        np.multiply(zc, -A[k], out=inv)
+        inv += z2
+        inv -= B[k]
+        np.divide(1.0, inv, out=inv)
+        H[k] = z * (inv @ (w[k] * R[k])) + inv @ (w[k] * R2[k])
     mag = np.abs(H)
-    return mag, (z, inv, H, mag, weights, R, R2)
+    return mag.reshape(lead + (len(z),)), (z, block, H, mag, w, R, R2)
 
 
 def tf_magnitude_backward(cache, mag_bar):
-    """Gradients of sum_f mag_bar_f |H_f|: (Coefficients(dA, dB, dR), dR2, dw)."""
-    z, inv, H, mag, w, R, R2 = cache
-    safe = np.where(mag > 0.0, mag, 1.0)
-    hc = np.conj(np.where(mag > 0.0, mag_bar * H / safe, 0.0))
-    V = np.stack([hc, hc * z, hc * z * z])
-    s0, s1 = np.real(V[:2] @ inv)
-    t0, t1, t2 = np.real(V @ (inv * inv))
-    return (Coefficients(w * (R * t2 + R2 * t1), w * (R * t1 + R2 * t0), w * s1),
-            w * s0, R * s1 + R2 * s0)
+    """Gradients of sum_f mag_bar_f |H_f|: (Coefficients(dA, dB, dR), dR2, dw),
+    each [mode], or [start, mode] when mag_bar is [start, freq]."""
+    z, block, H, mag, w, R, R2 = cache
+    lead = np.shape(mag_bar)[:-1]
+    mag_bar = np.reshape(mag_bar, mag.shape)
+    inv2 = block[-1]
+    grads = np.empty((5,) + w.shape)  # dA, dB, dR, dR2, dw
+    for k, inv in enumerate(block[:-1]):
+        safe = np.where(mag[k] > 0.0, mag[k], 1.0)
+        hc = np.conj(np.where(mag[k] > 0.0, mag_bar[k] * H[k] / safe, 0.0))
+        V = np.stack([hc, hc * z, hc * z * z])
+        s0, s1 = np.real(V[:2] @ inv)
+        np.multiply(inv, inv, out=inv2)
+        t0, t1, t2 = np.real(V @ inv2)
+        grads[:, k] = (w[k] * (R[k] * t2 + R2[k] * t1), w[k] * (R[k] * t1 + R2[k] * t0),
+                       w[k] * s1, w[k] * s0, R[k] * s1 + R2[k] * s0)
+    dA, dB, dR, dR2, dw = grads.reshape((5,) + lead + w.shape[-1:])
+    return Coefficients(dA, dB, dR), dR2, dw

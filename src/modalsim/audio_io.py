@@ -1,11 +1,11 @@
-"""WAV ingestion and export (RIFF via scipy)."""
+"""WAV ingestion and export (RIFF via scipy.io.wavfile, imported on first use
+so that importing modalsim does not load scipy.io)."""
 
 from __future__ import annotations
 
 import logging
 
 import numpy as np
-from scipy.io import wavfile
 
 log = logging.getLogger(__name__)
 
@@ -20,6 +20,8 @@ def wav_read(path):
     Accepts 16/24/32-bit PCM and 32/64-bit float. Multichannel input keeps the
     first channel (logged).
     """
+    from scipy.io import wavfile
+
     rate, data = wavfile.read(path)
     if data.ndim == 2:
         log.warning("multichannel WAV %s: keeping the first of %d channels",
@@ -41,6 +43,8 @@ def wav_read(path):
 
 def wav_write(path, signal, rate: int, normalize: bool = False) -> None:
     """Write mono 32-bit float WAV; optionally peak-normalise to |s| = 1."""
+    from scipy.io import wavfile
+
     sig = np.asarray(signal, dtype=np.float64)
     if normalize:
         peak = np.max(np.abs(sig))

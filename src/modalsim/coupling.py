@@ -162,7 +162,7 @@ class TensionModulation:
         """dL/dtau_hat from bptt's dU[n] = dL/du^n, u^n = ... - nl(q^n), and
         forward_cached's rows Q[t] = q^{t-1}."""
         Qmid = Q[1:-1]
-        S = np.array([self._s(q) for q in Qmid])
+        S = (Qmid * Qmid) @ self.lam  # _s of every row
         return -float(np.einsum("tm,m,tm,t->", dU, self.lam, Qmid, S))
 
 

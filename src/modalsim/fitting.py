@@ -10,6 +10,9 @@ the transform (``TRANSFORMS``) from its raw optimiser coordinates:
                  circle, by construction rather than by projection),
 * ``linear``   — unconstrained quantities (readout_weights, weights, b2).
 
+A free ``log`` or ``softplus`` parameter must start above 0, unless an init
+rule of the fit sets its start.
+
 Two objective kinds cover the fitting paths:
 
 * :class:`TimeDomainProblem` runs ``simulate``'s model
@@ -30,11 +33,11 @@ Optimisation is Adam under a one-cycle schedule (linear ramp over the first
 10% of steps, cosine decay to peak/100), with independent random restarts
 ranked by their best loss. The restarts run in lockstep: each step is one
 ``value_and_grad`` call with a leading start axis on every raw array and one
-Adam update of all live starts. The frequency-domain problem vectorises that
-call over the starts, the time-domain problem loops over them (``lfilter``
-takes one coefficient set per call), and a start that raises one of
-``START_ERRORS`` stops alone, such as one past the Stoermer-Verlet stability
-bound, which stops before its first step.
+Adam update of all live starts. The frequency-domain problem passes the
+starts to one call of each transfer-function kernel, the time-domain problem
+loops over them (``lfilter`` takes one coefficient set per call), and a start
+that raises one of ``START_ERRORS`` stops alone, such as one past the
+Stoermer-Verlet stability bound, which stops before its first step.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import adjoint
-from .adjoint import Coefficients
 from .coupling import PlateCoupling, nonlinear_force
 from .integrators import (InstabilityError, OverdampedError, StabilityBoundError,
                           coefficient_map, omega_squared, run_model)
@@ -106,12 +108,20 @@ class _Parameters:
         if unknown:
             raise ValueError(f"unknown free parameters {sorted(unknown)}")
 
-    def initial_raw(self) -> Dict[str, np.ndarray]:
-        """Raw coordinates matching the problem's current fixed values."""
+    def initial_raw(self, names=None) -> Dict[str, np.ndarray]:
+        """Raw coordinates matching the current values of the free parameters
+        in names (default: all). A positive (log or softplus) parameter must
+        be above 0, or its raw coordinate would be -inf or NaN and never move."""
         # free may have been reassigned since construction
         self._check_free()
+        names = self.free if names is None else names
+        for n in names:
+            value = getattr(self, n)
+            if self.PARAMS[n] != "linear" and not np.all(np.asarray(value) > 0):
+                raise ValueError(f"free parameter {n} ({self.PARAMS[n]}) must start above 0, "
+                                 f"got {value}; set a positive value or an init rule")
         return {n: np.asarray(TRANSFORMS[self.PARAMS[n]].inverse(getattr(self, n)), dtype=float)
-                for n in self.free}
+                for n in names}
 
     def physical(self, raw: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
         return {n: TRANSFORMS[self.PARAMS[n]].forward(raw[n]) for n in raw}
@@ -305,17 +315,14 @@ class FrequencyDomainProblem(_Parameters):
 
     def value_and_grad(self, raw):
         """Loss and raw gradients; with a leading start axis on raw, one loss per
-        start. The transfer-function kernels run one start at a time, so their
-        [freq, mode] temporaries stay in cache; the rest runs on all at once."""
+        start. One call of each transfer-function kernel serves every start."""
         parts, coeffs = self._assemble(raw)
-        runs = [adjoint.tf_magnitude_cached(*c, self._z) for c in zip(*coeffs)]
-        loss, dmag = loss_total_grad(self.target_env[None, :],
-                                     np.stack([mag for mag, _ in runs])[:, None, :],
+        mag, cache = adjoint.tf_magnitude_cached(*coeffs, self._z)  # [start, freq]
+        loss, dmag = loss_total_grad(self.target_env[None, :], mag[:, None, :],
                                      self.loss_weights, self.freqs)
-        tbs = (adjoint.tf_magnitude_backward(cache, d[0]) for (_, cache), d in zip(runs, dmag))
-        dA, dB, dR, dR2, dw = np.stack([(*g, r2, w) for g, r2, w in tbs], axis=1)  # [start, mode]
-        grads = self._raw_grads(raw, dict(_coefficient_grads(parts, Coefficients(dA, dB, dR),
-                                                             self.lam), b2=dR2, weights=dw))
+        g, dR2, dw = adjoint.tf_magnitude_backward(cache, dmag[:, 0])
+        grads = self._raw_grads(raw, dict(_coefficient_grads(parts, g, self.lam),
+                                          b2=dR2, weights=dw))
         if self._starts(raw) is None:
             return float(loss[0]), {n: g[0] for n, g in grads.items()}
         return loss, grads
@@ -376,13 +383,13 @@ class FitResult:
 
 
 def _init_raw(problem, cfg: FitConfig, rng: np.random.Generator):
-    raw = problem.initial_raw()
     init = cfg.init or {}
+    raw = problem.initial_raw([n for n in problem.free if n not in init])
     unused = sorted(set(init) - set(problem.free))
     if unused:
         raise ValueError(f"init rules for parameters that are not free: {unused}")
     for name in problem.free:
-        kind, shape = problem.PARAMS[name], raw[name].shape
+        kind, shape = problem.PARAMS[name], np.shape(getattr(problem, name))
         invert = TRANSFORMS[kind].inverse
         rule = init.get(name)
         if rule is None:

@@ -363,6 +363,24 @@ def test_tf_kernels_match_num_den_oracle(seed):
         assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
+def test_tf_kernels_over_stacked_starts_equal_each_start_alone():
+    # one block per call holds every start's inv and the backward pass's inv^2
+    runs = [random_tf_coefficients(seed) for seed in range(4)]
+    freqs, rate = runs[0][5], runs[0][6]
+    z = unit_circle(freqs, rate)
+    mag_bar = np.random.default_rng(9).normal(size=(4, len(freqs)))
+    stacked = [np.stack(c) for c in zip(*(r[:5] for r in runs))]
+    mag, cache = tf_magnitude_cached(*stacked, z)
+    grads = tf_fields(tf_magnitude_backward(cache, mag_bar))
+    assert mag.shape == mag_bar.shape and all(g.shape == (4, 30) for g in grads)
+    for k, run in enumerate(runs):
+        mag_k, cache_k = tf_magnitude_cached(*run[:5], z)
+        assert np.array_equal(mag[k], mag_k)
+        for name, g, g_k in zip(TF_GRADS, grads,
+                                tf_fields(tf_magnitude_backward(cache_k, mag_bar[k]))):
+            assert np.array_equal(g[k], g_k), (k, name)
+
+
 def test_tf_gradients_vanish_with_zero_magnitude():
     A, B, R, R2, w, freqs, rate = random_tf_coefficients(0)
     mag, cache = tf_magnitude_cached(A, B, R, R2, np.zeros_like(w), unit_circle(freqs, rate))

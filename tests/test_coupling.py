@@ -369,6 +369,16 @@ def test_tension_force_jacobian_matches_central_differences(n_modes):
     assert np.max(np.abs(jt - fd)) <= 1e-12 * np.max(np.abs(fd))
 
 
+def test_tension_tau_grad_matches_per_step_sum():
+    # tau_grad forms sum_nu lam_nu q_nu^2 for every step in one product; the
+    # per-step loop is the reference, equal up to summation order
+    force = TensionModulation(string_basis(1.0, 6).eigenvalues, 0.7)
+    rng = np.random.default_rng(3)
+    Q, dU = rng.normal(size=(52, 6)) * 1e-2, rng.normal(size=(50, 6))
+    loop = -sum(du @ (force.lam * q * force._s(q)) for du, q in zip(dU, Q[1:-1]))
+    np.testing.assert_allclose(force.tau_grad(dU, Q), loop, rtol=1e-13)
+
+
 def plate_force():
     return VkContraction(simply_supported_tensors(rect_basis(0.4, 0.3, 5)), gain=0.01)
 

@@ -16,7 +16,8 @@ from modalsim.integrators import (
 )
 from modalsim.model import MaterialParams, ModelSpec, RectPlate, String, derive_normalized
 from modalsim.modes import point_readout, project_point_excitation, rect_basis, string_basis
-from problem_builders import string_frequency_problem, string_time_problem
+from problem_builders import (plate_frequency_problem, string_frequency_problem,
+                              string_time_problem)
 
 
 def test_fit_reports_misshaped_target_instead_of_divergence():
@@ -276,6 +277,27 @@ def frequency_fit(gamma_range, steps, seed):
     return problem, cfg
 
 
+def test_stacked_frequency_value_and_grad_equals_single_starts_bit_for_bit():
+    # the transfer-function kernels share one block per call across the starts;
+    # calls of 8, 3 and 1 starts in a row would show a start reading another's.
+    # d_hat and t0_hat chain through dw2 @ lam^k, a [start, mode] @ [mode]
+    # product whose BLAS rounding differs from the single start's dot product
+    problem = string_frequency_problem(free=("d_hat", "t0_hat", "gamma", "b2", "weights"))
+    rng = np.random.default_rng(7)
+    raw = {n: x + 0.02 * rng.normal(size=(8,) + x.shape)
+           for n, x in problem.initial_raw().items()}
+    for starts in (8, 3, 1):
+        loss, grads = problem.value_and_grad({n: x[:starts] for n, x in raw.items()})
+        assert loss.shape == (starts,)
+        for k in range(starts):
+            loss_k, grads_k = problem.value_and_grad({n: x[k] for n, x in raw.items()})
+            assert loss[k] == loss_k
+            for n in ("gamma", "b2", "weights"):
+                assert np.array_equal(grads[n][k], grads_k[n]), (starts, k, n)
+            for n in ("d_hat", "t0_hat"):
+                np.testing.assert_allclose(grads[n][k], grads_k[n], rtol=1e-14, atol=0)
+
+
 def test_lockstep_frequency_fit_matches_serial_starts():
     results = assert_matches_serial(*frequency_fit((2.0, 12.0), steps=30, seed=1))
     assert not any(r.diverged or r.error for r in results)
@@ -383,6 +405,33 @@ def test_init_rule_with_missing_or_extra_keys_is_rejected(rule):
     cfg = FitConfig(steps=1, peak_lr=0.01, init={"t0_hat": rule})
     with pytest.raises(ValueError, match="init rule for t0_hat needs 'value' or 'low'/'high'"):
         _init_raw(problem, cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("name, value, kind", [
+    ("t0_hat", 0.0, "log"), ("d_hat", -1.0, "log"),
+    ("gamma", np.array([3.0, 0.0, 4.0, 5.0, 6.0]), "softplus"),
+    ("gamma", -2.0, "softplus"),
+], ids=["log-zero", "log-negative", "softplus-zero", "softplus-negative"])
+def test_free_positive_parameter_must_start_above_zero(name, value, kind):
+    # its raw coordinate would be -inf or NaN, and its gradient 0 or NaN
+    problem = string_frequency_problem(free=(name,))
+    setattr(problem, name, np.broadcast_to(value, np.shape(getattr(problem, name))).copy())
+    message = rf"free parameter {name} \({kind}\) must start above 0"
+    with pytest.raises(ValueError, match=message):
+        problem.initial_raw()
+    with pytest.raises(ValueError, match=message):
+        fit(problem, FitConfig(steps=1, peak_lr=0.01))
+    problem.free = ()
+    problem.initial_raw()  # fixed at that value, it is accepted
+
+
+def test_init_range_rescues_a_free_positive_parameter_at_zero():
+    problem = plate_frequency_problem(free=("t0_hat", "d_hat"))
+    assert problem.t0_hat == 0.0
+    cfg = FitConfig(steps=2, peak_lr=0.01, starts=2, init={"t0_hat": {"low": 1.0, "high": 10.0}})
+    raw = _init_raw(problem, cfg, np.random.default_rng(0))
+    assert 0.0 < raw["t0_hat"] < np.log(10.0)
+    assert all(not r.diverged for r in fit(problem, cfg).ranking)
 
 
 def test_init_range_of_a_linear_parameter_may_be_negative():

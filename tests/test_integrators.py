@@ -243,6 +243,15 @@ def test_instability_error_reports_step_and_mode():
     assert ei.value.step == first
 
 
+def test_finite_states_whose_mode_sums_overflow_pass_the_check():
+    # the per-mode sum screen overflows to inf; the full check then finds
+    # every state finite, and no overflow warning escapes
+    adjoint.check_finite(np.array([[1e308, 1.0], [1e308, 2.0]]))
+    with pytest.raises(InstabilityError) as ei:
+        adjoint.check_finite(np.array([[1e308, 1.0], [1e308, np.inf]]))
+    assert (ei.value.step, ei.value.mode) == (2, 1)
+
+
 def test_blow_up_is_instability_error_when_warnings_are_errors(monkeypatch):
     # ftm takes the strike's force samples as per-step impulses, so this plate
     # overflows within a few dozen steps

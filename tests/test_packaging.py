@@ -1,5 +1,8 @@
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,25 @@ def test_output_snapshot_compare_lists_every_array_that_differs(tmp_path):
     assert diff == ["gone", "new", "moved"] and total == 6
     assert snapshot.main(["--compare", str(tmp_path / "a.npz"), str(tmp_path / "a.npz")]) == 0
     assert snapshot.main(["--compare", str(tmp_path / "a.npz"), str(tmp_path / "b.npz")]) == 1
+
+
+def test_import_leaves_scipy_signal_and_io_to_first_use():
+    # a fresh interpreter: this session's other test modules import scipy.signal
+    script = """
+import sys
+import modalsim as ms
+loaded = lambda: [m for m in ("scipy.signal", "scipy.io") if m in sys.modules]
+print(loaded())
+basis = ms.string_basis(1.0, 3)
+spec = ms.ModelSpec(ms.MaterialParams(rho=1e-3, d1=1e-3), ms.String(L=1.0, A=1e-6), T0=40.0)
+ms.simulate(spec, basis, "ftm", ms.triangular_pluck(basis, 0.3, 1e-3), 0.01, 8000.0)
+print(loaded())
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    # after the import, then after one linear simulate
+    assert run.stdout.split("\n")[:2] == ["[]", "['scipy.signal']"]
