@@ -43,9 +43,13 @@ backwards:
 
 and parameter gradients reduce to sums of stored products afterwards. With
 nl = 0, mode k is the two-pole IIR filter R_k / (1 - A_k z^-1 - B_k z^-2) of
-its force, run by ``scipy.signal.lfilter`` from the state
-[A q^0 + B q^{-1}, B q^0], and the sweep is the same filter, numerator 1, on
-reversed time. ``scipy.signal`` is imported on the first such run, not with
+its force. The forward pass runs it with ``scipy.signal.lfilter`` from the
+state [A q^0 + B q^{-1}, B q^0] over the force's support only (the samples up
+to its last nonzero one); after that every mode's free response is filled
+block by block, each block one rank-2 product of its start state and a
+per-mode basis (:func:`_fill_free_response`). A pluck has an empty support
+and runs no filter. The sweep is the same filter, numerator 1, on reversed
+time. ``scipy.signal`` is imported on the first run that filters, not with
 this module. The per-sample loops serve nonlinear hooks only. On the unit
 circle that filter's magnitude is |R z / (z^2 - A z - B)|; the
 transfer-function kernels evaluate (R z + R2) / (z^2 - A z - B), where R2 is
@@ -65,13 +69,16 @@ from typing import NamedTuple
 import numpy as np
 
 # scipy.signal (for lfilter) is imported on the hook-free paths that call it,
-# not here: the import takes about 1.6 s and 70 MB, and the plate's hook loop
-# and the frequency-domain fit never call lfilter. Its heap is then not there
-# to absorb the transfer-function kernels' temporaries, so they must not fault
-# on their own; see tf_magnitude_cached.
+# not here: the import takes about 1.6 s and 70 MB, and the plate's hook loop,
+# a linear pluck's forward pass and the frequency-domain fit never call
+# lfilter. Its heap is then not there to absorb the transfer-function
+# kernels' temporaries, so they must not fault on their own; see
+# tf_magnitude_cached.
 
 # steps between the hook loop's finiteness checks: the most it runs past a blow-up
 CHECK_EVERY = 64
+# samples per block of a linear model's free response; see _fill_free_response
+FREE_BLOCK = 4096
 
 
 class OverdampedError(ValueError):
@@ -187,21 +194,30 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
 
     Returns (Q, U): Q[t] = q^{t-1} with shape [n_steps+2, modes]; U holds the
     inputs u^n, or None when the system runs force- and hook-free. Without a
-    hook, Q is the transpose of a [mode, time] array (a view, not a copy).
+    hook, Q is the transpose of a [mode, time] array (a view, not a copy):
+    lfilter runs over the force's support, _fill_free_response after it.
+    force_signal must have n_steps samples and force_gains one entry per mode.
     """
     m = len(q0)
+    if force_signal is not None:
+        force_signal = check_length("force_signal", force_signal, n_steps)
+        force_gains = check_length("force_gains", force_gains, m)
     if hook is None:
-        from scipy.signal import lfilter
-
         U = None if force_signal is None else np.outer(force_signal, force_gains)
         Qt = np.empty((m, n_steps + 2))
         Qt[:, 0], Qt[:, 1] = q_prev, q0
-        zi = np.stack([A * q0 + B * q_prev, B * q0], axis=1)
-        x = np.zeros(n_steps)
-        for k in range(m):
-            if force_signal is not None:
-                x = force_gains[k] * force_signal
-            Qt[k, 2:] = lfilter([R[k]], [1.0, -A[k], -B[k]], x, zi=zi[k])[0]
+        # the force's support: the samples up to its last nonzero one
+        nonzero = np.flatnonzero(force_signal) if force_signal is not None else ()
+        n_forced = int(nonzero[-1]) + 1 if len(nonzero) else 0
+        if n_forced:
+            from scipy.signal import lfilter
+
+            zi = np.stack([A * q0 + B * q_prev, B * q0], axis=1)
+            for k in range(m):
+                Qt[k, 2:n_forced + 2] = lfilter([R[k]], [1.0, -A[k], -B[k]],
+                                                force_gains[k] * force_signal[:n_forced],
+                                                zi=zi[k])[0]
+        _fill_free_response(A, B, Qt[:, n_forced:])
         check_finite(Qt[:, 2:].T)
         return Qt.T, U
 
@@ -225,6 +241,53 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
                 check_finite(Q[2:n + 3])
     check_finite(Q[2:])
     return Q, U
+
+
+def _fill_free_response(A, B, Qt):
+    """Fill columns 2.. of the [mode, time] array Qt with the force-free
+    recurrence q^{n+1} = A q^n + B q^{n-1} from its columns 0 and 1.
+
+    Each mode carries the state (q^n, d^n = q^n - q^{n-1}), which steps as
+    q' = (A + B) q - B d and d' = (A + B - 1) q - B d: a 2 x 2 transition M.
+    In a block of L = FREE_BLOCK samples from the state s, sample j is the
+    first row of M^j times s, so a block is one rank-2 product of its start
+    state and that per-mode basis. The basis and the block-start states
+    M^{bL} s are both built by doubling (rows j <= h give rows h < j <= 2h
+    through M^h, then M^h is squared), O(log n) array operations in all. Near
+    omega T = 0, (q, d) keeps the basis well conditioned; in the
+    (q^n, q^{n-1}) form its two columns nearly cancel.
+    """
+    m, n = Qt.shape[0], Qt.shape[1] - 2
+    if n <= 0:
+        return
+    M = np.empty((m, 2, 2))
+    M[:, 0, 0] = A + B
+    M[:, 1, 0] = M[:, 0, 0] - 1.0
+    M[:, 0, 1] = M[:, 1, 1] = -B
+    L = min(FREE_BLOCK, n)
+    # basis[:, :, j - 1] is the first row of M^j, for j = 1 .. L
+    basis = np.empty((m, 2, 1 << (L - 1).bit_length()))
+    basis[:, :, 0] = M[:, 0]
+    P, h = M, 1
+    # a blow-up overflows before it turns non-finite; check_finite reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while h < L:
+            np.matmul(P.transpose(0, 2, 1), basis[:, :, :h], out=basis[:, :, h:2 * h])
+            P, h = P @ P, 2 * h
+        n_blocks = -(-n // L)
+        starts = np.empty((m, n_blocks, 2))  # (q, d) at each block's start
+        starts[:, 0, 0] = Qt[:, 1]
+        starts[:, 0, 1] = Qt[:, 1] - Qt[:, 0]
+        h = 1
+        while h < n_blocks:  # P = M^{hL}
+            k = min(h, n_blocks - h)
+            np.matmul(starts[:, :k], P.transpose(0, 2, 1), out=starts[:, h:h + k])
+            P, h = P @ P, 2 * h
+        full = n // L
+        np.matmul(starts[:, :full], basis[:, :, :L], out=Qt[:, 2:2 + full * L].reshape(m, full, L))
+        if full < n_blocks:
+            np.matmul(starts[:, full:], basis[:, :, :n - full * L],
+                      out=Qt[:, 2 + full * L:][:, None, :])
 
 
 def bptt(A, B, R, Q, U, qbar_direct, hook=None):

@@ -18,8 +18,10 @@ Two explicit two-step schemes share one coefficient form, the update vectors
 the coefficient map of :mod:`modalsim.adjoint` (past the Stoermer-Verlet bound
 omega T < 2 it raises :class:`StabilityBoundError`), :func:`start_state` and
 :func:`modalsim.adjoint.forward_cached`, where a linear model runs as one
-two-pole IIR filter per mode (``scipy.signal.lfilter``, imported on the first
-such run), under the force of :func:`modalsim.coupling.nonlinear_force`.
+two-pole IIR filter per mode over the external force's support
+(``scipy.signal.lfilter``, imported on the first such run) and fills its
+free response after that in blocks, under the force of
+:func:`modalsim.coupling.nonlinear_force`.
 :func:`ftm_coeffs` and
 :func:`sv_coeffs` stay only because the benchmark calls and traces them. An
 oversampled RK4 integrator provides the reference solution for scheme-error

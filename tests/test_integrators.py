@@ -6,7 +6,7 @@ import pytest
 
 from modalsim import adjoint
 from modalsim.adjoint import Coefficients, bptt, forward_cached
-from modalsim.coupling import simply_supported_tensors
+from modalsim.coupling import TensionModulation, simply_supported_tensors
 from modalsim.integrators import (
     InitialCondition, InstabilityError, OverdampedError, PointForce, SchemeError,
     StabilityBoundError, bank_from_spec, ftm_coeffs, oscillator_bank, raised_cosine_pulse,
@@ -40,11 +40,12 @@ def scan_sequential(bank, T, n_steps, q0, v0, force_signal, force_gains):
 
 def loop_forward(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=None):
     """Reference oracle: the hook-free recurrence stepped sample by sample,
-    rows q^{-1} .. q^N as forward_cached stores them."""
-    Q = np.empty((n_steps + 2, len(q0)))
+    rows q^{-1} .. q^N as forward_cached stores them, in the precision of A
+    and q0 (np.longdouble ones give an extended-precision oracle)."""
+    Q = np.empty((n_steps + 2, len(q0)), dtype=np.result_type(A, q0))
     Q[0], Q[1] = q_prev, q0
     for n in range(n_steps):
-        u = np.zeros(len(q0)) if force_signal is None else force_gains * force_signal[n]
+        u = np.zeros(len(q0), Q.dtype) if force_signal is None else force_gains * force_signal[n]
         Q[n + 2] = A * Q[n + 1] + B * Q[n] + R * u
     return Q
 
@@ -482,6 +483,86 @@ def test_filter_sweep_matches_per_sample_loop(scheme, forced, damped_bank):
                           R=np.sum(qbar * U, axis=0) if forced else np.zeros(5))
     for name, got, want in zip(Coefficients._fields, g, oracle):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def fill_errors(scheme, case, n_steps, damped_bank):
+    """The largest deviations of forward_cached and of the float64 loop from
+    the long-double loop, relative to the latter's largest state. 'pluck' is
+    two modes below 50 Hz and two above at 44.1 kHz from rest; the other
+    cases start from filter_case's bank and state, 'zero', 'last' and 'pulse'
+    under a force."""
+    if case == "pluck":
+        T = 1 / 44100
+        bank = oscillator_bank((2 * np.pi * np.array([31.0, 47.0, 440.0, 3100.0])) ** 2, 0.0,
+                               1.0, gamma=np.array([0.0, 0.4, 2.0, 9.0]))
+        q0 = np.array([1e-3, -2e-3, 5e-4, 1e-4])
+        q_prev = start_state(scheme, bank.omega2, bank.gamma, T, q0, np.zeros(4), np.zeros(4))
+        args = (*(ftm_coeffs if scheme == "ftm" else sv_coeffs)(bank, T), q0, q_prev)
+    else:
+        args = filter_case(scheme, False, n_steps, damped_bank)[0][:5]
+    kw = {}
+    if case in ("zero", "last", "pulse"):
+        sig = np.zeros(n_steps)
+        if case == "last":
+            sig[-1] = 1.0
+        elif case == "pulse":  # ends at sample 240
+            sig = raised_cosine_pulse(2.0, 0.01, 0.02, 8000.0, n_steps)
+        kw = dict(force_signal=sig, force_gains=np.linspace(1.0, 0.2, 5))
+    Q, _ = forward_cached(*args, n_steps, **kw)
+    stepped = loop_forward(*args, n_steps, **kw)
+    if kw:
+        kw["force_gains"] = np.asarray(kw["force_gains"], dtype=np.longdouble)
+    oracle = loop_forward(*(np.asarray(x, dtype=np.longdouble) for x in args), n_steps, **kw)
+    scale = np.max(np.abs(oracle))
+    return (float(np.max(np.abs(Q - oracle)) / scale),
+            float(np.max(np.abs(stepped - oracle)) / scale))
+
+
+BLOCK = adjoint.FREE_BLOCK
+
+
+# The tolerance is the float64 loop's own error on the same case: running
+# lfilter over every sample, as the forward pass did before the fill, matched
+# that loop bit for bit on each case here. Where that error is below one
+# rounding of the largest state (runs of 1 and 2 steps) the tolerance is that
+# rounding, 2^-53. Errors measured with FREE_BLOCK = 4096, as ftm / sv.
+@pytest.mark.skipif(np.finfo(np.longdouble).precision <= np.finfo(float).precision,
+                    reason="the oracle needs a long double wider than float64")
+@pytest.mark.parametrize("scheme", ["ftm", "sv"])
+@pytest.mark.parametrize("case, n_steps", [
+    ("free", 0),                # loop 0 / 0,              fill 0 / 0
+    ("free", 1),                # loop 1.2e-16 / 3.3e-17,  fill 3.8e-17 / 4.7e-17
+    ("free", 2),                # loop 2.0e-16 / 6.8e-17,  fill 5.7e-17 / 8.6e-17
+    ("free", BLOCK - 1),        # loop 4.6e-13 / 2.5e-13,  fill 7.3e-14 / 2.5e-14
+    ("free", BLOCK),            # loop 4.6e-13 / 2.5e-13,  fill 7.3e-14 / 2.5e-14
+    ("free", BLOCK + 1),        # loop 4.6e-13 / 2.5e-13,  fill 7.3e-14 / 2.5e-14
+    ("free", 3 * BLOCK),        # loop 4.6e-13 / 2.7e-13,  fill 7.7e-14 / 2.6e-14
+    ("zero", 2 * BLOCK + 3),    # loop 4.6e-13 / 2.7e-13,  fill 7.7e-14 / 2.6e-14
+    ("last", 2 * BLOCK + 3),    # loop 4.6e-13 / 2.7e-13,  no fill: lfilter throughout
+    ("pulse", 2 * BLOCK + 3),   # loop 2.4e-13 / 2.2e-13,  fill 7.2e-14 / 1.8e-13
+    ("pluck", 22_050),          # loop 1.3e-12 / 1.8e-12,  fill 1.6e-13 / 1.8e-13
+])
+def test_free_response_fill_matches_extended_precision_loop(scheme, case, n_steps,
+                                                          damped_bank):
+    fill, stepped = fill_errors(scheme, case, n_steps, damped_bank)
+    assert fill <= max(stepped, 2.0**-53)
+
+
+@pytest.mark.parametrize("hook", [None, TensionModulation(np.arange(1.0, 4.0), 0.4)],
+                         ids=["filter", "hook"])
+@pytest.mark.parametrize("n_signal, n_gains, message", [
+    (50, 3, r"^force_signal has shape \(50,\), expected length 5$"),
+    (4, 3, r"^force_signal has shape \(4,\), expected length 5$"),
+    (5, 4, r"^force_gains has shape \(4,\), expected length 3$"),
+    (5, 2, r"^force_gains has shape \(2,\), expected length 3$"),
+])
+def test_forward_rejects_force_arguments_of_another_length(hook, n_signal, n_gains, message):
+    # unchecked, a longer signal would lose its tail on the hook loop and
+    # extra gains would be ignored by the filter
+    A, B, R = ftm_coeffs(oscillator_bank(np.arange(1.0, 4.0), 0.0, 4.0e5, gamma=3.0), 1e-3)
+    q0 = np.array([1e-3, 0.0, -1e-3])
+    with pytest.raises(ValueError, match=message):
+        forward_cached(A, B, R, q0, q0, 5, np.ones(n_signal), np.ones(n_gains), hook=hook)
 
 
 @pytest.mark.parametrize("scheme", ["ftm", "sv"])

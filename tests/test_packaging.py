@@ -48,12 +48,15 @@ def test_import_leaves_scipy_signal_and_io_to_first_use():
     # a fresh interpreter: this session's other test modules import scipy.signal
     script = """
 import sys
+import numpy as np
 import modalsim as ms
 loaded = lambda: [m for m in ("scipy.signal", "scipy.io") if m in sys.modules]
 print(loaded())
 basis = ms.string_basis(1.0, 3)
 spec = ms.ModelSpec(ms.MaterialParams(rho=1e-3, d1=1e-3), ms.String(L=1.0, A=1e-6), T0=40.0)
 ms.simulate(spec, basis, "ftm", ms.triangular_pluck(basis, 0.3, 1e-3), 0.01, 8000.0)
+print(loaded())
+ms.simulate(spec, basis, "ftm", ms.PointForce(0.3, np.ones(10)), 0.01, 8000.0)
 print(loaded())
 """
     src = Path(__file__).resolve().parents[1] / "src"
@@ -62,5 +65,6 @@ print(loaded())
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    # after the import, then after one linear simulate
-    assert run.stdout.split("\n")[:2] == ["[]", "['scipy.signal']"]
+    # after the import, after a linear pluck (its free response runs no
+    # filter), then after a linear point force (filtered over its support)
+    assert run.stdout.split("\n")[:3] == ["[]", "[]", "['scipy.signal']"]
