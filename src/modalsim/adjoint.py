@@ -35,31 +35,38 @@ A :class:`Coefficients` holds every per-mode quantity of that form: the
 update vectors, their partials d/domega^2 and d/dgamma (the maps return
 these three), and the gradients (dL/dA, dL/dB, dL/dR) the sweeps return.
 
-Trajectories are stored as Q[t] = q^{t-1} (rows q^{-1} .. q^N), output
-samples are y_n = w . q^{n+1}. The reverse sweep propagates qbar^n = dL/dq^n
-backwards:
+Trajectories are stored as Q[t] = q^{t-1} (rows q^{-1} .. q^N). Input and
+readout are both rank-1, and both sweeps take them by their factors, so no
+[step, mode] array besides Q is built for them: the external force is
+f_ext^n = g f^n (force_gains g, force_signal f), and the readout is
+y_n = w . q^{n+1}, y = Q[2:] @ w, whose loss gradient ybar enters the sweep
+as the direct term w ybar_{n-1} of the adjoint qbar^n = dL/dq^n:
 
-    qbar^n = w ybar_n + A qbar^{n+1} + B qbar^{n+2} - J_nl(q^n)^T (R qbar^{n+1})
+    qbar^n = w ybar_{n-1} + A qbar^{n+1} + B qbar^{n+2} - J_nl(q^n)^T (R qbar^{n+1}).
 
-and parameter gradients reduce to sums of stored products afterwards. With
-nl = 0, mode k is the two-pole IIR filter R_k / (1 - A_k z^-1 - B_k z^-2) of
-its force. The forward pass runs it with ``scipy.signal.lfilter`` from the
-state [A q^0 + B q^{-1}, B q^0] over the force's support only (the samples up
-to its last nonzero one); after that every mode's free response is filled
-block by block, each block one rank-2 product of its start state and a
-per-mode basis (:func:`_fill_free_response`). A pluck has an empty support
-and runs no filter. The sweep is the same filter, numerator 1, on reversed
-time. ``scipy.signal`` is imported on the first run that filters, not with
-this module. The per-sample loops serve nonlinear hooks only. On the unit
-circle that filter's magnitude is |R z / (z^2 - A z - B)|; the
-transfer-function kernels evaluate (R z + R2) / (z^2 - A z - B), where R2 is
-the frequency-domain fit's free numerator term (zero for a simulated bank).
+Parameter gradients reduce to sums of stored products afterwards; the
+external part of dR_k is g_k (f . qbar_k^{1..N}), summed over the force's
+support, the samples up to its last nonzero one. With nl = 0, mode k is the
+two-pole IIR filter R_k / (1 - A_k z^-1 - B_k z^-2) of its force. The forward
+pass runs it with ``scipy.signal.lfilter`` from the state
+[A q^0 + B q^{-1}, B q^0] over the force's support only; after that every
+mode's free response is filled block by block, each block one rank-2 product
+of its start state and a per-mode basis (:func:`_fill_free_response`). A
+pluck has an empty support and runs no filter. The sweep is the same filter,
+numerator w_k, on reversed ybar, one mode at a time, each mode's qbar reduced
+to its three gradients at once. ``scipy.signal`` is imported on the first run
+that filters, not with this module. The per-sample loops serve nonlinear
+hooks only. On the unit circle that filter's magnitude is
+|R z / (z^2 - A z - B)|; the transfer-function kernels evaluate
+(R z + R2) / (z^2 - A z - B), where R2 is the frequency-domain fit's free
+numerator term (zero for a simulated bank).
 
 A nonlinear force ``hook`` is a pair of pure functions of the state:
 ``hook(q)`` is nl(q) and ``hook.jt_vec(q, v)`` is J_nl(q)^T v. Under a hook
-the sweep also returns the input adjoints dU[n] = dL/du^n = R qbar^{n+1},
-from which a force's own parameters take their gradients
-(``TensionModulation.tau_grad``).
+the forward pass also stores what the hook adds to the inputs,
+U[n] = -nl(q^n) (the external force stays in its factors), and the sweep
+also returns the input adjoints dU[n] = dL/du^n = R qbar^{n+1}, from which a
+force's own parameters take their gradients (``TensionModulation.tau_grad``).
 """
 
 from __future__ import annotations
@@ -192,34 +199,31 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
                    hook=None):
     """Forward stepping that stores everything the reverse sweep needs.
 
-    Returns (Q, U): Q[t] = q^{t-1} with shape [n_steps+2, modes]; U holds the
-    inputs u^n, or None when the system runs force- and hook-free. Without a
-    hook, Q is the transpose of a [mode, time] array (a view, not a copy):
+    The external force is f_ext^n = force_gains * force_signal[n]: force_signal
+    must have n_steps samples and force_gains one entry per mode. Returns
+    (Q, U): Q[t] = q^{t-1} with shape [n_steps+2, modes]; U holds what the
+    hook adds to the inputs, U[n] = -nl(q^n), or None without a hook. Without
+    a hook, Q is the transpose of a [mode, time] array (a view, not a copy):
     lfilter runs over the force's support, _fill_free_response after it.
-    force_signal must have n_steps samples and force_gains one entry per mode.
     """
     m = len(q0)
     if force_signal is not None:
         force_signal = check_length("force_signal", force_signal, n_steps)
         force_gains = check_length("force_gains", force_gains, m)
     if hook is None:
-        U = None if force_signal is None else np.outer(force_signal, force_gains)
         Qt = np.empty((m, n_steps + 2))
         Qt[:, 0], Qt[:, 1] = q_prev, q0
-        # the force's support: the samples up to its last nonzero one
-        nonzero = np.flatnonzero(force_signal) if force_signal is not None else ()
-        n_forced = int(nonzero[-1]) + 1 if len(nonzero) else 0
-        if n_forced:
+        f = _forced_samples(force_signal)
+        if len(f):
             from scipy.signal import lfilter
 
             zi = np.stack([A * q0 + B * q_prev, B * q0], axis=1)
             for k in range(m):
-                Qt[k, 2:n_forced + 2] = lfilter([R[k]], [1.0, -A[k], -B[k]],
-                                                force_gains[k] * force_signal[:n_forced],
-                                                zi=zi[k])[0]
-        _fill_free_response(A, B, Qt[:, n_forced:])
+                Qt[k, 2:len(f) + 2] = lfilter([R[k]], [1.0, -A[k], -B[k]], force_gains[k] * f,
+                                              zi=zi[k])[0]
+        _fill_free_response(A, B, Qt[:, len(f):])
         check_finite(Qt[:, 2:].T)
-        return Qt.T, U
+        return Qt.T, None
 
     Q = np.empty((n_steps + 2, m))
     Q[0] = q_prev
@@ -232,15 +236,24 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             u = -hook(q)
+            U[n] = u
             if force_signal is not None:
                 u += force_gains * force_signal[n]
-            U[n] = u
             qp, q = q, A * q + B * qp + R * u
             Q[n + 2] = q
             if n % every == every - 1 and not np.isfinite(q).all():
                 check_finite(Q[2:n + 3])
     check_finite(Q[2:])
     return Q, U
+
+
+def _forced_samples(force_signal):
+    """The force's support: its samples up to the last nonzero one, none
+    without a force."""
+    if force_signal is None:
+        return np.zeros(0)
+    nonzero = np.flatnonzero(force_signal)
+    return force_signal[:nonzero[-1] + 1 if len(nonzero) else 0]
 
 
 def _fill_free_response(A, B, Qt):
@@ -264,6 +277,9 @@ def _fill_free_response(A, B, Qt):
     M[:, 0, 0] = A + B
     M[:, 1, 0] = M[:, 0, 0] - 1.0
     M[:, 0, 1] = M[:, 1, 1] = -B
+    # a mode at rest stays there; the zero map keeps a divergent one's basis
+    # from overflowing into inf * 0 = NaN
+    M[(Qt[:, 0] == 0.0) & (Qt[:, 1] == 0.0)] = 0.0
     L = min(FREE_BLOCK, n)
     # basis[:, :, j - 1] is the first row of M^j, for j = 1 .. L
     basis = np.empty((m, 2, 1 << (L - 1).bit_length()))
@@ -290,39 +306,53 @@ def _fill_free_response(A, B, Qt):
                       out=Qt[:, 2 + full * L:][:, None, :])
 
 
-def bptt(A, B, R, Q, U, qbar_direct, hook=None):
+def bptt(A, B, R, Q, U, ybar, w, force_signal=None, force_gains=None, hook=None):
     """Reverse sweep through the stepping recurrence.
 
-    qbar_direct[n] is the direct dL/dq^{n+1} coming from the readout. Returns
-    (Coefficients(dA, dB, dR), dU), with the input adjoints dU[n] = dL/du^n
-    under a hook and dU = None without one.
+    ybar[n] = dL/dy_n is the loss gradient of the readout y = Q[2:] @ w, so
+    the direct dL/dq^{n+1} is w ybar[n]. Q and U are forward_cached's, and
+    the external force enters as there, by force_signal and force_gains.
+    Returns (Coefficients(dA, dB, dR), dU), with the input adjoints
+    dU[n] = dL/du^n under a hook and dU = None without one.
     """
-    n_steps, m = qbar_direct.shape
+    n_steps, m = len(ybar), len(A)
+    if force_signal is None:
+        force_gains = np.zeros(m)
+    else:
+        force_signal = check_length("force_signal", force_signal, n_steps)
+        force_gains = check_length("force_gains", force_gains, m)
+    # the external part of dR_k is g_k (f . qbar_k), over the force's support
+    f = _forced_samples(force_signal)
+    g = Coefficients(np.empty(m), np.empty(m), np.empty(m))
     if hook is None:
         from scipy.signal import lfilter
 
-        # the same filter on reversed time
-        qbar_t = np.empty((m, n_steps))
+        # mode k's qbar is the forward filter, numerator w_k, on reversed time
+        y_rev = np.ascontiguousarray(ybar[::-1])
+        qbar = np.empty(n_steps)
         for k in range(m):
-            qbar_t[k] = lfilter([1.0], [1.0, -A[k], -B[k]], qbar_direct[::-1, k])[::-1]
-        qbar = qbar_t.T
-    else:
-        # qbar[t] = dL/dq^{t-1}; the last row stays zero, and the sweep stops
-        # at q^1 because q^0 is given
-        qbar = np.zeros((n_steps + 3, m))
-        qbar[2:-1] = qbar_direct
-        for t in range(n_steps, 1, -1):
-            nxt = qbar[t + 1]
-            acc = qbar[t] + A * nxt
-            acc -= hook.jt_vec(Q[t], R * nxt)
-            acc += B * qbar[t + 2]
-            qbar[t] = acc
-        qbar = qbar[2:-1]
+            qbar[::-1] = lfilter([w[k]], [1.0, -A[k], -B[k]], y_rev)
+            g.A[k] = qbar @ Q[1:-1, k]
+            g.B[k] = qbar @ Q[:-2, k]
+            g.R[k] = force_gains[k] * (qbar[:len(f)] @ f)
+        return g, None
 
-    return (Coefficients(np.einsum("tm,tm->m", qbar, Q[1:-1]),
-                         np.einsum("tm,tm->m", qbar, Q[: -2]),
-                         np.einsum("tm,tm->m", qbar, U) if U is not None else np.zeros(m)),
-            None if hook is None else R[None, :] * qbar)
+    # qbar[t] = dL/dq^{t-1}, its direct term w ybar written in place; the last
+    # row stays zero, and the sweep stops at q^1 because q^0 is given
+    qbar = np.zeros((n_steps + 3, m))
+    np.multiply(ybar[:, None], w, out=qbar[2:-1])
+    for t in range(n_steps, 1, -1):
+        nxt = qbar[t + 1]
+        acc = qbar[t] + A * nxt
+        acc -= hook.jt_vec(Q[t], R * nxt)
+        acc += B * qbar[t + 2]
+        qbar[t] = acc
+    qbar = qbar[2:-1]
+    np.einsum("tm,tm->m", qbar, Q[1:-1], out=g.A)
+    np.einsum("tm,tm->m", qbar, Q[:-2], out=g.B)
+    np.einsum("tm,tm->m", qbar, U, out=g.R)
+    g.R[:] += force_gains * (f @ qbar[:len(f)])
+    return g, np.multiply(qbar, R, out=qbar)  # dU[n] = R qbar^{n+1}
 
 
 # --- input checks, STFT with adjoint ----------------------------------------------
@@ -369,13 +399,21 @@ def stft_cached(y, window_length, hop):
 
 def stft_backward(cache, mag_bar):
     """Pull dL/d|Z| back to the time signal through windowing, framing, and
-    reflect padding."""
+    reflect padding.
+
+    With G = mag_bar Z / |Z| (0 where |Z| = 0), a frame's adjoint is
+    win_j sum_k Re(G_k e^{2 pi i jk / wl}) over the rfft bins k. irfft(X, wl)
+    is (Re X_0 + 2 sum_{0<k<wl/2} Re(X_k e^{2 pi i jk / wl}) + Re X_{wl/2} (-1)^j) / wl,
+    the last term for even wl only, so the sum is wl/2 irfft(G) once bin 0
+    and, for even wl, bin wl/2 are doubled."""
     Z, mag, win, idx_map, frame_idx, n, wl = cache
     safe = np.where(mag > 0.0, mag, 1.0)
-    Gz = np.where(mag > 0.0, mag_bar * Z / safe, 0.0)
-    Gpad = np.zeros((Z.shape[0], wl), dtype=complex)
-    Gpad[:, : Z.shape[1]] = np.conj(Gz)
-    seg = win[None, :] * np.real(np.fft.fft(Gpad, axis=1))
+    G = Z * np.where(mag > 0.0, mag_bar / safe, 0.0)
+    G[:, 0] *= 2.0
+    if wl % 2 == 0:
+        G[:, -1] *= 2.0
+    seg = np.fft.irfft(G, n=wl, axis=1)
+    seg *= (0.5 * wl) * win
     xp_bar = np.bincount(frame_idx.ravel(), weights=seg.ravel(), minlength=len(idx_map))
     return np.bincount(idx_map, weights=xp_bar, minlength=n)
 

@@ -19,7 +19,10 @@ Two objective kinds cover the fitting paths:
   (``integrators.run_model``) forced from rest, reads it out at a point, takes
   the magnitude STFT, and compares against a target spectrogram. Gradients
   flow through the full time recurrence (BPTT) using the differentiable core
-  in :mod:`modalsim.adjoint`.
+  in :mod:`modalsim.adjoint`. The point force and the point readout reach
+  ``adjoint.bptt`` as their factors (force signal and gains; readout gradient
+  and weights), so a linear call builds one [step, mode] array, the
+  trajectory.
 
 * :class:`FrequencyDomainProblem` evaluates the modal transfer-function
   magnitude on a Bark-spaced grid and compares against a target envelope
@@ -247,8 +250,11 @@ class TimeDomainProblem(_Parameters):
         loss, dmag = loss_total_grad(self.target_mag, mag, self.loss_weights, self.freqs)
         ybar = adjoint.stft_backward(cache, dmag)
 
-        g, dU = adjoint.bptt(*parts[0], Q, U, np.outer(ybar, w), hook=force)
-        grads = dict(_coefficient_grads(parts, g, self.lam), readout_weights=Q[2:].T @ ybar)
+        g, dU = adjoint.bptt(*parts[0], Q, U, ybar, w, self.force_signal, self.force_gains,
+                             hook=force)
+        grads = _coefficient_grads(parts, g, self.lam)
+        if "readout_weights" in raw:
+            grads["readout_weights"] = Q[2:].T @ ybar
         if "tau_hat" in raw:
             grads["tau_hat"] = force.tau_grad(dU, Q)
         return loss, self._raw_grads(raw, grads)

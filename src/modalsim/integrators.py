@@ -216,7 +216,9 @@ def run_model(scheme: str, omega2, gamma, T: float, q0, v0, n_steps: int,
     partials, the start state from u^0 = f_ext^0 - force(q0), and
     forward_cached under the nonlinear force (None for a linear model).
     Returns (parts, Q, U): the map's three Coefficients (update vectors and
-    their partials), and forward_cached's rows Q[t] = q^{t-1} and inputs U."""
+    their partials), and forward_cached's rows Q[t] = q^{t-1} and the hook's
+    inputs U[n] = -force(q^n) (None for a linear model, which stores no input:
+    the external force stays force_signal times force_gains)."""
     parts = coefficient_map(scheme)(omega2, gamma, T)
     u0 = np.zeros_like(q0) if force is None else -force(q0)
     if force_signal is not None and n_steps:

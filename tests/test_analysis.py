@@ -12,8 +12,8 @@ from modalsim.analysis import (
 )
 from modalsim.audio_io import WavFormatError, wav_read, wav_write
 from modalsim.adjoint import (
-    Coefficients, forward_cached, ftm_update_partials, stft_cached, tf_magnitude_backward,
-    tf_magnitude_cached,
+    Coefficients, forward_cached, ftm_update_partials, stft_backward, stft_cached,
+    tf_magnitude_backward, tf_magnitude_cached,
 )
 from modalsim.integrators import ftm_coeffs, oscillator_bank
 
@@ -84,6 +84,28 @@ def test_stft_magnitude_triangle_inequality(rng):
 def test_stft_too_short_signal():
     with pytest.raises(ValueError, match="too short"):
         stft(np.zeros(100), 8000.0, 1024, 256)
+
+
+@pytest.mark.parametrize("n, wl, hop, silent", [
+    (700, 128, 32, False),  # even window: a Nyquist bin
+    (700, 127, 32, False),  # odd window: none
+    (701, 128, 48, False),  # the hop divides neither the window nor the length
+    (900, 128, 32, True),   # all-zero frames at both ends, |Z| = 0 there
+])
+def test_stft_backward_is_the_adjoint_of_the_magnitude_stft(n, wl, hop, silent):
+    rng = np.random.default_rng([n, wl, hop])
+    y = rng.standard_normal(n)
+    if silent:
+        y[:300] = y[-300:] = 0.0
+    mag, cache = stft_cached(y, wl, hop)
+    assert (mag == 0.0).all(axis=1).any() == silent
+    mag_bar = rng.standard_normal(mag.shape)
+    eps = 1e-6
+    for v in rng.standard_normal((3, n)):
+        # |Z| is even in v where Z = 0, so the central difference is 0 there
+        fd = np.sum((stft_cached(y + eps * v, wl, hop)[0]
+                     - stft_cached(y - eps * v, wl, hop)[0]) * mag_bar) / (2 * eps)
+        assert stft_backward(cache, mag_bar) @ v == pytest.approx(fd, rel=1e-7)
 
 
 def test_spectrogram_csv_header(tmp_path, rng):

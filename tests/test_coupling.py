@@ -391,13 +391,13 @@ def test_one_force_serves_two_runs_in_either_order(build, sweep_first):
     # leaves nothing that the first run's sweep reads
     coeffs = ftm_coeffs(oscillator_bank(np.arange(1.0, 6.0), 0.0, 4.0e5, gamma=3.0), 1e-3)
     sig = np.sin(np.arange(40) * 0.3)
-    qbar = np.cos(np.arange(200.0)).reshape(40, 5)
+    ybar, w = np.cos(np.arange(40.0)), np.linspace(1.0, -0.5, 5)
 
     def forward(force, q0):
         return forward_cached(*coeffs, q0, 0.9 * q0, 40, sig, np.ones(5), hook=force)
 
     def sweep(force, run):
-        return bptt(*coeffs, *run, qbar, hook=force)
+        return bptt(*coeffs, *run, ybar, w, sig, np.ones(5), hook=force)
 
     starts = 0.05 * np.linspace(1.0, -1.0, 5), 0.08 * np.cos(np.arange(5.0))
     alone = []

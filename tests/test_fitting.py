@@ -439,3 +439,25 @@ def test_init_range_of_a_linear_parameter_may_be_negative():
     cfg = FitConfig(steps=1, peak_lr=0.01, init={"b2": {"low": -1.0, "high": 1.0}})
     raw = _init_raw(problem, cfg, np.random.default_rng(0))
     assert np.all((raw["b2"] >= -1.0) & (raw["b2"] < 1.0))
+
+
+# --- allocation budget ------------------------------------------------------------------
+
+def test_linear_time_value_and_grad_allocates_little_besides_the_trajectory():
+    # the trajectory Q is the one [step, mode] array of a linear call: force
+    # and readout reach the sweep as their factors. Measured peak: 4.8 x Q's
+    # bytes with an outer-product force, readout adjoint and [mode, step] qbar;
+    # 2.5 x without them
+    import tracemalloc
+
+    problem = string_time_problem(n_steps=8000, rate=16000.0, n_modes=20, stft=(1024, 256),
+                                  free=("t0_hat", "d_hat"))
+    raw = problem.initial_raw()
+    problem.value_and_grad(raw)  # imports scipy.signal outside the measurement
+    tracemalloc.start()
+    try:
+        problem.value_and_grad(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * (8000 + 2) * 20 * 8
