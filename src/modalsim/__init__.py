@@ -10,7 +10,7 @@ from .model import (
 )
 from .modes import (
     ModeBasis, PointReadout, string_basis, rect_basis, point_readout,
-    project_point_excitation, project_function, reconstruct, sample_modes,
+    project_point_excitation, sample_modes,
 )
 from .coupling import PlateCoupling, simply_supported_tensors, TensionModulation, VkContraction
 from .integrators import (

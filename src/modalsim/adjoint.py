@@ -35,10 +35,17 @@ A :class:`Coefficients` holds every per-mode quantity of that form: the
 update vectors, their partials d/domega^2 and d/dgamma (the maps return
 these three), and the gradients (dL/dA, dL/dB, dL/dR) the sweeps return.
 
-Trajectories are stored as Q[t] = q^{t-1} (rows q^{-1} .. q^N). Input and
-readout are both rank-1, and both sweeps take them by their factors, so no
-[step, mode] array besides Q is built for them: the external force is
-f_ext^n = g f^n (force_gains g, force_signal f), and the readout is
+Trajectories are stored as Q[t] = q^{t-1} (rows q^{-1} .. q^N), in a new
+array per call, or in one the caller owns and passes as forward_cached's
+``out`` (shape :func:`storage_shape`), which then holds Q and, under a hook,
+U. ``simulate`` passes none, so every trajectory it returns is its own;
+``TimeDomainProblem`` keeps one for all its calls and starts, so a fit step
+writes into pages that are already mapped instead of faulting in fresh ones
+(see the scipy.signal comment below).
+
+Input and readout are both rank-1, and both sweeps take them by their
+factors, so no [step, mode] array besides Q is built for them: the external
+force is f_ext^n = g f^n (force_gains g, force_signal f), and the readout is
 y_n = w . q^{n+1}, y = Q[2:] @ w, whose loss gradient ybar enters the sweep
 as the direct term w ybar_{n-1} of the adjoint qbar^n = dL/dq^n:
 
@@ -71,6 +78,7 @@ force's own parameters take their gradients (``TensionModulation.tau_grad``).
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -80,7 +88,12 @@ import numpy as np
 # a linear pluck's forward pass and the frequency-domain fit never call
 # lfilter. Its heap is then not there to absorb the transfer-function
 # kernels' temporaries, so they must not fault on their own; see
-# tf_magnitude_cached.
+# tf_magnitude_cached. Nor is it there to take a new 1.28 MB [mode, step]
+# trajectory per call: with one, a string_fit_td op (2 starts x 8 steps at
+# 8,000 x 20) took 11,137-11,155 minor page faults, about 9,300 of them in
+# _fill_free_response's first writes; with the problem's own trajectory passed
+# as forward_cached's out it takes 0-3 (ru_minflt around each op after the
+# first, 1 BLAS thread, seeds 1-3 and 61).
 
 # steps between the hook loop's finiteness checks: the most it runs past a blow-up
 CHECK_EVERY = 64
@@ -195,8 +208,15 @@ def sv_update_partials(omega2, gamma, T):
 
 # --- forward recurrence + reverse sweep ------------------------------------------
 
+def storage_shape(m, n_steps, hooked):
+    """Shape of the array that forward_cached writes its results into: [mode,
+    step] without a hook (Q is its transpose), and under one [step, mode] with
+    Q's n_steps + 2 rows above U's n_steps."""
+    return (2 * n_steps + 2, m) if hooked else (m, n_steps + 2)
+
+
 def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=None,
-                   hook=None):
+                   hook=None, out=None):
     """Forward stepping that stores everything the reverse sweep needs.
 
     The external force is f_ext^n = force_gains * force_signal[n]: force_signal
@@ -205,13 +225,23 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
     hook adds to the inputs, U[n] = -nl(q^n), or None without a hook. Without
     a hook, Q is the transpose of a [mode, time] array (a view, not a copy):
     lfilter runs over the force's support, _fill_free_response after it.
+
+    out says where the results go: None for new arrays, or a C-contiguous
+    float array of shape storage_shape(modes, n_steps, hook is not None) that
+    Q and U are views of, which a caller that runs many times keeps.
     """
     m = len(q0)
     if force_signal is not None:
         force_signal = check_length("force_signal", force_signal, n_steps)
         force_gains = check_length("force_gains", force_gains, m)
+    if out is not None:
+        shape = storage_shape(m, n_steps, hook is not None)
+        if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
+                and out.flags.c_contiguous and out.flags.writeable):
+            raise ValueError(f"out is a {type(out).__name__} of shape {np.shape(out)}, expected "
+                             f"a writeable C-contiguous float64 array of shape {shape}")
     if hook is None:
-        Qt = np.empty((m, n_steps + 2))
+        Qt = np.empty((m, n_steps + 2)) if out is None else out
         Qt[:, 0], Qt[:, 1] = q_prev, q0
         f = _forced_samples(force_signal)
         if len(f):
@@ -222,14 +252,20 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
                 Qt[k, 2:len(f) + 2] = lfilter([R[k]], [1.0, -A[k], -B[k]], force_gains[k] * f,
                                               zi=zi[k])[0]
         _fill_free_response(A, B, Qt[:, len(f):])
-        check_finite(Qt[:, 2:].T)
+        try:
+            check_finite(Qt[:, 2:].T)
+        except InstabilityError:
+            _step_nonfinite_modes(A, B, Qt[:, len(f):])
+            check_finite(Qt[:, 2:].T)
         return Qt.T, None
 
-    Q = np.empty((n_steps + 2, m))
+    if out is None:
+        Q, U = np.empty((n_steps + 2, m)), np.empty((n_steps, m))
+    else:
+        Q, U = out[:n_steps + 2], out[n_steps + 2:]
     Q[0] = q_prev
     Q[1] = q0
     q, qp = Q[1], Q[0]
-    U = np.empty((n_steps, m))
     every = CHECK_EVERY
     # a blow-up overflows before it turns non-finite; the periodic check
     # reports it as InstabilityError, also where warnings are errors
@@ -304,6 +340,27 @@ def _fill_free_response(A, B, Qt):
         if full < n_blocks:
             np.matmul(starts[:, full:], basis[:, :, :n - full * L],
                       out=Qt[:, 2 + full * L:][:, None, :])
+
+
+def _step_nonfinite_modes(A, B, Qt):
+    """The error path of _fill_free_response: a divergent mode's basis can
+    overflow before its state times the basis would, so a tiny state is
+    reported too early. Each mode the fill left non-finite is stepped again
+    from columns 0 and 1 with scalar arithmetic, up to the first non-finite
+    state found so far, so check_finite then reports the step and mode that
+    stepping gives (and a state that stays finite is filled exactly)."""
+    end = Qt.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        suspect = np.flatnonzero(~np.isfinite(Qt[:, 2:].sum(axis=1)))
+    for k in suspect:
+        a, b = float(A[k]), float(B[k])
+        qp, q = float(Qt[k, 0]), float(Qt[k, 1])
+        for j in range(2, end):
+            qp, q = q, a * q + b * qp
+            Qt[k, j] = q
+            if not math.isfinite(q):
+                end = j + 1
+                break
 
 
 def bptt(A, B, R, Q, U, ybar, w, force_signal=None, force_gains=None, hook=None):

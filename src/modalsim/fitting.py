@@ -174,6 +174,12 @@ class TimeDomainProblem(_Parameters):
     fixed values. `nonlinearity` is one of ModelSpec's kinds, and tau_hat,
     `coupling` (a PlateCoupling for the modes of `lam`) and vk_gain must stay
     unset unless the model uses them (coupling.nonlinear_force).
+
+    The problem allocates the trajectory (and, under a nonlinear force, the
+    inputs that force adds) once, on its first call, and every later predict
+    and value_and_grad call and start writes into the same array; nothing
+    they return shares memory with it. One problem object must therefore not
+    run calls concurrently: give each thread or process a problem of its own.
     """
 
     lam: np.ndarray
@@ -212,6 +218,7 @@ class TimeDomainProblem(_Parameters):
         self._check_free()
         coefficient_map(self.scheme)  # SchemeError unless run_model runs it
         adjoint.check_stft(self.n_steps, self.stft_window_length, self.stft_hop)
+        self._out = None
 
     def _check_free(self):
         super()._check_free()
@@ -224,9 +231,13 @@ class TimeDomainProblem(_Parameters):
         force = nonlinear_force(self.nonlinearity, self.lam, p["tau_hat"], self.coupling,
                                 self.vk_gain)
         rest = np.zeros(len(self.lam))
+        # the trajectory is kept between calls (page faults: see adjoint)
+        shape = adjoint.storage_shape(len(self.lam), self.n_steps, force is not None)
+        if self._out is None or self._out.shape != shape:
+            self._out = np.empty(shape)
         parts, Q, U = run_model(self.scheme, omega_squared(self.lam, p["d_hat"], p["t0_hat"]),
                                 p["gamma"], 1.0 / self.rate, rest, rest, self.n_steps,
-                                self.force_signal, self.force_gains, force)
+                                self.force_signal, self.force_gains, force, out=self._out)
         return force, parts, Q, U, np.asarray(p["readout_weights"], dtype=float)
 
     def predict(self, raw) -> np.ndarray:

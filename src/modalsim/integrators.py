@@ -211,21 +211,22 @@ def coefficient_map(scheme: str):
 
 
 def run_model(scheme: str, omega2, gamma, T: float, q0, v0, n_steps: int,
-              force_signal, force_gains, force):
+              force_signal, force_gains, force, out=None):
     """The time-domain model from q0 and v0: the scheme's coefficient map with
     partials, the start state from u^0 = f_ext^0 - force(q0), and
     forward_cached under the nonlinear force (None for a linear model).
     Returns (parts, Q, U): the map's three Coefficients (update vectors and
     their partials), and forward_cached's rows Q[t] = q^{t-1} and the hook's
     inputs U[n] = -force(q^n) (None for a linear model, which stores no input:
-    the external force stays force_signal times force_gains)."""
+    the external force stays force_signal times force_gains). out is
+    forward_cached's: where Q and U go, new arrays when None."""
     parts = coefficient_map(scheme)(omega2, gamma, T)
     u0 = np.zeros_like(q0) if force is None else -force(q0)
     if force_signal is not None and n_steps:
         u0 = u0 + force_gains * force_signal[0]
     q_prev = start_state(scheme, omega2, gamma, T, q0, v0, u0)
     Q, U = adjoint.forward_cached(*parts[0], q0, q_prev, n_steps, force_signal, force_gains,
-                                  hook=force)
+                                  hook=force, out=out)
     return parts, Q, U
 
 

@@ -1,5 +1,6 @@
 """Analytical eigenpairs for fixed strings, fixed membranes, and simply
-supported plates, plus projection/readout between physical and modal space.
+supported plates, plus the shape values that point readouts and point forces
+use.
 
 All bases solve  laplacian(Phi) = -lambda * Phi  with sine shapes:
 
@@ -152,24 +153,6 @@ def project_point_excitation(basis: ModeBasis, point) -> np.ndarray:
     return _point_values(basis, point)
 
 
-POINTS_PER_HALFWAVE = 8  # per shortest mode half-wavelength, as project_function requires
-
-
-def required_grid_points(basis: ModeBasis,
-                         points_per_halfwave: int = POINTS_PER_HALFWAVE) -> Tuple[int, ...]:
-    """Minimum uniform grid points per axis at points_per_halfwave per shortest half-wave."""
-    return tuple(points_per_halfwave * int(m) + 1 for m in np.max(basis.labels, axis=0))
-
-
-def _check_grid_resolution(basis: ModeBasis, axes: Sequence[np.ndarray]):
-    for ax, n_need, name in zip(axes, required_grid_points(basis), "xy"):
-        if len(ax) < n_need:
-            raise ValueError(
-                f"grid too coarse along {name}: {len(ax)} points, requires at least "
-                f"{n_need} ({POINTS_PER_HALFWAVE} per shortest mode half-wavelength)"
-            )
-
-
 def sample_modes(basis: ModeBasis, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Shape values on a uniform grid.
 
@@ -185,37 +168,3 @@ def sample_modes(basis: ModeBasis, axes: Sequence[np.ndarray]) -> np.ndarray:
         sy = _sinpi(labs[:, 1][:, None] * (y / basis.lengths[1])[None, :])  # [M, ny]
         vals = sy[:, :, None] * sx[:, None, :]  # [M, ny, nx]
     return vals * basis.shape_scale
-
-
-def _trapezoid_weights(ax: np.ndarray) -> np.ndarray:
-    dx = ax[1] - ax[0]
-    w = np.full(len(ax), dx)
-    w[0] = w[-1] = dx / 2.0
-    return w
-
-
-def project_function(basis: ModeBasis, values: np.ndarray,
-                     axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Modal coordinates <f, Phi_mu> by trapezoidal quadrature.
-
-    `values` is sampled on the uniform grid given by `axes` ((x,) for strings,
-    (x, y) for rectangles with values indexed [y, x]). Rejects grids with fewer
-    than POINTS_PER_HALFWAVE points per shortest mode half-wavelength.
-    """
-    axes = [np.asarray(a, dtype=float) for a in axes]
-    _check_grid_resolution(basis, axes)
-    shapes = sample_modes(basis, axes)
-    if basis.kind == "string":
-        w = _trapezoid_weights(axes[0])
-        return shapes @ (np.asarray(values) * w)
-    wx = _trapezoid_weights(axes[0])
-    wy = _trapezoid_weights(axes[1])
-    weighted = np.asarray(values) * np.outer(wy, wx)
-    return np.einsum("myx,yx->m", shapes, weighted)
-
-
-def reconstruct(basis: ModeBasis, q: np.ndarray, axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Physical field from modal coordinates on a grid: sum_mu q_mu Phi_mu."""
-    shapes = sample_modes(basis, [np.asarray(a, dtype=float) for a in axes])
-    return np.tensordot(np.asarray(q), shapes, axes=(0, 0))
-

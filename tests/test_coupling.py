@@ -9,7 +9,8 @@ from modalsim.adjoint import bptt, forward_cached
 from modalsim.coupling import TensionModulation, VkContraction, simply_supported_tensors
 from modalsim.integrators import InitialCondition, ftm_coeffs, oscillator_bank, simulate
 from modalsim.model import MaterialParams, ModelSpec, RectPlate
-from modalsim.modes import _sinpi, rect_basis, reconstruct, required_grid_points, string_basis
+from modalsim.modes import _sinpi, rect_basis, string_basis
+from mode_oracles import reconstruct, required_grid_points
 
 
 def tension_force(q, basis, tau):

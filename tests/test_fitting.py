@@ -444,10 +444,11 @@ def test_init_range_of_a_linear_parameter_may_be_negative():
 # --- allocation budget ------------------------------------------------------------------
 
 def test_linear_time_value_and_grad_allocates_little_besides_the_trajectory():
-    # the trajectory Q is the one [step, mode] array of a linear call: force
-    # and readout reach the sweep as their factors. Measured peak: 4.8 x Q's
-    # bytes with an outer-product force, readout adjoint and [mode, step] qbar;
-    # 2.5 x without them
+    # the trajectory Q is the one [step, mode] array of a linear call (force
+    # and readout reach the sweep as their factors), and the problem keeps it
+    # between calls. Measured peak: 4.8 x Q's bytes with an outer-product
+    # force, readout adjoint and [mode, step] qbar; 2.5 x without them; 1.5 x
+    # with Q kept from the first call
     import tracemalloc
 
     problem = string_time_problem(n_steps=8000, rate=16000.0, n_modes=20, stft=(1024, 256),
@@ -460,4 +461,43 @@ def test_linear_time_value_and_grad_allocates_little_besides_the_trajectory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.0 * (8000 + 2) * 20 * 8
+    assert peak < 1.75 * (8000 + 2) * 20 * 8
+
+
+# --- the problem's trajectory, kept between calls -------------------------------------
+
+@pytest.mark.parametrize("scheme, nl", [("ftm", "linear"), ("sv", "linear"),
+                                        ("ftm", "tension-modulated"),
+                                        ("sv", "tension-modulated")])
+def test_calls_on_one_problem_match_a_fresh_problems_bit_for_bit(scheme, nl):
+    free = ("d_hat", "t0_hat", "gamma", "readout_weights")
+    if nl == "tension-modulated":
+        free += ("tau_hat",)
+    problem = string_time_problem(scheme, nl, free=free)
+    a = problem.initial_raw()
+    b = {n: x + 0.02 for n, x in a.items()}
+    both = {n: np.stack([b[n], a[n]]) for n in a}
+    # a, then b, then a again on one problem; a prediction and two stacked
+    # starts in between
+    calls = [("grad", a), ("grad", b), ("predict", b), ("grad", both), ("predict", a),
+             ("grad", a)]
+    for kind, raw in calls:
+        fresh = string_time_problem(scheme, nl, free=free)
+        if kind == "predict":
+            got, want = [problem.predict(raw)], [fresh.predict(raw)]
+        else:
+            (loss, grads), (want_loss, want_grads) = (problem.value_and_grad(raw),
+                                                      fresh.value_and_grad(raw))
+            got = [loss] + [grads[n] for n in free]
+            want = [want_loss] + [want_grads[n] for n in free]
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+            assert not np.shares_memory(x, problem._out)
+
+
+def test_problem_reallocates_its_trajectory_when_the_run_changes_length():
+    problem = string_time_problem(free=("t0_hat",))
+    raw = problem.initial_raw()
+    problem.value_and_grad(raw)
+    problem.n_steps, problem.force_signal = 500, problem.force_signal[:500]
+    assert np.array_equal(problem.predict(raw), string_time_problem(n_steps=500).predict(raw))

@@ -568,12 +568,26 @@ def test_divergent_mode_at_rest_stays_at_rest(forced):
     assert np.max(np.abs(Q - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
-@pytest.mark.parametrize("state", [(1e-3, 0.0), (0.0, -1e-300)])
+@pytest.mark.parametrize("state", [(1e-3, 0.0), (0.0, -1e-300), (1e-300, 0.0)])
 def test_divergent_mode_off_rest_is_reported(state):
+    # the basis overflows by step 45 whatever the state; stepping goes
+    # non-finite at 45, 88 and 87, and that step is reported
     A, B, R, q0, q_prev = divergent_case(state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = loop_forward(A, B, R, q0, q_prev, 100)
     with pytest.raises(InstabilityError) as err:
         forward_cached(A, B, R, q0, q_prev, 100)
     assert err.value.mode == 1
+    assert err.value.step == int(np.argmin(np.isfinite(oracle[2:, 1]))) + 1
+
+
+def test_divergent_mode_with_a_tiny_state_that_stays_finite_is_stepped():
+    # the fill's basis overflows by step 45, the state stepped over 60 does not
+    A, B, R, q0, q_prev = divergent_case((1e-300, 0.0))
+    Q = forward_cached(A, B, R, q0, q_prev, 60)[0]
+    oracle = loop_forward(A, B, R, q0, q_prev, 60)
+    assert np.array_equal(Q[:, 1], oracle[:, 1])
+    assert np.max(np.abs(Q[:, 0] - oracle[:, 0])) <= 1e-12 * np.max(np.abs(oracle[:, 0]))
 
 
 @pytest.mark.parametrize("hook", [None, TensionModulation(np.arange(1.0, 4.0), 0.4)],
@@ -591,6 +605,63 @@ def test_forward_rejects_force_arguments_of_another_length(hook, n_signal, n_gai
     q0 = np.array([1e-3, 0.0, -1e-3])
     with pytest.raises(ValueError, match=message):
         forward_cached(A, B, R, q0, q0, 5, np.ones(n_signal), np.ones(n_gains), hook=hook)
+
+
+def out_case():
+    A, B, R = ftm_coeffs(oscillator_bank(np.arange(1.0, 4.0), 0.0, 4.0e5, gamma=3.0), 1e-3)
+    force = (raised_cosine_pulse(1.0, 0.0, 0.004, 1000.0, 20), np.array([1.0, -0.5, 0.2]))
+    return (A, B, R, np.array([1e-3, 0.0, -1e-3]), np.zeros(3), 20) + force
+
+
+@pytest.mark.parametrize("hook", [None, TensionModulation(np.arange(1.0, 4.0), 0.4)],
+                         ids=["filter", "hook"])
+def test_forward_into_out_matches_new_arrays_bit_for_bit(hook):
+    args = out_case()
+    out = np.full(adjoint.storage_shape(3, 20, hook is not None), np.nan)
+    Q, U = forward_cached(*args, hook=hook, out=out)
+    want_Q, want_U = forward_cached(*args, hook=hook)
+    assert np.shares_memory(Q, out) and np.array_equal(Q, want_Q)
+    if hook is None:
+        assert U is None and want_U is None
+    else:
+        assert np.shares_memory(U, out) and np.array_equal(U, want_U)
+
+
+@pytest.mark.parametrize("hook", [None, TensionModulation(np.arange(1.0, 4.0), 0.4)],
+                         ids=["filter", "hook"])
+@pytest.mark.parametrize("make_out", [
+    lambda shape: np.empty(shape[::-1]),
+    lambda shape: np.empty((shape[0] + 1, shape[1])),
+    lambda shape: np.empty(shape, order="F"),
+    lambda shape: np.empty(shape, dtype=np.float32),
+    lambda shape: np.empty((shape[0], 2 * shape[1]))[:, ::2],
+    lambda shape: np.empty(shape).tolist(),
+], ids=["transposed", "longer", "fortran", "float32", "strided", "list"])
+def test_forward_rejects_out_of_another_shape_or_layout(hook, make_out):
+    out = make_out(adjoint.storage_shape(3, 20, hook is not None))
+    with pytest.raises(ValueError, match=r"^out is a "):
+        forward_cached(*out_case(), hook=hook, out=out)
+
+
+def test_forward_rejects_read_only_out():
+    out = np.empty(adjoint.storage_shape(3, 20, False))
+    out.flags.writeable = False
+    with pytest.raises(ValueError, match=r"^out is a "):
+        forward_cached(*out_case(), out=out)
+
+
+@pytest.mark.parametrize("nonlinearity, excitation", [
+    ("linear", "pluck"), ("linear", "force"), ("tension-modulated", "pluck")])
+def test_simulate_returns_a_new_trajectory_each_call(nonlinearity, excitation):
+    spec = string_spec(T0=800.0, d1=1.0, nonlinearity=nonlinearity, E=1e9)
+    basis = string_basis(1.0, 6)
+    exc = (triangular_pluck(basis, 0.31, 0.01) if excitation == "pluck"
+           else PointForce(0.31, raised_cosine_pulse(1.0, 0.0, 0.002, 8000.0, 40)))
+    t1 = simulate(spec, basis, "sv", exc, 0.02, 8000.0, readout_point=0.7)
+    t2 = simulate(spec, basis, "sv", exc, 0.02, 8000.0, readout_point=0.7)
+    assert not np.shares_memory(t1.q, t2.q)
+    assert not np.shares_memory(t1.readout, t2.readout)
+    assert np.array_equal(t1.q, t2.q)
 
 
 @pytest.mark.parametrize("scheme", ["ftm", "sv"])
