@@ -36,9 +36,9 @@ update vectors, their partials d/domega^2 and d/dgamma (the maps return
 these three), and the gradients (dL/dA, dL/dB, dL/dR) the sweeps return.
 
 Trajectories are stored as Q[t] = q^{t-1} (rows q^{-1} .. q^N), in a new
-array per call, or in one the caller owns and passes as forward_cached's
-``out`` (shape :func:`storage_shape`), which then holds Q and, under a hook,
-U. ``simulate`` passes none, so every trajectory it returns is its own;
+array per call, or, without a hook, in a [mode, step] array the caller owns
+and passes as forward_cached's ``out`` (Q is its transpose). ``simulate``
+passes none, so every trajectory it returns is its own; a linear
 ``TimeDomainProblem`` keeps one for all its calls and starts, so a fit step
 writes into pages that are already mapped instead of faulting in fresh ones
 (see the scipy.signal comment below).
@@ -78,7 +78,6 @@ force's own parameters take their gradients (``TensionModulation.tau_grad``).
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -208,13 +207,6 @@ def sv_update_partials(omega2, gamma, T):
 
 # --- forward recurrence + reverse sweep ------------------------------------------
 
-def storage_shape(m, n_steps, hooked):
-    """Shape of the array that forward_cached writes its results into: [mode,
-    step] without a hook (Q is its transpose), and under one [step, mode] with
-    Q's n_steps + 2 rows above U's n_steps."""
-    return (2 * n_steps + 2, m) if hooked else (m, n_steps + 2)
-
-
 def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=None,
                    hook=None, out=None):
     """Forward stepping that stores everything the reverse sweep needs.
@@ -226,16 +218,19 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
     a hook, Q is the transpose of a [mode, time] array (a view, not a copy):
     lfilter runs over the force's support, _fill_free_response after it.
 
-    out says where the results go: None for new arrays, or a C-contiguous
-    float array of shape storage_shape(modes, n_steps, hook is not None) that
-    Q and U are views of, which a caller that runs many times keeps.
+    out says where Q goes: None for a new array, or, without a hook, a
+    writeable C-contiguous float64 [modes, n_steps+2] array that Q is the
+    transpose of, which a caller that runs many times keeps. Under a hook Q
+    and U are always new arrays.
     """
     m = len(q0)
     if force_signal is not None:
         force_signal = check_length("force_signal", force_signal, n_steps)
         force_gains = check_length("force_gains", force_gains, m)
     if out is not None:
-        shape = storage_shape(m, n_steps, hook is not None)
+        if hook is not None:
+            raise ValueError("out is for a model without a hook")
+        shape = (m, n_steps + 2)
         if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
                 and out.flags.c_contiguous and out.flags.writeable):
             raise ValueError(f"out is a {type(out).__name__} of shape {np.shape(out)}, expected "
@@ -252,20 +247,14 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
                 Qt[k, 2:len(f) + 2] = lfilter([R[k]], [1.0, -A[k], -B[k]], force_gains[k] * f,
                                               zi=zi[k])[0]
         _fill_free_response(A, B, Qt[:, len(f):])
-        try:
-            check_finite(Qt[:, 2:].T)
-        except InstabilityError:
-            _step_nonfinite_modes(A, B, Qt[:, len(f):])
-            check_finite(Qt[:, 2:].T)
+        check_finite(Qt[:, 2:].T)
         return Qt.T, None
 
-    if out is None:
-        Q, U = np.empty((n_steps + 2, m)), np.empty((n_steps, m))
-    else:
-        Q, U = out[:n_steps + 2], out[n_steps + 2:]
+    Q = np.empty((n_steps + 2, m))
     Q[0] = q_prev
     Q[1] = q0
     q, qp = Q[1], Q[0]
+    U = np.empty((n_steps, m))
     every = CHECK_EVERY
     # a blow-up overflows before it turns non-finite; the periodic check
     # reports it as InstabilityError, also where warnings are errors
@@ -340,27 +329,6 @@ def _fill_free_response(A, B, Qt):
         if full < n_blocks:
             np.matmul(starts[:, full:], basis[:, :, :n - full * L],
                       out=Qt[:, 2 + full * L:][:, None, :])
-
-
-def _step_nonfinite_modes(A, B, Qt):
-    """The error path of _fill_free_response: a divergent mode's basis can
-    overflow before its state times the basis would, so a tiny state is
-    reported too early. Each mode the fill left non-finite is stepped again
-    from columns 0 and 1 with scalar arithmetic, up to the first non-finite
-    state found so far, so check_finite then reports the step and mode that
-    stepping gives (and a state that stays finite is filled exactly)."""
-    end = Qt.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        suspect = np.flatnonzero(~np.isfinite(Qt[:, 2:].sum(axis=1)))
-    for k in suspect:
-        a, b = float(A[k]), float(B[k])
-        qp, q = float(Qt[k, 0]), float(Qt[k, 1])
-        for j in range(2, end):
-            qp, q = q, a * q + b * qp
-            Qt[k, j] = q
-            if not math.isfinite(q):
-                end = j + 1
-                break
 
 
 def bptt(A, B, R, Q, U, ybar, w, force_signal=None, force_gains=None, hook=None):

@@ -175,11 +175,11 @@ class TimeDomainProblem(_Parameters):
     `coupling` (a PlateCoupling for the modes of `lam`) and vk_gain must stay
     unset unless the model uses them (coupling.nonlinear_force).
 
-    The problem allocates the trajectory (and, under a nonlinear force, the
-    inputs that force adds) once, on its first call, and every later predict
-    and value_and_grad call and start writes into the same array; nothing
-    they return shares memory with it. One problem object must therefore not
-    run calls concurrently: give each thread or process a problem of its own.
+    A linear problem allocates its trajectory once, on its first call, and
+    every later predict and value_and_grad call and start writes into the
+    same array; nothing they return shares memory with it. One problem object
+    (or a shallow copy of it) must therefore not run calls concurrently: give
+    each thread or process a problem of its own.
     """
 
     lam: np.ndarray
@@ -231,13 +231,16 @@ class TimeDomainProblem(_Parameters):
         force = nonlinear_force(self.nonlinearity, self.lam, p["tau_hat"], self.coupling,
                                 self.vk_gain)
         rest = np.zeros(len(self.lam))
-        # the trajectory is kept between calls (page faults: see adjoint)
-        shape = adjoint.storage_shape(len(self.lam), self.n_steps, force is not None)
-        if self._out is None or self._out.shape != shape:
-            self._out = np.empty(shape)
+        out = None
+        if force is None:
+            # a linear model's trajectory is kept between calls (page faults: see adjoint)
+            shape = (len(self.lam), self.n_steps + 2)
+            if self._out is None or self._out.shape != shape:
+                self._out = np.empty(shape)
+            out = self._out
         parts, Q, U = run_model(self.scheme, omega_squared(self.lam, p["d_hat"], p["t0_hat"]),
                                 p["gamma"], 1.0 / self.rate, rest, rest, self.n_steps,
-                                self.force_signal, self.force_gains, force, out=self._out)
+                                self.force_signal, self.force_gains, force, out=out)
         return force, parts, Q, U, np.asarray(p["readout_weights"], dtype=float)
 
     def predict(self, raw) -> np.ndarray:

@@ -219,7 +219,7 @@ def run_model(scheme: str, omega2, gamma, T: float, q0, v0, n_steps: int,
     their partials), and forward_cached's rows Q[t] = q^{t-1} and the hook's
     inputs U[n] = -force(q^n) (None for a linear model, which stores no input:
     the external force stays force_signal times force_gains). out is
-    forward_cached's: where Q and U go, new arrays when None."""
+    forward_cached's: where a linear model's Q goes, a new array when None."""
     parts = coefficient_map(scheme)(omega2, gamma, T)
     u0 = np.zeros_like(q0) if force is None else -force(q0)
     if force_signal is not None and n_steps:
