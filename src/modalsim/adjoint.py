@@ -13,7 +13,9 @@ against central finite differences):
   benchmark calls or traces them;
 * :func:`forward_cached`, the two-step modal recurrence of the one model that
   ``simulate`` and the time-domain fit run through ``integrators.run_model``,
-  and :func:`bptt`, its reverse sweep;
+  and :func:`bptt`, its reverse sweep under a nonlinear force;
+* :func:`readout_cached` / :func:`readout_backward`, a linear model's readout
+  and its gradients in forward mode, without the trajectory;
 * :func:`stft_cached` / :func:`stft_backward`, the magnitude STFT that
   ``analysis.stft`` wraps, and its adjoint;
 * :func:`tf_magnitude_cached` / :func:`tf_magnitude_backward`, the modal
@@ -36,34 +38,38 @@ update vectors, their partials d/domega^2 and d/dgamma (the maps return
 these three), and the gradients (dL/dA, dL/dB, dL/dR) the sweeps return.
 
 Trajectories are stored as Q[t] = q^{t-1} (rows q^{-1} .. q^N), in a new
-array per call, or, without a hook, in a [mode, step] array the caller owns
-and passes as forward_cached's ``out`` (Q is its transpose). ``simulate``
-passes none, so every trajectory it returns is its own; a linear
-``TimeDomainProblem`` keeps one for all its calls and starts, so a fit step
-writes into pages that are already mapped instead of faulting in fresh ones
-(see the scipy.signal comment below).
+array per call, so every trajectory ``simulate`` returns is its own.
 
-Input and readout are both rank-1, and both sweeps take them by their
+Input and readout are both rank-1, and every pass takes them by their
 factors, so no [step, mode] array besides Q is built for them: the external
 force is f_ext^n = g f^n (force_gains g, force_signal f), and the readout is
-y_n = w . q^{n+1}, y = Q[2:] @ w, whose loss gradient ybar enters the sweep
-as the direct term w ybar_{n-1} of the adjoint qbar^n = dL/dq^n:
+y_n = w . q^{n+1}, y = Q[2:] @ w. With nl = 0, mode k is the two-pole IIR
+filter R_k / (1 - A_k z^-1 - B_k z^-2) of its force. The forward pass runs it
+with ``scipy.signal.lfilter`` from the state [A q^0 + B q^{-1}, B q^0] over
+the force's support only, the samples up to its last nonzero one; after that
+every mode's free response is filled block by block, each block one rank-2
+product of its start state and a per-mode basis (:func:`_fill_free_response`).
+A pluck has an empty support and runs no filter.
 
-    qbar^n = w ybar_{n-1} + A qbar^{n+1} + B qbar^{n+2} - J_nl(q^n)^T (R qbar^{n+1}).
+A linear fit needs only y and the gradients, so it stores no Q: each mode's
+sensitivities s = dq/dA, dq/dB, dq/dR follow the mode's own recurrence,
+driven by q^n, q^{n-1} and u^n, and dL/dA_k = w_k sum_n ybar_n s_A,k^{n+1}
+(forward mode costs no more than reverse mode here, since a mode's
+coefficients move that mode alone). Over the support lfilter runs them;
+after it q and its sensitivities step together by one block-triangular
+transition, whose powers give the readout and the gradients as block
+products (:func:`readout_cached`). ``scipy.signal`` is imported on the first
+run that filters, not with this module.
 
-Parameter gradients reduce to sums of stored products afterwards; the
-external part of dR_k is g_k (f . qbar_k^{1..N}), summed over the force's
-support, the samples up to its last nonzero one. With nl = 0, mode k is the
-two-pole IIR filter R_k / (1 - A_k z^-1 - B_k z^-2) of its force. The forward
-pass runs it with ``scipy.signal.lfilter`` from the state
-[A q^0 + B q^{-1}, B q^0] over the force's support only; after that every
-mode's free response is filled block by block, each block one rank-2 product
-of its start state and a per-mode basis (:func:`_fill_free_response`). A
-pluck has an empty support and runs no filter. The sweep is the same filter,
-numerator w_k, on reversed ybar, one mode at a time, each mode's qbar reduced
-to its three gradients at once. ``scipy.signal`` is imported on the first run
-that filters, not with this module. The per-sample loops serve nonlinear
-hooks only. On the unit circle that filter's magnitude is
+Under a nonlinear force the sweep runs back through the stored trajectory:
+the loss gradient ybar enters as the direct term w ybar_{n-1} of the adjoint
+qbar^n = dL/dq^n,
+
+    qbar^n = w ybar_{n-1} + A qbar^{n+1} + B qbar^{n+2} - J_nl(q^n)^T (R qbar^{n+1}),
+
+and the parameter gradients reduce to sums of stored products afterwards;
+the external part of dR_k is g_k (f . qbar_k^{1..N}), summed over the force's
+support. On the unit circle the linear filter's magnitude is
 |R z / (z^2 - A z - B)|; the transfer-function kernels evaluate
 (R z + R2) / (z^2 - A z - B), where R2 is the frequency-domain fit's free
 numerator term (zero for a simulated bank).
@@ -87,17 +93,15 @@ import numpy as np
 # a linear pluck's forward pass and the frequency-domain fit never call
 # lfilter. Its heap is then not there to absorb the transfer-function
 # kernels' temporaries, so they must not fault on their own; see
-# tf_magnitude_cached. Nor is it there to take a new 1.28 MB [mode, step]
-# trajectory per call: with one, a string_fit_td op (2 starts x 8 steps at
-# 8,000 x 20) took 11,137-11,155 minor page faults, about 9,300 of them in
-# _fill_free_response's first writes; with the problem's own trajectory passed
-# as forward_cached's out it takes 0-3 (ru_minflt around each op after the
-# first, 1 BLAS thread, seeds 1-3 and 61).
+# tf_magnitude_cached. A linear fit's call allocates no [mode, step] array
+# (readout_cached), so it has no large fresh pages to fault in either.
 
 # steps between the hook loop's finiteness checks: the most it runs past a blow-up
 CHECK_EVERY = 64
 # samples per block of a linear model's free response; see _fill_free_response
 FREE_BLOCK = 4096
+# samples per block of a linear readout and its gradients; see readout_cached
+READOUT_BLOCK = 256
 
 
 class OverdampedError(ValueError):
@@ -208,7 +212,7 @@ def sv_update_partials(omega2, gamma, T):
 # --- forward recurrence + reverse sweep ------------------------------------------
 
 def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=None,
-                   hook=None, out=None):
+                   hook=None):
     """Forward stepping that stores everything the reverse sweep needs.
 
     The external force is f_ext^n = force_gains * force_signal[n]: force_signal
@@ -217,26 +221,13 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
     hook adds to the inputs, U[n] = -nl(q^n), or None without a hook. Without
     a hook, Q is the transpose of a [mode, time] array (a view, not a copy):
     lfilter runs over the force's support, _fill_free_response after it.
-
-    out says where Q goes: None for a new array, or, without a hook, a
-    writeable C-contiguous float64 [modes, n_steps+2] array that Q is the
-    transpose of, which a caller that runs many times keeps. Under a hook Q
-    and U are always new arrays.
     """
     m = len(q0)
     if force_signal is not None:
         force_signal = check_length("force_signal", force_signal, n_steps)
         force_gains = check_length("force_gains", force_gains, m)
-    if out is not None:
-        if hook is not None:
-            raise ValueError("out is for a model without a hook")
-        shape = (m, n_steps + 2)
-        if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
-                and out.flags.c_contiguous and out.flags.writeable):
-            raise ValueError(f"out is a {type(out).__name__} of shape {np.shape(out)}, expected "
-                             f"a writeable C-contiguous float64 array of shape {shape}")
     if hook is None:
-        Qt = np.empty((m, n_steps + 2)) if out is None else out
+        Qt = np.empty((m, n_steps + 2))
         Qt[:, 0], Qt[:, 1] = q_prev, q0
         f = _forced_samples(force_signal)
         if len(f):
@@ -281,64 +272,186 @@ def _forced_samples(force_signal):
     return force_signal[:nonzero[-1] + 1 if len(nonzero) else 0]
 
 
+def _transition(A, B, size):
+    """[mode, size, size] zeros with each mode's 2 x 2 transition M of the state
+    (q^n, d^n = q^n - q^{n-1}) in every diagonal block: the force-free
+    q^{n+1} = A q^n + B q^{n-1} steps it as q' = (A + B) q - B d and
+    d' = (A + B - 1) q - B d."""
+    T = np.zeros((len(A), size, size))
+    for i in range(0, size, 2):
+        T[:, i, i] = A + B
+        T[:, i + 1, i] = T[:, i, i] - 1.0
+        T[:, i, i + 1] = T[:, i + 1, i + 1] = -B
+    return T
+
+
+def _block_powers(T, first, L, n_blocks, rows):
+    """The powers of the per-mode transitions T [mode, d, d] that a free
+    response in blocks of L samples needs, by doubling.
+
+    T is made of 2 x 2 blocks, M on its diagonal and, off it, nonzero blocks
+    in its first block column only, so block (i, 0) of T^{j+h} is
+    (T^j)_{i0} M^h + M^j (T^h)_{i0}. Returns (basis, starts):
+
+    * basis[i, :, :, j - 1], j = 1 .. L, is the first row of block (i, 0) of
+      T^j, for i < rows; basis[0] is the first row of M^j, which every
+      diagonal block of T^j shares;
+    * starts[:, b] is T^{bL} first, the state at the start of block b from the
+      state first [mode, d].
+
+    Rows j <= h give rows h < j <= 2h through T^h, and then T^h is squared,
+    so both take O(log L + log n_blocks) array operations. L must be a power
+    of two unless n_blocks is 1. Near omega T = 0, the (q, d) form keeps the
+    basis well conditioned; in the (q^n, q^{n-1}) form its two columns nearly
+    cancel.
+    """
+    m, d = first.shape
+    basis = np.empty((rows, m, 2, 1 << (L - 1).bit_length()))
+    basis[..., 0] = T[:, 0:2 * rows:2, :2].transpose(1, 0, 2)
+    P, h = T, 1
+    # a blow-up overflows before it turns non-finite; the callers report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while h < L:
+            lo, hi = basis[..., :h], basis[..., h:2 * h]
+            np.matmul(P[:, :2, :2].transpose(0, 2, 1), lo, out=hi)
+            for i in range(1, rows):
+                hi[i] += P[:, 2 * i:2 * i + 2, :2].transpose(0, 2, 1) @ lo[0]
+            P, h = P @ P, 2 * h
+        starts = np.empty((m, n_blocks, d))
+        starts[:, 0] = first
+        h = 1
+        while h < n_blocks:  # P = T^{hL}
+            k = min(h, n_blocks - h)
+            np.matmul(starts[:, :k], P.transpose(0, 2, 1), out=starts[:, h:h + k])
+            P, h = P @ P, 2 * h
+    return basis, starts
+
+
 def _fill_free_response(A, B, Qt):
     """Fill columns 2.. of the [mode, time] array Qt with the force-free
     recurrence q^{n+1} = A q^n + B q^{n-1} from its columns 0 and 1.
 
-    Each mode carries the state (q^n, d^n = q^n - q^{n-1}), which steps as
-    q' = (A + B) q - B d and d' = (A + B - 1) q - B d: a 2 x 2 transition M.
+    Each mode's state (q^n, q^n - q^{n-1}) steps by its 2 x 2 transition M.
     In a block of L = FREE_BLOCK samples from the state s, sample j is the
     first row of M^j times s, so a block is one rank-2 product of its start
-    state and that per-mode basis. The basis and the block-start states
-    M^{bL} s are both built by doubling (rows j <= h give rows h < j <= 2h
-    through M^h, then M^h is squared), O(log n) array operations in all. Near
-    omega T = 0, (q, d) keeps the basis well conditioned; in the
-    (q^n, q^{n-1}) form its two columns nearly cancel.
+    state and that per-mode basis, both from :func:`_block_powers`.
     """
     m, n = Qt.shape[0], Qt.shape[1] - 2
     if n <= 0:
         return
-    M = np.empty((m, 2, 2))
-    M[:, 0, 0] = A + B
-    M[:, 1, 0] = M[:, 0, 0] - 1.0
-    M[:, 0, 1] = M[:, 1, 1] = -B
+    M = _transition(A, B, 2)
     # a mode at rest stays there; the zero map keeps a divergent one's basis
     # from overflowing into inf * 0 = NaN
     M[(Qt[:, 0] == 0.0) & (Qt[:, 1] == 0.0)] = 0.0
     L = min(FREE_BLOCK, n)
-    # basis[:, :, j - 1] is the first row of M^j, for j = 1 .. L
-    basis = np.empty((m, 2, 1 << (L - 1).bit_length()))
-    basis[:, :, 0] = M[:, 0]
-    P, h = M, 1
-    # a blow-up overflows before it turns non-finite; check_finite reports it
+    n_blocks = -(-n // L)
+    basis, starts = _block_powers(M, np.stack([Qt[:, 1], Qt[:, 1] - Qt[:, 0]], axis=1), L,
+                                  n_blocks, 1)
+    full = n // L
     with np.errstate(over="ignore", invalid="ignore"):
-        while h < L:
-            np.matmul(P.transpose(0, 2, 1), basis[:, :, :h], out=basis[:, :, h:2 * h])
-            P, h = P @ P, 2 * h
-        n_blocks = -(-n // L)
-        starts = np.empty((m, n_blocks, 2))  # (q, d) at each block's start
-        starts[:, 0, 0] = Qt[:, 1]
-        starts[:, 0, 1] = Qt[:, 1] - Qt[:, 0]
-        h = 1
-        while h < n_blocks:  # P = M^{hL}
-            k = min(h, n_blocks - h)
-            np.matmul(starts[:, :k], P.transpose(0, 2, 1), out=starts[:, h:h + k])
-            P, h = P @ P, 2 * h
-        full = n // L
-        np.matmul(starts[:, :full], basis[:, :, :L], out=Qt[:, 2:2 + full * L].reshape(m, full, L))
+        np.matmul(starts[:, :full], basis[0, :, :, :L],
+                  out=Qt[:, 2:2 + full * L].reshape(m, full, L))
         if full < n_blocks:
-            np.matmul(starts[:, full:], basis[:, :, :n - full * L],
+            np.matmul(starts[:, full:], basis[0, :, :, :n - full * L],
                       out=Qt[:, 2 + full * L:][:, None, :])
 
 
-def bptt(A, B, R, Q, U, ybar, w, force_signal=None, force_gains=None, hook=None):
-    """Reverse sweep through the stepping recurrence.
+def readout_cached(A, B, R, q0, q_prev, n_steps, force_signal, force_gains, w):
+    """The readout y_n = w . q^{n+1}, n = 0 .. n_steps - 1, of the hook-free
+    recurrence from q^0 = q0 and q^{-1} = q_prev, without its trajectory, and
+    the cache of :func:`readout_backward`. The force is forward_cached's.
+
+    The gradients are taken in forward mode: the sensitivities s_A, s_B and
+    s_R of q to a mode's A, B and R follow that mode's recurrence, driven by
+    q^n, q^{n-1} and u^n. Over the force's support, lfilter runs each mode's q
+    as forward_cached does, then its three sensitivities in one call on their
+    stacked inputs. After the support, each mode's state
+    (q, d_q, s_A, d_sA, s_B, d_sB, s_R, d_sR), d_x = x^n - x^{n-1}, steps by
+    an 8 x 8 transition: M in each diagonal block, q feeding s_A and
+    q - d_q = q^{n-1} feeding s_B. :func:`_block_powers` gives the rows of its
+    powers and its states at the starts of blocks of READOUT_BLOCK samples,
+    so the free readout is one product [block, 2 mode] @ [2 mode, sample].
+    The cache holds q and the sensitivities over the support, the basis and
+    the block states: nothing per step after the support.
+
+    When the readout or a block state is not finite, forward_cached runs the
+    same model and raises InstabilityError at its first non-finite step.
+    """
+    m = len(q0)
+    if force_signal is not None:
+        force_signal = check_length("force_signal", force_signal, n_steps)
+        force_gains = check_length("force_gains", force_gains, m)
+    w = check_length("w", w, m)
+    f = _forced_samples(force_signal)
+    S, n = len(f), n_steps - len(f)
+    y = np.empty(n_steps)
+    X = np.zeros((m, 4, S + 2))  # q, s_A, s_B, s_R at steps -1 .. S
+    X[:, 0, 0], X[:, 0, 1] = q_prev, q0
+    basis = starts = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if S:
+            from scipy.signal import lfilter
+
+            zi = np.stack([A * q0 + B * q_prev, B * q0], axis=1)
+            for k in range(m):
+                den, u = [1.0, -A[k], -B[k]], force_gains[k] * f
+                q = X[k, 0]
+                q[2:] = lfilter([R[k]], den, u, zi=zi[k])[0]
+                X[k, 1:, 2:] = lfilter([1.0], den, np.stack([q[1:-1], q[:-2], u]))
+            y[:S] = w @ X[:, 0, 2:]
+        if n > 0:
+            T = _transition(A, B, 8)
+            T[:, 2:4, 0] = 1.0
+            T[:, 4:6, 0], T[:, 4:6, 1] = 1.0, -1.0
+            first = np.empty((m, 8))
+            first[:, 0::2] = X[:, :, -1]
+            first[:, 1::2] = X[:, :, -1] - X[:, :, -2]
+            # a mode at rest stays there, as in _fill_free_response
+            T[~first.any(axis=1)] = 0.0
+            L = min(READOUT_BLOCK, n)
+            basis, starts = _block_powers(T, first, L, -(-n // L), 3)
+            basis = basis[..., :L]
+            wq = (starts[:, :, :2] * w[:, None, None]).transpose(1, 0, 2).reshape(-1, 2 * m)
+            y[S:] = (wq @ basis[0].reshape(2 * m, L)).ravel()[:n]
+    if not (np.isfinite(y).all() and (starts is None or np.isfinite(starts).all())):
+        forward_cached(A, B, R, q0, q_prev, n_steps, force_signal, force_gains)
+    return y, (w, X, basis, starts)
+
+
+def readout_backward(cache, ybar):
+    """Gradients of sum_n ybar_n y_n through :func:`readout_cached`:
+    (Coefficients(dA, dB, dR), dw), with dL/dA_k = w_k sum_n ybar_n
+    s_A,k^{n+1} (B and R likewise) and dw_k = sum_n ybar_n q_k^{n+1}.
+
+    After the support, one product [3 x 2 mode, sample] @ [sample, block]
+    contracts ybar with the basis rows, and two einsums with the block
+    states: the first row of M^j meets every block of the state, the rows
+    of T^j's first block column meet q's.
+    """
+    w, X, basis, starts = cache
+    S = X.shape[2] - 2
+    G = X[:, :, 2:] @ ybar[:S]  # [mode, (q, s_A, s_B, s_R)]
+    if starts is not None:
+        m, n_blocks = starts.shape[:2]
+        L = basis.shape[-1]
+        Y = np.zeros(n_blocks * L)
+        Y[:len(ybar) - S] = ybar[S:]
+        C = (basis.reshape(6 * m, L) @ Y.reshape(n_blocks, L).T).reshape(3, m, 2, n_blocks)
+        z = starts.reshape(m, n_blocks, 4, 2)
+        G += np.einsum("kcb,kbic->ki", C[0], z)
+        G[:, 1:3] += np.einsum("ikcb,kbc->ki", C[1:], z[:, :, 0])
+    return Coefficients(*(w * G[:, 1:].T)), G[:, 0]
+
+
+def bptt(A, B, R, Q, U, ybar, w, force_signal=None, force_gains=None, *, hook):
+    """Reverse sweep through the stepping recurrence under a nonlinear force
+    hook; a linear model's gradients are readout_backward's.
 
     ybar[n] = dL/dy_n is the loss gradient of the readout y = Q[2:] @ w, so
     the direct dL/dq^{n+1} is w ybar[n]. Q and U are forward_cached's, and
     the external force enters as there, by force_signal and force_gains.
     Returns (Coefficients(dA, dB, dR), dU), with the input adjoints
-    dU[n] = dL/du^n under a hook and dU = None without one.
+    dU[n] = dL/du^n.
     """
     n_steps, m = len(ybar), len(A)
     if force_signal is None:
@@ -349,19 +462,6 @@ def bptt(A, B, R, Q, U, ybar, w, force_signal=None, force_gains=None, hook=None)
     # the external part of dR_k is g_k (f . qbar_k), over the force's support
     f = _forced_samples(force_signal)
     g = Coefficients(np.empty(m), np.empty(m), np.empty(m))
-    if hook is None:
-        from scipy.signal import lfilter
-
-        # mode k's qbar is the forward filter, numerator w_k, on reversed time
-        y_rev = np.ascontiguousarray(ybar[::-1])
-        qbar = np.empty(n_steps)
-        for k in range(m):
-            qbar[::-1] = lfilter([w[k]], [1.0, -A[k], -B[k]], y_rev)
-            g.A[k] = qbar @ Q[1:-1, k]
-            g.B[k] = qbar @ Q[:-2, k]
-            g.R[k] = force_gains[k] * (qbar[:len(f)] @ f)
-        return g, None
-
     # qbar[t] = dL/dq^{t-1}, its direct term w ybar written in place; the last
     # row stays zero, and the sweep stops at q^1 because q^0 is given
     qbar = np.zeros((n_steps + 3, m))

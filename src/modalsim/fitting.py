@@ -17,12 +17,11 @@ Two objective kinds cover the fitting paths:
 
 * :class:`TimeDomainProblem` runs ``simulate``'s model
   (``integrators.run_model``) forced from rest, reads it out at a point, takes
-  the magnitude STFT, and compares against a target spectrogram. Gradients
-  flow through the full time recurrence (BPTT) using the differentiable core
-  in :mod:`modalsim.adjoint`. The point force and the point readout reach
-  ``adjoint.bptt`` as their factors (force signal and gains; readout gradient
-  and weights), so a linear call builds one [step, mode] array, the
-  trajectory.
+  the magnitude STFT, and compares against a target spectrogram, using the
+  differentiable core in :mod:`modalsim.adjoint`. A linear model is read out
+  without its trajectory (``adjoint.readout_cached``) and takes its gradients
+  in forward mode (``adjoint.readout_backward``); under a nonlinear force,
+  gradients flow back through the stored trajectory (``adjoint.bptt``).
 
 * :class:`FrequencyDomainProblem` evaluates the modal transfer-function
   magnitude on a Bark-spaced grid and compares against a target envelope
@@ -38,9 +37,9 @@ ranked by their best loss. The restarts run in lockstep: each step is one
 ``value_and_grad`` call with a leading start axis on every raw array and one
 Adam update of all live starts. The frequency-domain problem passes the
 starts to one call of each transfer-function kernel, the time-domain problem
-loops over them (``lfilter`` takes one coefficient set per call), and a start
-that raises one of ``START_ERRORS`` stops alone, such as one past the
-Stoermer-Verlet stability bound, which stops before its first step.
+loops over them, and a start that raises one of ``START_ERRORS`` stops alone,
+such as one past the Stoermer-Verlet stability bound, which stops before its
+first step.
 """
 
 from __future__ import annotations
@@ -174,12 +173,6 @@ class TimeDomainProblem(_Parameters):
     fixed values. `nonlinearity` is one of ModelSpec's kinds, and tau_hat,
     `coupling` (a PlateCoupling for the modes of `lam`) and vk_gain must stay
     unset unless the model uses them (coupling.nonlinear_force).
-
-    A linear problem allocates its trajectory once, on its first call, and
-    every later predict and value_and_grad call and start writes into the
-    same array; nothing they return shares memory with it. One problem object
-    (or a shallow copy of it) must therefore not run calls concurrently: give
-    each thread or process a problem of its own.
     """
 
     lam: np.ndarray
@@ -218,39 +211,34 @@ class TimeDomainProblem(_Parameters):
         self._check_free()
         coefficient_map(self.scheme)  # SchemeError unless run_model runs it
         adjoint.check_stft(self.n_steps, self.stft_window_length, self.stft_hop)
-        self._out = None
 
     def _check_free(self):
         super()._check_free()
         if "tau_hat" in self.free and self.nonlinearity != "tension-modulated":
             raise ValueError("tau_hat is free only for the tension-modulated model")
 
-    def _run(self, raw):
-        """Force, run_model's (parts, Q, U) from rest, and the readout weights."""
+    def _run(self, raw, readout=False):
+        """The force, run_model's result from rest and the readout weights.
+        With readout, a linear model is read out without its trajectory."""
         p = self._values(raw)
         force = nonlinear_force(self.nonlinearity, self.lam, p["tau_hat"], self.coupling,
                                 self.vk_gain)
         rest = np.zeros(len(self.lam))
-        out = None
-        if force is None:
-            # a linear model's trajectory is kept between calls (page faults: see adjoint)
-            shape = (len(self.lam), self.n_steps + 2)
-            if self._out is None or self._out.shape != shape:
-                self._out = np.empty(shape)
-            out = self._out
-        parts, Q, U = run_model(self.scheme, omega_squared(self.lam, p["d_hat"], p["t0_hat"]),
-                                p["gamma"], 1.0 / self.rate, rest, rest, self.n_steps,
-                                self.force_signal, self.force_gains, force, out=out)
-        return force, parts, Q, U, np.asarray(p["readout_weights"], dtype=float)
+        w = np.asarray(p["readout_weights"], dtype=float)
+        run = run_model(self.scheme, omega_squared(self.lam, p["d_hat"], p["t0_hat"]),
+                        p["gamma"], 1.0 / self.rate, rest, rest, self.n_steps,
+                        self.force_signal, self.force_gains, force,
+                        readout=w if readout and force is None else None)
+        return force, run, w
 
     def predict(self, raw) -> np.ndarray:
-        """Readout signal under the given raw parameters."""
-        *_, Q, _, w = self._run(raw)
+        """Readout signal under the given raw parameters: simulate's, bit for bit."""
+        _, (_, Q, _), w = self._run(raw)
         return Q[2:] @ w
 
     def value_and_grad(self, raw):
         """Loss and raw gradients; with a leading start axis on raw, one loss per
-        start, the starts run one at a time (lfilter takes one coefficient set)."""
+        start, the starts run one at a time."""
         if self._starts(raw) is None:
             return self._value_and_grad(raw)
         out = [self._value_and_grad(dict(zip(raw, row))) for row in zip(*raw.values())]
@@ -258,17 +246,24 @@ class TimeDomainProblem(_Parameters):
                 {n: np.stack([g[n] for _, g in out]) for n in raw})
 
     def _value_and_grad(self, raw):
-        force, parts, Q, U, w = self._run(raw)
-        y = Q[2:] @ w
+        force, (parts, *run), w = self._run(raw, readout=True)
+        if force is None:
+            y, readout_cache = run
+        else:
+            Q, U = run
+            y = Q[2:] @ w
         mag, cache = adjoint.stft_cached(y, self.stft_window_length, self.stft_hop)
         loss, dmag = loss_total_grad(self.target_mag, mag, self.loss_weights, self.freqs)
         ybar = adjoint.stft_backward(cache, dmag)
 
-        g, dU = adjoint.bptt(*parts[0], Q, U, ybar, w, self.force_signal, self.force_gains,
-                             hook=force)
+        if force is None:
+            g, dw = adjoint.readout_backward(readout_cache, ybar)
+        else:
+            g, dU = adjoint.bptt(*parts[0], Q, U, ybar, w, self.force_signal, self.force_gains,
+                                 hook=force)
         grads = _coefficient_grads(parts, g, self.lam)
         if "readout_weights" in raw:
-            grads["readout_weights"] = Q[2:].T @ ybar
+            grads["readout_weights"] = dw if force is None else Q[2:].T @ ybar
         if "tau_hat" in raw:
             grads["tau_hat"] = force.tau_grad(dU, Q)
         return loss, self._raw_grads(raw, grads)

@@ -17,11 +17,13 @@ Two explicit two-step schemes share one coefficient form, the update vectors
 :func:`simulate` and the time-domain fit run one model, :func:`run_model`:
 the coefficient map of :mod:`modalsim.adjoint` (past the Stoermer-Verlet bound
 omega T < 2 it raises :class:`StabilityBoundError`), :func:`start_state` and
-:func:`modalsim.adjoint.forward_cached`, where a linear model runs as one
+:func:`modalsim.adjoint.forward_cached`, under the force of
+:func:`modalsim.coupling.nonlinear_force`. There a linear model runs as one
 two-pole IIR filter per mode over the external force's support
 (``scipy.signal.lfilter``, imported on the first such run) and fills its
-free response after that in blocks, under the force of
-:func:`modalsim.coupling.nonlinear_force`.
+free response after that in blocks. A linear fit asks run_model for the
+readout alone, :func:`modalsim.adjoint.readout_cached`, which stores no
+trajectory.
 :func:`ftm_coeffs` and
 :func:`sv_coeffs` stay only because the benchmark calls and traces them. An
 oversampled RK4 integrator provides the reference solution for scheme-error
@@ -211,22 +213,30 @@ def coefficient_map(scheme: str):
 
 
 def run_model(scheme: str, omega2, gamma, T: float, q0, v0, n_steps: int,
-              force_signal, force_gains, force, out=None):
+              force_signal, force_gains, force, readout=None):
     """The time-domain model from q0 and v0: the scheme's coefficient map with
     partials, the start state from u^0 = f_ext^0 - force(q0), and
     forward_cached under the nonlinear force (None for a linear model).
     Returns (parts, Q, U): the map's three Coefficients (update vectors and
     their partials), and forward_cached's rows Q[t] = q^{t-1} and the hook's
     inputs U[n] = -force(q^n) (None for a linear model, which stores no input:
-    the external force stays force_signal times force_gains). out is
-    forward_cached's: where a linear model's Q goes, a new array when None."""
+    the external force stays force_signal times force_gains).
+
+    Given readout weights, a linear model is read out without its
+    trajectory: the call returns (parts, y, cache) of adjoint.readout_cached,
+    y_n = readout . q^{n+1}, whose gradients adjoint.readout_backward takes."""
+    if readout is not None and force is not None:
+        raise ValueError("a model under a nonlinear force is read out from its trajectory")
     parts = coefficient_map(scheme)(omega2, gamma, T)
     u0 = np.zeros_like(q0) if force is None else -force(q0)
     if force_signal is not None and n_steps:
         u0 = u0 + force_gains * force_signal[0]
     q_prev = start_state(scheme, omega2, gamma, T, q0, v0, u0)
+    if readout is not None:
+        return (parts, *adjoint.readout_cached(*parts[0], q0, q_prev, n_steps, force_signal,
+                                               force_gains, readout))
     Q, U = adjoint.forward_cached(*parts[0], q0, q_prev, n_steps, force_signal, force_gains,
-                                  hook=force, out=out)
+                                  hook=force)
     return parts, Q, U
 
 

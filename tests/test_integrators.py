@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from modalsim import adjoint
-from modalsim.adjoint import Coefficients, bptt, forward_cached
+from modalsim.adjoint import Coefficients, forward_cached, readout_backward, readout_cached
 from modalsim.coupling import TensionModulation, simply_supported_tensors
 from modalsim.integrators import (
     InitialCondition, InstabilityError, OverdampedError, PointForce, SchemeError,
@@ -341,6 +341,13 @@ def test_run_model_checks_the_scheme_before_any_coefficient_map():
                   None, None, None)
 
 
+def test_run_model_reads_out_a_nonlinear_model_only_from_its_trajectory():
+    rest = np.zeros(3)
+    with pytest.raises(ValueError, match="read out from its trajectory"):
+        run_model("sv", np.arange(1.0, 4.0), np.zeros(3), 1e-3, rest, rest, 4, None, None,
+                  TensionModulation(np.arange(1.0, 4.0), 0.4), readout=np.ones(3))
+
+
 @pytest.mark.parametrize("name", ["q0", "v0"])
 def test_initial_condition_of_wrong_length_is_named(name):
     basis = string_basis(1.0, 4)
@@ -447,9 +454,10 @@ def filter_case(scheme, forced, n_steps, damped_bank):
     q0 = np.array([0.01, -0.02, 0.005, 0.0, 0.003])
     q_prev = np.array([0.009, -0.018, 0.004, 0.001, -0.002])
     kw = {}
-    if forced:
-        rng = np.random.default_rng(n_steps)
-        kw = dict(force_signal=rng.standard_normal(n_steps), force_gains=np.linspace(1.0, 0.2, 5))
+    if forced:  # True: random over the whole run; "pulse": ends at sample 240
+        sig = (raised_cosine_pulse(2.0, 0.01, 0.02, 8000.0, n_steps) if forced == "pulse"
+               else np.random.default_rng(n_steps).standard_normal(n_steps))
+        kw = dict(force_signal=sig, force_gains=np.linspace(1.0, 0.2, 5))
     return (A, B, R, q0, q_prev, n_steps), kw
 
 
@@ -465,23 +473,86 @@ def test_filter_forward_matches_per_sample_loop(scheme, forced, n_steps, damped_
     assert U is None  # the sweep takes the force by its factors
 
 
-@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("forced", [False, True, "pulse"])
 @pytest.mark.parametrize("scheme", ["ftm", "sv"])
 def test_filter_sweep_matches_per_sample_loop(scheme, forced, damped_bank):
-    (A, B, R, q0, q_prev, n), kw = filter_case(scheme, forced, 257, damped_bank)
-    Q, U = forward_cached(A, B, R, q0, q_prev, n, **kw)
-    ybar = np.random.default_rng(1).standard_normal(n)
+    # the linear readout and its forward-mode gradients against the readout of
+    # the stepped recurrence and the reverse sweep: unforced, the free
+    # response throughout; forced over the whole run, lfilter throughout;
+    # after a pulse, blocks of the free response, the last one partial
     w = np.array([0.7, -1.2, 0.4, 1.0, -0.3])
-    g, dU = bptt(A, B, R, Q, U, ybar, w, **kw)
-    assert dU is None  # no hook, no input adjoints
-    qbar = loop_sweep(A, B, np.outer(ybar, w))
-    Q_loop = loop_forward(A, B, R, q0, q_prev, n, **kw)
-    oracle = Coefficients(
-        A=np.sum(qbar * Q_loop[1:-1], axis=0), B=np.sum(qbar * Q_loop[:-2], axis=0),
-        R=(np.sum(qbar * np.outer(kw["force_signal"], kw["force_gains"]), axis=0) if forced
-           else np.zeros(5)))
-    for name, got, want in zip(Coefficients._fields, g, oracle):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+    for n_steps in (0, 1, 2, 257, 3 * adjoint.READOUT_BLOCK + 32):
+        (A, B, R, q0, q_prev, n), kw = filter_case(scheme, forced, n_steps, damped_bank)
+        y, cache = readout_cached(A, B, R, q0, q_prev, n, kw.get("force_signal"),
+                                  kw.get("force_gains"), w)
+        ybar = np.random.default_rng(1).standard_normal(n)
+        g, dw = readout_backward(cache, ybar)
+        Q_loop = loop_forward(A, B, R, q0, q_prev, n, **kw)
+        qbar = loop_sweep(A, B, np.outer(ybar, w))
+        oracle = Coefficients(
+            A=np.sum(qbar * Q_loop[1:-1], axis=0), B=np.sum(qbar * Q_loop[:-2], axis=0),
+            R=(np.sum(qbar * np.outer(kw["force_signal"], kw["force_gains"]), axis=0) if forced
+               else np.zeros(5)))
+        for name, got, want in [("y", y, Q_loop[2:] @ w), ("w", dw, Q_loop[2:].T @ ybar),
+                                *zip(Coefficients._fields, g, oracle)]:
+            assert got.shape == want.shape, (n_steps, name)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(
+                np.abs(want), initial=0.0), (n_steps, name)
+
+
+def forward_mode_loop(A, B, R, q0, q_prev, force_signal, force_gains, w, ybar):
+    """Reference oracle: the readout y_n = w . q^{n+1} and its gradients
+    (dL/dA, dL/dB, dL/dR) and dL/dw of L = ybar . y by stepping each mode's
+    sensitivities to A, B and R beside it, in the precision of A and q0."""
+    q, qp = np.array(q0), np.array(q_prev)
+    s = np.zeros((3, len(q0)), q.dtype)
+    sp, grads, dw = s.copy(), s.copy(), np.zeros_like(q)
+    y = np.empty(len(ybar), q.dtype)
+    for n, yb in enumerate(ybar):
+        u = force_gains * force_signal[n]
+        s, sp = A * s + B * sp + np.stack([q, qp, u]), s
+        q, qp = A * q + B * qp + R * u, q
+        y[n] = w @ q
+        grads += yb * s
+        dw += yb * q
+    return y, grads * w, dw
+
+
+# The tolerance is the float64 loop's own error: for each of y, dA, dB, dR
+# and dw, the largest per-mode error relative to that mode's value, against
+# the long-double loop. Measured with READOUT_BLOCK = 256, ftm / sv: pair
+# 9.4e-13 / 5.0e-12, float64 loop 5.2e-11 / 3.3e-11. The earlier reverse
+# sweep (lfilter on the reversed readout gradient) was off by up to 1.6e-11 /
+# 6.8e-11 on the same case.
+@pytest.mark.skipif(np.finfo(np.longdouble).precision <= np.finfo(float).precision,
+                    reason="the oracle needs a long double wider than float64")
+@pytest.mark.parametrize("scheme", ["ftm", "sv"])
+def test_readout_gradients_match_extended_precision_loop(scheme):
+    # 1 s at 44.1 kHz from a pluck and a 2 ms strike; modes below 50 Hz are
+    # where the gradients are worst conditioned
+    rate, n = 44100.0, 44100
+    hz = np.array([5.0, 31.0, 47.0, 400.0, 3000.0])
+    bank = oscillator_bank((2 * np.pi * hz) ** 2, 0.0, 1.0,
+                           gamma=np.array([0.0, 0.4, 1.0, 2.0, 9.0]))
+    A, B, R = (ftm_coeffs if scheme == "ftm" else sv_coeffs)(bank, 1 / rate)
+    q0 = np.array([1e-3, -2e-3, 5e-4, 1e-4, -3e-4])
+    q_prev = start_state(scheme, bank.omega2, bank.gamma, 1 / rate, q0, np.zeros(5), np.zeros(5))
+    args = (A, B, R, q0, q_prev, raised_cosine_pulse(1.0, 0.0, 0.002, rate, n),
+            np.array([1.0, -0.5, 0.8, 0.3, 0.6]), np.array([0.9, 0.4, -0.7, 1.1, 0.5]))
+    ybar = np.random.default_rng(3).standard_normal(n)
+    y, cache = readout_cached(*args[:5], n, *args[5:])
+    g, dw = readout_backward(cache, ybar)
+    oracle = forward_mode_loop(*(np.asarray(x, dtype=np.longdouble) for x in args + (ybar,)))
+    stepped = forward_mode_loop(*args, ybar)
+
+    def errors(y, g, dw):
+        want_y, want_g, want_w = oracle
+        return ([float(np.max(np.abs(y - want_y)) / np.max(np.abs(want_y)))]
+                + [float(np.max(np.abs(got - want) / np.abs(want)))
+                   for got, want in [*zip(g, want_g), (dw, want_w)]])
+
+    for name, got, tol in zip(["y", "A", "B", "R", "w"], errors(y, g, dw), errors(*stepped)):
+        assert got <= tol, name
 
 
 def fill_errors(scheme, case, n_steps, damped_bank):
@@ -593,43 +664,6 @@ def test_forward_rejects_force_arguments_of_another_length(hook, n_signal, n_gai
     q0 = np.array([1e-3, 0.0, -1e-3])
     with pytest.raises(ValueError, match=message):
         forward_cached(A, B, R, q0, q0, 5, np.ones(n_signal), np.ones(n_gains), hook=hook)
-
-
-def out_case():
-    A, B, R = ftm_coeffs(oscillator_bank(np.arange(1.0, 4.0), 0.0, 4.0e5, gamma=3.0), 1e-3)
-    force = (raised_cosine_pulse(1.0, 0.0, 0.004, 1000.0, 20), np.array([1.0, -0.5, 0.2]))
-    return (A, B, R, np.array([1e-3, 0.0, -1e-3]), np.zeros(3), 20) + force
-
-
-def read_only(shape):
-    out = np.empty(shape)
-    out.flags.writeable = False
-    return out
-
-
-def test_forward_into_out_matches_a_new_array_bit_for_bit():
-    args = out_case()
-    out = np.full((3, 22), np.nan)
-    Q, U = forward_cached(*args, out=out)
-    assert np.shares_memory(Q, out) and U is None
-    assert np.array_equal(Q, forward_cached(*args)[0])
-    # a hook's Q and U are always new arrays
-    with pytest.raises(ValueError, match=r"^out is for a model without a hook$"):
-        forward_cached(*args, hook=TensionModulation(np.arange(1.0, 4.0), 0.4), out=out)
-
-
-@pytest.mark.parametrize("make_out", [
-    lambda shape: np.empty(shape[::-1]),
-    lambda shape: np.empty((shape[0] + 1, shape[1])),
-    lambda shape: np.empty(shape, order="F"),
-    lambda shape: np.empty(shape, dtype=np.float32),
-    lambda shape: np.empty((shape[0], 2 * shape[1]))[:, ::2],
-    lambda shape: np.empty(shape).tolist(),
-    read_only,
-], ids=["transposed", "longer", "fortran", "float32", "strided", "list", "read-only"])
-def test_forward_rejects_out_of_another_shape_or_layout(make_out):
-    with pytest.raises(ValueError, match=r"^out is a "):
-        forward_cached(*out_case(), out=make_out((3, 22)))
 
 
 @pytest.mark.parametrize("nonlinearity, excitation", [
@@ -755,3 +789,26 @@ def test_forced_linear_simulate_allocates_little_besides_the_trajectory():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * traj.q.nbytes
+
+
+def test_linear_readout_and_gradients_store_no_trajectory():
+    # 100 modes x 2 s at 44.1 kHz, string_synth's size, struck for 1 ms: the
+    # [step, mode] trajectory alone would take 70.6 MB. Measured peak 6.8 MB:
+    # the block states, the basis, the readout and its gradient
+    import tracemalloc
+
+    m, n = 100, 88_200
+    bank = oscillator_bank((2 * np.pi * 110.0 * np.arange(1, m + 1)) ** 2, 0.0, 1.0,
+                           gamma=1.0 + 0.1 * np.arange(m))
+    args = (*ftm_coeffs(bank, 1 / 44100), np.zeros(m), np.zeros(m), n,
+            raised_cosine_pulse(1.0, 0.0, 0.001, 44100.0, n), np.sin(0.9 * np.arange(1, m + 1)),
+            np.cos(0.4 * np.arange(1, m + 1)))
+    ybar = np.random.default_rng(0).standard_normal(n)
+    readout_backward(readout_cached(*args)[1], ybar)  # imports scipy.signal
+    tracemalloc.start()
+    try:
+        readout_backward(readout_cached(*args)[1], ybar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
