@@ -44,22 +44,20 @@ Input and readout are both rank-1, and every pass takes them by their
 factors, so no [step, mode] array besides Q is built for them: the external
 force is f_ext^n = g f^n (force_gains g, force_signal f), and the readout is
 y_n = w . q^{n+1}, y = Q[2:] @ w. With nl = 0, mode k is the two-pole IIR
-filter R_k / (1 - A_k z^-1 - B_k z^-2) of its force. The forward pass runs it
-with ``scipy.signal.lfilter`` from the state [A q^0 + B q^{-1}, B q^0] over
-the force's support only, the samples up to its last nonzero one; after that
-every mode's free response is filled block by block, each block one rank-2
-product of its start state and a per-mode basis (:func:`_fill_free_response`).
-A pluck has an empty support and runs no filter.
+filter R_k / (1 - A_k z^-1 - B_k z^-2) of its force. The forward pass steps
+it, as it steps a hook, over the force's support only, the samples up to its
+last nonzero one; after that every mode's free response is filled block by
+block, each block one rank-2 product of its start state and a per-mode basis
+(:func:`_fill_free_response`). A pluck has an empty support and steps none.
 
 A linear fit needs only y and the gradients, so it stores no Q: each mode's
 sensitivities s = dq/dA, dq/dB, dq/dR follow the mode's own recurrence,
 driven by q^n, q^{n-1} and u^n, and dL/dA_k = w_k sum_n ybar_n s_A,k^{n+1}
 (forward mode costs no more than reverse mode here, since a mode's
-coefficients move that mode alone). Over the support lfilter runs them;
-after it q and its sensitivities step together by one block-triangular
-transition, whose powers give the readout and the gradients as block
-products (:func:`readout_cached`). ``scipy.signal`` is imported on the first
-run that filters, not with this module.
+coefficients move that mode alone). q and its sensitivities step together by
+one block-triangular transition, driven by the force over its support; after
+it the transition's powers give the readout and the gradients as block
+products (:func:`readout_cached`).
 
 Under a nonlinear force the sweep runs back through the stored trajectory:
 the loss gradient ybar enters as the direct term w ybar_{n-1} of the adjoint
@@ -88,15 +86,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# scipy.signal (for lfilter) is imported on the hook-free paths that call it,
-# not here: the import takes about 1.6 s and 70 MB, and the plate's hook loop,
-# a linear pluck's forward pass and the frequency-domain fit never call
-# lfilter. Its heap is then not there to absorb the transfer-function
-# kernels' temporaries, so they must not fault on their own; see
-# tf_magnitude_cached. A linear fit's call allocates no [mode, step] array
-# (readout_cached), so it has no large fresh pages to fault in either.
-
-# steps between the hook loop's finiteness checks: the most it runs past a blow-up
+# steps between the stepping loop's finiteness checks: the most it runs past a blow-up
 CHECK_EVERY = 64
 # samples per block of a linear model's free response; see _fill_free_response
 FREE_BLOCK = 4096
@@ -218,9 +208,10 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
     The external force is f_ext^n = force_gains * force_signal[n]: force_signal
     must have n_steps samples and force_gains one entry per mode. Returns
     (Q, U): Q[t] = q^{t-1} with shape [n_steps+2, modes]; U holds what the
-    hook adds to the inputs, U[n] = -nl(q^n), or None without a hook. Without
-    a hook, Q is the transpose of a [mode, time] array (a view, not a copy):
-    lfilter runs over the force's support, _fill_free_response after it.
+    hook adds to the inputs, U[n] = -nl(q^n), or None without a hook. Under a
+    hook the loop steps every sample. Without one, Q is the transpose of a
+    [mode, time] array (a view, not a copy): the same loop stops at the end
+    of the force's support, and _fill_free_response fills the rest.
     """
     m = len(q0)
     if force_signal is not None:
@@ -228,37 +219,30 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
         force_gains = check_length("force_gains", force_gains, m)
     if hook is None:
         Qt = np.empty((m, n_steps + 2))
-        Qt[:, 0], Qt[:, 1] = q_prev, q0
-        f = _forced_samples(force_signal)
-        if len(f):
-            from scipy.signal import lfilter
-
-            zi = np.stack([A * q0 + B * q_prev, B * q0], axis=1)
-            for k in range(m):
-                Qt[k, 2:len(f) + 2] = lfilter([R[k]], [1.0, -A[k], -B[k]], force_gains[k] * f,
-                                              zi=zi[k])[0]
-        _fill_free_response(A, B, Qt[:, len(f):])
-        check_finite(Qt[:, 2:].T)
-        return Qt.T, None
-
-    Q = np.empty((n_steps + 2, m))
+        Q, U, stop = Qt.T, None, len(_forced_samples(force_signal))
+    else:
+        Q, U, stop = np.empty((n_steps + 2, m)), np.empty((n_steps, m)), n_steps
     Q[0] = q_prev
     Q[1] = q0
     q, qp = Q[1], Q[0]
-    U = np.empty((n_steps, m))
     every = CHECK_EVERY
     # a blow-up overflows before it turns non-finite; the periodic check
     # reports it as InstabilityError, also where warnings are errors
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            u = -hook(q)
-            U[n] = u
-            if force_signal is not None:
-                u += force_gains * force_signal[n]
+        for n in range(stop):
+            if hook is None:
+                u = force_gains * force_signal[n]
+            else:
+                u = -hook(q)
+                U[n] = u
+                if force_signal is not None:
+                    u += force_gains * force_signal[n]
             qp, q = q, A * q + B * qp + R * u
             Q[n + 2] = q
             if n % every == every - 1 and not np.isfinite(q).all():
                 check_finite(Q[2:n + 3])
+    if hook is None:
+        _fill_free_response(A, B, Qt[:, stop:])
     check_finite(Q[2:])
     return Q, U
 
@@ -299,13 +283,16 @@ def _block_powers(T, first, L, n_blocks, rows):
     * starts[:, b] is T^{bL} first, the state at the start of block b from the
       state first [mode, d].
 
-    Rows j <= h give rows h < j <= 2h through T^h, and then T^h is squared,
-    so both take O(log L + log n_blocks) array operations. L must be a power
-    of two unless n_blocks is 1. Near omega T = 0, the (q, d) form keeps the
-    basis well conditioned; in the (q^n, q^{n-1}) form its two columns nearly
-    cancel.
+    A mode whose first state is all zero stays at rest: its transition is
+    taken as zero, which keeps a divergent mode's basis from overflowing
+    into inf * 0 = NaN. Rows j <= h give rows h < j <= 2h through T^h, and
+    then T^h is squared, so both take O(log L + log n_blocks) array
+    operations. L must be a power of two unless n_blocks is 1. Near
+    omega T = 0, the (q, d) form keeps the basis well conditioned; in the
+    (q^n, q^{n-1}) form its two columns nearly cancel.
     """
     m, d = first.shape
+    T = np.where(first.any(axis=1)[:, None, None], T, 0.0)
     basis = np.empty((rows, m, 2, 1 << (L - 1).bit_length()))
     basis[..., 0] = T[:, 0:2 * rows:2, :2].transpose(1, 0, 2)
     P, h = T, 1
@@ -339,13 +326,10 @@ def _fill_free_response(A, B, Qt):
     m, n = Qt.shape[0], Qt.shape[1] - 2
     if n <= 0:
         return
-    M = _transition(A, B, 2)
-    # a mode at rest stays there; the zero map keeps a divergent one's basis
-    # from overflowing into inf * 0 = NaN
-    M[(Qt[:, 0] == 0.0) & (Qt[:, 1] == 0.0)] = 0.0
     L = min(FREE_BLOCK, n)
     n_blocks = -(-n // L)
-    basis, starts = _block_powers(M, np.stack([Qt[:, 1], Qt[:, 1] - Qt[:, 0]], axis=1), L,
+    basis, starts = _block_powers(_transition(A, B, 2),
+                                  np.stack([Qt[:, 1], Qt[:, 1] - Qt[:, 0]], axis=1), L,
                                   n_blocks, 1)
     full = n // L
     with np.errstate(over="ignore", invalid="ignore"):
@@ -363,16 +347,16 @@ def readout_cached(A, B, R, q0, q_prev, n_steps, force_signal, force_gains, w):
 
     The gradients are taken in forward mode: the sensitivities s_A, s_B and
     s_R of q to a mode's A, B and R follow that mode's recurrence, driven by
-    q^n, q^{n-1} and u^n. Over the force's support, lfilter runs each mode's q
-    as forward_cached does, then its three sensitivities in one call on their
-    stacked inputs. After the support, each mode's state
-    (q, d_q, s_A, d_sA, s_B, d_sB, s_R, d_sR), d_x = x^n - x^{n-1}, steps by
-    an 8 x 8 transition: M in each diagonal block, q feeding s_A and
-    q - d_q = q^{n-1} feeding s_B. :func:`_block_powers` gives the rows of its
-    powers and its states at the starts of blocks of READOUT_BLOCK samples,
-    so the free readout is one product [block, 2 mode] @ [2 mode, sample].
-    The cache holds q and the sensitivities over the support, the basis and
-    the block states: nothing per step after the support.
+    q^n, q^{n-1} and u^n. Each mode's state
+    x = (q, d_q, s_A, d_sA, s_B, d_sB, s_R, d_sR), d_x = x^n - x^{n-1}, steps
+    by one 8 x 8 transition T: M in each diagonal block, q feeding s_A and
+    q - d_q = q^{n-1} feeding s_B. Over the force's support each step is
+    x <- T x + f^n b, with b = (R g, R g, 0, 0, 0, 0, g, g). After it,
+    :func:`_block_powers` gives the rows of T's powers and its states at the
+    starts of blocks of READOUT_BLOCK samples, so the free readout is one
+    product [block, 2 mode] @ [2 mode, sample]. The cache holds the states
+    over the support, the basis and the block states: nothing per step after
+    the support.
 
     When the readout or a block state is not finite, forward_cached runs the
     same model and raises InstabilityError at its first non-finite step.
@@ -385,37 +369,30 @@ def readout_cached(A, B, R, q0, q_prev, n_steps, force_signal, force_gains, w):
     f = _forced_samples(force_signal)
     S, n = len(f), n_steps - len(f)
     y = np.empty(n_steps)
-    X = np.zeros((m, 4, S + 2))  # q, s_A, s_B, s_R at steps -1 .. S
-    X[:, 0, 0], X[:, 0, 1] = q_prev, q0
+    T = _transition(A, B, 8)
+    T[:, 2:4, 0] = 1.0
+    T[:, 4:6, 0], T[:, 4:6, 1] = 1.0, -1.0
+    X = np.zeros((S + 1, m, 8))  # x at steps 0 .. S
+    X[0, :, 0], X[0, :, 1] = q0, q0 - q_prev
     basis = starts = None
     with np.errstate(over="ignore", invalid="ignore"):
         if S:
-            from scipy.signal import lfilter
-
-            zi = np.stack([A * q0 + B * q_prev, B * q0], axis=1)
-            for k in range(m):
-                den, u = [1.0, -A[k], -B[k]], force_gains[k] * f
-                q = X[k, 0]
-                q[2:] = lfilter([R[k]], den, u, zi=zi[k])[0]
-                X[k, 1:, 2:] = lfilter([1.0], den, np.stack([q[1:-1], q[:-2], u]))
-            y[:S] = w @ X[:, 0, 2:]
+            b = np.zeros((m, 8))
+            b[:, :2] = (R * force_gains)[:, None]
+            b[:, 6:] = force_gains[:, None]
+            for j in range(S):
+                np.matmul(T, X[j, :, :, None], out=X[j + 1, :, :, None])
+                X[j + 1] += f[j] * b
+            y[:S] = X[1:, :, 0] @ w
         if n > 0:
-            T = _transition(A, B, 8)
-            T[:, 2:4, 0] = 1.0
-            T[:, 4:6, 0], T[:, 4:6, 1] = 1.0, -1.0
-            first = np.empty((m, 8))
-            first[:, 0::2] = X[:, :, -1]
-            first[:, 1::2] = X[:, :, -1] - X[:, :, -2]
-            # a mode at rest stays there, as in _fill_free_response
-            T[~first.any(axis=1)] = 0.0
             L = min(READOUT_BLOCK, n)
-            basis, starts = _block_powers(T, first, L, -(-n // L), 3)
+            basis, starts = _block_powers(T, X[-1], L, -(-n // L), 3)
             basis = basis[..., :L]
             wq = (starts[:, :, :2] * w[:, None, None]).transpose(1, 0, 2).reshape(-1, 2 * m)
             y[S:] = (wq @ basis[0].reshape(2 * m, L)).ravel()[:n]
     if not (np.isfinite(y).all() and (starts is None or np.isfinite(starts).all())):
         forward_cached(A, B, R, q0, q_prev, n_steps, force_signal, force_gains)
-    return y, (w, X, basis, starts)
+    return y, (w, X[1:], basis, starts)
 
 
 def readout_backward(cache, ybar):
@@ -429,8 +406,8 @@ def readout_backward(cache, ybar):
     of T^j's first block column meet q's.
     """
     w, X, basis, starts = cache
-    S = X.shape[2] - 2
-    G = X[:, :, 2:] @ ybar[:S]  # [mode, (q, s_A, s_B, s_R)]
+    S = len(X)
+    G = np.tensordot(ybar[:S], X[:, :, ::2], axes=1)  # [mode, (q, s_A, s_B, s_R)]
     if starts is not None:
         m, n_blocks = starts.shape[:2]
         L = basis.shape[-1]

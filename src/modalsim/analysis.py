@@ -55,13 +55,10 @@ class LpcModel:
     order: int
     coeffs: np.ndarray  # a_1 .. a_p
     gain: float
-    reflections: np.ndarray = None
 
     def __post_init__(self):
         if self.order < 0 or len(self.coeffs) != self.order:
             raise ValueError("coefficient count must equal the model order")
-        if self.reflections is None:
-            object.__setattr__(self, "reflections", np.zeros(self.order))
 
 
 def lpc(signal: np.ndarray, order: int) -> LpcModel:
@@ -86,19 +83,16 @@ def lpc(signal: np.ndarray, order: int) -> LpcModel:
     a = np.zeros(order + 1)
     a[0] = 1.0
     err = r[0]
-    refl = np.zeros(order)
     for i in range(1, order + 1):
         acc = r[i] + a[1:i] @ r[1:i][::-1]
         k = -acc / err
-        refl[i - 1] = k
         prev = a[1:i].copy()
         a[1:i] = prev + k * prev[::-1]
         a[i] = k
         err *= 1.0 - k * k
         if err <= 0.0:
             raise ValueError("Levinson recursion lost positive definiteness")
-    return LpcModel(order=order, coeffs=a[1:].copy(), gain=float(np.sqrt(err)),
-                    reflections=refl)
+    return LpcModel(order=order, coeffs=a[1:].copy(), gain=float(np.sqrt(err)))
 
 
 def lpc_envelope_at(model: LpcModel, freqs: Sequence[float], rate: float) -> np.ndarray:

@@ -18,12 +18,10 @@ Two explicit two-step schemes share one coefficient form, the update vectors
 the coefficient map of :mod:`modalsim.adjoint` (past the Stoermer-Verlet bound
 omega T < 2 it raises :class:`StabilityBoundError`), :func:`start_state` and
 :func:`modalsim.adjoint.forward_cached`, under the force of
-:func:`modalsim.coupling.nonlinear_force`. There a linear model runs as one
-two-pole IIR filter per mode over the external force's support
-(``scipy.signal.lfilter``, imported on the first such run) and fills its
-free response after that in blocks. A linear fit asks run_model for the
-readout alone, :func:`modalsim.adjoint.readout_cached`, which stores no
-trajectory.
+:func:`modalsim.coupling.nonlinear_force`. There a linear model is stepped
+over the external force's support only, and its free response after that
+is filled in blocks. A linear fit asks run_model for the readout alone,
+:func:`modalsim.adjoint.readout_cached`, which stores no trajectory.
 :func:`ftm_coeffs` and
 :func:`sv_coeffs` stay only because the benchmark calls and traces them. An
 oversampled RK4 integrator provides the reference solution for scheme-error

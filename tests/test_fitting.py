@@ -448,7 +448,7 @@ def test_init_range_of_a_linear_parameter_may_be_negative():
 
 def test_linear_time_value_and_grad_allocates_little_besides_the_trajectory():
     # a linear call stores no trajectory: its readout and forward-mode
-    # gradients are contracted block by block. Measured peak 2.30 MB, most of
+    # gradients are contracted block by block. Measured peak 2.40 MB, most of
     # it the STFT's cache and the loss; the [step, mode] trajectory alone
     # would take 1.28 MB
     import tracemalloc
@@ -456,7 +456,7 @@ def test_linear_time_value_and_grad_allocates_little_besides_the_trajectory():
     problem = string_time_problem(n_steps=8000, rate=16000.0, n_modes=20, stft=(1024, 256),
                                   free=("t0_hat", "d_hat"))
     raw = problem.initial_raw()
-    problem.value_and_grad(raw)  # imports scipy.signal outside the measurement
+    problem.value_and_grad(raw)  # a first call's one-time allocations stay outside
     tracemalloc.start()
     try:
         problem.value_and_grad(raw)

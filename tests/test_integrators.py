@@ -230,18 +230,26 @@ def test_sv_second_order_against_analytic_cosine():
 
 def test_instability_error_reports_step_and_mode():
     # mode 1 has the Stoermer-Verlet vectors of omega T = 3162, far past the
-    # stability bound: the filter path overflows within a few dozen steps
+    # stability bound: it overflows within a few dozen steps, plucked (in the
+    # free response) and, from rest, forced over the whole run (inside the
+    # force's support). The linear readout must report it too, although it
+    # reads mode 0 alone
     A, B, R = np.array([1.99, 2.0 - 1e7]), np.array([-1.0, -1.0]), np.full(2, 0.01)
-    q0, q_prev = np.array([0.0, 1e-3]), np.zeros(2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(InstabilityError) as ei:
-            run(A, B, R, q0, q_prev, 2000)
-        Q = loop_forward(A, B, R, q0, q_prev, 2000)
-    # Q[t] = q^{t-1}: the oracle's first non-finite state, after t-1 steps
-    first = int(np.argmax(~np.all(np.isfinite(Q), axis=1))) - 1
-    assert 1 <= first < 2000
-    assert ei.value.mode == 1
-    assert ei.value.step == first
+    q_prev, w = np.zeros(2), np.array([1.0, 0.0])
+    for q0, kw in [(np.array([0.0, 1e-3]), {}),
+                   (np.zeros(2), dict(force_signal=np.ones(2000), force_gains=np.ones(2)))]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            Q = loop_forward(A, B, R, q0, q_prev, 2000, **kw)
+        # Q[t] = q^{t-1}: the oracle's first non-finite state, after t-1 steps
+        first = int(np.argmax(~np.all(np.isfinite(Q), axis=1))) - 1
+        assert 1 <= first < 2000
+        for call in (lambda: run(A, B, R, q0, q_prev, 2000, **kw),
+                     lambda: readout_cached(A, B, R, q0, q_prev, 2000, kw.get("force_signal"),
+                                            kw.get("force_gains"), w)):
+            with pytest.raises(InstabilityError) as ei:
+                call()
+            assert ei.value.mode == 1
+            assert ei.value.step == first
 
 
 def test_finite_states_whose_mode_sums_overflow_pass_the_check():
@@ -446,7 +454,7 @@ def test_scan_matches_stepping_loop(damped_bank):
     assert np.max(np.abs(oracle - loop)) <= 1e-10 * np.max(np.abs(loop))
 
 
-# --- IIR filter path against the per-sample oracle -----------------------------------
+# --- hook-free path against the per-sample oracle ------------------------------------
 
 def filter_case(scheme, forced, n_steps, damped_bank):
     T = 1 / 8000
@@ -478,8 +486,9 @@ def test_filter_forward_matches_per_sample_loop(scheme, forced, n_steps, damped_
 def test_filter_sweep_matches_per_sample_loop(scheme, forced, damped_bank):
     # the linear readout and its forward-mode gradients against the readout of
     # the stepped recurrence and the reverse sweep: unforced, the free
-    # response throughout; forced over the whole run, lfilter throughout;
-    # after a pulse, blocks of the free response, the last one partial
+    # response throughout; forced over the whole run, stepped throughout;
+    # after a pulse, stepped over it, then blocks of the free response, the
+    # last one partial
     w = np.array([0.7, -1.2, 0.4, 1.0, -0.3])
     for n_steps in (0, 1, 2, 257, 3 * adjoint.READOUT_BLOCK + 32):
         (A, B, R, q0, q_prev, n), kw = filter_case(scheme, forced, n_steps, damped_bank)
@@ -521,9 +530,9 @@ def forward_mode_loop(A, B, R, q0, q_prev, force_signal, force_gains, w, ybar):
 # The tolerance is the float64 loop's own error: for each of y, dA, dB, dR
 # and dw, the largest per-mode error relative to that mode's value, against
 # the long-double loop. Measured with READOUT_BLOCK = 256, ftm / sv: pair
-# 9.4e-13 / 5.0e-12, float64 loop 5.2e-11 / 3.3e-11. The earlier reverse
-# sweep (lfilter on the reversed readout gradient) was off by up to 1.6e-11 /
-# 6.8e-11 on the same case.
+# 9.5e-13 / 4.1e-12, float64 loop 5.2e-11 / 3.3e-11. A reverse sweep, a
+# two-pole filter run over the reversed readout gradient, was off by up to
+# 1.6e-11 / 6.8e-11 on the same case.
 @pytest.mark.skipif(np.finfo(np.longdouble).precision <= np.finfo(float).precision,
                     reason="the oracle needs a long double wider than float64")
 @pytest.mark.parametrize("scheme", ["ftm", "sv"])
@@ -591,9 +600,9 @@ def fill_errors(scheme, case, n_steps, damped_bank):
 BLOCK = adjoint.FREE_BLOCK
 
 
-# The tolerance is the float64 loop's own error on the same case: running
-# lfilter over every sample, as the forward pass did before the fill, matched
-# that loop bit for bit on each case here. Where that error is below one
+# The tolerance is the float64 loop's own error on the same case: stepping
+# every sample, as the forward pass does over a force's support, matches that
+# loop bit for bit ('last'). Where that error is below one
 # rounding of the largest state (runs of 1 and 2 steps) the tolerance is that
 # rounding, 2^-53. Errors measured with FREE_BLOCK = 4096, as ftm / sv.
 @pytest.mark.skipif(np.finfo(np.longdouble).precision <= np.finfo(float).precision,
@@ -608,7 +617,7 @@ BLOCK = adjoint.FREE_BLOCK
     ("free", BLOCK + 1),        # loop 4.6e-13 / 2.5e-13,  fill 7.3e-14 / 2.5e-14
     ("free", 3 * BLOCK),        # loop 4.6e-13 / 2.7e-13,  fill 7.7e-14 / 2.6e-14
     ("zero", 2 * BLOCK + 3),    # loop 4.6e-13 / 2.7e-13,  fill 7.7e-14 / 2.6e-14
-    ("last", 2 * BLOCK + 3),    # loop 4.6e-13 / 2.7e-13,  no fill: lfilter throughout
+    ("last", 2 * BLOCK + 3),    # loop 4.6e-13 / 2.7e-13,  no fill: stepped throughout
     ("pulse", 2 * BLOCK + 3),   # loop 2.4e-13 / 2.2e-13,  fill 7.2e-14 / 1.8e-13
     ("pluck", 22_050),          # loop 1.3e-12 / 1.8e-12,  fill 1.6e-13 / 1.8e-13
 ])
@@ -628,7 +637,8 @@ def divergent_case(q_divergent):
 @pytest.mark.parametrize("forced", [False, True])
 def test_divergent_mode_at_rest_stays_at_rest(forced):
     # its free-response basis overflows by step 45; filled from a zero state it
-    # must give the zeros that stepping gives, not inf * 0 = NaN
+    # must give the zeros that stepping gives, not inf * 0 = NaN, and so must
+    # the linear readout read through mode 1 alone, and its gradients
     A, B, R, q0, q_prev = divergent_case((0.0, 0.0))
     kw = {}
     if forced:  # the ordinary mode alone is forced, up to step 20
@@ -637,6 +647,11 @@ def test_divergent_mode_at_rest_stays_at_rest(forced):
     oracle = loop_forward(A, B, R, q0, q_prev, 100, **kw)
     assert not Q[:, 1].any()
     assert np.max(np.abs(Q - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    y, cache = readout_cached(A, B, R, q0, q_prev, 100, kw.get("force_signal"),
+                              kw.get("force_gains"), np.array([0.0, 1.0]))
+    g, dw = readout_backward(cache, np.ones(100))
+    assert not y.any()
+    assert not np.r_[g.A[1], g.B[1], g.R[1], dw[1]].any()
 
 
 @pytest.mark.parametrize("state", [(1e-3, 0.0), (0.0, -1e-300), (1e-300, 0.0)])
@@ -658,8 +673,8 @@ def test_divergent_mode_off_rest_is_reported(state):
     (5, 2, r"^force_gains has shape \(2,\), expected length 3$"),
 ])
 def test_forward_rejects_force_arguments_of_another_length(hook, n_signal, n_gains, message):
-    # unchecked, a longer signal would lose its tail on the hook loop and
-    # extra gains would be ignored by the filter
+    # unchecked, a longer signal would lose its tail and extra gains would
+    # fail to broadcast inside the loop
     A, B, R = ftm_coeffs(oscillator_bank(np.arange(1.0, 4.0), 0.0, 4.0e5, gamma=3.0), 1e-3)
     q0 = np.array([1e-3, 0.0, -1e-3])
     with pytest.raises(ValueError, match=message):
@@ -683,7 +698,7 @@ def test_simulate_returns_a_new_trajectory_each_call(nonlinearity, excitation):
 @pytest.mark.parametrize("scheme", ["ftm", "sv"])
 def test_hook_loop_with_zero_tension_matches_filter_path(scheme):
     # E = 0 makes tau = 0: the tension-modulated model runs the hook loop with a
-    # zero force, the linear model the filter path
+    # zero force, the linear model the free-response fill
     basis = string_basis(1.0, 6)
     modulated, linear = (
         simulate(string_spec(T0=500.0, d1=1.0, nonlinearity=nl), basis, scheme,
@@ -781,7 +796,8 @@ def test_forced_linear_simulate_allocates_little_besides_the_trajectory():
     basis = string_basis(1.0, 40)
     spec = string_spec(T0=500.0, d1=1.0)
     force = PointForce(0.3, raised_cosine_pulse(1.0, 0.0, 0.005, 44100.0, 220))
-    simulate(spec, basis, "ftm", force, 0.01, 44100.0, readout_point=0.6)  # imports lfilter
+    # a first call's one-time allocations stay outside the measurement
+    simulate(spec, basis, "ftm", force, 0.01, 44100.0, readout_point=0.6)
     tracemalloc.start()
     try:
         traj = simulate(spec, basis, "ftm", force, 1.0, 44100.0, readout_point=0.6)
@@ -793,7 +809,7 @@ def test_forced_linear_simulate_allocates_little_besides_the_trajectory():
 
 def test_linear_readout_and_gradients_store_no_trajectory():
     # 100 modes x 2 s at 44.1 kHz, string_synth's size, struck for 1 ms: the
-    # [step, mode] trajectory alone would take 70.6 MB. Measured peak 6.8 MB:
+    # [step, mode] trajectory alone would take 70.6 MB. Measured peak 6.2 MB:
     # the block states, the basis, the readout and its gradient
     import tracemalloc
 
@@ -804,7 +820,8 @@ def test_linear_readout_and_gradients_store_no_trajectory():
             raised_cosine_pulse(1.0, 0.0, 0.001, 44100.0, n), np.sin(0.9 * np.arange(1, m + 1)),
             np.cos(0.4 * np.arange(1, m + 1)))
     ybar = np.random.default_rng(0).standard_normal(n)
-    readout_backward(readout_cached(*args)[1], ybar)  # imports scipy.signal
+    # a first call's one-time allocations stay outside the measurement
+    readout_backward(readout_cached(*args)[1], ybar)
     tracemalloc.start()
     try:
         readout_backward(readout_cached(*args)[1], ybar)

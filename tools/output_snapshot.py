@@ -18,7 +18,9 @@
 ``--compare`` lists every array that is not ``np.array_equal`` in the two
 records (NaN equals NaN), or that only one of them holds, and exits 1 if
 there is any. A refactor that claims bit-identical outputs shows an empty
-list against the parent commit's record.
+list against the parent commit's record. Each real array listed in both
+records carries two numbers: the largest difference relative to A's entry,
+per element, and the largest difference relative to A's largest entry.
 """
 
 from __future__ import annotations
@@ -122,6 +124,35 @@ def differences(a_path, b_path):
         return diff, len(set(a.files) | set(b.files))
 
 
+def relative_differences(x, y):
+    """How far y is from x, two real arrays of one shape: the largest
+    |y - x| relative to |x| per element, and relative to the largest finite
+    |x|. Equal entries (NaN equal to NaN) count 0; an entry equal in neither
+    sense and not finite, or where x is 0, counts inf."""
+    x, y = (np.ravel(v).astype(float) for v in (x, y))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.abs(y - x)
+        d[(x == y) | (np.isnan(x) & np.isnan(y))] = 0.0
+        d[np.isnan(d)] = np.inf
+        per = np.where(d > 0.0, d / np.abs(x), 0.0)
+        per[np.isnan(per)] = np.inf
+        scale = np.max(np.abs(x[np.isfinite(x)]), initial=0.0)
+        return float(np.max(per, initial=0.0)), float(np.max(d, initial=0.0) / scale)
+
+
+def note(a_path, b_path, key):
+    """What a differs: line says about key beside its name."""
+    with np.load(a_path) as a, np.load(b_path) as b:
+        if key not in b.files or key not in a.files:
+            return f"only in {'A' if key in a.files else 'B'}"
+        x, y = a[key], b[key]
+        if x.shape != y.shape:
+            return f"shapes {x.shape} and {y.shape}"
+        if x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf":
+            return f"dtypes {x.dtype} and {y.dtype}"
+        return "{:.2g} per element, {:.2g} of the largest".format(*relative_differences(x, y))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -133,7 +164,7 @@ def main(argv=None):
         return 0
     diff, total = differences(*args.compare)
     for key in diff:
-        print(f"differs: {key}")
+        print(f"differs: {key}  ({note(*args.compare, key)})")
     print(f"{len(diff)} of {total} arrays differ")
     return 1 if diff else 0
 
