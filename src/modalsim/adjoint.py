@@ -44,20 +44,19 @@ Input and readout are both rank-1, and every pass takes them by their
 factors, so no [step, mode] array besides Q is built for them: the external
 force is f_ext^n = g f^n (force_gains g, force_signal f), and the readout is
 y_n = w . q^{n+1}, y = Q[2:] @ w. With nl = 0, mode k is the two-pole IIR
-filter R_k / (1 - A_k z^-1 - B_k z^-2) of its force. The forward pass steps
-it, as it steps a hook, over the force's support only, the samples up to its
-last nonzero one; after that every mode's free response is filled block by
-block, each block one rank-2 product of its start state and a per-mode basis
-(:func:`_fill_free_response`). A pluck has an empty support and steps none.
-
-A linear fit needs only y and the gradients, so it stores no Q: each mode's
+filter R_k / (1 - A_k z^-1 - B_k z^-2) of its force, and every linear run goes
+through one propagation (:func:`_propagate`): each mode's state
+(q^n, d^n = q^n - q^{n-1}) steps by its 2 x 2 transition over the force's
+support only, the samples up to its last nonzero one (a pluck has none);
+after it, the transition's powers give the rest in blocks, each block one
+product of its start state and a per-mode basis. The trajectory
+(:func:`forward_cached`) steps (q, d) alone. A linear fit needs only y and
+the gradients, so it stores no Q (:func:`readout_cached`): each mode's
 sensitivities s = dq/dA, dq/dB, dq/dR follow the mode's own recurrence,
 driven by q^n, q^{n-1} and u^n, and dL/dA_k = w_k sum_n ybar_n s_A,k^{n+1}
 (forward mode costs no more than reverse mode here, since a mode's
-coefficients move that mode alone). q and its sensitivities step together by
-one block-triangular transition, driven by the force over its support; after
-it the transition's powers give the readout and the gradients as block
-products (:func:`readout_cached`).
+coefficients move that mode alone), so q and its sensitivities step together
+by one block-triangular transition. The per-sample loop runs under a hook only.
 
 Under a nonlinear force the sweep runs back through the stored trajectory:
 the loss gradient ybar enters as the direct term w ybar_{n-1} of the adjoint
@@ -88,7 +87,7 @@ import numpy as np
 
 # steps between the stepping loop's finiteness checks: the most it runs past a blow-up
 CHECK_EVERY = 64
-# samples per block of a linear model's free response; see _fill_free_response
+# samples per block of a linear trajectory after the force; see forward_cached
 FREE_BLOCK = 4096
 # samples per block of a linear readout and its gradients; see readout_cached
 READOUT_BLOCK = 256
@@ -210,50 +209,61 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
     (Q, U): Q[t] = q^{t-1} with shape [n_steps+2, modes]; U holds what the
     hook adds to the inputs, U[n] = -nl(q^n), or None without a hook. Under a
     hook the loop steps every sample. Without one, Q is the transpose of a
-    [mode, time] array (a view, not a copy): the same loop stops at the end
-    of the force's support, and _fill_free_response fills the rest.
+    [mode, time] array (a view, not a copy): :func:`_propagate` steps each
+    mode's (q, d) state over the force's support, and the free response after
+    it is filled in blocks of FREE_BLOCK samples, each one rank-2 product of
+    its start state and the first row of the transition's powers.
     """
     m = len(q0)
-    if force_signal is not None:
-        force_signal = check_length("force_signal", force_signal, n_steps)
-        force_gains = check_length("force_gains", force_gains, m)
+    force_signal, f, force_gains = _check_force(force_signal, force_gains, n_steps, m)
     if hook is None:
+        S, n = len(f), n_steps - len(f)
+        X, basis, starts = _propagate(_transition(A, B, 2),
+                                      np.stack([q0, q0 - q_prev], axis=1), f,
+                                      np.stack([R * force_gains] * 2, axis=1), n, FREE_BLOCK, 1)
         Qt = np.empty((m, n_steps + 2))
-        Q, U, stop = Qt.T, None, len(_forced_samples(force_signal))
-    else:
-        Q, U, stop = np.empty((n_steps + 2, m)), np.empty((n_steps, m)), n_steps
-    Q[0] = q_prev
-    Q[1] = q0
+        Qt[:, 0] = q_prev
+        Qt[:, 1:S + 2] = X[:, :, 0].T
+        L = basis.shape[-1]
+        full = n // L
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(starts[:, :full], basis[0],
+                      out=Qt[:, S + 2:S + 2 + full * L].reshape(m, full, L))
+            if full * L < n:
+                np.matmul(starts[:, full:], basis[0, :, :, :n - full * L],
+                          out=Qt[:, S + 2 + full * L:][:, None, :])
+        check_finite(Qt.T[2:])
+        return Qt.T, None
+    Q, U = np.empty((n_steps + 2, m)), np.empty((n_steps, m))
+    Q[0], Q[1] = q_prev, q0
     q, qp = Q[1], Q[0]
     every = CHECK_EVERY
     # a blow-up overflows before it turns non-finite; the periodic check
     # reports it as InstabilityError, also where warnings are errors
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(stop):
-            if hook is None:
-                u = force_gains * force_signal[n]
-            else:
-                u = -hook(q)
-                U[n] = u
-                if force_signal is not None:
-                    u += force_gains * force_signal[n]
+        for n in range(n_steps):
+            u = -hook(q)
+            U[n] = u
+            if force_signal is not None:
+                u += force_gains * force_signal[n]
             qp, q = q, A * q + B * qp + R * u
             Q[n + 2] = q
             if n % every == every - 1 and not np.isfinite(q).all():
                 check_finite(Q[2:n + 3])
-    if hook is None:
-        _fill_free_response(A, B, Qt[:, stop:])
     check_finite(Q[2:])
     return Q, U
 
 
-def _forced_samples(force_signal):
-    """The force's support: its samples up to the last nonzero one, none
-    without a force."""
+def _check_force(force_signal, force_gains, n_steps, m):
+    """The external force, checked: (signal, support, gains). The support is
+    the signal up to its last nonzero sample; without a signal it is empty and
+    the gains are zero."""
     if force_signal is None:
-        return np.zeros(0)
-    nonzero = np.flatnonzero(force_signal)
-    return force_signal[:nonzero[-1] + 1 if len(nonzero) else 0]
+        return None, np.zeros(0), np.zeros(m)
+    f = check_length("force_signal", force_signal, n_steps)
+    g = check_length("force_gains", force_gains, m)
+    nonzero = np.flatnonzero(f)
+    return f, f[:nonzero[-1] + 1 if len(nonzero) else 0], g
 
 
 def _transition(A, B, size):
@@ -267,6 +277,30 @@ def _transition(A, B, size):
         T[:, i + 1, i] = T[:, i, i] - 1.0
         T[:, i, i + 1] = T[:, i + 1, i + 1] = -B
     return T
+
+
+def _propagate(T, first, f, b, n, block, rows):
+    """The one propagation of a linear model's per-mode state x [mode, d],
+    from x = first: x <- T x + f[j] b over the force's support f, then the
+    n samples after it in blocks of up to `block` samples.
+
+    Returns (X, basis, starts): X[j] is x after j steps, j = 0 .. len(f), and
+    basis and starts are :func:`_block_powers`' from X[-1] for `rows` rows,
+    with the basis cut to the block length. An empty rest is one block of
+    one sample, so starts[:, 0] is always X[-1]. Stepping (q, d) rather than
+    (q^n, q^{n-1}) keeps a slow mode's rounding small: q^{n+1} - q^n is d
+    stepped, not the difference of two nearly equal states.
+    """
+    X = np.empty((len(f) + 1,) + first.shape)
+    X[0] = first
+    # a blow-up overflows before it turns non-finite; the callers report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, fj in enumerate(f):
+            np.matmul(T, X[j, :, :, None], out=X[j + 1, :, :, None])
+            X[j + 1] += fj * b
+    L = max(min(block, n), 1)
+    basis, starts = _block_powers(T, X[-1], L, max(-(-n // L), 1), rows)
+    return X, basis[..., :L], starts
 
 
 def _block_powers(T, first, L, n_blocks, rows):
@@ -314,32 +348,6 @@ def _block_powers(T, first, L, n_blocks, rows):
     return basis, starts
 
 
-def _fill_free_response(A, B, Qt):
-    """Fill columns 2.. of the [mode, time] array Qt with the force-free
-    recurrence q^{n+1} = A q^n + B q^{n-1} from its columns 0 and 1.
-
-    Each mode's state (q^n, q^n - q^{n-1}) steps by its 2 x 2 transition M.
-    In a block of L = FREE_BLOCK samples from the state s, sample j is the
-    first row of M^j times s, so a block is one rank-2 product of its start
-    state and that per-mode basis, both from :func:`_block_powers`.
-    """
-    m, n = Qt.shape[0], Qt.shape[1] - 2
-    if n <= 0:
-        return
-    L = min(FREE_BLOCK, n)
-    n_blocks = -(-n // L)
-    basis, starts = _block_powers(_transition(A, B, 2),
-                                  np.stack([Qt[:, 1], Qt[:, 1] - Qt[:, 0]], axis=1), L,
-                                  n_blocks, 1)
-    full = n // L
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(starts[:, :full], basis[0, :, :, :L],
-                  out=Qt[:, 2:2 + full * L].reshape(m, full, L))
-        if full < n_blocks:
-            np.matmul(starts[:, full:], basis[0, :, :, :n - full * L],
-                      out=Qt[:, 2 + full * L:][:, None, :])
-
-
 def readout_cached(A, B, R, q0, q_prev, n_steps, force_signal, force_gains, w):
     """The readout y_n = w . q^{n+1}, n = 0 .. n_steps - 1, of the hook-free
     recurrence from q^0 = q0 and q^{-1} = q_prev, without its trajectory, and
@@ -350,47 +358,36 @@ def readout_cached(A, B, R, q0, q_prev, n_steps, force_signal, force_gains, w):
     q^n, q^{n-1} and u^n. Each mode's state
     x = (q, d_q, s_A, d_sA, s_B, d_sB, s_R, d_sR), d_x = x^n - x^{n-1}, steps
     by one 8 x 8 transition T: M in each diagonal block, q feeding s_A and
-    q - d_q = q^{n-1} feeding s_B. Over the force's support each step is
-    x <- T x + f^n b, with b = (R g, R g, 0, 0, 0, 0, g, g). After it,
-    :func:`_block_powers` gives the rows of T's powers and its states at the
-    starts of blocks of READOUT_BLOCK samples, so the free readout is one
-    product [block, 2 mode] @ [2 mode, sample]. The cache holds the states
-    over the support, the basis and the block states: nothing per step after
-    the support.
+    q - d_q = q^{n-1} feeding s_B. :func:`_propagate` steps it over the
+    force's support, x <- T x + f^n b with b = (R g, R g, 0, 0, 0, 0, g, g),
+    as forward_cached steps (q, d_q), and gives the rows of T's powers and
+    its states at the starts of blocks of READOUT_BLOCK samples, so the free
+    readout is one product [block, 2 mode] @ [2 mode, sample]. The cache
+    holds the states over the support, the basis and the block states:
+    nothing per step after the support.
 
     When the readout or a block state is not finite, forward_cached runs the
     same model and raises InstabilityError at its first non-finite step.
     """
     m = len(q0)
-    if force_signal is not None:
-        force_signal = check_length("force_signal", force_signal, n_steps)
-        force_gains = check_length("force_gains", force_gains, m)
+    force_signal, f, force_gains = _check_force(force_signal, force_gains, n_steps, m)
     w = check_length("w", w, m)
-    f = _forced_samples(force_signal)
     S, n = len(f), n_steps - len(f)
-    y = np.empty(n_steps)
     T = _transition(A, B, 8)
     T[:, 2:4, 0] = 1.0
     T[:, 4:6, 0], T[:, 4:6, 1] = 1.0, -1.0
-    X = np.zeros((S + 1, m, 8))  # x at steps 0 .. S
-    X[0, :, 0], X[0, :, 1] = q0, q0 - q_prev
-    basis = starts = None
+    first, b = np.zeros((m, 8)), np.zeros((m, 8))
+    first[:, 0], first[:, 1] = q0, q0 - q_prev
+    b[:, :2] = (R * force_gains)[:, None]
+    b[:, 6:] = force_gains[:, None]
+    X, basis, starts = _propagate(T, first, f, b, n, READOUT_BLOCK, 3)
+    y = np.empty(n_steps)
+    # a blow-up overflows before it turns non-finite; it is reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        if S:
-            b = np.zeros((m, 8))
-            b[:, :2] = (R * force_gains)[:, None]
-            b[:, 6:] = force_gains[:, None]
-            for j in range(S):
-                np.matmul(T, X[j, :, :, None], out=X[j + 1, :, :, None])
-                X[j + 1] += f[j] * b
-            y[:S] = X[1:, :, 0] @ w
-        if n > 0:
-            L = min(READOUT_BLOCK, n)
-            basis, starts = _block_powers(T, X[-1], L, -(-n // L), 3)
-            basis = basis[..., :L]
-            wq = (starts[:, :, :2] * w[:, None, None]).transpose(1, 0, 2).reshape(-1, 2 * m)
-            y[S:] = (wq @ basis[0].reshape(2 * m, L)).ravel()[:n]
-    if not (np.isfinite(y).all() and (starts is None or np.isfinite(starts).all())):
+        y[:S] = X[1:, :, 0] @ w
+        wq = (starts[:, :, :2] * w[:, None, None]).transpose(1, 0, 2).reshape(-1, 2 * m)
+        y[S:] = (wq @ basis[0].reshape(2 * m, -1)).ravel()[:n]
+    if not (np.isfinite(y).all() and np.isfinite(starts).all()):
         forward_cached(A, B, R, q0, q_prev, n_steps, force_signal, force_gains)
     return y, (w, X[1:], basis, starts)
 
@@ -407,17 +404,17 @@ def readout_backward(cache, ybar):
     """
     w, X, basis, starts = cache
     S = len(X)
+    m, n_blocks = starts.shape[:2]
+    L = basis.shape[-1]
     G = np.tensordot(ybar[:S], X[:, :, ::2], axes=1)  # [mode, (q, s_A, s_B, s_R)]
-    if starts is not None:
-        m, n_blocks = starts.shape[:2]
-        L = basis.shape[-1]
-        Y = np.zeros(n_blocks * L)
-        Y[:len(ybar) - S] = ybar[S:]
-        C = (basis.reshape(6 * m, L) @ Y.reshape(n_blocks, L).T).reshape(3, m, 2, n_blocks)
-        z = starts.reshape(m, n_blocks, 4, 2)
-        G += np.einsum("kcb,kbic->ki", C[0], z)
-        G[:, 1:3] += np.einsum("ikcb,kbc->ki", C[1:], z[:, :, 0])
+    Y = np.zeros(n_blocks * L)
+    Y[:len(ybar) - S] = ybar[S:]
+    C = (basis.reshape(6 * m, L) @ Y.reshape(n_blocks, L).T).reshape(3, m, 2, n_blocks)
+    z = starts.reshape(m, n_blocks, 4, 2)
+    G += np.einsum("kcb,kbic->ki", C[0], z)
+    G[:, 1:3] += np.einsum("ikcb,kbc->ki", C[1:], z[:, :, 0])
     return Coefficients(*(w * G[:, 1:].T)), G[:, 0]
+
 
 
 def bptt(A, B, R, Q, U, ybar, w, force_signal=None, force_gains=None, *, hook):
@@ -431,13 +428,8 @@ def bptt(A, B, R, Q, U, ybar, w, force_signal=None, force_gains=None, *, hook):
     dU[n] = dL/du^n.
     """
     n_steps, m = len(ybar), len(A)
-    if force_signal is None:
-        force_gains = np.zeros(m)
-    else:
-        force_signal = check_length("force_signal", force_signal, n_steps)
-        force_gains = check_length("force_gains", force_gains, m)
-    # the external part of dR_k is g_k (f . qbar_k), over the force's support
-    f = _forced_samples(force_signal)
+    # the external part of dR_k is g_k (f . qbar_k), over the force's support f
+    _, f, force_gains = _check_force(force_signal, force_gains, n_steps, m)
     g = Coefficients(np.empty(m), np.empty(m), np.empty(m))
     # qbar[t] = dL/dq^{t-1}, its direct term w ybar written in place; the last
     # row stays zero, and the sweep stops at q^1 because q^0 is given

@@ -123,8 +123,10 @@ def bark_grid(n_points: int, f_max: float, rate: float, f_min: float = 20.0) -> 
         raise ValueError("need at least two grid points")
     if f_max > rate / 2:
         raise ValueError("f_max must not exceed the Nyquist frequency")
+    if not f_min > 0:
+        raise ValueError(f"f_min must be positive, got {f_min}")
     if f_max <= f_min:
-        raise ValueError("f_max must exceed the 20 Hz lower edge")
+        raise ValueError(f"f_max must exceed the {f_min} Hz lower edge, got {f_max}")
     z = np.linspace(hz_to_bark(f_min), hz_to_bark(f_max), n_points)
     f = bark_to_hz(z)
     f[0], f[-1] = f_min, f_max  # pin the endpoints exactly

@@ -36,7 +36,7 @@ def wav_read(path):
     else:
         raise WavFormatError(
             f"unsupported WAV encoding {data.dtype} in {path}; "
-            "expected 16/24/32-bit PCM or 32-bit float"
+            "expected 16/24/32-bit PCM or 32/64-bit float"
         )
     return sig, int(rate)
 

@@ -18,14 +18,14 @@ Two explicit two-step schemes share one coefficient form, the update vectors
 the coefficient map of :mod:`modalsim.adjoint` (past the Stoermer-Verlet bound
 omega T < 2 it raises :class:`StabilityBoundError`), :func:`start_state` and
 :func:`modalsim.adjoint.forward_cached`, under the force of
-:func:`modalsim.coupling.nonlinear_force`. There a linear model is stepped
-over the external force's support only, and its free response after that
-is filled in blocks. A linear fit asks run_model for the readout alone,
-:func:`modalsim.adjoint.readout_cached`, which stores no trajectory.
-:func:`ftm_coeffs` and
-:func:`sv_coeffs` stay only because the benchmark calls and traces them. An
-oversampled RK4 integrator provides the reference solution for scheme-error
-measurements.
+:func:`modalsim.coupling.nonlinear_force`. Only a model under that force is
+stepped sample by sample. A linear model's trajectory, and the readout alone
+that a linear fit asks run_model for (:func:`modalsim.adjoint.readout_cached`,
+which stores no trajectory), come from one propagation: each mode's state is
+stepped over the external force's support only, and the rest is filled in
+blocks. :func:`ftm_coeffs` and :func:`sv_coeffs` stay only because the
+benchmark calls and traces them. An oversampled RK4 integrator provides the
+reference solution for scheme-error measurements.
 """
 
 from __future__ import annotations
@@ -117,6 +117,8 @@ class PointForce:
     signal: np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.signal) != 1:
+            raise ValueError(f"force signal must be 1-D, got shape {np.shape(self.signal)}")
         if not np.all(np.isfinite(self.signal)):
             raise ValueError("force signal must be finite")
 

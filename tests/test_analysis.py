@@ -236,6 +236,15 @@ def test_bark_grid_validation():
         bark_grid(16, 30000.0, 44100.0)
     with pytest.raises(ValueError, match="two"):
         bark_grid(1, 1000.0, 44100.0)
+    # a negative f_min used to return a grid from -50 Hz, which only the
+    # frequency-domain fit rejected; the f_max error named 20 Hz whatever f_min was
+    for f_max, f_min, message in [
+            (1000.0, 0.0, r"^f_min must be positive, got 0.0$"),
+            (1000.0, -50.0, r"^f_min must be positive, got -50.0$"),
+            (50.0, 100.0, r"^f_max must exceed the 100.0 Hz lower edge, got 50.0$"),
+            (20.0, 20.0, r"^f_max must exceed the 20.0 Hz lower edge, got 20.0$")]:
+        with pytest.raises(ValueError, match=message):
+            bark_grid(16, f_max, 44100.0, f_min=f_min)
 
 
 # --- transfer-function magnitude -------------------------------------------------------
@@ -506,7 +515,7 @@ def test_wav_unsupported_encoding(tmp_path):
 
     path = tmp_path / "u8.wav"
     wavfile.write(path, 8000, np.zeros(100, dtype=np.uint8))
-    with pytest.raises(WavFormatError, match="uint8"):
+    with pytest.raises(WavFormatError, match="uint8 .* 16/24/32-bit PCM or 32/64-bit float$"):
         wav_read(path)
 
 
