@@ -22,8 +22,8 @@ against central finite differences):
   transfer-function magnitude that ``analysis.tf_magnitude`` wraps, and its
   adjoint in closed form: the forward pass keeps only each mode's reciprocal
   denominator inv, and every gradient is a weighted sum over frequency of inv
-  or inv^2 times a power of z. Both take an optional leading start axis, and
-  one call allocates one block for every start's inv.
+  or inv^2 times a power of z. Both broadcast over leading (start) axes, with
+  no loop over them, and one call allocates one block for inv and inv^2.
 
 The nonlinear forces live with their Jacobians in :mod:`modalsim.coupling`,
 built by ``coupling.nonlinear_force``.
@@ -526,58 +526,47 @@ def tf_magnitude_cached(A, B, R, R2, weights, z):
     """|H| = |sum_mu w_mu (R z + R2) / (z^2 - A z - B)| at the points z =
     e^{i 2 pi f / rate} of a frequency grid f that has passed
     :func:`check_tf_frequencies` (callers compute z once per grid). A, B, R,
-    R2 and weights are [mode], or [start, mode] for one |H| row per start.
+    R2 and weights broadcast to [..., mode], say [start, mode] for one start
+    per row, and |H| is [..., freq].
 
     The modal responses are summed as complex quantities before taking the
     magnitude, matching the parallel-resonator structure:
     H = z (inv @ (w R)) + inv @ (w R2) with the reciprocal denominator
-    inv = 1/den [freq, mode], the only [freq, mode] array the cache keeps
+    inv = 1/den [..., freq, mode], the only [freq, mode] array the cache keeps
     (with z, H, |H|, w, R, R2). With hc = conj(mag_bar H/|H|) (0 where
     |H| = 0), V = [hc; hc z; hc z^2], s = Re(V[:2] @ inv) and
     t = Re(V @ inv^2), :func:`tf_magnitude_backward` returns dw = R s1 + R2 s0,
     dR = w s1, dR2 = w s0, dA = w (R t2 + R2 t1) and dB = w (R t1 + R2 t0).
 
-    Every start's inv lives in one [start + 1, freq, mode] block, allocated
-    once per call; the backward pass writes inv^2 into the last slice. With a
-    separate allocation per start and per product, each just under glibc's
-    128 KB mmap threshold at the benchmark's 256 x 30 grid, every free trimmed
-    the heap and the next call refaulted it: about 55,000 minor page faults
-    per string_fit_fd op, against none with the block.
+    One [2, ..., freq, mode] block is allocated per call: inv goes into its
+    first slice and the backward pass's inv^2 into its second, both in place.
+    With a new [start, freq, mode] array per product instead, the kernels ran
+    20% faster alone but string_fit_fd ops ran 35% slower, each taking about
+    105,000 minor page faults against 0-10 with the block.
     """
     A, B, R, R2, w = np.broadcast_arrays(A, B, R, R2, weights)
-    lead, m = A.shape[:-1], A.shape[-1]
-    A, B, R, R2, w = (x.reshape(int(np.prod(lead)), m) for x in (A, B, R, R2, w))
-    block = np.empty((len(A) + 1, len(z), m), dtype=complex)
-    H = np.empty((len(A), len(z)), dtype=complex)
+    block = np.empty((2,) + A.shape[:-1] + (len(z), A.shape[-1]), dtype=complex)
+    inv = block[0]
     zc = z[:, None]
-    z2 = zc * zc
-    for k, inv in enumerate(block[:-1]):
-        # inv = 1 / (z^2 - A z - B), in place and bit for bit
-        np.multiply(zc, -A[k], out=inv)
-        inv += z2
-        inv -= B[k]
-        np.divide(1.0, inv, out=inv)
-        H[k] = z * (inv @ (w[k] * R[k])) + inv @ (w[k] * R2[k])
+    # inv = 1 / (z^2 - A z - B), in place
+    np.multiply(zc, -A[..., None, :], out=inv)
+    inv += zc * zc
+    inv -= B[..., None, :]
+    np.divide(1.0, inv, out=inv)
+    H = z * (inv @ (w * R)[..., None])[..., 0] + (inv @ (w * R2)[..., None])[..., 0]
     mag = np.abs(H)
-    return mag.reshape(lead + (len(z),)), (z, block, H, mag, w, R, R2)
+    return mag, (z, block, H, mag, w, R, R2)
 
 
 def tf_magnitude_backward(cache, mag_bar):
     """Gradients of sum_f mag_bar_f |H_f|: (Coefficients(dA, dB, dR), dR2, dw),
-    each [mode], or [start, mode] when mag_bar is [start, freq]."""
-    z, block, H, mag, w, R, R2 = cache
-    lead = np.shape(mag_bar)[:-1]
-    mag_bar = np.reshape(mag_bar, mag.shape)
-    inv2 = block[-1]
-    grads = np.empty((5,) + w.shape)  # dA, dB, dR, dR2, dw
-    for k, inv in enumerate(block[:-1]):
-        safe = np.where(mag[k] > 0.0, mag[k], 1.0)
-        hc = np.conj(np.where(mag[k] > 0.0, mag_bar[k] * H[k] / safe, 0.0))
-        V = np.stack([hc, hc * z, hc * z * z])
-        s0, s1 = np.real(V[:2] @ inv)
-        np.multiply(inv, inv, out=inv2)
-        t0, t1, t2 = np.real(V @ inv2)
-        grads[:, k] = (w[k] * (R[k] * t2 + R2[k] * t1), w[k] * (R[k] * t1 + R2[k] * t0),
-                       w[k] * s1, w[k] * s0, R[k] * s1 + R2[k] * s0)
-    dA, dB, dR, dR2, dw = grads.reshape((5,) + lead + w.shape[-1:])
-    return Coefficients(dA, dB, dR), dR2, dw
+    each [..., mode] for a mag_bar of |H|'s shape [..., freq]."""
+    z, (inv, inv2), H, mag, w, R, R2 = cache
+    safe = np.where(mag > 0.0, mag, 1.0)
+    hc = np.conj(np.where(mag > 0.0, mag_bar * H / safe, 0.0))
+    V = np.stack([hc, hc * z, hc * z * z], axis=-2)
+    s0, s1 = np.moveaxis(np.real(V[..., :2, :] @ inv), -2, 0)
+    np.multiply(inv, inv, out=inv2)
+    t0, t1, t2 = np.moveaxis(np.real(V @ inv2), -2, 0)
+    return (Coefficients(w * (R * t2 + R2 * t1), w * (R * t1 + R2 * t0), w * s1), w * s0,
+            R * s1 + R2 * s0)

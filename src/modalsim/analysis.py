@@ -69,6 +69,8 @@ def lpc(signal: np.ndarray, order: int) -> LpcModel:
     gain sqrt(E_p).
     """
     x = np.asarray(signal, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("signal must be finite")
     if order < 1:
         raise ValueError("order must be >= 1")
     if order >= len(x):

@@ -11,7 +11,7 @@ the transform (``TRANSFORMS``) from its raw optimiser coordinates:
 * ``linear``   — unconstrained quantities (readout_weights, weights, b2).
 
 A free ``log`` or ``softplus`` parameter must start above 0, unless an init
-rule of the fit sets its start.
+rule of the fit sets its start above 0. A fixed ``gamma`` must be >= 0.
 
 Two objective kinds cover the fitting paths:
 
@@ -35,11 +35,11 @@ Optimisation is Adam under a one-cycle schedule (linear ramp over the first
 10% of steps, cosine decay to peak/100), with independent random restarts
 ranked by their best loss. The restarts run in lockstep: each step is one
 ``value_and_grad`` call with a leading start axis on every raw array and one
-Adam update of all live starts. The frequency-domain problem passes the
-starts to one call of each transfer-function kernel, the time-domain problem
-loops over them, and a start that raises one of ``START_ERRORS`` stops alone,
-such as one past the Stoermer-Verlet stability bound, which stops before its
-first step.
+Adam update of all live starts. The frequency-domain problem broadcasts the
+starts through one call of each transfer-function kernel, the time-domain
+problem loops over them, and a start that raises one of ``START_ERRORS``
+stops alone, such as one past the Stoermer-Verlet stability bound, which
+stops before its first step.
 """
 
 from __future__ import annotations
@@ -99,11 +99,13 @@ class _Parameters:
 
     def _check_lengths(self, sizes):
         """Store each named input as a float array of the given length; a
-        scalar gamma first fills every mode."""
+        scalar gamma first fills every mode. Damping must not be negative."""
         if np.ndim(self.gamma) == 0:
             self.gamma = np.full(len(self.lam), float(self.gamma))
         for name, size in sizes:
             setattr(self, name, adjoint.check_length(name, getattr(self, name), size))
+        if not np.all(self.gamma >= 0):
+            raise ValueError(f"gamma must be >= 0 in every mode, got {self.gamma}")
 
     def _check_free(self):
         unknown = set(self.free) - set(self.PARAMS)
@@ -134,11 +136,6 @@ class _Parameters:
         values = {n: getattr(self, n) for n in self.PARAMS}
         values.update(self.physical(raw))
         return values
-
-    def _starts(self, raw):
-        """The number of starts along raw's leading axis, or None without one."""
-        return next((len(v) for n, v in raw.items() if np.ndim(v) > np.ndim(getattr(self, n))),
-                    None)
 
     def _raw_grads(self, raw, grads):
         """Chain gradients in physical values through the transforms."""
@@ -231,19 +228,28 @@ class TimeDomainProblem(_Parameters):
                         readout=w if readout and force is None else None)
         return force, run, w
 
+    def _rows(self, raw):
+        """One raw dict per start along raw's leading axis, or None without one."""
+        if any(np.ndim(v) > np.ndim(getattr(self, n)) for n, v in raw.items()):
+            return [dict(zip(raw, row)) for row in zip(*raw.values())]
+
     def predict(self, raw) -> np.ndarray:
-        """Readout signal under the given raw parameters: simulate's, bit for bit."""
+        """Readout signal under the given raw parameters: simulate's, bit for bit;
+        with a leading start axis on raw, one row per start, run one at a time."""
+        rows = self._rows(raw)
+        if rows is not None:
+            return np.stack([self.predict(row) for row in rows])
         _, (_, Q, _), w = self._run(raw)
         return Q[2:] @ w
 
     def value_and_grad(self, raw):
         """Loss and raw gradients; with a leading start axis on raw, one loss per
         start, the starts run one at a time."""
-        if self._starts(raw) is None:
+        rows = self._rows(raw)
+        if rows is None:
             return self._value_and_grad(raw)
-        out = [self._value_and_grad(dict(zip(raw, row))) for row in zip(*raw.values())]
-        return (np.array([loss for loss, _ in out]),
-                {n: np.stack([g[n] for _, g in out]) for n in raw})
+        losses, grads = zip(*map(self._value_and_grad, rows))
+        return np.array(losses), {n: np.stack([g[n] for g in grads]) for n in raw}
 
     def _value_and_grad(self, raw):
         force, (parts, *run), w = self._run(raw, readout=True)
@@ -316,31 +322,29 @@ class FrequencyDomainProblem(_Parameters):
 
     def _assemble(self, raw):
         """The coefficient map's three Coefficients and the kernels' A, B, R, R2 = b2
-        and w, each [start, mode] (one start where raw has no start axis)."""
+        and w, each [mode], or [start, mode] where raw has a start axis."""
         p = self._values(raw)
-        w2 = omega_squared(self.lam, np.reshape(p["d_hat"], (-1, 1)),
-                           np.reshape(p["t0_hat"], (-1, 1)))
+        w2 = omega_squared(self.lam, np.expand_dims(p["d_hat"], -1),
+                           np.expand_dims(p["t0_hat"], -1))
         parts = adjoint.ftm_update_partials(w2, p["gamma"], 1.0 / self.rate)
-        return parts, np.broadcast_arrays(*parts[0], p["b2"], p["weights"])
+        return parts, (*parts[0], p["b2"], p["weights"])
 
     def predict(self, raw) -> np.ndarray:
+        """|H| on the grid; with a leading start axis on raw, one row per start."""
         _, coeffs = self._assemble(raw)
-        mag, _ = adjoint.tf_magnitude_cached(*(c[0] for c in coeffs), self._z)
+        mag, _ = adjoint.tf_magnitude_cached(*coeffs, self._z)
         return mag
 
     def value_and_grad(self, raw):
         """Loss and raw gradients; with a leading start axis on raw, one loss per
         start. One call of each transfer-function kernel serves every start."""
         parts, coeffs = self._assemble(raw)
-        mag, cache = adjoint.tf_magnitude_cached(*coeffs, self._z)  # [start, freq]
-        loss, dmag = loss_total_grad(self.target_env[None, :], mag[:, None, :],
+        mag, cache = adjoint.tf_magnitude_cached(*coeffs, self._z)  # [..., freq]
+        loss, dmag = loss_total_grad(self.target_env[None, :], mag[..., None, :],
                                      self.loss_weights, self.freqs)
-        g, dR2, dw = adjoint.tf_magnitude_backward(cache, dmag[:, 0])
-        grads = self._raw_grads(raw, dict(_coefficient_grads(parts, g, self.lam),
-                                          b2=dR2, weights=dw))
-        if self._starts(raw) is None:
-            return float(loss[0]), {n: g[0] for n, g in grads.items()}
-        return loss, grads
+        g, dR2, dw = adjoint.tf_magnitude_backward(cache, dmag[..., 0, :])
+        return loss, self._raw_grads(raw, dict(_coefficient_grads(parts, g, self.lam),
+                                               b2=dR2, weights=dw))
 
 
 # --- optimiser --------------------------------------------------------------------
@@ -403,12 +407,9 @@ def _init_raw(problem, cfg: FitConfig, rng: np.random.Generator):
     unused = sorted(set(init) - set(problem.free))
     if unused:
         raise ValueError(f"init rules for parameters that are not free: {unused}")
-    for name in problem.free:
+    for name in [n for n in problem.free if n in init]:  # draws in free's order
         kind, shape = problem.PARAMS[name], np.shape(getattr(problem, name))
-        invert = TRANSFORMS[kind].inverse
-        rule = init.get(name)
-        if rule is None:
-            continue
+        invert, rule = TRANSFORMS[kind].inverse, init[name]
         if set(rule) not in ({"value"}, {"low", "high"}):
             raise ValueError(f"init rule for {name} needs 'value' or 'low'/'high', "
                              f"got {sorted(rule)}")
@@ -416,6 +417,8 @@ def _init_raw(problem, cfg: FitConfig, rng: np.random.Generator):
             value = np.asarray(rule["value"], dtype=float)
             if value.shape not in ((), shape):
                 raise ValueError(f"init value for {name} has shape {value.shape}, not {shape}")
+            if kind in ("log", "softplus") and not np.all(value > 0):
+                raise ValueError(f"init value for {name} ({kind}) must be > 0, got {value}")
             raw[name] = np.array(invert(np.broadcast_to(value, shape)))
         else:
             low, high = rule["low"], rule["high"]
@@ -462,9 +465,9 @@ def fit(problem, cfg: FitConfig) -> FitResult:
     Start k draws its initialisation from default_rng([seed, k]), so each
     start, and the ranking, is reproducible on its own, whatever the other
     starts do. Each step is one problem.value_and_grad call over the live
-    starts' raw coordinates, stacked on a leading start axis (vectorised by
-    the frequency-domain problem, a loop in the time-domain one), and one Adam
-    update of their rows. A start stops when its loss or gamma goes
+    starts' raw coordinates, stacked on a leading start axis (broadcast by the
+    frequency-domain problem, one at a time in the time-domain one), and one
+    Adam update of their rows. A start stops when its loss or gamma goes
     non-finite. When the stacked call raises one of START_ERRORS, each live
     start is re-run alone: the ones that raise stop with that error and the
     others go on.

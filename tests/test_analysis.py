@@ -173,6 +173,15 @@ def test_lpc_rejects_silence():
         lpc(np.zeros(1000), 4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lpc_rejects_a_signal_that_is_not_finite(rng, bad):
+    # a float WAV may hold such samples; the model would be all NaN
+    x = rng.normal(size=1000)
+    x[500] = bad
+    with pytest.raises(ValueError, match="signal must be finite"):
+        lpc(x, 4)
+
+
 def test_lpc_envelope_order_zero_constant():
     model = LpcModel(order=0, coeffs=np.zeros(0), gain=3.5)
     env = lpc_envelope_at(model, [100.0, 1000.0, 3999.0], 8000.0)

@@ -80,6 +80,19 @@ def test_problems_check_gamma_length(problem, kw):
     assert np.array_equal(problem(**dict(kw, gamma=2.0)).gamma, np.full(3, 2.0))
 
 
+@pytest.mark.parametrize("gamma", [-2.0, np.array([2.0, -1.0, 3.0]), np.nan],
+                         ids=["negative", "one-mode-negative", "nan"])
+@pytest.mark.parametrize("problem, kw", [
+    (FrequencyDomainProblem, frequency_kw()), (TimeDomainProblem, None),
+], ids=["frequency", "time"])
+def test_problems_reject_gamma_that_is_not_non_negative(problem, kw, gamma):
+    # a negative gamma is a growing mode, and a NaN one fails only at the first step
+    kw = kw or time_kw()
+    with pytest.raises(ValueError, match="gamma must be >= 0"):
+        problem(**dict(kw, gamma=gamma))
+    problem(**dict(kw, gamma=0.0))
+
+
 def test_frequency_builder_grid_passes():
     assert len(string_frequency_problem().freqs) == 96
 
@@ -188,6 +201,24 @@ def test_time_problem_predicts_simulate_readout(scheme, nonlinearity):
         readout_weights=point_readout(basis, pickup).weights, nonlinearity=nonlinearity)
     assert np.max(np.abs(traj.readout)) > 0.0
     assert np.array_equal(problem.predict({}), traj.readout)
+
+
+@pytest.mark.parametrize("build, free, starts", [
+    (string_frequency_problem, ("d_hat", "t0_hat", "gamma", "b2", "weights"), 2),
+    (string_time_problem, ("d_hat", "t0_hat", "gamma", "readout_weights"), 2),
+    (string_time_problem, ("t0_hat", "gamma"), 3),
+], ids=["frequency", "time", "time-starts-equal-modes"])
+def test_stacked_predict_equals_each_start_alone(build, free, starts):
+    # 3 starts on the 3-mode time problem: a start axis as long as the mode axis
+    problem = build(free=free)
+    rng = np.random.default_rng(3)
+    raw = {n: x + 0.02 * rng.normal(size=(starts,) + x.shape)
+           for n, x in problem.initial_raw().items()}
+    got = problem.predict(raw)
+    want = np.stack([problem.predict({n: x[k] for n, x in raw.items()})
+                     for k in range(starts)])
+    assert got.shape == want.shape and want.ndim == 2
+    assert np.array_equal(got, want)
 
 
 # --- lockstep engine against the serial per-start oracle ------------------------------
@@ -398,6 +429,21 @@ def test_init_range_must_be_ordered_and_positive_where_transformed(name, low, hi
     cfg = FitConfig(steps=1, peak_lr=0.01, init={name: {"low": low, "high": high}})
     with pytest.raises(ValueError, match=message):
         _init_raw(problem, cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("name, value, kind", [
+    ("t0_hat", 0.0, "log"), ("t0_hat", -1.0, "log"), ("gamma", 0.0, "softplus"),
+    ("gamma", np.array([3.0, 4.0, -1.0, 5.0, 6.0]), "softplus"),
+], ids=["log-zero", "log-negative", "softplus-zero", "softplus-one-mode-negative"])
+def test_init_value_must_be_positive_where_transformed(name, value, kind):
+    # its raw coordinate would be -inf or NaN: every start would die or end the fit
+    problem = string_frequency_problem(free=("t0_hat", "gamma"))
+    cfg = FitConfig(steps=1, peak_lr=0.01, init={name: {"value": value}})
+    message = rf"init value for {name} \({kind}\) must be > 0"
+    with pytest.raises(ValueError, match=message):
+        _init_raw(problem, cfg, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=message):
+        fit(problem, cfg)
 
 
 @pytest.mark.parametrize("rule", [{"low": 1e4}, {"value": 2e4, "low": 1.0, "high": 2.0},
