@@ -16,7 +16,7 @@ from .coupling import PlateCoupling, simply_supported_tensors, TensionModulation
 from .integrators import (
     OscillatorBank, Coefficients, Trajectory,
     InitialCondition, PointForce, raised_cosine_pulse, triangular_pluck,
-    OverdampedError, InstabilityError, StabilityBoundError, SchemeError,
+    OverdampedError, InstabilityError, StabilityBoundError, NyquistError, SchemeError,
     oscillator_bank, bank_from_spec, ftm_coeffs, sv_coeffs, simulate, rk_reference,
 )
 from .losses import (

@@ -8,16 +8,22 @@ against central finite differences):
   :func:`sv_update_partials`, from omega^2 and gamma to the update vectors
   (A, B, R) and their partials in omega^2 and gamma, which both fits chain
   through. ``sv_update_partials`` raises :class:`StabilityBoundError` past
-  the scheme's stability bound. ``integrators.ftm_coeffs``/``sv_coeffs`` and
-  the alias ``ftm_coeff_partials`` keep their names only because the
-  benchmark calls or traces them;
+  the scheme's stability bound, and ``ftm_update_partials`` raises
+  :class:`NyquistError` for a mode at or past Nyquist.
+  ``integrators.ftm_coeffs``/``sv_coeffs`` and the alias
+  ``ftm_coeff_partials`` keep their names only because the benchmark calls
+  or traces them;
 * :func:`forward_cached`, the two-step modal recurrence of the one model that
   ``simulate`` and the time-domain fit run through ``integrators.run_model``,
   and :func:`bptt`, its reverse sweep under a nonlinear force;
 * :func:`readout_cached` / :func:`readout_backward`, a linear model's readout
-  and its gradients in forward mode, without the trajectory;
+  and its gradients in forward mode, without the trajectory. Both broadcast
+  over leading (start) axes: the modes of every start step as one bank, and
+  each start's readout is contracted on its own;
 * :func:`stft_cached` / :func:`stft_backward`, the magnitude STFT that
-  ``analysis.stft`` wraps, and its adjoint;
+  ``analysis.stft`` wraps, and its adjoint. Their index maps (the reflect
+  padding and the framing) and window are built once per signal length,
+  window and hop, and kept read-only;
 * :func:`tf_magnitude_cached` / :func:`tf_magnitude_backward`, the modal
   transfer-function magnitude that ``analysis.tf_magnitude`` wraps, and its
   adjoint in closed form: the forward pass keeps only each mode's reciprocal
@@ -81,6 +87,7 @@ force's own parameters take their gradients (``TensionModulation.tau_grad``).
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -99,6 +106,11 @@ class OverdampedError(ValueError):
 
 class StabilityBoundError(ValueError):
     """A mode breaks the Stoermer-Verlet stability bound omega T < 2."""
+
+
+class NyquistError(ValueError):
+    """An ftm mode reaches Nyquist, wt T >= pi with wt its damped angular
+    frequency: its resonator would fold it into the band."""
 
 
 class InstabilityError(RuntimeError):
@@ -142,7 +154,8 @@ def ftm_update_partials(omega2, gamma, T):
     """Impulse-invariant update vectors A = 2 e^{-gT} cos(wt T), B = -e^{-2gT}
     and R = e^{-gT} sin(wt T) / wt, with wt = sqrt(omega^2 - g^2). Returns
     three Coefficients: (A, B, R), their partials d/domega^2 and d/dgamma,
-    gamma = g. The poles of each resonator are e^{(-g +- i wt) T}."""
+    gamma = g. The poles of each resonator are e^{(-g +- i wt) T}. Raises
+    NyquistError when modes reach Nyquist, wt T >= pi."""
     if T <= 0:
         raise ValueError("sample period must be positive")
     w2 = np.asarray(omega2, dtype=float)
@@ -154,6 +167,13 @@ def ftm_update_partials(omega2, gamma, T):
             "the resonator scheme requires omega > gamma"
         )
     wt = np.sqrt(w2 - g**2)
+    past = wt * T >= np.pi
+    if past.any():
+        modes = np.flatnonzero(np.any(past, axis=tuple(range(past.ndim - 1))))
+        raise NyquistError(
+            f"{modes.size} mode(s) reach Nyquist (damped omega*T >= pi), the first at mode "
+            f"index {modes[0]} (largest damped omega*T {np.max(wt * T):.4g}); the resonators "
+            "would fold them into the band, so cut the basis at Nyquist")
     e1 = np.exp(-g * T)
     c = np.cos(wt * T)
     s = np.sin(wt * T)
@@ -293,11 +313,14 @@ def _propagate(T, first, f, b, n, block, rows):
     """
     X = np.empty((len(f) + 1,) + first.shape)
     X[0] = first
+    np.multiply(f[:, None, None], b, out=X[1:])
+    # from rest, x stays 0 up to the force's first nonzero sample
+    rest = 0 if first.any() or not len(f) else int(np.argmax(f != 0))
+    step = np.empty(first.shape + (1,))
     # a blow-up overflows before it turns non-finite; the callers report it
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, fj in enumerate(f):
-            np.matmul(T, X[j, :, :, None], out=X[j + 1, :, :, None])
-            X[j + 1] += fj * b
+        for j in range(rest, len(f)):
+            X[j + 1] += np.matmul(T, X[j, :, :, None], out=step)[..., 0]
     L = max(min(block, n), 1)
     basis, starts = _block_powers(T, X[-1], L, max(-(-n // L), 1), rows)
     return X, basis[..., :L], starts
@@ -351,70 +374,88 @@ def _block_powers(T, first, L, n_blocks, rows):
 def readout_cached(A, B, R, q0, q_prev, n_steps, force_signal, force_gains, w):
     """The readout y_n = w . q^{n+1}, n = 0 .. n_steps - 1, of the hook-free
     recurrence from q^0 = q0 and q^{-1} = q_prev, without its trajectory, and
-    the cache of :func:`readout_backward`. The force is forward_cached's.
+    the cache of :func:`readout_backward`. The force is forward_cached's, its
+    gains per mode. A, B, R, q0, q_prev and w broadcast to [..., mode], say
+    [start, mode] for one start per row, and y is [..., n_steps].
 
     The gradients are taken in forward mode: the sensitivities s_A, s_B and
     s_R of q to a mode's A, B and R follow that mode's recurrence, driven by
     q^n, q^{n-1} and u^n. Each mode's state
     x = (q, d_q, s_A, d_sA, s_B, d_sB, s_R, d_sR), d_x = x^n - x^{n-1}, steps
     by one 8 x 8 transition T: M in each diagonal block, q feeding s_A and
-    q - d_q = q^{n-1} feeding s_B. :func:`_propagate` steps it over the
-    force's support, x <- T x + f^n b with b = (R g, R g, 0, 0, 0, 0, g, g),
-    as forward_cached steps (q, d_q), and gives the rows of T's powers and
-    its states at the starts of blocks of READOUT_BLOCK samples, so the free
-    readout is one product [block, 2 mode] @ [2 mode, sample]. The cache
-    holds the states over the support, the basis and the block states:
-    nothing per step after the support.
+    q - d_q = q^{n-1} feeding s_B. The modes of every start step as one bank
+    of [start * mode] modes: :func:`_propagate` steps it over the force's
+    support, x <- T x + f^n b with b = (R g, R g, 0, 0, 0, 0, g, g), as
+    forward_cached steps (q, d_q), and gives the rows of T's powers and its
+    states at the starts of blocks of READOUT_BLOCK samples. Each start's
+    readout is its own contraction: over the support, its states with its w,
+    and after it, one product [block, 2 mode] @ [2 mode, sample] per start.
+    The cache holds the states over the support, the basis and the block
+    states: nothing per step after the support.
 
     When the readout or a block state is not finite, forward_cached runs the
-    same model and raises InstabilityError at its first non-finite step.
+    same model, start by start, and raises InstabilityError at the first
+    non-finite step of the first start that has one.
     """
-    m = len(q0)
+    A, B, R, q0, q_prev, w = np.broadcast_arrays(A, B, R, q0, q_prev, w)
+    lead, m = A.shape[:-1], A.shape[-1]
     force_signal, f, force_gains = _check_force(force_signal, force_gains, n_steps, m)
-    w = check_length("w", w, m)
     S, n = len(f), n_steps - len(f)
-    T = _transition(A, B, 8)
+    K = A.size // m
+    T = _transition(A.ravel(), B.ravel(), 8)
     T[:, 2:4, 0] = 1.0
     T[:, 4:6, 0], T[:, 4:6, 1] = 1.0, -1.0
-    first, b = np.zeros((m, 8)), np.zeros((m, 8))
-    first[:, 0], first[:, 1] = q0, q0 - q_prev
-    b[:, :2] = (R * force_gains)[:, None]
-    b[:, 6:] = force_gains[:, None]
+    first, b = np.zeros((K * m, 8)), np.zeros((K * m, 8))
+    first[:, 0], first[:, 1] = q0.ravel(), (q0 - q_prev).ravel()
+    b[:, :2] = (R * force_gains).reshape(-1, 1)
+    b[:, 6:] = np.broadcast_to(force_gains, A.shape).reshape(-1, 1)
     X, basis, starts = _propagate(T, first, f, b, n, READOUT_BLOCK, 3)
-    y = np.empty(n_steps)
+    y = np.empty((K, n_steps))
+    wk = w.reshape(K, m, 1)
     # a blow-up overflows before it turns non-finite; it is reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        y[:S] = X[1:, :, 0] @ w
-        wq = (starts[:, :, :2] * w[:, None, None]).transpose(1, 0, 2).reshape(-1, 2 * m)
-        y[S:] = (wq @ basis[0].reshape(2 * m, -1)).ravel()[:n]
+        y[:, :S] = (X[1:, :, 0].reshape(S, K, m).transpose(1, 0, 2) @ wk)[..., 0]
+        wq = (starts[:, :, :2].reshape(K, m, -1, 2) * wk[..., None]).transpose(0, 2, 1, 3)
+        free = wq.reshape(K, -1, 2 * m) @ basis[0].reshape(K, 2 * m, -1)  # [start, block, L]
+        y[:, S:] = free.reshape(K, -1)[:, :n]
     if not (np.isfinite(y).all() and np.isfinite(starts).all()):
-        forward_cached(A, B, R, q0, q_prev, n_steps, force_signal, force_gains)
-    return y, (w, X[1:], basis, starts)
+        for k in np.ndindex(lead):
+            forward_cached(A[k], B[k], R[k], q0[k], q_prev[k], n_steps, force_signal,
+                           force_gains)
+    return y.reshape(lead + (n_steps,)), (w, X[1:], basis, starts)
 
 
 def readout_backward(cache, ybar):
-    """Gradients of sum_n ybar_n y_n through :func:`readout_cached`:
-    (Coefficients(dA, dB, dR), dw), with dL/dA_k = w_k sum_n ybar_n
-    s_A,k^{n+1} (B and R likewise) and dw_k = sum_n ybar_n q_k^{n+1}.
+    """Gradients of sum_n ybar_n y_n through :func:`readout_cached`, for a
+    ybar of y's shape [..., n_steps]: (Coefficients(dA, dB, dR), dw), each
+    [..., mode], with dL/dA_k = w_k sum_n ybar_n s_A,k^{n+1} (B and R
+    likewise) and dw_k = sum_n ybar_n q_k^{n+1}.
 
-    After the support, one product [3 x 2 mode, sample] @ [sample, block]
-    contracts ybar with the basis rows, and two einsums with the block
-    states: the first row of M^j meets every block of the state, the rows
-    of T^j's first block column meet q's.
+    Over the support, each start's ybar meets its states in one product.
+    After it, one product [3 x 2 mode, sample] @ [sample, block] per start
+    contracts ybar with the basis rows, and two einsums over the bank with
+    the block states: the first row of M^j meets every block of the state,
+    the rows of T^j's first block column meet q's. Each start's arithmetic is
+    that of the start alone.
     """
     w, X, basis, starts = cache
-    S = len(X)
-    m, n_blocks = starts.shape[:2]
-    L = basis.shape[-1]
-    G = np.tensordot(ybar[:S], X[:, :, ::2], axes=1)  # [mode, (q, s_A, s_B, s_R)]
-    Y = np.zeros(n_blocks * L)
-    Y[:len(ybar) - S] = ybar[S:]
-    C = (basis.reshape(6 * m, L) @ Y.reshape(n_blocks, L).T).reshape(3, m, 2, n_blocks)
-    z = starts.reshape(m, n_blocks, 4, 2)
+    shape, m = w.shape, w.shape[-1]
+    S, (Km, n_blocks) = len(X), starts.shape[:2]
+    K, L = Km // m, basis.shape[-1]
+    ybar = np.reshape(ybar, (K, -1))
+    # [mode, (q, s_A, s_B, s_R)] over the bank
+    G = (ybar[:, None, :S] @ X.reshape(S, K, 8 * m).transpose(1, 0, 2)).reshape(Km, 8)[:, ::2]
+    Y = np.zeros((K, n_blocks * L))
+    Y[:, :ybar.shape[1] - S] = ybar[:, S:]
+    # each start's [3 x 2 mode, sample] rows in one block, as one start alone has them
+    rows = basis.reshape(3, K, 2 * m * L).transpose(1, 0, 2).reshape(K, 6 * m, L)
+    C = (rows @ Y.reshape(K, n_blocks, L).transpose(0, 2, 1)).reshape(K, 3, m, 2, n_blocks)
+    C = C.transpose(1, 0, 2, 3, 4).reshape(3, Km, 2, n_blocks)
+    z = starts.reshape(Km, n_blocks, 4, 2)
     G += np.einsum("kcb,kbic->ki", C[0], z)
     G[:, 1:3] += np.einsum("ikcb,kbc->ki", C[1:], z[:, :, 0])
-    return Coefficients(*(w * G[:, 1:].T)), G[:, 0]
-
+    grads = (w.reshape(-1) * G[:, 1:].T).reshape((3,) + shape)
+    return Coefficients(*grads), G[:, 0].reshape(shape)
 
 
 def bptt(A, B, R, Q, U, ybar, w, force_signal=None, force_gains=None, *, hook):
@@ -473,22 +514,31 @@ def check_stft(n_samples: int, window_length: int, hop: int) -> None:
         )
 
 
+@functools.lru_cache(maxsize=8)
+def _stft_plan(n, window_length, hop):
+    """The index maps and window of a magnitude STFT of n samples, read-only
+    and built once per (n, window_length, hop): padded[p] is the sample at
+    position p of the reflect-padded signal, and frames[i, j] the padded
+    position of point j of frame i."""
+    check_stft(n, window_length, hop)
+    padded = np.pad(np.arange(n), window_length // 2, mode="reflect")
+    n_frames = (len(padded) - window_length) // hop + 1
+    frames = np.arange(n_frames)[:, None] * hop + np.arange(window_length)
+    win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, window_length + 1)[:-1])
+    for a in (padded, frames, win):
+        a.flags.writeable = False
+    return padded, frames, win
+
+
 def stft_cached(y, window_length, hop):
     """Magnitude STFT with a periodic Hann window, centered frames and reflect
     padding; returns the magnitude [frame, bin] and the adjoint cache."""
-    n = len(y)
-    check_stft(n, window_length, hop)
-    pad = window_length // 2
-    idx_map = np.pad(np.arange(n), pad, mode="reflect")
-    xp = np.asarray(y, dtype=float)[idx_map]
-    n_frames = (len(xp) - window_length) // hop + 1
-    starts = np.arange(n_frames) * hop
-    frame_idx = starts[:, None] + np.arange(window_length)[None, :]
-    win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, window_length + 1)[:-1])
-    Z = np.fft.rfft(xp[frame_idx] * win[None, :], axis=1)
+    padded, frames, win = _stft_plan(len(y), window_length, hop)
+    x = np.asarray(y, dtype=float)[padded][frames]
+    x *= win
+    Z = np.fft.rfft(x, axis=1)
     mag = np.abs(Z)
-    cache = (Z, mag, win, idx_map, frame_idx, n, window_length)
-    return mag, cache
+    return mag, (Z, mag, win, padded, len(y), window_length, hop)
 
 
 def stft_backward(cache, mag_bar):
@@ -499,17 +549,33 @@ def stft_backward(cache, mag_bar):
     win_j sum_k Re(G_k e^{2 pi i jk / wl}) over the rfft bins k. irfft(X, wl)
     is (Re X_0 + 2 sum_{0<k<wl/2} Re(X_k e^{2 pi i jk / wl}) + Re X_{wl/2} (-1)^j) / wl,
     the last term for even wl only, so the sum is wl/2 irfft(G) once bin 0
-    and, for even wl, bin wl/2 are doubled."""
-    Z, mag, win, idx_map, frame_idx, n, wl = cache
-    safe = np.where(mag > 0.0, mag, 1.0)
-    G = Z * np.where(mag > 0.0, mag_bar / safe, 0.0)
-    G[:, 0] *= 2.0
+    and, for even wl, bin wl/2 are doubled.
+
+    The frames' adjoints are summed onto the padded positions, in frame
+    order, and those onto the samples. The first sum cuts each frame's
+    adjoint, zero-padded to r = ceil(wl / hop) hops, into r hop-long pieces
+    and adds them as blocks, the last piece of every frame first, which keeps
+    that order: the padding only adds +0.0 to a position's earliest term. One
+    scatter straight through the composed map would sum an edge sample's
+    terms in another order: it moved the time-domain fits' gradients by up to
+    2e-12 of their largest entry."""
+    Z, mag, win, padded, n, wl, hop = cache
+    ratio = np.divide(mag_bar, mag, out=np.zeros_like(mag), where=mag > 0.0)
+    ratio[:, 0] *= 2.0
     if wl % 2 == 0:
-        G[:, -1] *= 2.0
-    seg = np.fft.irfft(G, n=wl, axis=1)
-    seg *= (0.5 * wl) * win
-    xp_bar = np.bincount(frame_idx.ravel(), weights=seg.ravel(), minlength=len(idx_map))
-    return np.bincount(idx_map, weights=xp_bar, minlength=n)
+        ratio[:, -1] *= 2.0
+    n_frames, r = len(Z), -(-wl // hop)
+    pieces = np.empty((n_frames, r * hop))
+    pieces[:, wl:] = 0.0
+    seg = np.fft.irfft(Z * ratio, n=wl, axis=1)
+    np.multiply(seg, (0.5 * wl) * win, out=pieces[:, :wl])
+    pieces = pieces.reshape(n_frames, r, hop)
+    # the last frame ends within a hop of the padded signal's end
+    xp_bar = np.zeros((n_frames + r) * hop)
+    blocks = xp_bar[:(n_frames + r - 1) * hop].reshape(-1, hop)
+    for j in range(r - 1, -1, -1):
+        blocks[j:j + n_frames] += pieces[:, j]
+    return np.bincount(padded, weights=xp_bar[:len(padded)], minlength=n)
 
 
 # --- frequency-domain transfer function with partials ------------------------------

@@ -39,7 +39,10 @@ class Spectrogram:
 def stft(signal: np.ndarray, rate: float, window_length: int = 1024,
          hop: int = 256) -> Spectrogram:
     """Magnitude STFT with a periodic Hann window, centered frames, reflect padding."""
-    mag, _ = adjoint.stft_cached(np.asarray(signal, dtype=float), window_length, hop)
+    x = np.asarray(signal, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("signal must be finite")
+    mag, _ = adjoint.stft_cached(x, window_length, hop)
     return Spectrogram(
         magnitude=mag, frequencies=np.fft.rfftfreq(window_length, d=1.0 / rate), hop=hop,
         window_length=window_length, rate=rate,

@@ -46,6 +46,8 @@ def wav_write(path, signal, rate: int, normalize: bool = False) -> None:
     from scipy.io import wavfile
 
     sig = np.asarray(signal, dtype=np.float64)
+    if not np.all(np.isfinite(sig)):
+        raise ValueError("signal must be finite")
     if normalize:
         peak = np.max(np.abs(sig))
         if peak > 0:

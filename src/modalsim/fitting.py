@@ -20,8 +20,10 @@ Two objective kinds cover the fitting paths:
   the magnitude STFT, and compares against a target spectrogram, using the
   differentiable core in :mod:`modalsim.adjoint`. A linear model is read out
   without its trajectory (``adjoint.readout_cached``) and takes its gradients
-  in forward mode (``adjoint.readout_backward``); under a nonlinear force,
-  gradients flow back through the stored trajectory (``adjoint.bptt``).
+  in forward mode (``adjoint.readout_backward``), every start in one call of
+  each; under a nonlinear force, gradients flow back through the stored
+  trajectory (``adjoint.bptt``), one start at a time. The STFT, the loss and
+  the STFT adjoint run start by start.
 
 * :class:`FrequencyDomainProblem` evaluates the modal transfer-function
   magnitude on a Bark-spaced grid and compares against a target envelope
@@ -31,15 +33,20 @@ Both problems map omega^2 and gamma to the update vectors (A, B, R) through
 the coefficient maps of :mod:`modalsim.adjoint`; :func:`_coefficient_grads`
 chains the sweeps' gradients through the maps' partials, field by field.
 
+Both problems compute what the loss needs of their target alone
+(``losses.loss_target``) once, and again only when the target, the loss
+weights or the frequency grid change.
+
 Optimisation is Adam under a one-cycle schedule (linear ramp over the first
 10% of steps, cosine decay to peak/100), with independent random restarts
 ranked by their best loss. The restarts run in lockstep: each step is one
 ``value_and_grad`` call with a leading start axis on every raw array and one
 Adam update of all live starts. The frequency-domain problem broadcasts the
-starts through one call of each transfer-function kernel, the time-domain
-problem loops over them, and a start that raises one of ``START_ERRORS``
-stops alone, such as one past the Stoermer-Verlet stability bound, which
-stops before its first step.
+starts through one call of each transfer-function kernel, and the linear
+time-domain problem through one call of each readout kernel; the nonlinear
+time-domain problem loops over them. A start that raises one of
+``START_ERRORS`` stops alone, such as one past the Stoermer-Verlet stability
+bound or, under ftm, past Nyquist, which stops before its first step.
 """
 
 from __future__ import annotations
@@ -52,9 +59,9 @@ import numpy as np
 
 from . import adjoint
 from .coupling import PlateCoupling, nonlinear_force
-from .integrators import (InstabilityError, OverdampedError, StabilityBoundError,
+from .integrators import (InstabilityError, NyquistError, OverdampedError, StabilityBoundError,
                           coefficient_map, omega_squared, run_model)
-from .losses import LossWeights, loss_total_grad
+from .losses import LossWeights, loss_target, loss_total_grad
 
 
 class FitDivergedError(RuntimeError):
@@ -96,6 +103,8 @@ class _Parameters:
     coordinates follow from the fields' current values."""
 
     PARAMS: Dict[str, str] = {}
+    # the last loss_target built, kept for the calls after it (see _loss_target)
+    _target = None
 
     def _check_lengths(self, sizes):
         """Store each named input as a float array of the given length; a
@@ -136,6 +145,21 @@ class _Parameters:
         values = {n: getattr(self, n) for n in self.PARAMS}
         values.update(self.physical(raw))
         return values
+
+    def _loss_target(self, Y, shape):
+        """losses.loss_target of the target Y under loss_weights and freqs,
+        built again only when one of them no longer equals what the kept one
+        was built from. Y must have the model's spectrum's shape. The problem
+        keeps one immutable tuple of read-only arrays, so threads may share
+        it, and a copy of the problem starts from the same one."""
+        if np.shape(Y) != shape:
+            raise ValueError(f"shape mismatch: the target has shape {np.shape(Y)}, "
+                             f"the model's spectrum {shape}")
+        target = self._target
+        if not (target is not None and target.weights == self.loss_weights
+                and np.array_equal(target.freqs, self.freqs) and np.array_equal(target.Y, Y)):
+            target = self._target = loss_target(Y, self.loss_weights, self.freqs)
+        return target
 
     def _raw_grads(self, raw, grads):
         """Chain gradients in physical values through the transforms."""
@@ -216,14 +240,16 @@ class TimeDomainProblem(_Parameters):
 
     def _run(self, raw, readout=False):
         """The force, run_model's result from rest and the readout weights.
-        With readout, a linear model is read out without its trajectory."""
+        With readout, a linear model is read out without its trajectory, for
+        every start along raw's leading axis at once."""
         p = self._values(raw)
         force = nonlinear_force(self.nonlinearity, self.lam, p["tau_hat"], self.coupling,
                                 self.vk_gain)
         rest = np.zeros(len(self.lam))
         w = np.asarray(p["readout_weights"], dtype=float)
-        run = run_model(self.scheme, omega_squared(self.lam, p["d_hat"], p["t0_hat"]),
-                        p["gamma"], 1.0 / self.rate, rest, rest, self.n_steps,
+        w2 = omega_squared(self.lam, np.expand_dims(p["d_hat"], -1),
+                           np.expand_dims(p["t0_hat"], -1))
+        run = run_model(self.scheme, w2, p["gamma"], 1.0 / self.rate, rest, rest, self.n_steps,
                         self.force_signal, self.force_gains, force,
                         readout=w if readout and force is None else None)
         return force, run, w
@@ -244,8 +270,9 @@ class TimeDomainProblem(_Parameters):
 
     def value_and_grad(self, raw):
         """Loss and raw gradients; with a leading start axis on raw, one loss per
-        start, the starts run one at a time."""
-        rows = self._rows(raw)
+        start. A linear model reads every start out through one readout pair;
+        under a nonlinear force the starts run one at a time."""
+        rows = None if self.nonlinearity == "linear" else self._rows(raw)
         if rows is None:
             return self._value_and_grad(raw)
         losses, grads = zip(*map(self._value_and_grad, rows))
@@ -258,9 +285,15 @@ class TimeDomainProblem(_Parameters):
         else:
             Q, U = run
             y = Q[2:] @ w
-        mag, cache = adjoint.stft_cached(y, self.stft_window_length, self.stft_hop)
-        loss, dmag = loss_total_grad(self.target_mag, mag, self.loss_weights, self.freqs)
-        ybar = adjoint.stft_backward(cache, dmag)
+        # the STFT and the loss run start by start: stacked, they ran no faster
+        losses, ybar, target = [], np.empty_like(y), None
+        for yk, bar in zip(y.reshape(-1, self.n_steps), ybar.reshape(-1, self.n_steps)):
+            mag, cache = adjoint.stft_cached(yk, self.stft_window_length, self.stft_hop)
+            if target is None:  # every start's spectrum has the first one's shape
+                target = self._loss_target(self.target_mag, mag.shape)
+            loss, dmag = loss_total_grad(target, mag, self.loss_weights, self.freqs)
+            bar[:] = adjoint.stft_backward(cache, dmag)
+            losses.append(loss)
 
         if force is None:
             g, dw = adjoint.readout_backward(readout_cache, ybar)
@@ -272,7 +305,7 @@ class TimeDomainProblem(_Parameters):
             grads["readout_weights"] = dw if force is None else Q[2:].T @ ybar
         if "tau_hat" in raw:
             grads["tau_hat"] = force.tau_grad(dU, Q)
-        return loss, self._raw_grads(raw, grads)
+        return np.reshape(losses, y.shape[:-1])[()], self._raw_grads(raw, grads)
 
 
 # --- objective: frequency domain ------------------------------------------------
@@ -340,8 +373,8 @@ class FrequencyDomainProblem(_Parameters):
         start. One call of each transfer-function kernel serves every start."""
         parts, coeffs = self._assemble(raw)
         mag, cache = adjoint.tf_magnitude_cached(*coeffs, self._z)  # [..., freq]
-        loss, dmag = loss_total_grad(self.target_env[None, :], mag[..., None, :],
-                                     self.loss_weights, self.freqs)
+        target = self._loss_target(self.target_env[None, :], (1, len(self.freqs)))
+        loss, dmag = loss_total_grad(target, mag[..., None, :], self.loss_weights, self.freqs)
         g, dR2, dw = adjoint.tf_magnitude_backward(cache, dmag[..., 0, :])
         return loss, self._raw_grads(raw, dict(_coefficient_grads(parts, g, self.lam),
                                                b2=dR2, weights=dw))
@@ -436,7 +469,8 @@ def _init_raw(problem, cfg: FitConfig, rng: np.random.Generator):
 
 
 # errors that stop one start; any other error ends the fit
-START_ERRORS = (InstabilityError, OverdampedError, StabilityBoundError, FloatingPointError)
+START_ERRORS = (InstabilityError, OverdampedError, StabilityBoundError, NyquistError,
+                FloatingPointError)
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -466,11 +500,11 @@ def fit(problem, cfg: FitConfig) -> FitResult:
     start, and the ranking, is reproducible on its own, whatever the other
     starts do. Each step is one problem.value_and_grad call over the live
     starts' raw coordinates, stacked on a leading start axis (broadcast by the
-    frequency-domain problem, one at a time in the time-domain one), and one
-    Adam update of their rows. A start stops when its loss or gamma goes
-    non-finite. When the stacked call raises one of START_ERRORS, each live
-    start is re-run alone: the ones that raise stop with that error and the
-    others go on.
+    frequency-domain problem and the linear time-domain one, one at a time
+    under a nonlinear force), and one Adam update of their rows. A start stops
+    when its loss or gamma goes non-finite. When the stacked call raises one
+    of START_ERRORS, each live start is re-run alone: the ones that raise stop
+    with that error and the others go on.
     """
     draws = [_init_raw(problem, cfg, np.random.default_rng([cfg.seed, k]))
              for k in range(cfg.starts)]

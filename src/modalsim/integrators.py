@@ -16,7 +16,8 @@ Two explicit two-step schemes share one coefficient form, the update vectors
 
 :func:`simulate` and the time-domain fit run one model, :func:`run_model`:
 the coefficient map of :mod:`modalsim.adjoint` (past the Stoermer-Verlet bound
-omega T < 2 it raises :class:`StabilityBoundError`), :func:`start_state` and
+omega T < 2 it raises :class:`StabilityBoundError`, and for an impulse-invariant
+mode at or past Nyquist :class:`NyquistError`), :func:`start_state` and
 :func:`modalsim.adjoint.forward_cached`, under the force of
 :func:`modalsim.coupling.nonlinear_force`. Only a model under that force is
 stepped sample by sample. A linear model's trajectory, and the readout alone
@@ -36,8 +37,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import adjoint
-from .adjoint import (Coefficients, InstabilityError, OverdampedError,  # noqa: F401
-                      StabilityBoundError)  # (re-exported)
+from .adjoint import (Coefficients, InstabilityError, NyquistError,  # noqa: F401
+                      OverdampedError, StabilityBoundError)  # (re-exported)
 from .coupling import PlateCoupling, nonlinear_force
 from .model import ModelSpec, derive_normalized, validate
 from .modes import ModeBasis, point_readout, project_point_excitation
@@ -281,6 +282,11 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
     same mode labels). Every scheme, 'rk-reference' included, applies its one
     force, VkContraction. The readout, if asked for, is the displacement at
     readout_point.
+
+    Under 'ftm', every mode must stay below Nyquist (damped omega T < pi),
+    or the call raises NyquistError: cut the basis at Nyquist, since a mode
+    past it would fold into the band. Under 'sv', StabilityBoundError
+    guards omega T < 2 likewise.
     """
     spec = validate(spec)
     if scheme not in ("ftm", "sv", "rk-reference"):

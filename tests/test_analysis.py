@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.signal import get_window
 
+from modalsim import adjoint
 from modalsim.analysis import (
     LpcModel, bark_grid, bark_to_hz, hz_to_bark, lpc, lpc_envelope_at, stft,
     tf_magnitude,
@@ -86,6 +87,57 @@ def test_stft_too_short_signal():
         stft(np.zeros(100), 8000.0, 1024, 256)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stft_rejects_a_signal_that_is_not_finite(rng, bad):
+    # unchecked, one NaN in 4,096 samples spread to 1,539 NaN bins
+    x = rng.normal(size=4096)
+    x[2000] = bad
+    with pytest.raises(ValueError, match="^signal must be finite$"):
+        stft(x, 8000.0)
+
+
+def stft_oracle(y, wl, hop):
+    """The magnitude STFT from its definition: reflect-pad, frame, window."""
+    xp = np.pad(y, wl // 2, mode="reflect")
+    frames = np.stack([xp[i:i + wl] for i in range(0, len(xp) - wl + 1, hop)])
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(wl) / wl)
+    return np.abs(np.fft.rfft(frames * win, axis=1))
+
+
+def test_stft_at_interleaved_settings_equals_a_fresh_one(rng):
+    # the index maps and the window are built once per (length, window, hop)
+    # and kept, read-only since every call shares them; each setting of an
+    # interleaved run must get its own
+    settings = [(4096, 256, 64), (3000, 256, 64), (4096, 512, 128), (3001, 255, 100),
+                (4096, 256, 64), (3000, 256, 64), (3001, 255, 100)]
+    signals = {n: rng.normal(size=n) for n in (3000, 3001, 4096)}
+    runs = []
+    for n, wl, hop in settings:
+        mag, cache = stft_cached(signals[n], wl, hop)
+        mag_bar = rng.normal(size=mag.shape)
+        runs.append((mag, mag_bar, stft_backward(cache, mag_bar)))
+        assert not any(a.flags.writeable for a in adjoint._stft_plan(n, wl, hop))
+    for (n, wl, hop), (mag, mag_bar, back) in zip(settings, runs):
+        adjoint._stft_plan.cache_clear()
+        fresh, cache = stft_cached(signals[n], wl, hop)
+        assert np.array_equal(mag, fresh)
+        assert np.array_equal(back, stft_backward(cache, mag_bar))
+        np.testing.assert_allclose(mag, stft_oracle(signals[n], wl, hop), rtol=1e-12,
+                                   atol=1e-12 * mag.max())
+
+
+def test_stft_builds_its_index_maps_once_per_setting(monkeypatch, rng):
+    y = rng.normal(size=4096)
+    want, _ = stft_cached(y, 256, 64)
+
+    def not_per_call(*args, **kw):
+        raise AssertionError("an index map or the window was built again")
+
+    for name in ("pad", "arange", "linspace"):
+        monkeypatch.setattr(np, name, not_per_call)
+    assert np.array_equal(stft_cached(y, 256, 64)[0], want)
+
+
 @pytest.mark.parametrize("n, wl, hop, silent", [
     (700, 128, 32, False),  # even window: a Nyquist bin
     (700, 127, 32, False),  # odd window: none
@@ -106,6 +158,27 @@ def test_stft_backward_is_the_adjoint_of_the_magnitude_stft(n, wl, hop, silent):
         fd = np.sum((stft_cached(y + eps * v, wl, hop)[0]
                      - stft_cached(y - eps * v, wl, hop)[0]) * mag_bar) / (2 * eps)
         assert stft_backward(cache, mag_bar) @ v == pytest.approx(fd, rel=1e-7)
+
+
+@pytest.mark.parametrize("n, wl, hop", [(4096, 1024, 256), (701, 128, 48), (3001, 255, 100),
+                                        (700, 127, 127), (700, 64, 1)])
+def test_stft_backward_sums_each_position_in_frame_order(n, wl, hop):
+    # the fits' gradients move far above rounding when these sums are reordered;
+    # bincount over the frames' positions adds each position's terms frame by frame
+    rng = np.random.default_rng([n, wl, hop])
+    mag, cache = stft_cached(rng.standard_normal(n), wl, hop)
+    mag_bar = rng.standard_normal(mag.shape)
+    Z, _, win, padded, *_ = cache
+    ratio = mag_bar / mag
+    ratio[:, 0] *= 2.0
+    if wl % 2 == 0:
+        ratio[:, -1] *= 2.0
+    seg = np.fft.irfft(Z * ratio, n=wl, axis=1)
+    seg *= (0.5 * wl) * win
+    frames = np.arange(len(Z))[:, None] * hop + np.arange(wl)
+    xp_bar = np.bincount(frames.ravel(), weights=seg.ravel(), minlength=len(padded))
+    want = np.bincount(padded, weights=xp_bar, minlength=n)
+    assert np.array_equal(stft_backward(cache, mag_bar), want)
 
 
 def test_spectrogram_csv_header(tmp_path, rng):
@@ -526,6 +599,16 @@ def test_wav_unsupported_encoding(tmp_path):
     wavfile.write(path, 8000, np.zeros(100, dtype=np.uint8))
     with pytest.raises(WavFormatError, match="uint8 .* 16/24/32-bit PCM or 32/64-bit float$"):
         wav_read(path)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_wav_write_rejects_a_signal_that_is_not_finite(tmp_path, normalize):
+    # unchecked, a NaN peak skipped the normalisation: the file held the NaN
+    # and samples up to 3.9
+    path = tmp_path / "bad.wav"
+    with pytest.raises(ValueError, match="^signal must be finite$"):
+        wav_write(path, np.array([0.1, np.nan, 3.9]), 8000, normalize=normalize)
+    assert not path.exists()
 
 
 def test_wav_write_normalize(tmp_path):

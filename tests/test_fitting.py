@@ -7,15 +7,15 @@ from typing import Dict
 import numpy as np
 import pytest
 
-from modalsim import adjoint
+from modalsim import adjoint, fitting, losses
 from modalsim.coupling import simply_supported_tensors
 from modalsim.fitting import (
     FitConfig, FrequencyDomainProblem, StartResult, TimeDomainProblem, _init_raw, fit,
     one_cycle_lr,
 )
 from modalsim.integrators import (
-    InstabilityError, OverdampedError, PointForce, SchemeError, StabilityBoundError,
-    bank_from_spec, omega_squared, raised_cosine_pulse, simulate,
+    InstabilityError, NyquistError, OverdampedError, PointForce, SchemeError,
+    StabilityBoundError, bank_from_spec, omega_squared, raised_cosine_pulse, simulate,
 )
 from modalsim.model import MaterialParams, ModelSpec, RectPlate, String, derive_normalized
 from modalsim.modes import point_readout, project_point_excitation, rect_basis, string_basis
@@ -273,7 +273,8 @@ def run_start(problem, cfg: FitConfig, start_idx: int) -> StartResult:
             adam_step(state, raw, grads, lr)
             if "gamma" in raw and not np.all(np.isfinite(raw["gamma"])):
                 raise FloatingPointError("gamma coordinates left the finite range")
-    except (InstabilityError, OverdampedError, StabilityBoundError, FloatingPointError) as exc:
+    except (InstabilityError, OverdampedError, StabilityBoundError, NyquistError,
+            FloatingPointError) as exc:
         if best_raw is None:
             return StartResult(start_idx, True, np.inf, np.inf, None, trace, str(exc))
         return StartResult(start_idx, False, float(trace[np.isfinite(trace)][-1]),
@@ -332,6 +333,83 @@ def test_stacked_frequency_value_and_grad_equals_single_starts_bit_for_bit():
                 np.testing.assert_allclose(grads[n][k], grads_k[n], rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("scheme", ["ftm", "sv"])
+def test_stacked_time_value_and_grad_equals_single_starts_bit_for_bit(scheme):
+    # a linear model's starts step as one bank through one readout pair, each
+    # start read out with its own weights; calls of 8, 3 and 1 starts in a row
+    # would show a start reading another's. d_hat and t0_hat chain through
+    # dw2 @ lam^k, a [start, mode] @ [mode] product whose BLAS rounding
+    # differs from the single start's dot product
+    problem = string_time_problem(scheme, free=("d_hat", "t0_hat", "gamma", "readout_weights"))
+    rng = np.random.default_rng(7)
+    raw = {n: x + 0.02 * rng.normal(size=(8,) + x.shape)
+           for n, x in problem.initial_raw().items()}
+    for starts in (8, 3, 1):
+        loss, grads = problem.value_and_grad({n: x[:starts] for n, x in raw.items()})
+        assert loss.shape == (starts,)
+        for k in range(starts):
+            loss_k, grads_k = problem.value_and_grad({n: x[k] for n, x in raw.items()})
+            assert loss[k] == loss_k
+            for n in ("gamma", "readout_weights"):
+                assert np.array_equal(grads[n][k], grads_k[n]), (starts, k, n)
+            for n in ("d_hat", "t0_hat"):
+                np.testing.assert_allclose(grads[n][k], grads_k[n], rtol=1e-14, atol=0)
+
+
+def test_linear_time_value_and_grad_reads_every_start_out_in_one_call(monkeypatch):
+    # one readout pair and one lookup of the loss target per call, whatever
+    # the start count; the STFT, its adjoint and the loss run once per start
+    problem = string_time_problem(free=("t0_hat", "gamma"))
+    raw = {n: np.stack([x, x + 0.01, x - 0.01]) for n, x in problem.initial_raw().items()}
+    calls = {}
+    for module, name in ((adjoint, "readout_cached"), (adjoint, "readout_backward"),
+                         (adjoint, "stft_cached"), (adjoint, "stft_backward"),
+                         (fitting, "loss_total_grad"), (problem, "_loss_target")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    problem.value_and_grad(raw)
+    assert calls == {"readout_cached": 1, "readout_backward": 1, "stft_cached": 3,
+                     "stft_backward": 3, "loss_total_grad": 3, "_loss_target": 1}
+
+
+@pytest.mark.parametrize("build, name", [(string_time_problem, "target_mag"),
+                                         (string_frequency_problem, "target_env")])
+def test_a_changed_target_or_loss_weights_changes_the_next_loss(build, name, monkeypatch):
+    # the loss's target side is built once and kept; a target reassigned or
+    # edited in place, or new loss weights, must reach the next call
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return losses.loss_target(*args)
+
+    monkeypatch.setattr(fitting, "loss_target", counted)
+    problem = build(free=("t0_hat",))
+    raw = problem.initial_raw()
+
+    def loss_and_fresh():
+        fresh = build(free=("t0_hat",))
+        setattr(fresh, name, np.copy(getattr(problem, name)))
+        fresh.loss_weights = problem.loss_weights
+        return problem.value_and_grad(raw)[0], fresh.value_and_grad(raw)[0]
+
+    first = problem.value_and_grad(raw)[0]
+    assert problem.value_and_grad(raw)[0] == first and len(builds) == 1
+    setattr(problem, name, 2.0 * getattr(problem, name) + 0.1)
+    second, want = loss_and_fresh()
+    assert second == want != first
+    getattr(problem, name)[0] *= 3.0  # in place
+    third, want = loss_and_fresh()
+    assert third == want != second
+    problem.loss_weights = losses.LossWeights(alpha=0.5, eta=2.0)
+    fourth, want = loss_and_fresh()
+    assert fourth == want != third
+    # each change built the target once, and each fresh problem once
+    assert len(builds) == 1 + 3 * 2
+
+
 def test_lockstep_frequency_fit_matches_serial_starts():
     results = assert_matches_serial(*frequency_fit((2.0, 12.0), steps=30, seed=1))
     assert not any(r.diverged or r.error for r in results)
@@ -370,6 +448,34 @@ def test_time_domain_start_past_stability_bound_stops_alone():
                     r"mode index 2 \(largest omega\*T 2.89\)", results[1].error)
     with pytest.raises(StabilityBoundError):
         problem.value_and_grad({"t0_hat": np.log(1e7)})
+
+
+def test_time_domain_start_past_nyquist_stops_alone():
+    # under ftm, mode 3 reaches Nyquist (damped omega T >= pi) for t0_hat above
+    # about 7.1e6 here: that start stops before its first step, the others go on
+    problem = string_time_problem(free=("t0_hat",))
+    cfg = FitConfig(steps=4, peak_lr=0.05, starts=3, seed=0,
+                    init={"t0_hat": {"low": 1e6, "high": 1e7}})
+    results = assert_matches_serial(problem, cfg)
+    assert [r.diverged for r in results] == [False, True, False]
+    assert np.isnan(results[1].trace).all()
+    assert re.match(r"1 mode\(s\) reach Nyquist \(damped omega\*T >= pi\), the first at "
+                    r"mode index 2 ", results[1].error)
+    with pytest.raises(NyquistError):
+        problem.value_and_grad({"t0_hat": np.log(1e7)})
+
+
+def test_frequency_domain_start_past_nyquist_stops_alone():
+    # mode 5 of this string reaches Nyquist at 44.1 kHz for t0_hat above about
+    # 7.8e7; a grid below Nyquist does not make the model band-limited
+    problem = string_frequency_problem(free=("t0_hat",))
+    cfg = FitConfig(steps=4, peak_lr=0.05, starts=3, seed=2,
+                    init={"t0_hat": {"low": 1e7, "high": 1e8}})
+    results = assert_matches_serial(problem, cfg)
+    assert [r.diverged for r in results] == [False, True, False]
+    assert re.match(r"1 mode\(s\) reach Nyquist .* mode index 4 ", results[1].error)
+    with pytest.raises(NyquistError, match="cut the basis at Nyquist"):
+        problem.value_and_grad({"t0_hat": np.log(1e8)})
 
 
 @pytest.mark.parametrize("build", [string_frequency_problem, string_time_problem])
@@ -543,7 +649,8 @@ def test_calls_on_one_problem_match_a_fresh_problems_bit_for_bit(scheme, nl):
 
 
 def test_a_problem_and_its_copy_may_run_at_once():
-    # a problem keeps nothing between calls, so two threads may share it
+    # a problem keeps nothing between calls but its loss target, one immutable
+    # tuple of read-only arrays that a copy shares: two threads may share it
     free = ("d_hat", "t0_hat", "gamma", "readout_weights")
     problem = string_time_problem(n_steps=4000, n_modes=8, free=free)
     a = problem.initial_raw()

@@ -9,7 +9,7 @@ from modalsim import adjoint
 from modalsim.adjoint import Coefficients, forward_cached, readout_backward, readout_cached
 from modalsim.coupling import TensionModulation, simply_supported_tensors
 from modalsim.integrators import (
-    InitialCondition, InstabilityError, OverdampedError, PointForce, SchemeError,
+    InitialCondition, InstabilityError, NyquistError, OverdampedError, PointForce, SchemeError,
     StabilityBoundError, bank_from_spec, ftm_coeffs, oscillator_bank, raised_cosine_pulse,
     rk_reference, run_model, simulate, start_state, sv_coeffs, triangular_pluck,
 )
@@ -188,6 +188,24 @@ def test_simulate_sv_past_stability_bound_raises_before_stepping(monkeypatch):
     monkeypatch.setattr(adjoint, "forward_cached", no_stepping)
     with pytest.raises(StabilityBoundError, match=r"^4 mode\(s\).*mode index 4 .*omega\*T 3.6\)"):
         simulate(spec, basis, "sv", triangular_pluck(basis, 0.3, 0.01), 0.01, 8000.0)
+
+
+def test_simulate_ftm_past_nyquist_raises_before_stepping(monkeypatch):
+    # mode m of this undamped string has omega T = 0.45 m, so modes 7 and 8
+    # reach Nyquist (omega T >= pi); cut at Nyquist, the same string runs
+    spec = string_spec(T0=(0.45 * 8000.0 / np.pi) ** 2)
+    cut = string_basis(1.0, 6)
+    traj = simulate(spec, cut, "ftm", triangular_pluck(cut, 0.3, 0.01), 0.01, 8000.0)
+    assert np.isfinite(traj.q).all() and np.abs(traj.q).max() > 0.0
+    basis = string_basis(1.0, 8)
+
+    def no_stepping(*args, **kw):
+        raise AssertionError("stepped past Nyquist")
+
+    monkeypatch.setattr(adjoint, "forward_cached", no_stepping)
+    with pytest.raises(NyquistError, match=r"^2 mode\(s\) reach Nyquist .*mode index 6 "
+                                           r"\(largest damped omega\*T 3.6\)"):
+        simulate(spec, basis, "ftm", triangular_pluck(basis, 0.3, 0.01), 0.01, 8000.0)
 
 
 # --- stepping ---------------------------------------------------------------------

@@ -65,6 +65,30 @@ def test_output_snapshot_compare_lists_every_array_that_differs(tmp_path, capsys
     ]
 
 
+def test_output_snapshot_compare_ends_with_the_largest_difference_per_group(tmp_path, capsys):
+    np = pytest.importorskip("numpy")
+    path = Path(__file__).resolve().parents[1] / "tools" / "output_snapshot.py"
+    module_spec = importlib.util.spec_from_file_location("output_snapshot", path)
+    snapshot = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(snapshot)
+    a = {"problem/p/loss": np.array(2.0), "problem/p/grads": np.array([4.0, -1.0]),
+         "workload/w/seed1/best_loss": np.array(8.0), "workload/w/seed1/start": np.array(1)}
+    np.savez(tmp_path / "a.npz", **a)
+    # differences of 2^-48 of 2 and 2^-46 of 4: the largest is 2^-48 = 3.6e-15
+    b = dict(a, **{"problem/p/loss": np.array(2.0 + 2.0**-48),
+                   "problem/p/grads": np.array([4.0, -1.0 + 2.0**-46])})
+    np.savez(tmp_path / "b.npz", **b)
+    assert snapshot.main(["--compare", str(tmp_path / "a.npz"), str(tmp_path / "b.npz")]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "2 of 4 arrays differ",
+        "largest difference of the largest entry: problem/ 3.6e-15, workload/ 0",
+    ]
+    np.savez(tmp_path / "c.npz", **dict(b, **{"workload/w/seed1/start": np.array([1, 2])}))
+    snapshot.main(["--compare", str(tmp_path / "a.npz"), str(tmp_path / "c.npz")])
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "largest difference of the largest entry: problem/ 3.6e-15, workload/ inf")
+
+
 def test_scipy_signal_is_never_imported_and_scipy_io_waits_for_first_use():
     # a fresh interpreter: this session's other test modules import scipy.signal
     script = """

@@ -21,6 +21,10 @@ there is any. A refactor that claims bit-identical outputs shows an empty
 list against the parent commit's record. Each real array listed in both
 records carries two numbers: the largest difference relative to A's entry,
 per element, and the largest difference relative to A's largest entry.
+When the records hold ``problem/`` or ``workload/`` arrays, a last line gives
+the largest of the second number within each of those groups (inf where an
+array is in one record only, changed shape or is not numeric), so one
+tolerance covers a change.
 """
 
 from __future__ import annotations
@@ -153,6 +157,30 @@ def note(a_path, b_path, key):
         return "{:.2g} per element, {:.2g} of the largest".format(*relative_differences(x, y))
 
 
+GROUPS = ("problem/", "workload/")
+
+
+def of_largest(a, b, key):
+    """The largest |b - a| of key relative to a's largest entry, or inf where
+    that is undefined."""
+    if key not in a.files or key not in b.files:
+        return np.inf
+    x, y = a[key], b[key]
+    if x.shape != y.shape or x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf":
+        return np.inf
+    return relative_differences(x, y)[1]
+
+
+def largest_by_group(a_path, b_path, diff):
+    """{group: the largest of_largest among the differing keys of the group},
+    for each group of GROUPS that either record holds (0 if none differs)."""
+    with np.load(a_path) as a, np.load(b_path) as b:
+        held = set(a.files) | set(b.files)
+        return {group: max((of_largest(a, b, k) for k in diff if k.startswith(group)),
+                           default=0.0)
+                for group in GROUPS if any(k.startswith(group) for k in held)}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -166,6 +194,10 @@ def main(argv=None):
     for key in diff:
         print(f"differs: {key}  ({note(*args.compare, key)})")
     print(f"{len(diff)} of {total} arrays differ")
+    largest = largest_by_group(*args.compare, diff)
+    if largest:
+        print("largest difference of the largest entry: "
+              + ", ".join(f"{group} {value:.2g}" for group, value in largest.items()))
     return 1 if diff else 0
 
 
