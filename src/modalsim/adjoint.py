@@ -29,7 +29,10 @@ against central finite differences):
   adjoint in closed form: the forward pass keeps only each mode's reciprocal
   denominator inv, and every gradient is a weighted sum over frequency of inv
   or inv^2 times a power of z. Both broadcast over leading (start) axes, with
-  no loop over them, and one call allocates one block for inv and inv^2.
+  no loop over them. One call allocates one [..., freq, mode] array for inv,
+  which the backward pass squares in place (so a cache serves one backward
+  call), and every sum over modes or frequencies is one real BLAS product on
+  that array's float view.
 
 The nonlinear forces live with their Jacobians in :mod:`modalsim.coupling`,
 built by ``coupling.nonlinear_force``.
@@ -598,41 +601,69 @@ def tf_magnitude_cached(A, B, R, R2, weights, z):
     The modal responses are summed as complex quantities before taking the
     magnitude, matching the parallel-resonator structure:
     H = z (inv @ (w R)) + inv @ (w R2) with the reciprocal denominator
-    inv = 1/den [..., freq, mode], the only [freq, mode] array the cache keeps
-    (with z, H, |H|, w, R, R2). With hc = conj(mag_bar H/|H|) (0 where
-    |H| = 0), V = [hc; hc z; hc z^2], s = Re(V[:2] @ inv) and
-    t = Re(V @ inv^2), :func:`tf_magnitude_backward` returns dw = R s1 + R2 s0,
-    dR = w s1, dR2 = w s0, dA = w (R t2 + R2 t1) and dB = w (R t1 + R2 t0).
+    inv = 1/den [..., freq, mode], the only [freq, mode] array of a call and
+    of its cache (with z, H, |H|, w, R, R2). Both sums are one real product:
+    inv's float view [..., freq, 2 mode] times a [..., 2 mode, 4] matrix that
+    holds w R and w R2 on its re/im diagonal, read back as two complex sums.
+    With hc = conj(mag_bar H/|H|) (0 where |H| = 0), V = [hc; hc z; hc z^2],
+    s = Re(V[:2] @ inv) and t = Re(V @ inv^2), :func:`tf_magnitude_backward`
+    returns dw = R s1 + R2 s0, dR = w s1, dR2 = w s0, dA = w (R t2 + R2 t1)
+    and dB = w (R t1 + R2 t0). It squares inv in place between s and t, so a
+    cache serves one backward call.
 
-    One [2, ..., freq, mode] block is allocated per call: inv goes into its
-    first slice and the backward pass's inv^2 into its second, both in place.
-    With a new [start, freq, mode] array per product instead, the kernels ran
-    20% faster alone but string_fit_fd ops ran 35% slower, each taking about
-    105,000 minor page faults against 0-10 with the block.
+    At 8 starts x 256 frequencies x 30 modes inv takes 0.98 MB, against 2 MB
+    of L2 per core, where a [2, ..., freq, mode] block holding inv and inv^2
+    side by side took 1.97 MB. On a 2-core KVM guest with one BLAS thread the
+    real products take the forward's two sums from 57 to 39 us and the
+    backward pass from 317 to 233 us (the denominator and its reciprocal,
+    about 400 us, are the rest of the forward), and string_fit_fd's op_rel
+    fell from 4.94 to 4.32 in the median. A new array per product instead
+    ran string_fit_fd ops 35% slower, each taking about 105,000 minor page
+    faults.
     """
     A, B, R, R2, w = np.broadcast_arrays(A, B, R, R2, weights)
-    block = np.empty((2,) + A.shape[:-1] + (len(z), A.shape[-1]), dtype=complex)
-    inv = block[0]
+    inv = np.empty(A.shape[:-1] + (len(z), A.shape[-1]), dtype=complex)
     zc = z[:, None]
     # inv = 1 / (z^2 - A z - B), in place
     np.multiply(zc, -A[..., None, :], out=inv)
     inv += zc * zc
     inv -= B[..., None, :]
     np.divide(1.0, inv, out=inv)
-    H = z * (inv @ (w * R)[..., None])[..., 0] + (inv @ (w * R2)[..., None])[..., 0]
+    # columns 2k and 2k + 1 of inv's float view are Re inv_k and Im inv_k
+    sums = np.zeros(A.shape + (2, 4))
+    sums[..., 0, 0] = sums[..., 1, 1] = w * R
+    sums[..., 0, 2] = sums[..., 1, 3] = w * R2
+    num = (inv.view(float) @ sums.reshape(A.shape[:-1] + (-1, 4))).view(complex)
+    H = z * num[..., 0] + num[..., 1]
     mag = np.abs(H)
-    return mag, (z, block, H, mag, w, R, R2)
+    return mag, (z, inv, H, mag, w, R, R2)
+
+
+def _real_product(V, X):
+    """Re(V @ X) for complex V [..., row, freq] and X [..., freq, mode] as one
+    real product, the rows [Re V; Im V] times X's float view: the even columns
+    give (Re V)(Re X) and the odd ones (Im V)(Im X)."""
+    r = V.shape[-2]
+    P = np.concatenate([V.real, V.imag], axis=-2) @ X.view(float)
+    return P[..., :r, 0::2] - P[..., r:, 1::2]
 
 
 def tf_magnitude_backward(cache, mag_bar):
     """Gradients of sum_f mag_bar_f |H_f|: (Coefficients(dA, dB, dR), dR2, dw),
-    each [..., mode] for a mag_bar of |H|'s shape [..., freq]."""
-    z, (inv, inv2), H, mag, w, R, R2 = cache
+    each [..., mode], for a mag_bar of |H|'s shape [..., freq]. Squares the
+    cache's inv in place and leaves it read-only: a second call with the same
+    cache raises ValueError."""
+    z, inv, H, mag, w, R, R2 = cache
+    if np.shape(mag_bar) != mag.shape:
+        raise ValueError(f"mag_bar has shape {np.shape(mag_bar)}, |H| {mag.shape}")
+    if not inv.flags.writeable:
+        raise ValueError("this transfer-function cache was used by a backward call already")
     safe = np.where(mag > 0.0, mag, 1.0)
     hc = np.conj(np.where(mag > 0.0, mag_bar * H / safe, 0.0))
     V = np.stack([hc, hc * z, hc * z * z], axis=-2)
-    s0, s1 = np.moveaxis(np.real(V[..., :2, :] @ inv), -2, 0)
-    np.multiply(inv, inv, out=inv2)
-    t0, t1, t2 = np.moveaxis(np.real(V @ inv2), -2, 0)
+    s0, s1 = np.moveaxis(_real_product(V[..., :2, :], inv), -2, 0)
+    np.multiply(inv, inv, out=inv)
+    inv.flags.writeable = False
+    t0, t1, t2 = np.moveaxis(_real_product(V, inv), -2, 0)
     return (Coefficients(w * (R * t2 + R2 * t1), w * (R * t1 + R2 * t0), w * s1), w * s0,
             R * s1 + R2 * s0)

@@ -28,6 +28,10 @@ Two objective kinds cover the fitting paths:
 * :class:`FrequencyDomainProblem` evaluates the modal transfer-function
   magnitude on a Bark-spaced grid and compares against a target envelope
   (e.g. an LPC envelope of a recording), avoiding time stepping entirely.
+  Every start goes through one call of each transfer-function kernel
+  (``adjoint.tf_magnitude_cached`` / ``adjoint.tf_magnitude_backward``), which
+  share one [start, freq, mode] array of reciprocal denominators per step:
+  the backward call squares it in place, so each step builds a fresh cache.
 
 Both problems map omega^2 and gamma to the update vectors (A, B, R) through
 the coefficient maps of :mod:`modalsim.adjoint`; :func:`_coefficient_grads`
@@ -35,7 +39,8 @@ chains the sweeps' gradients through the maps' partials, field by field.
 
 Both problems compute what the loss needs of their target alone
 (``losses.loss_target``) once, and again only when the target, the loss
-weights or the frequency grid change.
+weights or the frequency grid change. A target entry that is negative or not
+finite raises ValueError there, at the first call, naming the entry.
 
 Optimisation is Adam under a one-cycle schedule (linear ramp over the first
 10% of steps, cosine decay to peak/100), with independent random restarts

@@ -71,8 +71,14 @@ class LossTarget(NamedTuple):
 
 def loss_target(Y, weights: LossWeights, freqs=None) -> LossTarget:
     """Everything loss_total_grad computes of the target Y alone, once for
-    any number of predictions under these weights and bin frequencies."""
+    any number of predictions under these weights and bin frequencies. Y must
+    be finite and >= 0 in every entry."""
     Y = np.array(Y, dtype=float)
+    bad = ~(np.isfinite(Y) & (Y >= 0.0))
+    if np.any(bad):
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"the target must be finite and >= 0; entry {first} "
+                         f"of shape {Y.shape} is {Y[first]}")
     Y.flags.writeable = False
     f = None if freqs is None else np.asarray(freqs, dtype=float)
     return LossTarget(Y, weights, f,

@@ -472,7 +472,7 @@ def test_tf_kernels_match_num_den_oracle(seed):
 
 
 def test_tf_kernels_over_stacked_starts_equal_each_start_alone():
-    # one block per call holds every start's inv and the backward pass's inv^2
+    # one array per call holds every start's inv, which the backward pass squares in place
     runs = [random_tf_coefficients(seed) for seed in range(4)]
     freqs, rate = runs[0][5], runs[0][6]
     z = unit_circle(freqs, rate)
@@ -487,6 +487,34 @@ def test_tf_kernels_over_stacked_starts_equal_each_start_alone():
         for name, g, g_k in zip(TF_GRADS, grads,
                                 tf_fields(tf_magnitude_backward(cache_k, mag_bar[k]))):
             assert np.array_equal(g[k], g_k), (k, name)
+
+
+def test_tf_backward_rejects_a_second_call_with_the_same_cache():
+    # the backward pass squares the cache's inv in place, so a cache serves one call
+    A, B, R, R2, w, freqs, rate = random_tf_coefficients(0)
+    z = unit_circle(freqs, rate)
+    mag, cache = tf_magnitude_cached(A, B, R, R2, w, z)
+    mag_bar = np.random.default_rng(1).normal(size=mag.shape)
+    first = tf_fields(tf_magnitude_backward(cache, mag_bar))
+    with pytest.raises(ValueError, match="used by a backward call already"):
+        tf_magnitude_backward(cache, mag_bar)
+    _, fresh = tf_magnitude_cached(A, B, R, R2, w, z)
+    for name, g, g_fresh in zip(TF_GRADS, first, tf_fields(tf_magnitude_backward(fresh, mag_bar))):
+        assert np.array_equal(g, g_fresh), name
+
+
+@pytest.mark.parametrize("shape", [(256,), (1, 256), (2, 255), (2, 2, 256)])
+def test_tf_backward_rejects_mag_bar_of_another_shape(shape):
+    # a [freq] mag_bar would broadcast over a [start, freq] cache without a word
+    runs = [random_tf_coefficients(seed) for seed in range(2)]
+    z = unit_circle(runs[0][5], runs[0][6])
+    mag, cache = tf_magnitude_cached(*[np.stack(c) for c in zip(*(r[:5] for r in runs))], z)
+    assert mag.shape == (2, 256)
+    with pytest.raises(ValueError, match=re.escape(f"mag_bar has shape {shape}, |H| (2, 256)")):
+        tf_magnitude_backward(cache, np.ones(shape))
+    # the rejected call leaves the cache unused
+    grads = tf_fields(tf_magnitude_backward(cache, np.ones((2, 256))))
+    assert all(g.shape == (2, 30) for g in grads)
 
 
 def test_tf_gradients_vanish_with_zero_magnitude():

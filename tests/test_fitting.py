@@ -10,8 +10,8 @@ import pytest
 from modalsim import adjoint, fitting, losses
 from modalsim.coupling import simply_supported_tensors
 from modalsim.fitting import (
-    FitConfig, FrequencyDomainProblem, StartResult, TimeDomainProblem, _init_raw, fit,
-    one_cycle_lr,
+    FitConfig, FitDivergedError, FrequencyDomainProblem, StartResult, TimeDomainProblem,
+    _init_raw, fit, one_cycle_lr,
 )
 from modalsim.integrators import (
     InstabilityError, NyquistError, OverdampedError, PointForce, SchemeError,
@@ -476,6 +476,60 @@ def test_frequency_domain_start_past_nyquist_stops_alone():
     assert re.match(r"1 mode\(s\) reach Nyquist .* mode index 4 ", results[1].error)
     with pytest.raises(NyquistError, match="cut the basis at Nyquist"):
         problem.value_and_grad({"t0_hat": np.log(1e8)})
+
+
+def test_fit_raises_fit_diverged_error_when_every_start_diverges():
+    # every start draws t0_hat past the threshold above, so none takes a step
+    problem = string_frequency_problem(free=("t0_hat",))
+    cfg = FitConfig(steps=4, peak_lr=0.05, starts=3, seed=2,
+                    init={"t0_hat": {"low": 8e7, "high": 1.1e8}})
+    with pytest.raises(FitDivergedError, match="^every start diverged: start 0: ") as err:
+        fit(problem, cfg)
+    assert [d["start"] for d in err.value.diagnostics] == [0, 1, 2]
+    for d in err.value.diagnostics:
+        assert re.match(r"\d+ mode\(s\) reach Nyquist .* mode index 4 ", d["error"])
+
+
+def test_a_start_whose_gamma_leaves_the_finite_range_stops_alone(monkeypatch):
+    # a NaN gamma gradient for start 1 at the first step makes its Adam update
+    # NaN while its loss stays finite; the other starts run every step
+    problem = string_frequency_problem(free=("t0_hat", "gamma"))
+    value_and_grad, starts_per_call = problem.value_and_grad, []
+
+    def poisoned(raw):
+        loss, grads = value_and_grad(raw)
+        if not starts_per_call:
+            grads["gamma"][1] = np.nan
+        starts_per_call.append(len(loss))
+        return loss, grads
+
+    monkeypatch.setattr(problem, "value_and_grad", poisoned)
+    cfg = FitConfig(steps=5, peak_lr=0.05, starts=3, seed=0,
+                    init={"t0_hat": {"low": 1.4e5, "high": 1.7e5}})
+    by_start = {r.start: r for r in fit(problem, cfg).ranking}
+    assert starts_per_call == [3, 2, 2, 2, 2]
+    assert by_start[1].error == "gamma coordinates left the finite range"
+    assert not by_start[1].diverged
+    assert np.isfinite(by_start[1].trace[0]) and np.isnan(by_start[1].trace[1:]).all()
+    for k in (0, 2):
+        assert by_start[k].error is None and np.isfinite(by_start[k].trace).all()
+
+
+@pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+def test_fit_rejects_a_target_that_is_not_finite_and_non_negative(bad):
+    # one bad entry fails the loss target before any start runs, naming it,
+    # rather than ending every start in a non-finite loss
+    problem = string_frequency_problem(free=("t0_hat",), n_modes=10)
+    problem.target_env = problem.target_env.copy()
+    problem.target_env[7] = bad
+    with pytest.raises(ValueError, match=re.escape(f"entry (0, 7) of shape (1, 96) is {bad}")):
+        fit(problem, FitConfig(steps=2, peak_lr=0.05, starts=2))
+    problem = string_time_problem(free=("t0_hat",))
+    problem.target_mag = problem.target_mag.copy()
+    problem.target_mag[2, 5] = bad
+    shape = problem.target_mag.shape
+    with pytest.raises(ValueError, match=re.escape(f"entry (2, 5) of shape {shape} is {bad}")):
+        fit(problem, FitConfig(steps=2, peak_lr=0.05, starts=2))
 
 
 @pytest.mark.parametrize("build", [string_frequency_problem, string_time_problem])

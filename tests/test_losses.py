@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalsim.losses import (
-    LossWeights, loss_log_grad, loss_sc_grad, loss_sot_grad, loss_total_grad,
+    LossWeights, loss_log_grad, loss_sc_grad, loss_sot_grad, loss_target, loss_total_grad,
 )
 
 
@@ -216,3 +216,13 @@ def test_sot_rejects_a_start_without_mass():
     Yh[1] = 0.0
     with pytest.raises(ValueError, match="zero mass"):
         loss_sot_grad(Y, Yh, uniform_freqs(4))
+
+
+@pytest.mark.parametrize("bad", [-1e-3, -1e-300, np.nan, np.inf, -np.inf])
+def test_loss_target_names_the_first_entry_that_is_not_finite_and_non_negative(bad, rng):
+    Y, _ = spectra(rng)
+    Y[1, 3] = Y[2, 0] = bad
+    with pytest.raises(ValueError, match=r"entry \(1, 3\) of shape \(4, 16\) is "):
+        loss_target(Y, LossWeights(), uniform_freqs())
+    Y[1, 3] = Y[2, 0] = 0.0
+    assert loss_target(Y, LossWeights(), uniform_freqs()).Y[1, 3] == 0.0
