@@ -53,19 +53,19 @@ Input and readout are both rank-1, and every pass takes them by their
 factors, so no [step, mode] array besides Q is built for them: the external
 force is f_ext^n = g f^n (force_gains g, force_signal f), and the readout is
 y_n = w . q^{n+1}, y = Q[2:] @ w. With nl = 0, mode k is the two-pole IIR
-filter R_k / (1 - A_k z^-1 - B_k z^-2) of its force, and every linear run goes
-through one propagation (:func:`_propagate`): each mode's state
-(q^n, d^n = q^n - q^{n-1}) steps by its 2 x 2 transition over the force's
-support only, the samples up to its last nonzero one (a pluck has none);
-after it, the transition's powers give the rest in blocks, each block one
-product of its start state and a per-mode basis. The trajectory
-(:func:`forward_cached`) steps (q, d) alone. A linear fit needs only y and
-the gradients, so it stores no Q (:func:`readout_cached`): each mode's
-sensitivities s = dq/dA, dq/dB, dq/dR follow the mode's own recurrence,
-driven by q^n, q^{n-1} and u^n, and dL/dA_k = w_k sum_n ybar_n s_A,k^{n+1}
-(forward mode costs no more than reverse mode here, since a mode's
-coefficients move that mode alone), so q and its sensitivities step together
-by one block-triangular transition. The per-sample loop runs under a hook only.
+filter R_k / (1 - A_k z^-1 - B_k z^-2) of its force, a diagonal linear
+recurrence, so every linear run is one block scan (:func:`_scan`) of each
+mode's state (q^n, d^n = q^n - q^{n-1}), forced blocks included: a block is
+one product of its start state and a per-mode basis, plus one Toeplitz
+product of its force. The trajectory (:func:`forward_cached`) scans (q, d)
+alone. A linear fit needs only y and the gradients, so it stores no Q
+(:func:`readout_cached`): each mode's sensitivities s = dq/dA, dq/dB, dq/dR
+follow the mode's own recurrence, driven by q^n, q^{n-1} and u^n, and
+dL/dA_k = w_k sum_n ybar_n s_A,k^{n+1} (forward mode costs no more than
+reverse mode here, since a mode's coefficients move that mode alone), so q
+and its sensitivities are scanned together by one block-triangular
+transition. The per-sample loop runs under a hook, and without one only to
+report a blow-up where stepping goes non-finite.
 
 Under a nonlinear force the sweep runs back through the stored trajectory:
 the loss gradient ybar enters as the direct term w ybar_{n-1} of the adjoint
@@ -97,10 +97,10 @@ import numpy as np
 
 # steps between the stepping loop's finiteness checks: the most it runs past a blow-up
 CHECK_EVERY = 64
-# samples per block of a linear trajectory after the force; see forward_cached
+# samples per block of a forced span, and of a linear readout; see _scan
+BLOCK = 128
+# samples per block of a linear trajectory's free response; see forward_cached
 FREE_BLOCK = 4096
-# samples per block of a linear readout and its gradients; see readout_cached
-READOUT_BLOCK = 256
 
 
 class OverdampedError(ValueError):
@@ -230,33 +230,42 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
     The external force is f_ext^n = force_gains * force_signal[n]: force_signal
     must have n_steps samples and force_gains one entry per mode. Returns
     (Q, U): Q[t] = q^{t-1} with shape [n_steps+2, modes]; U holds what the
-    hook adds to the inputs, U[n] = -nl(q^n), or None without a hook. Under a
-    hook the loop steps every sample. Without one, Q is the transpose of a
-    [mode, time] array (a view, not a copy): :func:`_propagate` steps each
-    mode's (q, d) state over the force's support, and the free response after
-    it is filled in blocks of FREE_BLOCK samples, each one rank-2 product of
-    its start state and the first row of the transition's powers.
+    hook adds to the inputs, U[n] = -nl(q^n), or None without a hook.
+
+    Without a hook, Q is the transpose of a [mode, time] array (a view, not a
+    copy) that :func:`_scan` fills from each mode's (q, d) state: blocks of
+    BLOCK samples up to the end of the force's support, then the free
+    response in blocks of up to FREE_BLOCK samples. The loop steps every
+    sample under a hook, and without one only when that result is not
+    finite, to raise InstabilityError where stepping goes non-finite.
     """
     m = len(q0)
     force_signal, f, force_gains = _check_force(force_signal, force_gains, n_steps, m)
     if hook is None:
-        S, n = len(f), n_steps - len(f)
-        X, basis, starts = _propagate(_transition(A, B, 2),
-                                      np.stack([q0, q0 - q_prev], axis=1), f,
-                                      np.stack([R * force_gains] * 2, axis=1), n, FREE_BLOCK, 1)
-        Qt = np.empty((m, n_steps + 2))
-        Qt[:, 0] = q_prev
-        Qt[:, 1:S + 2] = X[:, :, 0].T
-        L = basis.shape[-1]
-        full = n // L
+        E, b = _transition(A, B, 2), np.stack([R * force_gains] * 2, axis=1)
+        F = np.concatenate([f, np.zeros(-len(f) % BLOCK)]).reshape(-1, BLOCK)
+        S, rest = F.size, max(n_steps - F.size, 0)
+        L = min(FREE_BLOCK, 1 << max(rest - 1, 0).bit_length())
+        Qt = np.empty((m, 2 + S + -(-rest // L) * L))  # whole blocks, cut at q^N below
+        Qt[:, 0], Qt[:, 1] = q_prev, q0
+        x = np.stack([q0, q0 - q_prev], axis=1)
+        # a blow-up overflows before it turns non-finite; the loop below reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(starts[:, :full], basis[0],
-                      out=Qt[:, S + 2:S + 2 + full * L].reshape(m, full, L))
-            if full * L < n:
-                np.matmul(starts[:, full:], basis[0, :, :, :n - full * L],
-                          out=Qt[:, S + 2 + full * L:][:, None, :])
-        check_finite(Qt.T[2:])
-        return Qt.T, None
+            if S:
+                basis, starts, V = _scan(E, x, F, b, len(F) + 1, 1)
+                out = Qt[:, 2:2 + S].reshape(m, len(F), BLOCK)
+                np.matmul(starts[..., :-1].transpose(0, 2, 1), basis[0], out=out)
+                toe, k = _toeplitz(V[:, 0]), FREE_BLOCK // BLOCK
+                for i in range(0, len(F), k):  # each product stays FREE_BLOCK samples long
+                    out[:, i:i + k] += F[i:i + k] @ toe
+                x = starts[..., -1]
+            if rest:
+                basis, starts, _ = _scan(E, x, np.empty((0, L)), b, -(-rest // L), 1)
+                np.matmul(starts.transpose(0, 2, 1), basis[0],
+                          out=Qt[:, 2 + S:].reshape(m, -1, L))
+            Q = Qt[:, :n_steps + 2].T
+            if np.isfinite(Q[2:].sum(axis=0)).all():
+                return Q, None
     Q, U = np.empty((n_steps + 2, m)), np.empty((n_steps, m))
     Q[0], Q[1] = q_prev, q0
     q, qp = Q[1], Q[0]
@@ -265,7 +274,7 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
     # reports it as InstabilityError, also where warnings are errors
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
-            u = -hook(q)
+            u = np.zeros(m) if hook is None else -hook(q)
             U[n] = u
             if force_signal is not None:
                 u += force_gains * force_signal[n]
@@ -274,7 +283,7 @@ def forward_cached(A, B, R, q0, q_prev, n_steps, force_signal=None, force_gains=
             if n % every == every - 1 and not np.isfinite(q).all():
                 check_finite(Q[2:n + 3])
     check_finite(Q[2:])
-    return Q, U
+    return Q, None if hook is None else U
 
 
 def _check_force(force_signal, force_gains, n_steps, m):
@@ -289,89 +298,83 @@ def _check_force(force_signal, force_gains, n_steps, m):
     return f, f[:nonzero[-1] + 1 if len(nonzero) else 0], g
 
 
+def _toeplitz(h):
+    """The causal Toeplitz matrices [..., L, L] of responses h [..., L], a
+    read-only view: entry (i, j) is h[j - i], 0 for j < i."""
+    L = h.shape[-1]
+    padded = np.concatenate([np.zeros(h.shape[:-1] + (L - 1,)), h], axis=-1)
+    s = padded.strides
+    return np.lib.stride_tricks.as_strided(padded[..., L - 1:], h.shape + (L,),
+                                           s[:-1] + (-s[-1], s[-1]), writeable=False)
+
+
 def _transition(A, B, size):
-    """[mode, size, size] zeros with each mode's 2 x 2 transition M of the state
-    (q^n, d^n = q^n - q^{n-1}) in every diagonal block: the force-free
-    q^{n+1} = A q^n + B q^{n-1} steps it as q' = (A + B) q - B d and
-    d' = (A + B - 1) q - B d."""
-    T = np.zeros((len(A), size, size))
-    for i in range(0, size, 2):
-        T[:, i, i] = A + B
-        T[:, i + 1, i] = T[:, i, i] - 1.0
-        T[:, i, i + 1] = T[:, i + 1, i + 1] = -B
-    return T
+    """[mode, size, size] zeros with M - I in every diagonal block, M each
+    mode's 2 x 2 transition of (q^n, d^n = q^n - q^{n-1}): q^{n+1} = A q^n +
+    B q^{n-1} is q' = (A + B) q - B d, d' = (A + B - 1) q - B d. For a slow
+    mode (A near 2, B near -1), (A - 1) + B and -1 - B are exact."""
+    E, i = np.zeros((len(A), size, size)), np.arange(0, size, 2)
+    E[:, i, i] = E[:, i + 1, i] = ((A - 1.0) + B)[:, None]
+    E[:, i, i + 1] = -B[:, None]
+    E[:, i + 1, i + 1] = (-1.0 - B)[:, None]
+    return E
 
 
-def _propagate(T, first, f, b, n, block, rows):
-    """The one propagation of a linear model's per-mode state x [mode, d],
-    from x = first: x <- T x + f[j] b over the force's support f, then the
-    n samples after it in blocks of up to `block` samples.
-
-    Returns (X, basis, starts): X[j] is x after j steps, j = 0 .. len(f), and
-    basis and starts are :func:`_block_powers`' from X[-1] for `rows` rows,
-    with the basis cut to the block length. An empty rest is one block of
-    one sample, so starts[:, 0] is always X[-1]. Stepping (q, d) rather than
-    (q^n, q^{n-1}) keeps a slow mode's rounding small: q^{n+1} - q^n is d
-    stepped, not the difference of two nearly equal states.
-    """
-    X = np.empty((len(f) + 1,) + first.shape)
-    X[0] = first
-    np.multiply(f[:, None, None], b, out=X[1:])
-    # from rest, x stays 0 up to the force's first nonzero sample
-    rest = 0 if first.any() or not len(f) else int(np.argmax(f != 0))
-    step = np.empty(first.shape + (1,))
-    # a blow-up overflows before it turns non-finite; the callers report it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(rest, len(f)):
-            X[j + 1] += np.matmul(T, X[j, :, :, None], out=step)[..., 0]
-    L = max(min(block, n), 1)
-    basis, starts = _block_powers(T, X[-1], L, max(-(-n // L), 1), rows)
-    return X, basis[..., :L], starts
-
-
-def _block_powers(T, first, L, n_blocks, rows):
-    """The powers of the per-mode transitions T [mode, d, d] that a free
-    response in blocks of L samples needs, by doubling.
-
-    T is made of 2 x 2 blocks, M on its diagonal and, off it, nonzero blocks
-    in its first block column only, so block (i, 0) of T^{j+h} is
-    (T^j)_{i0} M^h + M^j (T^h)_{i0}. Returns (basis, starts):
+def _scan(E, first, F, b, n_blocks, rows):
+    """The one propagation of a linear model's per-mode state x [mode, d]:
+    x <- T x + f[j] b from x = first, T = I + E, over n_blocks blocks of L
+    samples (a power of two), the first ones forced by F [block, L]. E is
+    made of 2 x 2 blocks, M - I on its diagonal and, off it, nonzero blocks
+    in its first block column only. Returns (basis, starts, V):
 
     * basis[i, :, :, j - 1], j = 1 .. L, is the first row of block (i, 0) of
-      T^j, for i < rows; basis[0] is the first row of M^j, which every
-      diagonal block of T^j shares;
-    * starts[:, b] is T^{bL} first, the state at the start of block b from the
-      state first [mode, d].
+      T^j, for i < rows; basis[0] is that of M^j, every diagonal block's;
+    * starts[:, :, k] is x at the start of block k;
+    * V[:, :, j] = T^j b, j < L, a forced block's response (None unforced).
 
-    A mode whose first state is all zero stays at rest: its transition is
-    taken as zero, which keeps a divergent mode's basis from overflowing
-    into inf * 0 = NaN. Rows j <= h give rows h < j <= 2h through T^h, and
-    then T^h is squared, so both take O(log L + log n_blocks) array
-    operations. L must be a power of two unless n_blocks is 1. Near
-    omega T = 0, the (q, d) form keeps the basis well conditioned; in the
-    (q^n, q^{n-1}) form its two columns nearly cancel.
+    Every power is kept as E_h = T^h - I, doubled as E_{2h} = E_h fl(I + E_h)
+    + E_h (near omega T = 0 the identity would swamp the rest of T^h); the
+    basis rows of T^{j+h} are those of T^j times fl(I + E_h), and T^{j+h} b
+    is T^j b + E_h T^j b. The forced blocks' starts are a scan (Hillis and
+    Steele's) of first and each block's input, F's row times the T^j b: each
+    adds T^{hL} times the one h blocks before it, h = 1, 2, 4, ...; the free
+    starts after them follow by doubling. A mode at rest and unforced is
+    given E = 0, which keeps a divergent mode's powers from overflowing into
+    inf * 0 = NaN.
     """
-    m, d = first.shape
-    T = np.where(first.any(axis=1)[:, None, None], T, 0.0)
-    basis = np.empty((rows, m, 2, 1 << (L - 1).bit_length()))
-    basis[..., 0] = T[:, 0:2 * rows:2, :2].transpose(1, 0, 2)
-    P, h = T, 1
-    # a blow-up overflows before it turns non-finite; the callers report it
-    with np.errstate(over="ignore", invalid="ignore"):
-        while h < L:
-            lo, hi = basis[..., :h], basis[..., h:2 * h]
-            np.matmul(P[:, :2, :2].transpose(0, 2, 1), lo, out=hi)
-            for i in range(1, rows):
-                hi[i] += P[:, 2 * i:2 * i + 2, :2].transpose(0, 2, 1) @ lo[0]
-            P, h = P @ P, 2 * h
-        starts = np.empty((m, n_blocks, d))
-        starts[:, 0] = first
-        h = 1
-        while h < n_blocks:  # P = T^{hL}
-            k = min(h, n_blocks - h)
-            np.matmul(starts[:, :k], P.transpose(0, 2, 1), out=starts[:, h:h + k])
-            P, h = P @ P, 2 * h
-    return basis, starts
+    (m, d), (n_f, L) = first.shape, F.shape
+    I = np.eye(d)
+    E = np.where((first.any(axis=1) | (b.any(axis=1) & (n_f > 0)))[:, None, None], E, 0.0)
+    basis = np.empty((rows, m, 2, L))
+    basis[..., 0] = (E + I)[:, 0:2 * rows:2, :2].transpose(1, 0, 2)
+    # V[..., 0] = b; the rest is doubled below
+    V = np.concatenate([b[..., None], np.empty((m, d, L - 1))], axis=-1) if n_f else None
+    P, h = E, 1
+    while h < L:
+        lo, hi, T = basis[..., :h], basis[..., h:2 * h], P + I
+        np.matmul(T[:, :2, :2].transpose(0, 2, 1), lo, out=hi)
+        for i in range(1, rows):
+            hi[i] += P[:, 2 * i:2 * i + 2, :2].transpose(0, 2, 1) @ lo[0]
+        if n_f:
+            np.matmul(P, V[..., :h], out=V[..., h:2 * h])
+            V[..., h:2 * h] += V[..., :h]
+        P, h = P @ T + P, 2 * h
+    powers = [P]  # E_{hL}, h = 1, 2, 4, ...
+    while 1 << len(powers) < n_blocks:
+        powers.append(powers[-1] @ (powers[-1] + I) + powers[-1])
+    starts = np.zeros((m, d, n_blocks))
+    starts[..., 0] = first
+    top = min(n_f + 1, n_blocks)
+    if n_f:
+        starts[..., 1:top] = (V @ F[:, ::-1].T)[..., :top - 1]
+    for k in range((top - 1).bit_length()):
+        x = starts[..., :top - (1 << k)]
+        starts[..., 1 << k:top] += powers[k] @ x + x
+    for k in range((n_blocks - top).bit_length()):
+        x = starts[..., top - 1:min(top - 1 + (1 << k), n_blocks - (1 << k))]
+        new = np.matmul(powers[k], x, out=starts[..., top - 1 + (1 << k):][..., :x.shape[-1]])
+        new += x
+    return basis, starts, V
 
 
 def readout_cached(A, B, R, q0, q_prev, n_steps, force_signal, force_gains, w):
@@ -386,15 +389,13 @@ def readout_cached(A, B, R, q0, q_prev, n_steps, force_signal, force_gains, w):
     q^n, q^{n-1} and u^n. Each mode's state
     x = (q, d_q, s_A, d_sA, s_B, d_sB, s_R, d_sR), d_x = x^n - x^{n-1}, steps
     by one 8 x 8 transition T: M in each diagonal block, q feeding s_A and
-    q - d_q = q^{n-1} feeding s_B. The modes of every start step as one bank
-    of [start * mode] modes: :func:`_propagate` steps it over the force's
-    support, x <- T x + f^n b with b = (R g, R g, 0, 0, 0, 0, g, g), as
-    forward_cached steps (q, d_q), and gives the rows of T's powers and its
-    states at the starts of blocks of READOUT_BLOCK samples. Each start's
-    readout is its own contraction: over the support, its states with its w,
-    and after it, one product [block, 2 mode] @ [2 mode, sample] per start.
-    The cache holds the states over the support, the basis and the block
-    states: nothing per step after the support.
+    q - d_q = q^{n-1} feeding s_B, and the force by
+    b = (R g, R g, 0, 0, 0, 0, g, g). The modes of every start are one bank
+    of [start * mode] modes for :func:`_scan`, in blocks of BLOCK samples.
+    Each start's readout is its own product [block, 2 mode] @ [2 mode, sample]
+    of block states and basis rows, plus, over the force's support, one
+    Toeplitz product of the force and its summed response sum_k w_k (T^j b)_q.
+    The cache holds the block states, the basis rows and the T^j b.
 
     When the readout or a block state is not finite, forward_cached runs the
     same model, start by start, and raises InstabilityError at the first
@@ -403,29 +404,29 @@ def readout_cached(A, B, R, q0, q_prev, n_steps, force_signal, force_gains, w):
     A, B, R, q0, q_prev, w = np.broadcast_arrays(A, B, R, q0, q_prev, w)
     lead, m = A.shape[:-1], A.shape[-1]
     force_signal, f, force_gains = _check_force(force_signal, force_gains, n_steps, m)
-    S, n = len(f), n_steps - len(f)
     K = A.size // m
-    T = _transition(A.ravel(), B.ravel(), 8)
-    T[:, 2:4, 0] = 1.0
-    T[:, 4:6, 0], T[:, 4:6, 1] = 1.0, -1.0
+    E = _transition(A.ravel(), B.ravel(), 8)
+    E[:, 2:4, 0] = 1.0
+    E[:, 4:6, 0], E[:, 4:6, 1] = 1.0, -1.0
     first, b = np.zeros((K * m, 8)), np.zeros((K * m, 8))
     first[:, 0], first[:, 1] = q0.ravel(), (q0 - q_prev).ravel()
     b[:, :2] = (R * force_gains).reshape(-1, 1)
     b[:, 6:] = np.broadcast_to(force_gains, A.shape).reshape(-1, 1)
-    X, basis, starts = _propagate(T, first, f, b, n, READOUT_BLOCK, 3)
-    y = np.empty((K, n_steps))
-    wk = w.reshape(K, m, 1)
+    F = np.concatenate([f, np.zeros(-len(f) % BLOCK)]).reshape(-1, BLOCK)
     # a blow-up overflows before it turns non-finite; it is reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        y[:, :S] = (X[1:, :, 0].reshape(S, K, m).transpose(1, 0, 2) @ wk)[..., 0]
-        wq = (starts[:, :, :2].reshape(K, m, -1, 2) * wk[..., None]).transpose(0, 2, 1, 3)
-        free = wq.reshape(K, -1, 2 * m) @ basis[0].reshape(K, 2 * m, -1)  # [start, block, L]
-        y[:, S:] = free.reshape(K, -1)[:, :n]
+        basis, starts, V = _scan(E, first, F, b, max(-(-n_steps // BLOCK), 1), 3)
+        wq = (starts[:, :2] * w.reshape(-1, 1, 1)).reshape(K, 2 * m, -1)
+        y = wq.transpose(0, 2, 1) @ basis[0].reshape(K, 2 * m, -1)  # [start, block, L]
+        if V is not None:  # the force times its summed response sum_k w_k (T^j b)_q
+            H = (w.reshape(K, 1, m) @ V[:, 0].reshape(K, m, -1))[:, 0]
+            y[:, :len(F)] += F @ _toeplitz(H)
+        y = y.reshape(K, -1)[:, :n_steps]
     if not (np.isfinite(y).all() and np.isfinite(starts).all()):
         for k in np.ndindex(lead):
             forward_cached(A[k], B[k], R[k], q0[k], q_prev[k], n_steps, force_signal,
                            force_gains)
-    return y.reshape(lead + (n_steps,)), (w, X[1:], basis, starts)
+    return y.reshape(lead + (n_steps,)), (w, F, basis, starts, V)
 
 
 def readout_backward(cache, ybar):
@@ -434,29 +435,27 @@ def readout_backward(cache, ybar):
     [..., mode], with dL/dA_k = w_k sum_n ybar_n s_A,k^{n+1} (B and R
     likewise) and dw_k = sum_n ybar_n q_k^{n+1}.
 
-    Over the support, each start's ybar meets its states in one product.
-    After it, one product [3 x 2 mode, sample] @ [sample, block] per start
-    contracts ybar with the basis rows, and two einsums over the bank with
-    the block states: the first row of M^j meets every block of the state,
-    the rows of T^j's first block column meet q's. Each start's arithmetic is
-    that of the start alone.
+    One product per start contracts the block states with ybar's blocks, and
+    two einsums over the bank that with the basis rows: the first row of M^j
+    meets every block of the state, the rows of T^j's first block column meet
+    q's. Over the force's support, ybar's in-block correlation with the
+    force, sum_i ybar_{i+j} f_i, meets the (T^j b) rows of q, s_A, s_B and
+    s_R. Each start's arithmetic is that of the start alone.
     """
-    w, X, basis, starts = cache
+    w, F, basis, starts, V = cache
     shape, m = w.shape, w.shape[-1]
-    S, (Km, n_blocks) = len(X), starts.shape[:2]
+    Km, _, n_blocks = starts.shape
     K, L = Km // m, basis.shape[-1]
-    ybar = np.reshape(ybar, (K, -1))
+    Y = np.zeros((K, n_blocks, L))
+    Y.reshape(K, -1)[:, :np.shape(ybar)[-1]] = np.reshape(ybar, (K, -1))
+    # W[k, i, c, j] = sum_b x_b[k, (i, c)] Y[b, j], one product per start
+    W = (starts.reshape(K, 8 * m, n_blocks) @ Y).reshape(Km, 4, 2, L)
     # [mode, (q, s_A, s_B, s_R)] over the bank
-    G = (ybar[:, None, :S] @ X.reshape(S, K, 8 * m).transpose(1, 0, 2)).reshape(Km, 8)[:, ::2]
-    Y = np.zeros((K, n_blocks * L))
-    Y[:, :ybar.shape[1] - S] = ybar[:, S:]
-    # each start's [3 x 2 mode, sample] rows in one block, as one start alone has them
-    rows = basis.reshape(3, K, 2 * m * L).transpose(1, 0, 2).reshape(K, 6 * m, L)
-    C = (rows @ Y.reshape(K, n_blocks, L).transpose(0, 2, 1)).reshape(K, 3, m, 2, n_blocks)
-    C = C.transpose(1, 0, 2, 3, 4).reshape(3, Km, 2, n_blocks)
-    z = starts.reshape(Km, n_blocks, 4, 2)
-    G += np.einsum("kcb,kbic->ki", C[0], z)
-    G[:, 1:3] += np.einsum("ikcb,kbc->ki", C[1:], z[:, :, 0])
+    G = np.einsum("kcj,kicj->ki", basis[0], W)
+    G[:, 1:3] += np.einsum("ikcj,kcj->ki", basis[1:], W[:, 0])
+    if V is not None:
+        corr = np.einsum("bij,kbj->ki", _toeplitz(F), Y[:, :len(F)])  # [start, lag]
+        G += (V[:, ::2].reshape(K, m, 4, L) @ corr[:, None, :, None]).reshape(Km, 4)
     grads = (w.reshape(-1) * G[:, 1:].T).reshape((3,) + shape)
     return Coefficients(*grads), G[:, 0].reshape(shape)
 

@@ -22,9 +22,8 @@ mode at or past Nyquist :class:`NyquistError`), :func:`start_state` and
 :func:`modalsim.coupling.nonlinear_force`. Only a model under that force is
 stepped sample by sample. A linear model's trajectory, and the readout alone
 that a linear fit asks run_model for (:func:`modalsim.adjoint.readout_cached`,
-which stores no trajectory), come from one propagation: each mode's state is
-stepped over the external force's support only, and the rest is filled in
-blocks. :func:`ftm_coeffs` and :func:`sv_coeffs` stay only because the
+which stores no trajectory), come from one block scan, forced blocks
+included. :func:`ftm_coeffs` and :func:`sv_coeffs` stay only because the
 benchmark calls and traces them. An oversampled RK4 integrator provides the
 reference solution for scheme-error measurements.
 """

@@ -54,7 +54,7 @@ def test_output_snapshot_compare_lists_every_array_that_differs(tmp_path, capsys
     assert capsys.readouterr().out.splitlines() == [
         "differs: gone  (only in A)",
         "differs: new  (only in B)",
-        "differs: count  (0.2 per element, 0.2 of the largest)",
+        "differs: count  (1 of 1 entries differ)",
         "differs: lost  (inf per element, inf of the largest)",
         "differs: moved  (2 per element, 2 of the largest)",
         "differs: nudged  (0.12 per element, 0.062 of the largest)",
@@ -87,6 +87,15 @@ def test_output_snapshot_compare_ends_with_the_largest_difference_per_group(tmp_
     snapshot.main(["--compare", str(tmp_path / "a.npz"), str(tmp_path / "c.npz")])
     assert capsys.readouterr().out.splitlines()[-1] == (
         "largest difference of the largest entry: problem/ 3.6e-15, workload/ inf")
+    # a fit's starts reordered, start 0 now ranked where start 1 was: an
+    # integer array is counted, not measured against its largest entry (0)
+    np.savez(tmp_path / "d.npz", **dict(a, **{"workload/w/seed1/start": np.array(0)}))
+    snapshot.main(["--compare", str(tmp_path / "d.npz"), str(tmp_path / "b.npz")])
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "differs: workload/w/seed1/start  (1 of 1 entries differ)",
+        "3 of 4 arrays differ",
+        "largest difference of the largest entry: problem/ 3.6e-15, workload/ 0",
+    ]
 
 
 def test_scipy_signal_is_never_imported_and_scipy_io_waits_for_first_use():

@@ -20,11 +20,13 @@ records (NaN equals NaN), or that only one of them holds, and exits 1 if
 there is any. A refactor that claims bit-identical outputs shows an empty
 list against the parent commit's record. Each real array listed in both
 records carries two numbers: the largest difference relative to A's entry,
-per element, and the largest difference relative to A's largest entry.
-When the records hold ``problem/`` or ``workload/`` arrays, a last line gives
-the largest of the second number within each of those groups (inf where an
-array is in one record only, changed shape or is not numeric), so one
-tolerance covers a change.
+per element, and the largest difference relative to A's largest entry. An
+integer array (a fit's ``start`` index) carries the number of its entries
+that differ instead. When the records hold ``problem/`` or ``workload/``
+arrays, a last line gives the largest of the second number within each of
+those groups (inf where an array is in one record only, changed shape or is
+not numeric; integer arrays stay out of it), so one tolerance covers a
+change, and a reordered ranking of fit starts does not hide it.
 """
 
 from __future__ import annotations
@@ -152,6 +154,8 @@ def note(a_path, b_path, key):
         x, y = a[key], b[key]
         if x.shape != y.shape:
             return f"shapes {x.shape} and {y.shape}"
+        if x.dtype.kind in "iu" and y.dtype.kind in "iu":
+            return f"{np.count_nonzero(x != y)} of {x.size} entries differ"
         if x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf":
             return f"dtypes {x.dtype} and {y.dtype}"
         return "{:.2g} per element, {:.2g} of the largest".format(*relative_differences(x, y))
@@ -161,13 +165,15 @@ GROUPS = ("problem/", "workload/")
 
 
 def of_largest(a, b, key):
-    """The largest |b - a| of key relative to a's largest entry, or inf where
-    that is undefined."""
+    """The largest |b - a| of key relative to a's largest entry, inf where
+    that is undefined, and 0 for integer arrays, which note counts instead."""
     if key not in a.files or key not in b.files:
         return np.inf
     x, y = a[key], b[key]
     if x.shape != y.shape or x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf":
         return np.inf
+    if x.dtype.kind in "iu" and y.dtype.kind in "iu":
+        return 0.0
     return relative_differences(x, y)[1]
 
 
