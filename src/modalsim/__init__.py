@@ -19,9 +19,7 @@ from .integrators import (
     OverdampedError, InstabilityError, StabilityBoundError, NyquistError, SchemeError,
     oscillator_bank, bank_from_spec, ftm_coeffs, sv_coeffs, simulate, rk_reference,
 )
-from .losses import (
-    LossWeights, loss_log_grad, loss_sc_grad, loss_sot_grad, loss_total_grad,
-)
+from .losses import LossWeights, loss_target, loss_total_grad
 from .analysis import (
     Spectrogram, LpcModel, stft, lpc, lpc_envelope_at, bark_grid, tf_magnitude,
     hz_to_bark, bark_to_hz,

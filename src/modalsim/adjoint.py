@@ -502,6 +502,12 @@ def check_length(name: str, value, size: int) -> np.ndarray:
     return value
 
 
+def check_rate(rate) -> None:
+    """Reject a sample rate that is not finite and positive."""
+    if not (np.isfinite(rate) and rate > 0):
+        raise ValueError(f"rate must be positive and finite, got {rate}")
+
+
 def check_stft(n_samples: int, window_length: int, hop: int) -> None:
     """Reject STFT settings that leave samples out or yield no frame."""
     if hop < 1:
@@ -584,8 +590,9 @@ def stft_backward(cache, mag_bar):
 
 def check_tf_frequencies(freqs, rate: float) -> np.ndarray:
     """The frequency grid as floats; every entry strictly inside (0, Nyquist)."""
+    check_rate(rate)
     f = np.asarray(freqs, dtype=float)
-    if np.any(f <= 0) or np.any(f >= rate / 2):
+    if not np.all((f > 0) & (f < rate / 2)):
         raise ValueError("frequencies must lie strictly inside (0, Nyquist)")
     return f
 

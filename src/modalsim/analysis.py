@@ -39,6 +39,7 @@ class Spectrogram:
 def stft(signal: np.ndarray, rate: float, window_length: int = 1024,
          hop: int = 256) -> Spectrogram:
     """Magnitude STFT with a periodic Hann window, centered frames, reflect padding."""
+    adjoint.check_rate(rate)
     x = np.asarray(signal, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("signal must be finite")
@@ -102,6 +103,7 @@ def lpc(signal: np.ndarray, order: int) -> LpcModel:
 
 def lpc_envelope_at(model: LpcModel, freqs: Sequence[float], rate: float) -> np.ndarray:
     """Envelope magnitude gain / |A(e^{i omega T})| at the given frequencies (Hz)."""
+    adjoint.check_rate(rate)
     f = np.asarray(freqs, dtype=float)
     if np.any(f < 0) or np.any(f > rate / 2):
         raise ValueError("frequencies must lie within [0, Nyquist]")
@@ -123,11 +125,12 @@ def bark_to_hz(z):
 
 
 def bark_grid(n_points: int, f_max: float, rate: float, f_min: float = 20.0) -> np.ndarray:
-    """n frequencies uniformly spaced in Bark from f_min (20 Hz) to f_max, in Hz."""
+    """n frequencies uniformly spaced in Bark from f_min (20 Hz) to f_max < Nyquist, in Hz."""
     if n_points < 2:
         raise ValueError("need at least two grid points")
-    if f_max > rate / 2:
-        raise ValueError("f_max must not exceed the Nyquist frequency")
+    adjoint.check_rate(rate)
+    if not f_max < rate / 2:
+        raise ValueError(f"f_max must lie below the Nyquist frequency {rate / 2}, got {f_max}")
     if not f_min > 0:
         raise ValueError(f"f_min must be positive, got {f_min}")
     if f_max <= f_min:

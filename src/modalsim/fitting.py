@@ -37,10 +37,12 @@ Both problems map omega^2 and gamma to the update vectors (A, B, R) through
 the coefficient maps of :mod:`modalsim.adjoint`; :func:`_coefficient_grads`
 chains the sweeps' gradients through the maps' partials, field by field.
 
-Both problems compute what the loss needs of their target alone
-(``losses.loss_target``) once, and again only when the target, the loss
-weights or the frequency grid change. A target entry that is negative or not
-finite raises ValueError there, at the first call, naming the entry.
+Both problems build one ``losses.LossTarget`` of their target, loss weights
+and frequency grid (``losses.loss_target``) once, and again only when one of
+them changes, and pass it with each prediction to ``losses.loss_total_grad``,
+the loss's one entry. A target entry that is negative or not finite raises
+ValueError there, at the first call, naming the entry; a rate that is not
+finite and positive raises ValueError at construction.
 
 Optimisation is Adam under a one-cycle schedule (linear ramp over the first
 10% of steps, cosine decay to peak/100), with independent random restarts
@@ -233,6 +235,7 @@ class TimeDomainProblem(_Parameters):
                              ("readout_weights", m)))
         # rejects an unknown model and fields it does not use
         nonlinear_force(self.nonlinearity, self.lam, self.tau_hat, self.coupling, self.vk_gain)
+        adjoint.check_rate(self.rate)
         self.freqs = np.fft.rfftfreq(self.stft_window_length, d=1.0 / self.rate)
         self._check_free()
         coefficient_map(self.scheme)  # SchemeError unless run_model runs it
@@ -296,7 +299,7 @@ class TimeDomainProblem(_Parameters):
             mag, cache = adjoint.stft_cached(yk, self.stft_window_length, self.stft_hop)
             if target is None:  # every start's spectrum has the first one's shape
                 target = self._loss_target(self.target_mag, mag.shape)
-            loss, dmag = loss_total_grad(target, mag, self.loss_weights, self.freqs)
+            loss, dmag = loss_total_grad(target, mag)
             bar[:] = adjoint.stft_backward(cache, dmag)
             losses.append(loss)
 
@@ -379,7 +382,7 @@ class FrequencyDomainProblem(_Parameters):
         parts, coeffs = self._assemble(raw)
         mag, cache = adjoint.tf_magnitude_cached(*coeffs, self._z)  # [..., freq]
         target = self._loss_target(self.target_env[None, :], (1, len(self.freqs)))
-        loss, dmag = loss_total_grad(target, mag[..., None, :], self.loss_weights, self.freqs)
+        loss, dmag = loss_total_grad(target, mag[..., None, :])
         g, dR2, dw = adjoint.tf_magnitude_backward(cache, dmag[..., 0, :])
         return loss, self._raw_grads(raw, dict(_coefficient_grads(parts, g, self.lam),
                                                b2=dR2, weights=dw))

@@ -128,6 +128,7 @@ def raised_cosine_pulse(amplitude: float, onset: float, width: float, rate: floa
     """Smooth force pulse 0.5*amp*(1 - cos(2 pi (t-onset)/width)) on [onset, onset+width]."""
     if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
+    adjoint.check_rate(rate)
     t = np.arange(n_steps) / rate
     s = np.zeros(n_steps)
     inside = (t >= onset) & (t <= onset + width)
@@ -292,8 +293,7 @@ def simulate(spec: ModelSpec, basis: ModeBasis, scheme: str, excitation: Excitat
         raise SchemeError(f"unknown scheme {scheme!r}")
     if rk_oversample is not None and scheme != "rk-reference":
         raise SchemeError(f"rk_oversample applies to 'rk-reference' only, not {scheme!r}")
-    if not rate > 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    adjoint.check_rate(rate)
     if not duration >= 0:
         raise ValueError(f"duration must be non-negative, got {duration}")
     bank = bank_from_spec(spec, basis)

@@ -7,15 +7,18 @@ Yh (prediction), frames indexed [time][frequency]:
 * spectral convergence:   ||Y - Yh||_F / ||Y||_F
 * spectral optimal transport: mean over frames of the 1-D Wasserstein-1
   distance between the frames normalised to unit mass, computed as the
-  CDF difference over the frequency axis scaled by the bin spacing.
+  CDF difference over the frequency axis scaled by the bin spacing. A frame
+  without mass on either side is skipped but counted in the mean.
 
 The transport term moves smoothly when a peak slides along the frequency
 axis, which is exactly where the pointwise terms saturate, so it steers the
-optimiser out of far-off-frequency local minima. Each loss is one `*_grad`
-function that returns the value and its closed-form gradient in the
-prediction, (value, dYh). What the composite loss needs of the target alone
-(log(Y + eps), ||Y||, the transport CDF) is one :class:`LossTarget`, which a
-fit builds once with :func:`loss_target` and passes for Y.
+optimiser out of far-off-frequency local minima.
+
+The composite loss alpha*log + beta*sc + eta*sot has one entry,
+:func:`loss_total_grad`, which returns the value and its closed-form gradient
+in the prediction, (value, dYh), against one :class:`LossTarget` that
+:func:`loss_target` builds of Y, the weights and the bin frequencies. A
+single term is the total under weights with one nonzero entry.
 """
 
 from __future__ import annotations
@@ -44,22 +47,12 @@ class LossWeights:
             raise ValueError("epsilon must be positive")
 
 
-def _check_shapes(Y, Yh):
-    """Y is the target; Yh the prediction, of Y's shape or with leading
-    (start) axes before it. Also returns the axes a loss sums over."""
-    Y = np.asarray(Y, dtype=float)
-    Yh = np.asarray(Yh, dtype=float)
-    if Yh.shape[Yh.ndim - Y.ndim:] != Y.shape:
-        raise ValueError(f"shape mismatch {Y.shape} vs {Yh.shape}")
-    return Y, Yh, tuple(range(-Y.ndim, 0))
-
-
 class LossTarget(NamedTuple):
-    """The target side of :func:`loss_total_grad`, from :func:`loss_target`:
-    the target Y (a read-only copy), the weights and bin frequencies it was
-    built for, and what each weighted term needs of Y (None for a term of
-    weight 0): log(Y + epsilon), ||Y||_F, and the transport's per-frame CDF,
-    frames with mass and bin widths."""
+    """Everything :func:`loss_total_grad` takes besides the prediction, built
+    by :func:`loss_target`: the target Y (a read-only copy), the weights and
+    bin frequencies the loss is taken under, and what each weighted term
+    needs of Y (None for a term of weight 0): log(Y + epsilon), ||Y||_F, and
+    the transport's per-frame CDF, frames with mass and bin widths."""
 
     Y: np.ndarray
     weights: LossWeights
@@ -81,28 +74,17 @@ def loss_target(Y, weights: LossWeights, freqs=None) -> LossTarget:
                          f"of shape {Y.shape} is {Y[first]}")
     Y.flags.writeable = False
     f = None if freqs is None else np.asarray(freqs, dtype=float)
-    return LossTarget(Y, weights, f,
-                      np.log(Y + weights.epsilon) if weights.alpha else None,
-                      _sc_norm(Y) if weights.beta else None,
-                      _sot_target(Y, f) if weights.eta else None)
+    norm = np.linalg.norm(Y) if weights.beta else None
+    if norm == 0.0:
+        raise ValueError("spectral convergence undefined for an all-zero target")
+    return LossTarget(Y, weights, f, np.log(Y + weights.epsilon) if weights.alpha else None,
+                      norm, _sot_target(Y, f) if weights.eta else None)
 
 
 def _log_grad(log_Y, Yh, epsilon, axes):
     t = Yh + epsilon
     diff = log_Y - np.log(t)
     return np.sum(np.abs(diff), axis=axes), -np.sign(diff) / t
-
-
-def loss_log_grad(Y, Yh, epsilon: float = 1e-8):
-    Y, Yh, axes = _check_shapes(Y, Yh)
-    return _log_grad(np.log(Y + epsilon), Yh, epsilon, axes)
-
-
-def _sc_norm(Y):
-    ny = np.linalg.norm(Y)
-    if ny == 0.0:
-        raise ValueError("spectral convergence undefined for an all-zero target")
-    return ny
 
 
 def _sc_grad(Y, ny, Yh, axes):
@@ -112,23 +94,17 @@ def _sc_grad(Y, ny, Yh, axes):
     return np.squeeze(nd, axis=axes) / ny, dYh
 
 
-def loss_sc_grad(Y, Yh):
-    Y, Yh, axes = _check_shapes(Y, Yh)
-    return _sc_grad(Y, _sc_norm(Y), Yh, axes)
-
-
 def _sot_target(Y, freqs):
     """The target side of the transport term: Y's per-frame CDF without its
     final column (1, or 0 for a frame without mass), which frames have mass,
     and the bin widths."""
     if freqs is None:
         raise ValueError("transport loss needs the bin frequencies")
-    f = np.asarray(freqs, dtype=float)
-    if Y.ndim != 2 or f.shape != (Y.shape[1],):
+    if Y.ndim != 2 or freqs.shape != (Y.shape[1],):
         raise ValueError("need one bin frequency per spectrogram column")
     sy = Y.sum(axis=-1)
     cdf = np.cumsum(Y, axis=-1) / np.where(sy, sy, 1.0)[:, None]
-    return cdf[:, :-1], sy > 0, np.diff(f)
+    return cdf[:, :-1], sy > 0, np.diff(freqs)
 
 
 def _sot_grad(target, Yh):
@@ -157,32 +133,24 @@ def _sot_grad(target, Yh):
     return val, dYh
 
 
-def loss_sot_grad(Y, Yh, freqs):
-    """Mean per-frame Wasserstein-1 distance; frames are normalised to unit
-    mass internally, zero-mass frames are skipped but still counted in the
-    mean."""
-    Y, Yh, _ = _check_shapes(Y, Yh)
-    return _sot_grad(_sot_target(Y, freqs), Yh)
-
-
-def loss_total_grad(Y, Yh, weights: LossWeights, freqs=None):
+def loss_total_grad(target: LossTarget, Yh):
     """alpha*log + beta*sc + eta*sot of the prediction Yh against the target
-    Y, and its gradient in Yh. Y may also be loss_target(Y, weights, freqs),
-    built once for many predictions under the same weights and freqs."""
-    if isinstance(Y, LossTarget):
-        target = Y
-        if target.weights != weights or not (freqs is target.freqs
-                                             or np.array_equal(freqs, target.freqs)):
-            raise ValueError("the loss target was built for other weights or frequencies")
-    else:
-        _check_shapes(Y, Yh)
-        target = loss_target(Y, weights, freqs)
-    _, Yh, axes = _check_shapes(target.Y, Yh)
+    of loss_target(Y, weights, freqs), under its weights and bin frequencies,
+    and its gradient in Yh. Yh has Y's shape, or leading (start) axes before
+    it and then one loss per start."""
+    if not isinstance(target, LossTarget):
+        raise TypeError(f"loss_total_grad takes a LossTarget, not {type(target).__name__}; "
+                        "build it with loss_target(Y, weights, freqs)")
+    weights, Y = target.weights, target.Y
+    Yh = np.asarray(Yh, dtype=float)
+    if Yh.shape[Yh.ndim - Y.ndim:] != Y.shape:
+        raise ValueError(f"shape mismatch {Y.shape} vs {Yh.shape}")
+    axes = tuple(range(-Y.ndim, 0))
     terms = []
     if weights.alpha:
         terms.append((weights.alpha, _log_grad(target.log, Yh, weights.epsilon, axes)))
     if weights.beta:
-        terms.append((weights.beta, _sc_grad(target.Y, target.norm, Yh, axes)))
+        terms.append((weights.beta, _sc_grad(Y, target.norm, Yh, axes)))
     if weights.eta:
         terms.append((weights.eta, _sot_grad(target.transport, Yh)))
     total, grad = 0.0, None

@@ -4,6 +4,8 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.signal import get_window
 
 from modalsim import adjoint
@@ -324,9 +326,22 @@ def test_bark_grid_validation():
             (1000.0, 0.0, r"^f_min must be positive, got 0.0$"),
             (1000.0, -50.0, r"^f_min must be positive, got -50.0$"),
             (50.0, 100.0, r"^f_max must exceed the 100.0 Hz lower edge, got 50.0$"),
-            (20.0, 20.0, r"^f_max must exceed the 20.0 Hz lower edge, got 20.0$")]:
+            (20.0, 20.0, r"^f_max must exceed the 20.0 Hz lower edge, got 20.0$"),
+            # every consumer of the grid rejects a point at Nyquist
+            (22050.0, 20.0, r"^f_max must lie below the Nyquist frequency 22050.0, got 22050.0$")]:
         with pytest.raises(ValueError, match=message):
             bark_grid(16, f_max, 44100.0, f_min=f_min)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_points=st.integers(2, 4096), rate=st.floats(100.0, 2e5),
+       f_min=st.floats(1e-3, 40.0), top=st.floats(0.0, 1.0))
+def test_every_bark_grid_passes_the_tf_frequency_check(n_points, rate, f_min, top):
+    # top = 1 asks for the largest float below Nyquist
+    f_max = min(f_min + top * (rate / 2 - f_min), np.nextafter(rate / 2, 0.0))
+    assume(f_max > f_min)
+    f = bark_grid(n_points, f_max, rate, f_min=f_min)
+    assert np.array_equal(adjoint.check_tf_frequencies(f, rate), f)
 
 
 # --- transfer-function magnitude -------------------------------------------------------
@@ -391,6 +406,24 @@ def test_tf_frequency_validation():
     co = ftm_coeffs(bank, 1 / 8000.0)
     with pytest.raises(ValueError, match="Nyquist"):
         tf_magnitude(co, np.ones(1), [4000.0], 8000.0)
+    with pytest.raises(ValueError, match="Nyquist"):
+        tf_magnitude(co, np.ones(1), [100.0, np.nan], 8000.0)
+
+
+@pytest.mark.parametrize("rate", [0.0, -8000.0, -44100.0, np.nan, np.inf])
+def test_analysis_rejects_a_rate_that_is_not_finite_and_positive(rate):
+    # checked at entry: past it, a NaN rate turns into NaN magnitudes or grid
+    # points, and a negative one into negative bin frequencies
+    message = re.escape(f"rate must be positive and finite, got {rate}")
+    co = ftm_coeffs(oscillator_bank(np.array([1.0]), 0.0, 1000.0, gamma=0.1), 1 / 8000.0)
+    with pytest.raises(ValueError, match=message):
+        tf_magnitude(co, np.ones(1), [100.0], rate)
+    with pytest.raises(ValueError, match=message):
+        bark_grid(8, 1000.0, rate)
+    with pytest.raises(ValueError, match=message):
+        stft(np.ones(4096), rate)
+    with pytest.raises(ValueError, match=message):
+        lpc_envelope_at(LpcModel(order=0, coeffs=np.zeros(0), gain=1.0), [100.0], rate)
 
 
 # --- transfer-function kernels against the num/den oracle -------------------------------

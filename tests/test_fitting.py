@@ -54,6 +54,19 @@ def test_frequency_problem_rejects_grid_outside_open_band(freqs):
         FrequencyDomainProblem(**frequency_kw(freqs=np.asarray(freqs), target_env=np.ones(2)))
 
 
+@pytest.mark.parametrize("rate", [0.0, -8000.0, np.nan])
+def test_problems_reject_a_rate_that_is_not_finite_and_positive(rate):
+    # checked at construction: past it, a bad rate surfaces on every call as a
+    # misleading InstabilityError or "all frames have zero mass", if at all
+    message = re.escape(f"rate must be positive and finite, got {rate}")
+    with pytest.raises(ValueError, match=message):
+        TimeDomainProblem(lam=(np.arange(1, 4) * np.pi) ** 2, rate=rate, n_steps=600,
+                          scheme="ftm", force_signal=np.ones(600), force_gains=np.ones(3),
+                          target_mag=np.zeros((1, 1)), stft_window_length=256, stft_hop=64)
+    with pytest.raises(ValueError, match=message):
+        FrequencyDomainProblem(**frequency_kw(rate=rate))
+
+
 def test_frequency_problem_rejects_target_of_other_length():
     with pytest.raises(ValueError, match="target_env"):
         FrequencyDomainProblem(**frequency_kw(target_env=np.ones(15)))

@@ -405,6 +405,7 @@ def test_rk_oversample_rejected_by_explicit_schemes(scheme, oversample):
 
 @pytest.mark.parametrize("duration, rate, message", [
     (0.01, 0.0, "rate must be positive"), (0.01, -8000.0, "rate must be positive"),
+    (0.01, np.nan, "rate must be positive"), (0.01, np.inf, "rate must be positive"),
     (-0.01, 8000.0, "duration must be non-negative"),
 ])
 def test_run_settings_out_of_range_rejected(duration, rate, message):
@@ -503,11 +504,11 @@ def test_filter_forward_matches_per_sample_loop(scheme, forced, n_steps, damped_
 @pytest.mark.parametrize("forced", [False, True, "pulse"])
 @pytest.mark.parametrize("scheme", ["ftm", "sv"])
 def test_filter_sweep_matches_per_sample_loop(scheme, forced, damped_bank):
-    # the linear readout and its forward-mode gradients against the readout of
-    # the stepped recurrence and the reverse sweep: unforced, the free
-    # response throughout; forced over the whole run, stepped throughout;
-    # after a pulse, stepped over it, then blocks of the free response, the
-    # last one partial
+    # the linear readout and its forward-mode gradients, block-scanned over
+    # every span, against the per-sample loop's readout and the reverse sweep:
+    # unforced, free blocks only; forced over the whole run, forced blocks
+    # only; after a pulse, forced blocks over it, then free ones, the last
+    # block partial
     w = np.array([0.7, -1.2, 0.4, 1.0, -0.3])
     for n_steps in (0, 1, 2, 257, 3 * adjoint.BLOCK + 32):
         (A, B, R, q0, q_prev, n), kw = filter_case(scheme, forced, n_steps, damped_bank)
@@ -838,6 +839,13 @@ def test_raised_cosine_pulse_rejects_width_that_is_not_positive(width):
     # width 0 divided by zero into NaN samples; a negative width gave zeros
     with pytest.raises(ValueError, match="width must be positive"):
         raised_cosine_pulse(3.0, 0.01, width, 1000.0, 30)
+
+
+@pytest.mark.parametrize("rate", [0.0, -8000.0, np.nan])
+def test_raised_cosine_pulse_rejects_a_rate_that_is_not_finite_and_positive(rate):
+    message = re.escape(f"rate must be positive and finite, got {rate}")
+    with pytest.raises(ValueError, match=message):
+        raised_cosine_pulse(3.0, 0.01, 0.004, rate, 30)
 
 
 # --- allocation budget ------------------------------------------------------------------

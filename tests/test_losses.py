@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalsim.losses import (
-    LossWeights, loss_log_grad, loss_sc_grad, loss_sot_grad, loss_target, loss_total_grad,
-)
+from modalsim.losses import LossWeights, loss_target, loss_total_grad
+
+# a single term is the total under weights with one nonzero entry
+LOG, SC, SOT = LossWeights(1.0, 0.0, 0.0), LossWeights(0.0, 1.0, 0.0), LossWeights(0.0, 0.0, 1.0)
 
 
 def spectra(rng, frames=4, bins=16):
@@ -18,17 +19,22 @@ def uniform_freqs(bins=16, df=10.0):
     return np.arange(bins) * df
 
 
+def loss(weights, Y, Yh, freqs=None):
+    return loss_total_grad(loss_target(Y, weights, freqs), Yh)
+
+
 # --- log-magnitude -----------------------------------------------------------
 
 def test_log_identity_is_zero(rng):
     Y, _ = spectra(rng)
-    assert loss_log_grad(Y, Y)[0] == 0.0
+    assert loss(LOG, Y, Y)[0] == 0.0
 
 
 def test_log_single_bin_ratio():
     Y = np.array([[np.e]])
     Yh = np.array([[1.0]])
-    assert loss_log_grad(Y, Yh, epsilon=1e-15)[0] == pytest.approx(1.0, rel=1e-9)
+    v, _ = loss(LossWeights(1.0, 0.0, 0.0, epsilon=1e-15), Y, Yh)
+    assert v == pytest.approx(1.0, rel=1e-9)
 
 
 def test_log_matches_naive_double_loop(rng):
@@ -38,34 +44,34 @@ def test_log_matches_naive_double_loop(rng):
     for i in range(Y.shape[0]):
         for j in range(Y.shape[1]):
             naive += abs(np.log(Y[i, j] + eps) - np.log(Yh[i, j] + eps))
-    assert loss_log_grad(Y, Yh)[0] == pytest.approx(naive, abs=1e-12)
+    assert loss(LOG, Y, Yh)[0] == pytest.approx(naive, abs=1e-12)
 
 
 def test_log_shape_mismatch(rng):
     Y, Yh = spectra(rng)
     with pytest.raises(ValueError, match="mismatch"):
-        loss_log_grad(Y, Yh[:, :-1])
+        loss(LOG, Y, Yh[:, :-1])
 
 
 # --- spectral convergence -------------------------------------------------------
 
 def test_sc_identity_and_scaling(rng):
     Y, _ = spectra(rng)
-    assert loss_sc_grad(Y, Y)[0] == 0.0
-    assert loss_sc_grad(Y, np.zeros_like(Y))[0] == pytest.approx(1.0)
-    assert loss_sc_grad(Y, 2 * Y)[0] == pytest.approx(1.0)
+    assert loss(SC, Y, Y)[0] == 0.0
+    assert loss(SC, Y, np.zeros_like(Y))[0] == pytest.approx(1.0)
+    assert loss(SC, Y, 2 * Y)[0] == pytest.approx(1.0)
 
 
 def test_sc_zero_target_rejected():
     with pytest.raises(ValueError, match="all-zero"):
-        loss_sc_grad(np.zeros((2, 3)), np.ones((2, 3)))
+        loss(SC, np.zeros((2, 3)), np.ones((2, 3)))
 
 
 # --- spectral optimal transport ---------------------------------------------------
 
 def test_sot_identity(rng):
     Y, _ = spectra(rng)
-    assert loss_sot_grad(Y, Y, uniform_freqs())[0] == pytest.approx(0.0, abs=1e-15)
+    assert loss(SOT, Y, Y, uniform_freqs())[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_sot_point_mass_shift_is_exact():
@@ -74,20 +80,20 @@ def test_sot_point_mass_shift_is_exact():
     for k, m in [(3, 5), (10, 1), (0, 20)]:
         Y = np.zeros((1, bins)); Y[0, k] = 1.0
         Yh = np.zeros((1, bins)); Yh[0, k + m] = 1.0
-        assert loss_sot_grad(Y, Yh, freqs)[0] == m * df
+        assert loss(SOT, Y, Yh, freqs)[0] == m * df
 
 
 def test_sot_zero_mass_frames_skipped_but_counted(rng):
     freqs = uniform_freqs(8, 2.0)
     Y = np.zeros((2, 8)); Y[0, 1] = 1.0; Y[1, 2] = 1.0
     Yh = np.zeros((2, 8)); Yh[0, 3] = 1.0  # second frame empty on one side
-    full = loss_sot_grad(Y, Yh, freqs)[0]
+    full = loss(SOT, Y, Yh, freqs)[0]
     assert full == pytest.approx((2 * 2.0) / 2)
 
 
 def test_sot_all_zero_rejected():
     with pytest.raises(ValueError, match="zero mass"):
-        loss_sot_grad(np.zeros((2, 4)), np.zeros((2, 4)), uniform_freqs(4))
+        loss(SOT, np.zeros((2, 4)), np.zeros((2, 4)), uniform_freqs(4))
 
 
 def sorted_cdf_distance(y, yh, freqs):
@@ -106,7 +112,7 @@ def test_sot_matches_cdf_oracle(seed):
     Yh = rng.uniform(0.01, 1.0, size=(frames, bins))
     freqs = np.cumsum(rng.uniform(0.5, 3.0, size=bins))
     expect = np.mean([sorted_cdf_distance(Y[i], Yh[i], freqs) for i in range(frames)])
-    assert loss_sot_grad(Y, Yh, freqs)[0] == pytest.approx(expect, abs=1e-10)
+    assert loss(SOT, Y, Yh, freqs)[0] == pytest.approx(expect, abs=1e-10)
 
 
 # --- composite ---------------------------------------------------------------------
@@ -114,17 +120,19 @@ def test_sot_matches_cdf_oracle(seed):
 def test_total_weight_selection(rng):
     Y, Yh = spectra(rng)
     freqs = uniform_freqs()
-    only_log = loss_total_grad(Y, Yh, LossWeights(1.0, 0.0, 0.0), freqs)[0]
-    assert only_log == pytest.approx(loss_log_grad(Y, Yh)[0])
-    zero, _ = loss_total_grad(Y, Y, LossWeights(1.0, 2.0, 3.0), freqs)
+    only_log = loss(LOG, Y, Yh, freqs)[0]
+    naive_log = np.sum(np.abs(np.log(Y + 1e-8) - np.log(Yh + 1e-8)))
+    assert only_log == pytest.approx(naive_log)
+    assert loss(LossWeights(2.5, 0.0, 0.0), Y, Yh, freqs)[0] == pytest.approx(2.5 * only_log)
+    zero, _ = loss(LossWeights(1.0, 2.0, 3.0), Y, Y, freqs)
     assert zero == pytest.approx(0.0, abs=1e-12)
 
 
 def test_total_is_sum_of_components(rng):
     Y, Yh = spectra(rng)
     freqs = uniform_freqs()
-    total = loss_total_grad(Y, Yh, LossWeights(1.0, 1.0, 1.0), freqs)[0]
-    parts = loss_log_grad(Y, Yh)[0] + loss_sc_grad(Y, Yh)[0] + loss_sot_grad(Y, Yh, freqs)[0]
+    total = loss(LossWeights(1.0, 1.0, 1.0), Y, Yh, freqs)[0]
+    parts = loss(LOG, Y, Yh)[0] + loss(SC, Y, Yh)[0] + loss(SOT, Y, Yh, freqs)[0]
     assert total == pytest.approx(parts, abs=1e-12)
 
 
@@ -145,9 +153,9 @@ def test_losses_nonnegative(seed):
     Yh = rng.uniform(0.0, 3.0, size=(3, 12))
     Y[0, 0] = 1.0  # keep target nonzero
     freqs = uniform_freqs(12)
-    assert loss_log_grad(Y, Yh)[0] >= 0.0
-    assert loss_sc_grad(Y, Yh)[0] >= 0.0
-    assert loss_sot_grad(Y + 1e-6, Yh + 1e-6, freqs)[0] >= 0.0
+    assert loss(LOG, Y, Yh)[0] >= 0.0
+    assert loss(SC, Y, Yh)[0] >= 0.0
+    assert loss(SOT, Y + 1e-6, Yh + 1e-6, freqs)[0] >= 0.0
 
 
 # --- gradients vs finite differences -------------------------------------------------
@@ -165,17 +173,15 @@ def test_loss_gradients_match_fd(rng):
     Y, Yh = spectra(rng, frames=3, bins=10)
     freqs = uniform_freqs(10, 3.0)
 
-    v, g = loss_log_grad(Y, Yh)
-    assert np.max(np.abs(g - fd_grad(lambda z: loss_log_grad(Y, z)[0], Yh))) < 1e-6
+    for weights in (LOG, SC, SOT):
+        target = loss_target(Y, weights, freqs)
+        v, g = loss_total_grad(target, Yh)
+        fd = fd_grad(lambda z: loss_total_grad(target, z)[0], Yh)
+        assert np.max(np.abs(g - fd)) < 1e-6, weights
 
-    v, g = loss_sc_grad(Y, Yh)
-    assert np.max(np.abs(g - fd_grad(lambda z: loss_sc_grad(Y, z)[0], Yh))) < 1e-6
-
-    v, g = loss_sot_grad(Y, Yh, freqs)
-    assert np.max(np.abs(g - fd_grad(lambda z: loss_sot_grad(Y, z, freqs)[0], Yh))) < 1e-6
-
-    v, g = loss_total_grad(Y, Yh, LossWeights(0.7, 1.3, 2.1), freqs)
-    fd = fd_grad(lambda z: loss_total_grad(Y, z, LossWeights(0.7, 1.3, 2.1), freqs)[0], Yh)
+    target = loss_target(Y, LossWeights(0.7, 1.3, 2.1), freqs)
+    v, g = loss_total_grad(target, Yh)
+    fd = fd_grad(lambda z: loss_total_grad(target, z)[0], Yh)
     assert np.max(np.abs(g - fd)) < 1e-5
 
 
@@ -184,19 +190,15 @@ def test_loss_gradients_match_fd(rng):
 @pytest.mark.parametrize("name", ["log", "sc", "sot", "total"])
 def test_losses_over_starts_equal_separate_calls(rng, name):
     freqs = np.cumsum(rng.uniform(0.5, 3.0, size=12))
-    grad_fn = {
-        "log": lambda Y, Yh: loss_log_grad(Y, Yh),
-        "sc": loss_sc_grad,
-        "sot": lambda Y, Yh: loss_sot_grad(Y, Yh, freqs),
-        "total": lambda Y, Yh: loss_total_grad(Y, Yh, LossWeights(0.7, 1.3, 2.1), freqs),
-    }[name]
+    weights = {"log": LOG, "sc": SC, "sot": SOT, "total": LossWeights(0.7, 1.3, 2.1)}[name]
     Y = rng.uniform(0.01, 2.0, size=(3, 12))
     Yh = rng.uniform(0.01, 2.0, size=(5, 3, 12))
     Yh[2] = Y  # one start on the target: zero sc norm and zero transport
-    vals, grads = grad_fn(Y, Yh)
+    target = loss_target(Y, weights, freqs)
+    vals, grads = loss_total_grad(target, Yh)
     assert vals.shape == (5,) and grads.shape == Yh.shape
     for k in range(5):
-        v, g = grad_fn(Y, Yh[k])
+        v, g = loss_total_grad(target, Yh[k])
         assert vals[k] == pytest.approx(v, rel=1e-14, abs=1e-15)
         np.testing.assert_allclose(grads[k], g, rtol=1e-14, atol=1e-15)
 
@@ -205,9 +207,9 @@ def test_losses_over_starts_equal_separate_calls(rng, name):
 def test_losses_over_starts_reject_mismatched_shapes(rng, shape):
     Y = rng.uniform(0.01, 2.0, size=(3, 12))
     Yh = rng.uniform(0.01, 2.0, size=shape)
-    for fn in (loss_log_grad, loss_sc_grad, lambda Y, Yh: loss_sot_grad(Y, Yh, uniform_freqs(12))):
+    for weights in (LOG, SC, SOT):
         with pytest.raises(ValueError, match="mismatch"):
-            fn(Y, Yh)
+            loss(weights, Y, Yh, uniform_freqs(12))
 
 
 def test_sot_rejects_a_start_without_mass():
@@ -215,7 +217,7 @@ def test_sot_rejects_a_start_without_mass():
     Yh = np.ones((3, 2, 4))
     Yh[1] = 0.0
     with pytest.raises(ValueError, match="zero mass"):
-        loss_sot_grad(Y, Yh, uniform_freqs(4))
+        loss(SOT, Y, Yh, uniform_freqs(4))
 
 
 @pytest.mark.parametrize("bad", [-1e-3, -1e-300, np.nan, np.inf, -np.inf])
@@ -226,3 +228,9 @@ def test_loss_target_names_the_first_entry_that_is_not_finite_and_non_negative(b
         loss_target(Y, LossWeights(), uniform_freqs())
     Y[1, 3] = Y[2, 0] = 0.0
     assert loss_target(Y, LossWeights(), uniform_freqs()).Y[1, 3] == 0.0
+
+
+@pytest.mark.parametrize("target", [np.ones((2, 4)), [[1.0, 2.0]], None])
+def test_total_rejects_a_target_not_built_by_loss_target(target):
+    with pytest.raises(TypeError, match=r"build it with loss_target\(Y, weights, freqs\)"):
+        loss_total_grad(target, np.ones((2, 4)))
